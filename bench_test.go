@@ -198,9 +198,9 @@ func storeBenchGrid() vliwmt.Grid {
 // every job simulates and persists, so the delta against
 // BenchmarkSweepGrid is the store's write-path overhead. Each
 // iteration gets a fresh directory (a fresh Runner with an empty
-// compile cache, too, so cold means cold). Batching is pinned off —
-// this is the single-job execution baseline BenchmarkBatchedSweep is
-// measured against.
+// compile cache, too, so cold means cold). Units are pinned to one
+// lane — every job is its own sim.RunBatch call — which is the
+// baseline BenchmarkBatchedSweep is measured against.
 func BenchmarkStoreColdSweep(b *testing.B) {
 	grid := storeBenchGrid()
 	jobs := 0

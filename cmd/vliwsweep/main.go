@@ -24,7 +24,7 @@
 // In-process sweeps batch shape-compatible jobs (same machine, same
 // benchmark list) through one shared cycle loop for throughput; -batch
 // caps the unit size, with 0 grouping automatically and 1 running every
-// job solo. Batching never changes results — only jobs/s.
+// job as a one-lane unit. Batching never changes results — only jobs/s.
 //
 // With -addr the grid is submitted to a running vliwserve instance
 // instead of the in-process engine; the determinism contract crosses
@@ -129,7 +129,7 @@ func main() {
 		schemes    = flag.String("schemes", "", "comma-separated merge schemes — names or tree expressions like C(S(T0,T1),T2,T3) (default: the paper's sixteen)")
 		mixes      = flag.String("mixes", "", "comma-separated Table 2 mixes (default: all nine)")
 		workers    = flag.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
-		batch      = flag.Int("batch", 0, "jobs per batched simulation unit for in-process sweeps (0: auto-group shape-compatible jobs; 1: run every job solo) — results are identical at any setting")
+		batch      = flag.Int("batch", 0, "jobs per batched simulation unit for in-process sweeps (0: auto-group shape-compatible jobs; 1: one-lane units) — results are identical at any setting")
 		seed       = flag.Uint64("seed", 1, "sweep seed; per-job seeds derive from it")
 		instr      = flag.Int64("instr", 300_000, "per-thread instruction budget")
 		timeslice  = flag.Int64("timeslice", 0, "OS quantum in cycles (0: budget/100)")

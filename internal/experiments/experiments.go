@@ -267,7 +267,11 @@ func Fig10(opts Options) ([]Figure10Row, error) {
 	var jobs []sweep.Job
 	for _, mix := range mixes {
 		for _, scheme := range schemes {
-			jobs = append(jobs, opts.mixJob(mix, merge.PortsFor(scheme), scheme))
+			ports, err := merge.Ports(scheme)
+			if err != nil {
+				return nil, err
+			}
+			jobs = append(jobs, opts.mixJob(mix, ports, scheme))
 		}
 	}
 	ipcs, err := opts.run(jobs)

@@ -8,10 +8,21 @@ import (
 	"vliwmt/internal/merge"
 )
 
+// schemePorts resolves a scheme name's port count, failing the test on
+// an unknown name.
+func schemePorts(t *testing.T, scheme string) int {
+	t.Helper()
+	n, err := merge.Ports(scheme)
+	if err != nil {
+		t.Fatalf("Ports(%s): %v", scheme, err)
+	}
+	return n
+}
+
 func buildCircuit(t *testing.T, scheme string) (*Circuit, *merge.Tree) {
 	t.Helper()
 	m := isa.Default()
-	tree, err := merge.Parse(scheme, merge.PortsFor(scheme))
+	tree, err := merge.Parse(scheme, schemePorts(t, scheme))
 	if err != nil {
 		t.Fatalf("Parse(%s): %v", scheme, err)
 	}
@@ -291,7 +302,7 @@ func TestCircuitEquivalenceOtherMachines(t *testing.T) {
 		m := m
 		r := rand.New(rand.NewSource(int64(100 + mi)))
 		for _, scheme := range []string{"1S", "3CCC", "2SC3", "3SSS", "2SC", "C4"} {
-			tree, err := merge.Parse(scheme, merge.PortsFor(scheme))
+			tree, err := merge.Parse(scheme, schemePorts(t, scheme))
 			if err != nil {
 				t.Fatal(err)
 			}

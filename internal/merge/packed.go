@@ -19,11 +19,11 @@ import "vliwmt/internal/isa"
 // counts are capped at packMax (63) and machine limits likewise, so
 // byte sums never carry into a neighbouring byte, and "count_a +
 // count_b > limit" becomes "byte + (127 - limit) has bit 7 set".
-// Clusters the solo path never checks (index >= Machine.Clusters, or
+// Clusters the plain path never checks (index >= Machine.Clusters, or
 // clusters not used by both packets) are masked out of the overflow
 // word, which reproduces AccumSMT's skip rules exactly. The
 // differential tests in packed_test.go and the simulator's
-// batch-vs-solo suite enforce bit-identity with Select.
+// batch-vs-refsim suite enforce bit-identity with Select.
 
 const (
 	// packMax bounds every packed per-cluster count and machine limit;

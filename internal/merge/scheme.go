@@ -356,22 +356,6 @@ func PaperSchemes4() []string {
 	}
 }
 
-// PortsFor returns the number of thread ports the named scheme merges,
-// resolving the name like Resolve (registered names and tree
-// expressions included), and 4 when the name cannot be resolved.
-//
-// Deprecated: PortsFor cannot distinguish "merges 4 threads" from
-// "unknown name". Use Ports, which reports an error instead of
-// defaulting; PortsFor is kept because vliwmt.SchemeThreads promises
-// its forgiving behaviour.
-func PortsFor(name string) int {
-	n, err := Ports(name)
-	if err != nil {
-		return 4
-	}
-	return n
-}
-
 // String renders the tree structure in the canonical grammar
 // ParseTreeExpr accepts, e.g. "C(S(T0,T1),T2,T3)".
 func (t *Tree) String() string { return renderNode(t.root) }

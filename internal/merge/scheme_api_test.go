@@ -7,7 +7,7 @@ import (
 
 // TestResolveRoundTripProperty is the scheme round-trip property: for
 // every paper scheme plus the IMT/BMT baselines, Resolve(name) agrees
-// with PortsFor, and a tree-backed scheme's canonical rendering
+// with Ports, and a tree-backed scheme's canonical rendering
 // re-resolves to an equivalent tree.
 func TestResolveRoundTripProperty(t *testing.T) {
 	names := append(PaperSchemes4(), "IMT", "BMT")
@@ -19,9 +19,6 @@ func TestResolveRoundTripProperty(t *testing.T) {
 		}
 		if s.Name() != name {
 			t.Errorf("Resolve(%s).Name() = %q", name, s.Name())
-		}
-		if got, want := s.Ports(), PortsFor(name); got != want {
-			t.Errorf("Resolve(%s).Ports() = %d, PortsFor = %d", name, got, want)
 		}
 		if n, err := Ports(name); err != nil || n != s.Ports() {
 			t.Errorf("Ports(%s) = %d, %v", name, n, err)
@@ -54,10 +51,6 @@ func TestResolveRejectsUnknownNames(t *testing.T) {
 		}
 		if _, err := Ports(name); err == nil {
 			t.Errorf("Ports(%q) unexpectedly succeeded", name)
-		}
-		// The deprecated forgiving entry point still defaults to 4.
-		if got := PortsFor(name); got != 4 {
-			t.Errorf("PortsFor(%q) = %d, want the documented default 4", name, got)
 		}
 	}
 }

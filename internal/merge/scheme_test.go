@@ -25,7 +25,7 @@ func TestParsePaperSchemes(t *testing.T) {
 		"3SSS": "S(S(S(T0,T1),T2),T3)",
 	}
 	for _, name := range PaperSchemes4() {
-		tree, err := Parse(name, PortsFor(name))
+		tree, err := Parse(name, mustPorts(t, name))
 		if err != nil {
 			t.Errorf("Parse(%q): %v", name, err)
 			continue
@@ -36,8 +36,8 @@ func TestParsePaperSchemes(t *testing.T) {
 		if got := tree.String(); got != want[name] {
 			t.Errorf("Parse(%q) = %s, want %s", name, got, want[name])
 		}
-		if tree.Ports() != PortsFor(name) {
-			t.Errorf("Parse(%q).Ports() = %d, want %d", name, tree.Ports(), PortsFor(name))
+		if tree.Ports() != mustPorts(t, name) {
+			t.Errorf("Parse(%q).Ports() = %d, want %d", name, tree.Ports(), mustPorts(t, name))
 		}
 	}
 }
@@ -146,24 +146,34 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestPortsForInference(t *testing.T) {
+// mustPorts resolves a scheme name's port count, failing the test on
+// an unknown name.
+func mustPorts(t testing.TB, name string) int {
+	t.Helper()
+	n, err := Ports(name)
+	if err != nil {
+		t.Fatalf("Ports(%q): %v", name, err)
+	}
+	return n
+}
+
+func TestPortsInference(t *testing.T) {
 	cases := map[string]int{
 		"1S": 2, "1C": 2,
 		"3SSS": 4, "3CCC": 4, "2SC3": 4, "2C3S": 4, "C4": 4,
 		"2CC": 4, "2SS": 4, "2SC": 4, "2CS": 4, // balanced convention
 		"C8": 8, "7SSSSSSS": 8, "7CCCCCCC": 8, "2SC7": 8, "4SC3C3C3": 8,
 		"C2": 2, "5SSSSS": 6,
-		"": 4, "XX": 4, // unparseable defaults
 	}
 	for name, want := range cases {
-		if got := PortsFor(name); got != want {
-			t.Errorf("PortsFor(%q) = %d, want %d", name, got, want)
+		if got, err := Ports(name); err != nil || got != want {
+			t.Errorf("Ports(%q) = %d, %v; want %d", name, got, err, want)
 		}
 	}
 	// Every inferred count must round-trip through Parse.
 	for _, name := range []string{"C8", "7SSSSSSS", "7CCCCCCC", "2SC7", "4SC3C3C3"} {
-		if _, err := Parse(name, PortsFor(name)); err != nil {
-			t.Errorf("Parse(%s, PortsFor) failed: %v", name, err)
+		if _, err := Parse(name, mustPorts(t, name)); err != nil {
+			t.Errorf("Parse(%s, Ports) failed: %v", name, err)
 		}
 	}
 }

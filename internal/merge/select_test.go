@@ -160,7 +160,7 @@ func Test2SCRestriction(t *testing.T) {
 func TestEmptyAndSingleCandidate(t *testing.T) {
 	m := isa.Default()
 	for _, name := range PaperSchemes4() {
-		tree := mustParse(t, name, PortsFor(name))
+		tree := mustParse(t, name, mustPorts(t, name))
 		cands := make([]*isa.Occupancy, tree.Ports())
 		if s := treeSelect(t, tree, &m, cands); !s.Empty() {
 			t.Errorf("%s: selection from no candidates = %v", name, s)
@@ -182,7 +182,7 @@ func TestHighestPriorityAlwaysIssues(t *testing.T) {
 	m := isa.Default()
 	r := rand.New(rand.NewSource(7))
 	for _, name := range PaperSchemes4() {
-		tree := mustParse(t, name, PortsFor(name))
+		tree := mustParse(t, name, mustPorts(t, name))
 		for trial := 0; trial < 200; trial++ {
 			cands := randomCands(r, &m, tree.Ports())
 			first := -1
@@ -265,7 +265,7 @@ func TestSelectionInvariants(t *testing.T) {
 	m := isa.Default()
 	r := rand.New(rand.NewSource(99))
 	for _, name := range PaperSchemes4() {
-		tree := mustParse(t, name, PortsFor(name))
+		tree := mustParse(t, name, mustPorts(t, name))
 		for trial := 0; trial < 500; trial++ {
 			cands := randomCands(r, &m, tree.Ports())
 			s := treeSelect(t, tree, &m, cands)

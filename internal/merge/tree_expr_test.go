@@ -9,7 +9,7 @@ func TestParseTreeExprRoundTrip(t *testing.T) {
 	// Every paper scheme's canonical rendering must re-parse to an
 	// equivalent tree.
 	for _, name := range PaperSchemes4() {
-		tree, err := Parse(name, PortsFor(name))
+		tree, err := Parse(name, mustPorts(t, name))
 		if err != nil {
 			t.Fatalf("Parse(%s): %v", name, err)
 		}
@@ -107,7 +107,7 @@ func TestTreeFromNode(t *testing.T) {
 // accepted expression must re-render and re-parse to a fixed point.
 func FuzzParseTreeExpr(f *testing.F) {
 	for _, name := range PaperSchemes4() {
-		if tree, err := Parse(name, PortsFor(name)); err == nil {
+		if tree, err := Parse(name, mustPorts(f, name)); err == nil {
 			f.Add(tree.String())
 		}
 	}

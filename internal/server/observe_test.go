@@ -254,8 +254,9 @@ func TestConcurrentEventSubscribers(t *testing.T) {
 }
 
 // TestJobErrorsSurfaced submits a sweep whose second job fails at
-// runtime (an invalid machine passes submit-time validation) and
-// checks the failure is visible everywhere the ISSUE promises: the
+// runtime (a valid machine without memory units passes submit-time
+// validation but cannot compile a kernel with loads) and checks the
+// failure is visible everywhere the API reports job outcomes: the
 // event's top-level err string, the status's errors count and the
 // terminal summary.
 func TestJobErrorsSurfaced(t *testing.T) {
@@ -270,7 +271,7 @@ func TestJobErrorsSurfaced(t *testing.T) {
 	// the terminal event). Sized well above the simulator's current
 	// throughput without bloating the race-detector run.
 	good.InstrLimit = 1_500_000
-	bad.Machine.BranchPenalty = -1
+	bad.Machine.MemUnits = 0
 	req := api.SweepRequest{Jobs: []api.Job{api.JobFrom(good), api.JobFrom(bad)}, Workers: 1}
 
 	_, ts := newTestServer(t, Options{})
@@ -285,8 +286,8 @@ func TestJobErrorsSurfaced(t *testing.T) {
 	if len(dones) != 2 {
 		t.Fatalf("saw %d job events, want 2", len(dones))
 	}
-	if len(errStrings) != 1 || !strings.Contains(errStrings[0], "branch penalty") {
-		t.Errorf("event err strings %q, want the one job's machine validation error", errStrings)
+	if len(errStrings) != 1 || !strings.Contains(errStrings[0], "unit on cluster") {
+		t.Errorf("event err strings %q, want the one job's compile error", errStrings)
 	}
 
 	final := waitTerminal(t, ts, st.ID)

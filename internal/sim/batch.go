@@ -3,8 +3,9 @@
 // compiled programs — flattened once into program.Plan tables — while
 // every lane keeps its own selector, caches, walkers and OS scheduler,
 // so a lane at global cycle c behaves exactly as the same job would at
-// its own cycle c running alone. The differential tests in
-// batch_test.go enforce bit-identity against Run and refsim.
+// its own cycle c running alone. Run is the one-lane case; the
+// differential tests in batch_test.go, diff_test.go and
+// conformance_test.go enforce bit-identity against refsim.
 //
 // Layout: the per-task context state (readyAt / fetched / done /
 // current-instruction vectors, per-thread stats) lives in flat
@@ -16,8 +17,8 @@
 // lane executes its own consecutive cycles until it sleeps past the
 // epoch boundary, finishes or times out, then the next lane runs its
 // epoch. Lanes carry a wake cycle: an active lane wakes at cycle+1,
-// an all-stalled lane bulk-accounts its stall span exactly like the
-// solo fast-forward and sleeps until its next event. When every
+// an all-stalled lane bulk-accounts its stall span (the stall
+// fast-forward) and sleeps until its next event. When every
 // surviving lane sleeps past the boundary, the clock jumps straight to
 // the minimum wake — the batch-wide fast-forward the telemetry counts.
 //
@@ -45,7 +46,7 @@ import (
 // are far below 31 ports, so the flag bit can never collide).
 const selEmptyOps = uint32(1) << 31
 
-// lane is one job of a batch: the full solo-run state (selector,
+// lane is one job of a batch: the full per-job state (selector,
 // caches, walkers, OS scheduler, result accumulators) plus the wake
 // cycle the driver schedules it by. The context-state slices alias the
 // batch's shared SoA backing.
@@ -68,25 +69,30 @@ type lane struct {
 	done    []bool
 	stats   []ThreadStats
 
-	// OS scheduling state, as in core.
+	// OS scheduling state: running maps hardware contexts to task
+	// indices (-1 = idle); pool holds descheduled tasks not yet done.
 	running []int
 	pool    []int
 	osRng   rng
 	slicing bool
 	nCtx    int
-	// nextSlice is the next timeslice boundary. The solo loop's stall
-	// fast-forward never jumps past a boundary (nextEvent caps the
-	// span there), so the cycle loop visits every boundary exactly and
-	// an absolute next-boundary cycle replaces the per-cycle modulo.
+	// nextSlice is the next timeslice boundary. The stall fast-forward
+	// never jumps past a boundary (nextEvent caps the span there), so
+	// the cycle loop visits every boundary exactly and an absolute
+	// next-boundary cycle replaces the per-cycle modulo.
 	nextSlice int64
 	// rotMask is nCtx-1 when nCtx is a power of two (priority rotation
 	// by mask instead of division), -1 otherwise.
 	rotMask   int64
 	fixedPrio bool
 
-	// Per-cycle buffers, as in core. cands is nil when the lane runs on
-	// the packed dictionary — then the gather records IDs only and the
-	// merge stage never touches an Occupancy.
+	// Per-cycle buffers, reused across every cycle of the run: cands[p]
+	// and candID[p] are the candidate at merge port p (meaningful only
+	// when bit p of the cycle's valid mask is set) and ports[p] is the
+	// context mapped to port p under the cycle's priority rotation.
+	// cands is nil when the lane runs on the packed dictionary — then
+	// the gather records IDs only and the merge stage never touches an
+	// Occupancy.
 	cands  []isa.Occupancy
 	candID []int32
 	ports  []int
@@ -98,7 +104,9 @@ type lane struct {
 	pd   []merge.PackedOcc
 	plim merge.PackedLimits
 
-	res               *Result
+	res *Result
+	// ffSpans/ffCycles count stall fast-forward jumps and the cycles
+	// they skipped, flushed to the telemetry counters once, in finalize.
 	ffSpans, ffCycles int64
 
 	// wakeAt is the next global cycle at which this lane must step.
@@ -138,7 +146,7 @@ type batchCore struct {
 // cycles back to back cannot change anything it computes — it only
 // keeps the lane's working set (walkers, cache tag arrays, context
 // state) hot instead of re-faulting it every simulated cycle, which is
-// where a cycle-interleaved driver loses to the solo loop. The epoch
+// where a cycle-interleaved driver loses to running jobs one by one. The epoch
 // also bounds clock skew between lanes: at every epoch boundary the
 // whole batch has reached the same cycle, which is what makes the
 // batch-wide fast-forward (jumping the shared clock over spans where
@@ -147,14 +155,20 @@ const batchEpoch = 4096
 
 // RunBatch simulates len(cfgs) independent jobs that share one task
 // list, returning one Result per config in order. Every Result is
-// bit-identical to Run(cfgs[i], tasks): batching changes how cycles
-// are interleaved across jobs, never what any job computes. Configs
+// bit-identical to Run(cfgs[i], tasks) and to refsim.Run(cfgs[i],
+// tasks): batching changes how cycles are interleaved across jobs,
+// never what any job computes. A config that fails Validate, or a
+// task that does not fit a lane's machine, fails the whole call with
+// an error naming the lane. Configs
 // may differ freely (scheme, contexts, caches, seeds, limits); only
 // the tasks must be common, which is what the sweep engine's
 // shape-grouping guarantees.
 func RunBatch(cfgs []Config, tasks []Task) ([]*Result, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
+	}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("sim: no tasks")
 	}
 	b := &batchCore{
 		tasks:     tasks,
@@ -221,7 +235,7 @@ func RunBatch(cfgs []Config, tasks []Task) ([]*Result, error) {
 	for li, cfg := range cfgs {
 		cfg, sel, ic, dc, err := setupRun(cfg, tasks)
 		if err != nil {
-			return nil, fmt.Errorf("sim: batch lane %d: %w", li, err)
+			return nil, &laneError{lane: li, err: err}
 		}
 		l := &lane{
 			cfg:       cfg,
@@ -292,6 +306,16 @@ func RunBatch(cfgs []Config, tasks []Task) ([]*Result, error) {
 	return results, nil
 }
 
+// laneError attributes a set-up failure to its batch lane. Run, a
+// one-lane batch, unwraps it so its errors carry no lane number.
+type laneError struct {
+	lane int
+	err  error
+}
+
+func (e *laneError) Error() string { return fmt.Sprintf("sim: batch lane %d: %v", e.lane, e.err) }
+func (e *laneError) Unwrap() error { return e.err }
+
 // runLoop is the batch driver: epoch-major, lane-minor, cycle-inner.
 // Each pass gives every live lane one epoch — the lane executes its
 // own cycles back to back (lane.wakeAt is always the lane's next
@@ -317,7 +341,7 @@ func (b *batchCore) runLoop() {
 			for {
 				c := l.wakeAt
 				if c >= l.cfg.MaxCycles {
-					// Timed out: the solo loop exits at exactly MaxCycles.
+					// Timed out: the run ends at exactly MaxCycles.
 					l.endCycle = l.cfg.MaxCycles
 					removed = true
 					break
@@ -331,8 +355,7 @@ func (b *batchCore) runLoop() {
 					l.step(b, c)
 				}
 				if l.finished {
-					// The solo loop increments past the finishing cycle
-					// before exiting; Cycles = cycle+1.
+					// The finishing cycle counts: Cycles = cycle+1.
 					l.endCycle = c + 1
 					removed = true
 					break
@@ -393,8 +416,18 @@ func (b *batchCore) accountOccupancy() {
 	}
 }
 
-// schedule mirrors core.schedule on the lane's SoA state. The
-// order-preserving O(n) pool delete is deliberate — see core.schedule.
+// schedule returns running tasks to the pool, then draws random
+// replacements (the paper picks replacement threads at random for
+// fairness).
+//
+// The pool delete deliberately stays the order-preserving O(n)
+// copy-down, not an O(1) swap-remove: the drawn index k comes from the
+// OS RNG, so which *task* a draw selects depends on the pool's element
+// order. Swap-remove would permute that order, pick different
+// replacement threads for the same seed, and break both bit-identical
+// reproducibility across versions and the refsim differential oracle.
+// The pool holds at most len(tasks) entries and schedule runs once per
+// timeslice, so the O(n) delete is irrelevant to throughput.
 //
 //vliw:hotpath
 func (l *lane) schedule() {
@@ -411,7 +444,12 @@ func (l *lane) schedule() {
 	}
 }
 
-// nextEvent mirrors core.nextEvent on the lane's SoA state.
+// nextEvent returns the earliest cycle after now at which a candidate
+// can reappear: the soonest readyAt among running threads (a thread
+// whose stall already elapsed counts as now+1), the next timeslice
+// boundary when descheduled tasks exist, or MaxCycles. Between now and
+// that cycle every context stays candidate-free, so the lane's state
+// cannot change — the fast-forward invariant DESIGN.md spells out.
 //
 //vliw:hotpath
 func (l *lane) nextEvent(now int64) int64 {
@@ -440,11 +478,13 @@ func (l *lane) nextEvent(now int64) int64 {
 }
 
 // step advances a multi-context lane by one cycle at global cycle
-// `cycle`, mirroring one iteration of core.run: timeslice scheduling,
+// `cycle`, one iteration of refsim's cycle loop: timeslice scheduling,
 // priority rotation, candidate gathering (plan-driven — the occupancy
 // and fetch address come from the flat PlannedInstr record), merge
 // selection, retirement. An all-stalled cycle bulk-accounts the stall
-// span and sleeps the lane, exactly like the solo fast-forward.
+// span up to the next event and sleeps the lane: the stall
+// fast-forward. Selectors are pure on empty input (Selector contract),
+// so skipping their Select calls cannot change later selections.
 //
 //vliw:hotpath
 func (l *lane) step(b *batchCore, cycle int64) {
@@ -528,8 +568,10 @@ func (l *lane) step(b *batchCore, cycle int64) {
 	l.wakeAt = cycle + 1
 }
 
-// stepSingle advances a single-context lane by one cycle, mirroring
-// one iteration of core.runSingle.
+// stepSingle advances a single-context lane by one cycle: with one
+// hardware context there is no merge stage (the selector is the
+// trivial one-port IMT, so a runnable thread always issues alone), and
+// the step reduces to fetch, retire and stall fast-forward.
 //
 //vliw:hotpath
 func (l *lane) stepSingle(b *batchCore, cycle int64) {
@@ -632,10 +674,12 @@ func packSelection(s merge.Selection) uint32 {
 	return v
 }
 
-// retireOne mirrors core.retireOne, driven by the task's plan: the
-// memory-op recipe and operation count come precomputed from the
-// PlannedInstr, and the successor is a flat index instead of walker
-// block/idx bookkeeping.
+// retireOne retires task ti's current instruction at cycle, updating
+// run totals and the thread's stall clock, and reports whether the
+// thread hit its instruction budget (ending the run). It is driven by
+// the task's plan: the memory-op recipe and operation count come
+// precomputed from the PlannedInstr, and the successor is a flat index
+// instead of walker block/idx bookkeeping.
 //
 //vliw:hotpath
 func (l *lane) retireOne(b *batchCore, ti int, cycle int64) bool {
@@ -672,7 +716,7 @@ func (l *lane) retireOne(b *batchCore, ti int, cycle int64) bool {
 	return l.walkers[ti].Retired >= l.cfg.InstrLimit
 }
 
-// finalize closes the lane exactly like core.finalize closes a run.
+// finalize closes the lane's run after the driver retired it.
 func (l *lane) finalize() *Result {
 	res := l.res
 	res.Cycles = l.endCycle

@@ -1,12 +1,13 @@
 package sim_test
 
 // The bit-identity contract of the batched core: every lane of
-// sim.RunBatch must return exactly the Result of sim.Run with the same
-// config — and therefore, by the solo differential suite, exactly the
-// refsim oracle's. These tests run whole scheme matrices as single
-// batches (heterogeneous configs, shared tasks), ragged batches whose
-// lanes finish at wildly different cycles, timeouts, batch size 1, and
-// the allocation profile of the batched steady state.
+// sim.RunBatch must return exactly the Result the naive refsim oracle
+// returns for the same config. sim.Run is a one-lane RunBatch, so the
+// oracle is the only independent loop to compare against. These tests
+// run whole scheme matrices as single batches (heterogeneous configs,
+// shared tasks), ragged batches whose lanes finish at wildly different
+// cycles, timeouts, batch size 1, and the allocation profile of the
+// batched steady state.
 
 import (
 	"fmt"
@@ -21,11 +22,10 @@ import (
 	"vliwmt/internal/sim"
 )
 
-// runBatchAgainstSolo runs every config through RunBatch in one batch
-// and through Run individually, requiring deeply equal Results lane by
-// lane. When oracle is true each lane is additionally checked against
-// refsim (slow; reserved for the acceptance matrix).
-func runBatchAgainstSolo(t *testing.T, cfgs []sim.Config, tasks []sim.Task, oracle bool) {
+// runBatchAgainstRef runs every config through RunBatch in one batch
+// and through refsim individually, requiring deeply equal Results lane
+// by lane.
+func runBatchAgainstRef(t *testing.T, cfgs []sim.Config, tasks []sim.Task) {
 	t.Helper()
 	batch, err := sim.RunBatch(cfgs, tasks)
 	if err != nil {
@@ -35,31 +35,32 @@ func runBatchAgainstSolo(t *testing.T, cfgs []sim.Config, tasks []sim.Task, orac
 		t.Fatalf("RunBatch returned %d results for %d configs", len(batch), len(cfgs))
 	}
 	for i, cfg := range cfgs {
-		solo, err := sim.Run(cfg, tasks)
+		ref, err := refsim.Run(cfg, tasks)
 		if err != nil {
-			t.Fatalf("lane %d: solo run failed: %v", i, err)
+			t.Fatalf("lane %d: refsim failed: %v", i, err)
 		}
-		if !reflect.DeepEqual(batch[i], solo) {
-			t.Fatalf("lane %d (%s): batch diverged from solo\n batch: %+v\n solo:  %+v",
-				i, cfg.Scheme, batch[i], solo)
-		}
-		if oracle {
-			ref, err := refsim.Run(cfg, tasks)
-			if err != nil {
-				t.Fatalf("lane %d: refsim failed: %v", i, err)
-			}
-			if !reflect.DeepEqual(batch[i], ref) {
-				t.Fatalf("lane %d (%s): batch diverged from refsim", i, cfg.Scheme)
-			}
+		if !reflect.DeepEqual(batch[i], ref) {
+			t.Fatalf("lane %d (%s): batch diverged from refsim\n batch: %+v\n ref:   %+v",
+				i, cfg.Scheme, batch[i], ref)
 		}
 	}
+}
+
+// ports resolves a scheme's port count for test configs.
+func ports(t testing.TB, scheme string) int {
+	t.Helper()
+	n, err := merge.Ports(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestBatchDifferentialPaperMatrix is the batched acceptance matrix:
 // all 16 paper schemes, the IMT/BMT baselines and a custom tree run as
 // ONE heterogeneous batch per (memory model, seed) cell — contexts,
 // selectors and fast-path eligibility all differ across lanes — and every
-// lane must match both the solo run and the refsim oracle bit for bit.
+// lane must match the refsim oracle bit for bit.
 func TestBatchDifferentialPaperMatrix(t *testing.T) {
 	m := isa.Default()
 	tasks := diffTasks(t, m)
@@ -71,14 +72,14 @@ func TestBatchDifferentialPaperMatrix(t *testing.T) {
 				for _, scheme := range schemes {
 					cfg := sim.DefaultConfig()
 					cfg.Scheme = scheme
-					cfg.Contexts = merge.PortsFor(scheme)
+					cfg.Contexts = ports(t, scheme)
 					cfg.PerfectMemory = perfect
 					cfg.InstrLimit = 1_500
 					cfg.TimesliceCycles = 700
 					cfg.Seed = seed
 					cfgs = append(cfgs, cfg)
 				}
-				runBatchAgainstSolo(t, cfgs, tasks, true)
+				runBatchAgainstRef(t, cfgs, tasks)
 			})
 		}
 	}
@@ -96,7 +97,7 @@ func TestBatchRagged(t *testing.T) {
 	for i, scheme := range []string{"3SSS", "2SC3", "BMT", "IMT", "C4", "3CCC"} {
 		cfg := sim.DefaultConfig()
 		cfg.Scheme = scheme
-		cfg.Contexts = merge.PortsFor(scheme)
+		cfg.Contexts = ports(t, scheme)
 		if scheme == "IMT" || scheme == "BMT" {
 			cfg.Contexts = 4
 		}
@@ -118,12 +119,12 @@ func TestBatchRagged(t *testing.T) {
 	st.TimesliceCycles = 400
 	st.Seed = 9
 	cfgs = append(cfgs, st)
-	runBatchAgainstSolo(t, cfgs, tasks, false)
+	runBatchAgainstRef(t, cfgs, tasks)
 }
 
 // TestBatchTimeout pins the MaxCycles clamp inside a batch: lanes that
 // can never retire their budget must report the same truncated cycle
-// count and TimedOut flag as the solo run, while a normal lane in the
+// count and TimedOut flag as the oracle, while a normal lane in the
 // same batch finishes untouched.
 func TestBatchTimeout(t *testing.T) {
 	m := isa.Default()
@@ -137,12 +138,12 @@ func TestBatchTimeout(t *testing.T) {
 	ok := sim.DefaultConfig()
 	ok.Scheme = "3SSS"
 	ok.InstrLimit = 1_000
-	runBatchAgainstSolo(t, []sim.Config{stuck, ok, stuck}, tasks, false)
+	runBatchAgainstRef(t, []sim.Config{stuck, ok, stuck}, tasks)
 }
 
-// TestBatchSizeOne: a batch of one is the degenerate case the sweep
-// engine emits for singleton shape groups; it must match the solo path
-// exactly too.
+// TestBatchSizeOne: a batch of one is what sim.Run executes and what the
+// sweep engine emits for singleton shape groups; it must match the
+// oracle exactly too, and sim.Run must return that same lane.
 func TestBatchSizeOne(t *testing.T) {
 	m := isa.Default()
 	tasks := diffTasks(t, m)
@@ -150,7 +151,18 @@ func TestBatchSizeOne(t *testing.T) {
 	cfg.Scheme = "2SC3"
 	cfg.InstrLimit = 1_200
 	cfg.TimesliceCycles = 500
-	runBatchAgainstSolo(t, []sim.Config{cfg}, tasks, true)
+	runBatchAgainstRef(t, []sim.Config{cfg}, tasks)
+	batch, err := sim.RunBatch([]sim.Config{cfg}, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sim.Run(cfg, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(run, batch[0]) {
+		t.Fatalf("sim.Run differs from its one-lane batch\n run:   %+v\n batch: %+v", run, batch[0])
+	}
 }
 
 // TestBatchEmpty pins the trivial edges: no configs is an empty
@@ -169,7 +181,7 @@ func TestBatchEmpty(t *testing.T) {
 // TestBatchRandomConfigs fuzzes heterogeneous batches: random lane
 // counts, schemes, contexts, budgets, seeds and cache geometries, all
 // sharing one task list, each batch checked lane-for-lane against the
-// solo runs.
+// oracle.
 func TestBatchRandomConfigs(t *testing.T) {
 	m := isa.Default()
 	tasks := diffTasks(t, m)
@@ -184,7 +196,7 @@ func TestBatchRandomConfigs(t *testing.T) {
 		cfgs := make([]sim.Config, 0, n)
 		for j := 0; j < n; j++ {
 			scheme := schemes[r.Intn(len(schemes))]
-			contexts := merge.PortsFor(scheme)
+			contexts := ports(t, scheme)
 			if scheme == "IMT" || scheme == "BMT" {
 				contexts = []int{2, 4}[r.Intn(2)]
 			}
@@ -205,7 +217,7 @@ func TestBatchRandomConfigs(t *testing.T) {
 			cfgs = append(cfgs, cfg)
 		}
 		t.Run(fmt.Sprintf("%02d_n%d", i, len(cfgs)), func(t *testing.T) {
-			runBatchAgainstSolo(t, cfgs, tasks, false)
+			runBatchAgainstRef(t, cfgs, tasks)
 		})
 	}
 }

@@ -1,9 +1,9 @@
 package sim_test
 
 // The generative conformance harness: random profiles from the
-// synthetic workload generator swept through the optimized simulator,
-// the batched cycle loop and the naive reference oracle, asserting
-// bit-identical Results lane by lane across every paper scheme, the
+// synthetic workload generator swept through the batched cycle loop
+// and the naive reference oracle, asserting bit-identical Results lane
+// by lane across every paper scheme, the
 // IMT/BMT baselines and both memory models. Where diff_test.go pins
 // the contract on the 13 hand-built kernels, this harness samples the
 // whole generator parameter space, so simulator/optimization bugs
@@ -48,9 +48,10 @@ func genTasks(t testing.TB, m isa.Machine, members [4]string) []sim.Task {
 }
 
 // TestGenerativeConformance sweeps random generated 4-thread mixes
-// through the full scheme x memory-model matrix three ways — sim.Run,
-// one sim.RunBatch over all configurations, and refsim.Run — and
-// requires all three to agree exactly. The full run covers 56 random
+// through the full scheme x memory-model matrix two ways — one
+// sim.RunBatch over all configurations, and refsim.Run per
+// configuration — and requires them to agree exactly lane by lane.
+// The full run covers 56 random
 // profiles (14 mixes x 4 members), satisfying the >=50-profile
 // acceptance bar; -short keeps a 16-profile smoke.
 func TestGenerativeConformance(t *testing.T) {
@@ -87,7 +88,7 @@ func TestGenerativeConformance(t *testing.T) {
 			for _, perfect := range []bool{true, false} {
 				cfg := sim.DefaultConfig()
 				cfg.Scheme = scheme
-				cfg.Contexts = merge.PortsFor(scheme)
+				cfg.Contexts = ports(t, scheme)
 				cfg.PerfectMemory = perfect
 				cfg.InstrLimit = 800
 				cfg.TimesliceCycles = 400
@@ -106,21 +107,13 @@ func TestGenerativeConformance(t *testing.T) {
 				t.Fatalf("RunBatch returned %d lanes for %d configs", len(batched), len(cfgs))
 			}
 			for lane, cfg := range cfgs {
-				solo, err := sim.Run(cfg, tasks)
-				if err != nil {
-					t.Fatalf("%s: sim.Run: %v", labels[lane], err)
-				}
 				ref, err := refsim.Run(cfg, tasks)
 				if err != nil {
 					t.Fatalf("%s: refsim.Run: %v", labels[lane], err)
 				}
-				if !reflect.DeepEqual(solo, ref) {
-					t.Fatalf("%s: sim.Run diverges from refsim:\n optimized: %+v\n reference: %+v",
-						labels[lane], solo, ref)
-				}
-				if !reflect.DeepEqual(batched[lane], solo) {
-					t.Fatalf("%s: RunBatch lane %d diverges from solo run:\n batched: %+v\n solo: %+v",
-						labels[lane], lane, batched[lane], solo)
+				if !reflect.DeepEqual(batched[lane], ref) {
+					t.Fatalf("%s: RunBatch lane %d diverges from refsim:\n batched: %+v\n reference: %+v",
+						labels[lane], lane, batched[lane], ref)
 				}
 			}
 		})
@@ -131,7 +124,7 @@ func TestGenerativeConformance(t *testing.T) {
 }
 
 // TestGenerativeConformanceSingleKernels drives individual random
-// profiles (rather than mixes) through solo-vs-oracle comparison with
+// profiles (rather than mixes) through sim.Run-vs-oracle comparison with
 // more tasks than contexts, so generated kernels also exercise the
 // timeslice scheduling path.
 func TestGenerativeConformanceSingleKernels(t *testing.T) {
@@ -160,7 +153,7 @@ func TestGenerativeConformanceSingleKernels(t *testing.T) {
 		}
 		cfg := sim.DefaultConfig()
 		cfg.Scheme = []string{"2SC3", "C4", "3SSS", "IMT"}[iter%4]
-		cfg.Contexts = merge.PortsFor(cfg.Scheme)
+		cfg.Contexts = ports(t, cfg.Scheme)
 		cfg.PerfectMemory = iter%2 == 0
 		cfg.InstrLimit = 700
 		cfg.TimesliceCycles = 300

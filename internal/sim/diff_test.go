@@ -1,7 +1,8 @@
 package sim_test
 
-// The bit-identity contract of the optimized simulator: sim.Run (compiled
-// selectors, stall fast-forward, allocation-free core) must return
+// The bit-identity contract of the optimized simulator: sim.Run (the
+// lane core with one lane: compiled selectors, stall fast-forward,
+// allocation-free cycle loop) must return
 // exactly the Result the naive reference loop in internal/refsim
 // returns — same cycles, merge histogram, per-thread stats, cache stats
 // — for every scheme, memory model and seed. These tests enforce it
@@ -68,7 +69,7 @@ func TestDifferentialPaperMatrix(t *testing.T) {
 	tasks := diffTasks(t, m)
 	schemes := append(merge.PaperSchemes4(), "IMT", "BMT", "C(S(T0,T1),T2,T3)")
 	for _, scheme := range schemes {
-		contexts := merge.PortsFor(scheme)
+		contexts := ports(t, scheme)
 		for _, perfect := range []bool{true, false} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				name := fmt.Sprintf("%s/perfect=%v/seed=%d", scheme, perfect, seed)
@@ -135,7 +136,7 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 	}
 	for i := 0; i < iters; i++ {
 		scheme := schemes[r.Intn(len(schemes))]
-		contexts := merge.PortsFor(scheme)
+		contexts := ports(t, scheme)
 		if scheme == "IMT" || scheme == "BMT" {
 			contexts = []int{2, 4}[r.Intn(2)]
 		}
@@ -178,9 +179,9 @@ func TestDifferentialIMTFewerTasksThanContexts(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocs asserts the allocation-free core: heap
-// allocations must not grow with simulated cycles. Each Run pays a
-// fixed setup cost (states, walkers, caches, the per-run core buffers);
-// a 6x longer run must allocate nothing more.
+// allocations must not grow with simulated cycles. Each Run — a
+// one-lane RunBatch — pays a fixed setup cost (plans, walkers, caches,
+// the lane's buffers); a 6x longer run must allocate nothing more.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	m := isa.Default()
 	tasks := diffTasks(t, m)[:4]

@@ -3,14 +3,16 @@ package sim
 import "vliwmt/internal/telemetry"
 
 // Simulator instruments. Per the DESIGN.md hot-path rules these are
-// updated once per run in finalize — never per cycle — from plain
+// updated once per lane in finalize — never per cycle — from plain
 // int64 fields the loop already maintains (or from the Result itself),
 // so instrumentation adds a handful of atomic adds per run and the
 // zero-allocs/cycle invariant holds untouched
 // (TestSteadyStateZeroAllocs runs against this instrumented path).
+// Every simulation is a RunBatch lane, so sim_runs_total and
+// sim_batch_jobs_total move together.
 var (
 	metRuns = telemetry.NewCounter("sim_runs_total",
-		"Simulation runs completed (sim.Run returns).")
+		"Simulated jobs completed: one per batch lane, sim.Run counting as one lane.")
 	metCycles = telemetry.NewCounter("sim_cycles_total",
 		"Processor cycles simulated, fast-forwarded spans included.")
 	metInstrs = telemetry.NewCounter("sim_instrs_total",
@@ -24,11 +26,12 @@ var (
 	metMerges = telemetry.NewCounter("sim_merges_total",
 		"Thread merges performed: sum over cycles of (threads issued together - 1).")
 
-	// Batched-core instruments, flushed once per RunBatch.
+	// Batched-core instruments, flushed once per RunBatch call —
+	// including the one-lane calls sim.Run makes.
 	metBatchRuns = telemetry.NewCounter("sim_batch_runs_total",
-		"Batched executions completed (sim.RunBatch returns).")
+		"sim.RunBatch calls completed, sim.Run's one-lane calls included.")
 	metBatchJobs = telemetry.NewCounter("sim_batch_jobs_total",
-		"Jobs simulated through the batched core (lanes across all batches).")
+		"Lanes simulated across all sim.RunBatch calls, sim.Run's one-lane calls included.")
 	metBatchFFSpans = telemetry.NewCounter("sim_batch_fastforward_spans_total",
 		"Batch-wide fast-forward jumps (every live lane sleeping past an epoch boundary).")
 	metBatchFFCycles = telemetry.NewCounter("sim_batch_fastforward_cycles_total",

@@ -10,6 +10,11 @@
 // threads onto them in 1M-cycle timeslices, and replacement threads are
 // picked at random when a timeslice expires. A run ends when the first
 // thread retires its instruction budget.
+//
+// There is one cycle loop, the lane core of batch.go: RunBatch advances
+// N jobs through it and Run is RunBatch with one lane. The naive
+// reference loop in internal/refsim is the oracle both must match bit
+// for bit.
 package sim
 
 import (
@@ -144,14 +149,6 @@ func (r *Result) Utilisation() float64 {
 	return float64(r.Ops) / float64(slots)
 }
 
-type taskState struct {
-	walker  *program.Walker
-	readyAt int64
-	fetched bool
-	done    bool
-	stats   ThreadStats
-}
-
 // xorshift64 for OS scheduling decisions.
 type rng struct{ s uint64 }
 
@@ -166,118 +163,63 @@ func (r *rng) next() uint64 {
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// core is the per-run simulator state: every slice and scalar the cycle
-// loop touches lives here, allocated once at Run entry so the loop
-// itself never allocates (see DESIGN.md; TestSteadyStateZeroAllocs
-// enforces it). The hot loop is structured in three layers — candidate
-// gathering, merge selection through a compiled evaluator, retirement —
-// plus a stall fast-forward that jumps over spans in which every context
-// is stalled.
-type core struct {
-	cfg    Config
-	m      isa.Machine
-	sel    merge.Selector
-	ic, dc *cache.Cache
-	states []*taskState
-	// running maps hardware contexts to task indices (-1 = idle).
-	running []int
-	pool    []int // descheduled, not done
-	osRng   rng
-	// cands/ports are the per-cycle buffers, reused across every cycle
-	// and timeslice of the run: cands[p] is the candidate occupancy at
-	// merge port p (meaningful only when bit p of the cycle's valid mask
-	// is set) and ports[p] is the context mapped to port p under the
-	// cycle's priority rotation.
-	cands []isa.Occupancy
-	ports []int
-	res   *Result
-	// ffSpans/ffCycles count stall fast-forward jumps and the cycles
-	// they skipped. Plain fields bumped inside the loop, flushed to the
-	// process-wide telemetry counters once, in finalize — per-run
-	// aggregation keeps the hot path free of atomics and allocations.
-	ffSpans, ffCycles int64
+// Validate reports whether cfg describes a processor Run can simulate:
+// a valid machine, at least one context, a positive instruction
+// budget, valid cache geometries (unless PerfectMemory is set) and, for
+// more than one context, a merge scheme that resolves to exactly
+// Contexts ports. Run and RunBatch reject an invalid config with the
+// same error, before any simulation work.
+func (cfg Config) Validate() error {
+	_, err := cfg.selector()
+	return err
 }
 
-// schedule returns running tasks to the pool, then draws random
-// replacements (the paper picks replacement threads at random for
-// fairness).
-//
-// The pool delete deliberately stays the order-preserving O(n)
-// copy-down, not an O(1) swap-remove: the drawn index k comes from the
-// OS RNG, so which *task* a draw selects depends on the pool's element
-// order. Swap-remove would permute that order, pick different
-// replacement threads for the same seed, and break both bit-identical
-// reproducibility across versions and the refsim differential oracle.
-// The pool holds at most len(tasks) entries and schedule runs once per
-// 1M-cycle timeslice, so the O(n) delete is irrelevant to throughput.
-//
-//vliw:hotpath
-func (c *core) schedule() {
-	for ctx, ti := range c.running {
-		if ti >= 0 && !c.states[ti].done {
-			c.pool = append(c.pool, ti)
-		}
-		c.running[ctx] = -1
-	}
-	for ctx := 0; ctx < c.cfg.Contexts && len(c.pool) > 0; ctx++ {
-		k := c.osRng.intn(len(c.pool))
-		c.running[ctx] = c.pool[k]
-		c.pool = append(c.pool[:k], c.pool[k+1:]...)
-	}
-}
-
-// nextEvent returns the earliest cycle after now at which a candidate
-// can reappear: the soonest readyAt among running threads (a thread
-// whose stall already elapsed counts as now+1), the next timeslice
-// boundary when descheduled tasks exist, or MaxCycles. Between now and
-// that cycle every context stays candidate-free, so the run's state
-// cannot change — the fast-forward invariant DESIGN.md spells out.
-//
-//vliw:hotpath
-func (c *core) nextEvent(now int64) int64 {
-	next := c.cfg.MaxCycles
-	if len(c.states) > c.cfg.Contexts {
-		if nb := (now/c.cfg.TimesliceCycles + 1) * c.cfg.TimesliceCycles; nb < next {
-			next = nb
-		}
-	}
-	for _, ti := range c.running {
-		if ti < 0 {
-			continue
-		}
-		st := c.states[ti]
-		if st.done {
-			continue
-		}
-		e := st.readyAt
-		if e <= now {
-			e = now + 1
-		}
-		if e < next {
-			next = e
-		}
-	}
-	if next <= now {
-		next = now + 1
-	}
-	return next
-}
-
-// setupRun validates cfg and tasks, applies the config defaults and
-// builds the per-run selector and caches. It is shared between Run and
-// RunBatch so a batch lane is configured exactly like a solo run.
-func setupRun(cfg Config, tasks []Task) (Config, merge.Selector, *cache.Cache, *cache.Cache, error) {
+// selector applies the Validate rules and returns the merge selector
+// they resolved, so run set-up builds it once.
+func (cfg *Config) selector() (merge.Selector, error) {
 	if err := cfg.Machine.Validate(); err != nil {
-		return cfg, nil, nil, nil, err
-	}
-	if len(tasks) == 0 {
-		return cfg, nil, nil, nil, fmt.Errorf("sim: no tasks")
+		return nil, err
 	}
 	if cfg.Contexts < 1 {
-		return cfg, nil, nil, nil, fmt.Errorf("sim: %d contexts", cfg.Contexts)
+		return nil, fmt.Errorf("sim: %d contexts", cfg.Contexts)
 	}
 	if cfg.InstrLimit < 1 {
-		return cfg, nil, nil, nil, fmt.Errorf("sim: instruction limit %d", cfg.InstrLimit)
+		return nil, fmt.Errorf("sim: instruction limit %d", cfg.InstrLimit)
+	}
+	if !cfg.PerfectMemory {
+		if err := cfg.ICache.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: icache: %w", err)
+		}
+		if err := cfg.DCache.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: dcache: %w", err)
+		}
+	}
+	if cfg.Contexts == 1 {
+		return &merge.IMT{NumPorts: 1}, nil // trivial single-thread issue
+	}
+	sch := cfg.Merge
+	if sch.IsZero() {
+		var err error
+		if sch, err = merge.Resolve(cfg.Scheme); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
+	sel, err := sch.Selector(cfg.Contexts)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	if sel.Ports() != cfg.Contexts {
+		return nil, fmt.Errorf("sim: scheme %s has %d ports, machine has %d contexts", sch.Name(), sel.Ports(), cfg.Contexts)
+	}
+	return sel, nil
+}
+
+// setupRun validates one lane's config against the tasks, applies the
+// config defaults and builds the lane's selector and caches.
+func setupRun(cfg Config, tasks []Task) (Config, merge.Selector, *cache.Cache, *cache.Cache, error) {
+	sel, err := cfg.selector()
+	if err != nil {
+		return cfg, nil, nil, nil, err
 	}
 	if cfg.TimesliceCycles <= 0 {
 		cfg.TimesliceCycles = 1_000_000
@@ -285,38 +227,14 @@ func setupRun(cfg Config, tasks []Task) (Config, merge.Selector, *cache.Cache, *
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 400 * cfg.InstrLimit
 	}
-	var sel merge.Selector
-	var err error
-	if cfg.Contexts == 1 {
-		sel = &merge.IMT{NumPorts: 1} // trivial single-thread issue
-	} else {
-		sch := cfg.Merge
-		if sch.IsZero() {
-			if sch, err = merge.Resolve(cfg.Scheme); err != nil {
-				return cfg, nil, nil, nil, fmt.Errorf("sim: %w", err)
-			}
-		}
-		if sel, err = sch.Selector(cfg.Contexts); err != nil {
-			return cfg, nil, nil, nil, fmt.Errorf("sim: %w", err)
-		}
-		if sel.Ports() != cfg.Contexts {
-			return cfg, nil, nil, nil, fmt.Errorf("sim: scheme %s has %d ports, machine has %d contexts", sch.Name(), sel.Ports(), cfg.Contexts)
-		}
-	}
 	var ic, dc *cache.Cache
 	if !cfg.PerfectMemory {
-		if ic, err = cache.New(cfg.ICache); err != nil {
-			return cfg, nil, nil, nil, fmt.Errorf("sim: icache: %w", err)
-		}
-		if dc, err = cache.New(cfg.DCache); err != nil {
-			return cfg, nil, nil, nil, fmt.Errorf("sim: dcache: %w", err)
-		}
+		// Validate checked both geometries, so New cannot fail here.
+		ic, _ = cache.New(cfg.ICache)
+		dc, _ = cache.New(cfg.DCache)
 	}
 	m := cfg.Machine
-	for i, t := range tasks {
-		if t.Prog == nil {
-			return cfg, nil, nil, nil, fmt.Errorf("sim: task %d (%s) has no program", i, t.Name)
-		}
+	for _, t := range tasks {
 		if err := t.Prog.Validate(&m); err != nil {
 			return cfg, nil, nil, nil, fmt.Errorf("sim: task %s: %w", t.Name, err)
 		}
@@ -326,7 +244,7 @@ func setupRun(cfg Config, tasks []Task) (Config, merge.Selector, *cache.Cache, *
 
 // newTaskWalker builds task i's walker: the seed derivation and the
 // per-task code/data relocation are part of the determinism contract
-// and must be identical on the solo and batched paths.
+// and must match refsim's.
 func newTaskWalker(cfg *Config, i int, t Task) *program.Walker {
 	seed := cfg.Seed*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
 	return program.NewWalker(t.Prog, seed, uint64(i+1)<<32, uint64(i+1)<<33)
@@ -341,257 +259,15 @@ func osSeed(cfg *Config) uint64 {
 	return s
 }
 
-// Run simulates tasks on the configured processor.
+// Run simulates tasks on the configured processor. It is a one-lane
+// RunBatch: there is one cycle loop, and refsim is its only oracle.
 func Run(cfg Config, tasks []Task) (*Result, error) {
-	cfg, sel, ic, dc, err := setupRun(cfg, tasks)
+	res, err := RunBatch([]Config{cfg}, tasks)
 	if err != nil {
+		if le, ok := err.(*laneError); ok {
+			err = le.err // a one-lane run reports no lane number
+		}
 		return nil, err
 	}
-	m := cfg.Machine
-	states := make([]*taskState, len(tasks))
-	for i, t := range tasks {
-		states[i] = &taskState{
-			walker: newTaskWalker(&cfg, i, t),
-			stats:  ThreadStats{Name: t.Name},
-		}
-	}
-
-	c := &core{
-		cfg:     cfg,
-		m:       m,
-		sel:     sel,
-		ic:      ic,
-		dc:      dc,
-		states:  states,
-		running: make([]int, cfg.Contexts),
-		pool:    make([]int, 0, len(tasks)),
-		osRng:   rng{s: osSeed(&cfg)},
-		cands:   make([]isa.Occupancy, cfg.Contexts),
-		ports:   make([]int, cfg.Contexts),
-		res: &Result{
-			MergeHist:  make([]int64, cfg.Contexts+1),
-			IssueWidth: m.TotalIssueWidth(),
-		},
-	}
-	for i := range tasks {
-		c.pool = append(c.pool, i)
-	}
-	for i := range c.running {
-		c.running[i] = -1
-	}
-	c.schedule()
-	return c.run()
-}
-
-// retireOne retires the current instruction of st at cycle, updating
-// run totals and the thread's stall clock, and reports whether the
-// thread hit its instruction budget (ending the run).
-//
-//vliw:hotpath
-func (c *core) retireOne(st *taskState, cycle int64) bool {
-	info := st.walker.Retire()
-	st.fetched = false
-	st.stats.Instrs++
-	st.stats.Ops += int64(info.Ops)
-	c.res.Instrs++
-	c.res.Ops += int64(info.Ops)
-
-	var memStall, brStall int64
-	for _, acc := range info.Mem {
-		if c.dc != nil && !c.dc.Access(acc.Addr, acc.Store) {
-			memStall += int64(c.dc.MissPenalty())
-		}
-	}
-	if info.Taken {
-		brStall = int64(c.m.BranchPenalty)
-	}
-	// Both a blocking miss and a squash stall the front end; they
-	// overlap, so the thread resumes after the longer of the two.
-	stall := memStall
-	if brStall > stall {
-		stall = brStall
-	}
-	if stall > 0 {
-		st.readyAt = cycle + 1 + stall
-		st.stats.StallMem += memStall
-		st.stats.StallBranch += brStall
-	}
-	return st.walker.Retired >= c.cfg.InstrLimit
-}
-
-// finalize closes the run after the loop exited at cycle.
-func (c *core) finalize(cycle int64, finished bool) *Result {
-	res := c.res
-	res.Cycles = cycle
-	res.TimedOut = !finished
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Ops) / float64(res.Cycles)
-	}
-	for _, st := range c.states {
-		res.Threads = append(res.Threads, st.stats)
-	}
-	if c.ic != nil {
-		res.ICache = c.ic.Stats
-	}
-	if c.dc != nil {
-		res.DCache = c.dc.Stats
-	}
-	recordRunMetrics(res, c.ffSpans, c.ffCycles)
-	return res
-}
-
-// runSingle is the single-context cycle loop: with one hardware context
-// there is no merge stage (the selector is the trivial one-port IMT, so
-// a runnable thread always issues alone), and the loop reduces to
-// fetch, retire and stall fast-forward. It must stay bit-identical to
-// the generic loop — and therefore to the refsim oracle — for
-// Contexts == 1; the differential tests cover it.
-//
-//vliw:hotpath
-func (c *core) runSingle() (*Result, error) {
-	cfg, res := c.cfg, c.res
-	slicing := len(c.states) > 1
-	finished := false
-
-	var cycle int64
-	for cycle = 0; cycle < cfg.MaxCycles && !finished; cycle++ {
-		if slicing && cycle > 0 && cycle%cfg.TimesliceCycles == 0 {
-			c.schedule()
-		}
-		var st *taskState
-		ready := false
-		if ti := c.running[0]; ti >= 0 {
-			st = c.states[ti]
-			ready = !st.done && st.readyAt <= cycle
-		}
-		if ready && !st.fetched {
-			_, addr := st.walker.Current()
-			st.fetched = true // the line arrives during any stall
-			if c.ic != nil && !c.ic.Access(addr, false) {
-				pen := int64(c.ic.MissPenalty())
-				st.readyAt = cycle + pen
-				st.stats.StallFetch += pen
-				ready = false
-			}
-		}
-		if !ready {
-			// Stall fast-forward, as in the generic loop.
-			span := c.nextEvent(cycle) - cycle
-			res.MergeHist[0] += span
-			res.EmptyCycles += span
-			c.ffSpans++
-			c.ffCycles += span
-			cycle += span - 1
-			continue
-		}
-		in, _ := st.walker.Current()
-		res.MergeHist[1]++
-		if in.Occ.Ops == 0 {
-			res.EmptyCycles++
-		}
-		st.stats.ScheduledCycles++
-		if c.retireOne(st, cycle) {
-			st.done = true
-			finished = true
-		}
-	}
-	return c.finalize(cycle, finished), nil
-}
-
-// run is the optimized cycle loop. It must stay bit-identical to the
-// naive reference loop in internal/refsim — the invariants that make
-// the shortcuts sound are spelled out in DESIGN.md, and the refsim
-// differential tests enforce the equivalence.
-//
-//vliw:hotpath
-func (c *core) run() (*Result, error) {
-	if c.cfg.Contexts == 1 {
-		return c.runSingle()
-	}
-	cfg, res := c.cfg, c.res
-	m := &c.m
-	nCtx := cfg.Contexts
-	slicing := len(c.states) > nCtx
-	finished := false
-
-	var cycle int64
-	for cycle = 0; cycle < cfg.MaxCycles && !finished; cycle++ {
-		if slicing && cycle > 0 && cycle%cfg.TimesliceCycles == 0 {
-			c.schedule()
-		}
-		// Priority rotation: the thread-to-port mapping advances each
-		// cycle so every thread takes every position in the merge tree.
-		rot := 0
-		if !cfg.FixedPriority {
-			rot = int(cycle % int64(nCtx))
-		}
-		var valid uint32
-		for p := 0; p < nCtx; p++ {
-			ctx := p + rot
-			if ctx >= nCtx {
-				ctx -= nCtx
-			}
-			c.ports[p] = ctx
-			ti := c.running[ctx]
-			if ti < 0 {
-				continue
-			}
-			st := c.states[ti]
-			if st.done || st.readyAt > cycle {
-				continue
-			}
-			if !st.fetched {
-				_, addr := st.walker.Current()
-				st.fetched = true // the line arrives during any stall
-				if c.ic != nil && !c.ic.Access(addr, false) {
-					pen := int64(c.ic.MissPenalty())
-					st.readyAt = cycle + pen
-					st.stats.StallFetch += pen
-					continue
-				}
-			}
-			in, _ := st.walker.Current()
-			c.cands[p] = in.Occ
-			valid |= 1 << uint(p)
-		}
-
-		if valid == 0 {
-			// Stall fast-forward: every context is stalled, idle or
-			// descheduled, so cycles from here to the next event (thread
-			// wake-up, timeslice boundary, MaxCycles) are all empty. Jump
-			// there directly, bulk-accounting the skipped span. Selectors
-			// are pure on empty input (Selector contract), so skipping
-			// their Select calls cannot change later selections.
-			span := c.nextEvent(cycle) - cycle
-			res.MergeHist[0] += span
-			res.EmptyCycles += span
-			c.ffSpans++
-			c.ffCycles += span
-			cycle += span - 1
-			continue
-		}
-
-		selection := c.sel.Select(m, c.cands, valid)
-		res.MergeHist[selection.Count()]++
-		if selection.Occ.Ops == 0 {
-			res.EmptyCycles++
-		}
-
-		for p := 0; p < nCtx; p++ {
-			if valid&(1<<uint(p)) == 0 {
-				continue
-			}
-			st := c.states[c.running[c.ports[p]]]
-			st.stats.ScheduledCycles++
-			if selection.Mask&(1<<uint(p)) == 0 {
-				st.stats.ConflictCycles++
-				continue
-			}
-			if c.retireOne(st, cycle) {
-				st.done = true
-				finished = true
-			}
-		}
-	}
-	return c.finalize(cycle, finished), nil
+	return res[0], nil
 }

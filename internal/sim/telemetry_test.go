@@ -11,8 +11,9 @@ import (
 
 // TestRunTelemetry checks the per-run instrument flush: one
 // stall-heavy run must move the run/cycle/instr/op counters by
-// exactly the Result's totals, record the fast-forwarded spans, and
-// count merges consistently with the merge histogram. The
+// exactly the Result's totals, count itself as one one-lane batch,
+// record the fast-forwarded spans, and count merges consistently with
+// the merge histogram. The
 // zero-allocs/cycle guarantee of this same instrumented path is
 // enforced separately by TestSteadyStateZeroAllocs.
 func TestRunTelemetry(t *testing.T) {
@@ -33,8 +34,10 @@ func TestRunTelemetry(t *testing.T) {
 	after := telemetry.Default().Snapshot()
 	delta := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
 
-	if d := delta("sim_runs_total"); d != 1 {
-		t.Errorf("sim_runs_total moved by %d, want 1", d)
+	for _, name := range []string{"sim_runs_total", "sim_batch_runs_total", "sim_batch_jobs_total"} {
+		if d := delta(name); d != 1 {
+			t.Errorf("%s moved by %d, want 1: sim.Run is one one-lane RunBatch", name, d)
+		}
 	}
 	if d := delta("sim_cycles_total"); d != res.Cycles {
 		t.Errorf("sim_cycles_total moved by %d, want the run's %d cycles", d, res.Cycles)

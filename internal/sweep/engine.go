@@ -102,13 +102,14 @@ func (e *Engine) SetProgress(fn ProgressFunc) { e.progress = fn }
 // correctness dependency.
 func (e *Engine) SetStore(s ResultStore) { e.store = s }
 
-// SetBatch configures job batching through sim.RunBatch: n <= 0 (the
-// default) groups pending jobs by shape — same machine, same benchmark
-// list — into units of at most autoBatchCap lanes; n == 1 disables
-// batching (every job runs the solo sim.Run path); n > 1 caps units at
-// n lanes. Batching is a scheduling decision only: per-job results,
-// seeds, ordering, progress and store interactions are identical at
-// every setting — the batched core is bit-identical to the solo one.
+// SetBatch caps the lanes of the units the engine runs through
+// sim.RunBatch: n <= 0 (the default) groups pending jobs by shape —
+// same machine, same benchmark list — into units of at most
+// autoBatchCap lanes; n >= 1 caps units at n lanes, so n == 1 runs
+// every job as a one-lane unit. Batching is a scheduling decision
+// only: per-job results, seeds, ordering, progress and store
+// interactions are identical at every setting, because every lane of
+// a batch is bit-identical to the same job run alone.
 func (e *Engine) SetBatch(n int) { e.batch = n }
 
 // Batch returns the configured batching cap (0 = auto).
@@ -140,8 +141,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 
 	// Dispatch in shape-homogeneous units: each unit's jobs share
 	// compiled programs (same machine, same benchmarks) and run through
-	// one batched cycle loop. SetBatch(1) degrades every unit to a
-	// single job, which is exactly the pre-batching engine.
+	// one batched cycle loop. SetBatch(1) makes every unit one job.
 	units := e.batchUnits(jobs)
 	unitCh := make(chan []int)
 	go func() {
@@ -174,11 +174,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 					}
 					continue
 				}
-				if len(unit) == 1 {
-					e.runSolo(st, unit[0])
-				} else {
-					e.runUnit(st, unit)
-				}
+				e.runUnit(st, unit)
 			}
 		}()
 	}
@@ -244,19 +240,12 @@ func shapeKey(j Job) string {
 	return b.String()
 }
 
-// batchUnits partitions job indices into dispatch units: singleton
-// units when batching is off, else shape groups in first-seen order,
-// chunked to the configured cap. Unit formation is deterministic in
-// the job list alone, and per-job results never depend on it.
+// batchUnits partitions job indices into dispatch units: shape groups
+// in first-seen order, chunked to the configured cap. Unit formation is
+// deterministic in the job list alone, and per-job results never
+// depend on it.
 func (e *Engine) batchUnits(jobs []Job) [][]int {
 	limit := e.batch
-	if limit == 1 {
-		units := make([][]int, len(jobs))
-		for i := range jobs {
-			units[i] = []int{i}
-		}
-		return units
-	}
 	if limit <= 0 {
 		limit = autoBatchCap
 	}
@@ -283,42 +272,15 @@ func (e *Engine) batchUnits(jobs []Job) [][]int {
 	return units
 }
 
-// runSolo processes one job exactly as the pre-batching engine did:
-// store probe, compile through the shared cache, solo sim.Run.
-func (e *Engine) runSolo(st *sweepState, i int) {
-	metJobsStarted.Inc()
-	//vliwvet:allow detpure job wall time feeds the duration histogram only
-	jobStart := time.Now()
-	if e.store != nil {
-		if res, elapsed, ok := e.store.Get(st.jobs[i]); ok {
-			st.results[i].Res, st.results[i].Elapsed, st.results[i].Cached = res, elapsed, true
-		}
-	}
-	if !st.results[i].Cached {
-		//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-		simStart := time.Now()
-		res, err := e.runJob(st.jobs[i])
-		st.results[i].Res, st.results[i].Err = res, err
-		//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-		st.results[i].Elapsed = time.Since(simStart)
-		if err == nil && e.store != nil {
-			_ = e.store.Put(st.jobs[i], res, st.results[i].Elapsed)
-		}
-	}
-	// The histogram observes actual processing time (probe + compile +
-	// simulate), not the replayed Elapsed a store hit carries — the
-	// metric answers "where does this sweep's time go", the Result
-	// answers "what did the simulation cost".
-	//vliwvet:allow detpure job wall time feeds the duration histogram only
-	e.finishJob(st, i, time.Since(jobStart))
-}
-
-// runUnit processes a shape-homogeneous unit through the batched core.
+// runUnit processes a shape-homogeneous unit through sim.RunBatch.
 // Every per-job interaction is preserved: each job gets its own store
 // probe (hits drop out of the batch), its own validation and its own
 // compile-cache lookups, and progress/telemetry fire once per job.
-// Only the cycle loop is shared — and sim.RunBatch is bit-identical to
-// sim.Run lane by lane, so results cannot depend on unit formation.
+// Only the cycle loop is shared — and every lane of sim.RunBatch is
+// bit-identical to the job run alone, so results cannot depend on unit
+// formation. Job.Validate applies sim.Config.Validate, so a job that
+// reaches the batch is never rejected there; should RunBatch fail
+// anyway, its error lands on every lane of the unit.
 func (e *Engine) runUnit(st *sweepState, unit []int) {
 	//vliwvet:allow detpure job wall time feeds the duration histogram only
 	unitStart := time.Now()
@@ -356,35 +318,21 @@ func (e *Engine) runUnit(st *sweepState, unit []int) {
 		//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
 		simStart := time.Now()
 		ress, err := sim.RunBatch(cfgs, tasks)
-		if err != nil {
-			// A lane the batch entry rejects (a config defect Validate
-			// does not cover, e.g. a non-positive instruction budget)
-			// falls back to solo runs so the failure stays attributed to
-			// its job instead of poisoning the unit.
-			for _, i := range lanes {
-				//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-				soloStart := time.Now()
-				res, jerr := sim.Run(st.jobs[i].config(), tasks)
-				st.results[i].Res, st.results[i].Err = res, jerr
-				//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-				st.results[i].Elapsed = time.Since(soloStart)
-				if jerr == nil && e.store != nil {
-					_ = e.store.Put(st.jobs[i], res, st.results[i].Elapsed)
-				}
+		// Elapsed is the amortised per-lane share of the batch's
+		// wall-clock. Wall time is informational and excluded from the
+		// determinism contract; the share keeps sweep summaries and
+		// stored replay times meaningful.
+		//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
+		share := time.Since(simStart) / time.Duration(len(lanes))
+		for k, i := range lanes {
+			if err != nil {
+				st.results[i].Err = err
+				continue
 			}
-		} else {
-			// Elapsed is the amortised per-lane share of the batch's
-			// wall-clock. Wall time is informational and excluded from
-			// the determinism contract; the share keeps sweep summaries
-			// and stored replay times meaningful.
-			//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-			share := time.Since(simStart) / time.Duration(len(lanes))
-			for k, i := range lanes {
-				st.results[i].Res = ress[k]
-				st.results[i].Elapsed = share
-				if e.store != nil {
-					_ = e.store.Put(st.jobs[i], ress[k], share)
-				}
+			st.results[i].Res = ress[k]
+			st.results[i].Elapsed = share
+			if e.store != nil {
+				_ = e.store.Put(st.jobs[i], ress[k], share)
 			}
 		}
 	}
@@ -395,10 +343,9 @@ func (e *Engine) runUnit(st *sweepState, unit []int) {
 	}
 }
 
-// finishJob is the per-job completion tail shared by the solo and
-// batched paths: the duration observation, outcome counters,
-// queue-depth release, per-job trace and the serialised progress
-// callback (done increments by exactly one per call, as documented on
+// finishJob is the per-job completion tail: the duration observation,
+// outcome counters, queue-depth release, per-job trace and the
+// serialised progress callback (done increments by exactly one per call, as documented on
 // ProgressFunc, at any batch setting).
 func (e *Engine) finishJob(st *sweepState, i int, took time.Duration) {
 	metJobDuration.Observe(took.Seconds())
@@ -435,17 +382,4 @@ func (e *Engine) compileTasks(j Job) ([]sim.Task, error) {
 		tasks = append(tasks, sim.Task{Name: name, Prog: p})
 	}
 	return tasks, nil
-}
-
-// runJob compiles the job's benchmarks through the shared cache and
-// simulates them on the solo path.
-func (e *Engine) runJob(j Job) (*sim.Result, error) {
-	if err := j.Validate(); err != nil {
-		return nil, err
-	}
-	tasks, err := e.compileTasks(j)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(j.config(), tasks)
 }

@@ -128,10 +128,13 @@ func (j Job) config() sim.Config {
 	}
 }
 
-// Validate rejects jobs the engine cannot run: unknown benchmarks,
-// unparseable merge scheme names, and scheme/context mismatches are all
-// reported up front with a descriptive error instead of surfacing deep
-// inside the simulator.
+// Validate rejects jobs the engine cannot run, up front and with a
+// descriptive error instead of a failure deep inside the simulator:
+// unknown benchmarks, unresolvable merge scheme names, and every
+// config defect sim.Config.Validate reports (invalid machine or cache
+// geometry, non-positive instruction budget, scheme/context mismatch),
+// with the simulator's own message. A job that validates is never
+// rejected by sim.RunBatch.
 func (j Job) Validate() error {
 	if len(j.Benchmarks) == 0 {
 		return fmt.Errorf("sweep: job %s has no benchmarks", j.Describe())
@@ -141,16 +144,11 @@ func (j Job) Validate() error {
 			return fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 		}
 	}
-	s, err := j.scheme()
-	if err != nil {
+	if _, err := j.scheme(); err != nil {
 		return fmt.Errorf("sweep: job %s: scheme %q: %w", j.Describe(), j.Scheme, err)
 	}
-	if !s.IsZero() {
-		// Selector also rejects scheme/port mismatches, so an explicit
-		// Contexts that disagrees with the scheme fails here too.
-		if _, err := s.Selector(j.EffectiveContexts()); err != nil {
-			return fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
-		}
+	if err := j.config().Validate(); err != nil {
+		return fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 	}
 	return nil
 }

@@ -135,19 +135,12 @@ func WithStore(s *ResultStore) RunnerOption {
 // WithBatch sets the sweep batching cap: how many shape-compatible
 // jobs (same machine, same benchmark list) the engine may advance
 // through one batched cycle loop. 0 (the default) groups automatically
-// up to the engine's cap; 1 disables batching and runs every job solo.
+// up to the engine's cap; 1 runs every job as a one-lane unit.
 // Batching is a throughput lever only — per-job results are
 // bit-identical at every setting.
 func WithBatch(n int) RunnerOption {
 	return func(r *Runner) { r.batch = n }
 }
-
-// WithResultDir enables result persistence.
-//
-// Deprecated: WithResultDir is the original spelling of
-// WithResultStore and behaves identically; new code should use
-// WithResultStore.
-func WithResultDir(dir string) RunnerOption { return WithResultStore(dir) }
 
 // NewRunner returns a session configured by opts.
 func NewRunner(opts ...RunnerOption) *Runner {

@@ -95,9 +95,9 @@ func TestSchemeConstructors(t *testing.T) {
 	}
 }
 
-// TestUnknownSchemesFailEagerly pins the PortsFor satellite fix:
-// unknown scheme names must fail at validation time with a clear
-// error, not default to a 4-thread machine.
+// TestUnknownSchemesFailEagerly pins that unknown scheme names fail at
+// validation time with a clear error, not default to a 4-thread
+// machine.
 func TestUnknownSchemesFailEagerly(t *testing.T) {
 	if _, err := vliwmt.ParseScheme("NOPE"); err == nil {
 		t.Error("ParseScheme accepted an unknown name")
@@ -105,10 +105,6 @@ func TestUnknownSchemesFailEagerly(t *testing.T) {
 	grid := vliwmt.Grid{Schemes: []string{"NOPE"}, Mixes: []string{"LLHH"}, InstrLimit: 1000}
 	if _, err := vliwmt.Sweep(context.Background(), grid, nil); err == nil {
 		t.Error("Sweep accepted a grid with an unknown scheme")
-	}
-	// The deprecated forgiving helper keeps its documented default.
-	if got := vliwmt.SchemeThreads("NOPE"); got != 4 {
-		t.Errorf("SchemeThreads(NOPE) = %d, want the documented default 4", got)
 	}
 }
 

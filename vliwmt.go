@@ -185,18 +185,6 @@ func RunMix(cfg Config, mixName string) (*Result, error) {
 // "1S" is the 2-thread SMT reference.
 func Schemes() []string { return merge.PaperSchemes4() }
 
-// SchemeThreads returns how many hardware threads the named scheme
-// merges, and 4 when the name cannot be resolved (the paper's machine
-// width) — including for the IMT/BMT baselines, which run at any
-// width.
-//
-// Deprecated: the silent 4-thread fallback cannot distinguish
-// "merges 4 threads" from "unknown name"; it is kept for existing
-// callers that size contexts before validation. Prefer
-// ParseScheme(name) and Scheme.Ports, which report unknown names as
-// errors — as Config and SweepJob resolution now does.
-func SchemeThreads(name string) int { return merge.PortsFor(name) }
-
 // DescribeScheme renders the merge tree of a scheme in the canonical
 // grammar ParseScheme accepts back, e.g. "C3(S(T0,T1),T2,T3)" for
 // 2SC3. Registered custom schemes and tree expressions resolve too;
@@ -298,8 +286,8 @@ type SweepOptions struct {
 	// and fresh simulations are persisted. See WithResultStore.
 	ResultDir string
 	// Batch caps how many shape-compatible jobs are advanced through
-	// one batched cycle loop: 0 groups automatically, 1 disables
-	// batching. Results are bit-identical at every setting; see
+	// one batched cycle loop: 0 groups automatically, 1 runs every job
+	// as a one-lane unit. Results are bit-identical at every setting; see
 	// WithBatch.
 	Batch int
 }

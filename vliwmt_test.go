@@ -49,9 +49,13 @@ func TestSchemesMetadata(t *testing.T) {
 		if !strings.Contains(desc, "T0") {
 			t.Errorf("DescribeScheme(%s) = %q", s, desc)
 		}
-		n := vliwmt.SchemeThreads(s)
-		if n != 2 && n != 4 {
-			t.Errorf("SchemeThreads(%s) = %d", s, n)
+		sch, err := vliwmt.ParseScheme(s)
+		if err != nil {
+			t.Errorf("ParseScheme(%s): %v", s, err)
+			continue
+		}
+		if n := sch.Ports(); n != 2 && n != 4 {
+			t.Errorf("ParseScheme(%s).Ports() = %d", s, n)
 		}
 	}
 	if desc, _ := vliwmt.DescribeScheme("2SC3"); desc != "C3(S(T0,T1),T2,T3)" {

@@ -1,9 +1,9 @@
 package vliwmt
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -105,8 +105,8 @@ func (c *Client) submit(ctx context.Context, sreq api.SweepRequest, opts *SweepO
 		return nil, err
 	}
 
-	// Follow the event stream for progress and completion; if the
-	// stream breaks while the context is still live, fall back to
+	// Follow the event stream for progress and the final status; if
+	// the stream breaks while the context is still live, fall back to
 	// polling the status endpoint.
 	delivered := map[int]bool{}
 	progress := o.Progress
@@ -117,19 +117,10 @@ func (c *Client) submit(ctx context.Context, sreq api.SweepRequest, opts *SweepO
 			inner(done, total, r)
 		}
 	}
-	if err := c.follow(ctx, st.ID, st.Total, progress); err != nil {
-		if ctx.Err() != nil {
-			return c.abandon(st.ID, ctx.Err())
-		}
-		if err = c.poll(ctx, st.ID); err != nil {
-			if ctx.Err() != nil {
-				return c.abandon(st.ID, ctx.Err())
-			}
-			return nil, err
-		}
+	final, err := c.follow(ctx, st.ID, progress)
+	if err != nil && ctx.Err() == nil {
+		final, err = c.waitTerminal(ctx, st.ID)
 	}
-
-	final, err := c.status(ctx, st.ID)
 	if err != nil {
 		if ctx.Err() != nil {
 			return c.abandon(st.ID, ctx.Err())
@@ -169,8 +160,7 @@ func (c *Client) abandon(id string, cause error) ([]SweepResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.baseURL+"/v1/sweeps/"+id, nil)
 	if err == nil {
 		if resp, derr := c.httpc.Do(req); derr == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			drainClose(resp.Body)
 		}
 	}
 	var results []SweepResult
@@ -180,48 +170,43 @@ func (c *Client) abandon(id string, cause error) ([]SweepResult, error) {
 	return results, cause
 }
 
-// follow consumes the NDJSON event stream until the terminal event.
-func (c *Client) follow(ctx context.Context, id string, total int, progress func(done, total int, r SweepResult)) error {
+// follow consumes the NDJSON event stream until the terminal event and
+// returns the final status that event carries. A terminal event
+// without one (from a server that predates the field) costs one status
+// request instead. The stream is read by a single json.Decoder, so no
+// line-length cap applies: a terminal event carries every result of
+// the sweep and grows with it.
+func (c *Client) follow(ctx context.Context, id string, progress func(done, total int, r SweepResult)) (api.SweepStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/sweeps/"+id+"/events", nil)
 	if err != nil {
-		return err
+		return api.SweepStatus{}, err
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return err
+		return api.SweepStatus{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("vliwmt: event stream: %s: %s", resp.Status, readError(resp.Body))
+		return api.SweepStatus{}, fmt.Errorf("vliwmt: event stream: %s: %s", resp.Status, readError(resp.Body))
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev api.Event
-		if err := ev.UnmarshalLine(line); err != nil {
-			return err
+	dec := json.NewDecoder(resp.Body)
+	var ev api.Event
+	for !ev.Terminal() {
+		ev = api.Event{}
+		if err := dec.Decode(&ev); err == io.EOF {
+			return api.SweepStatus{}, fmt.Errorf("vliwmt: event stream for sweep %s ended before the terminal event", id)
+		} else if err != nil {
+			return api.SweepStatus{}, fmt.Errorf("vliwmt: event stream for sweep %s: %w", id, err)
 		}
 		if ev.Result != nil && progress != nil {
 			progress(ev.Done, ev.Total, ev.Result.Sweep())
 		}
-		if ev.Terminal() {
-			return nil
-		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
+	drainClose(resp.Body)
+	if ev.Status == nil {
+		return c.status(ctx, id)
 	}
-	return fmt.Errorf("vliwmt: event stream for sweep %s ended before the terminal event", id)
-}
-
-// poll watches the status endpoint until the sweep is terminal.
-func (c *Client) poll(ctx context.Context, id string) error {
-	_, err := c.waitTerminal(ctx, id)
-	return err
+	return *ev.Status, api.CheckVersion(ev.Status.Version)
 }
 
 // pollFailureBudget bounds the consecutive transient status failures
@@ -269,7 +254,7 @@ func (c *Client) status(ctx context.Context, id string) (api.SweepStatus, error)
 	if err != nil {
 		return api.SweepStatus{}, &transientError{err}
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		err = fmt.Errorf("vliwmt: sweep %s status: %s: %s", id, resp.Status, readError(resp.Body))
 		if transientStatus(resp.StatusCode) {
@@ -319,7 +304,7 @@ func (c *Client) postJSONOnce(ctx context.Context, path string, body []byte) (ap
 	if err != nil {
 		return api.SweepStatus{}, &transientError{err}
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		err = fmt.Errorf("vliwmt: submit sweep: %s: %s", resp.Status, readError(resp.Body))
 		if transientStatus(resp.StatusCode) {
@@ -356,6 +341,16 @@ func isTransient(err error) bool {
 func transientStatus(code int) bool {
 	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable ||
 		code == http.StatusGatewayTimeout
+}
+
+// drainClose reads what is left of a response body (up to a small
+// bound) before closing it, so the keep-alive connection goes back to
+// the pool instead of being torn down: a decoder stops at the end of
+// its document, short of the body's end. A body with more left than
+// the bound just closes its connection.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, 64<<10))
+	body.Close()
 }
 
 // readError drains a small error body for diagnostics.

@@ -2,6 +2,8 @@ package vliwmt_test
 
 import (
 	"context"
+	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"vliwmt"
+	"vliwmt/internal/api"
 	"vliwmt/internal/fabric"
 	"vliwmt/internal/server"
 )
@@ -244,6 +247,206 @@ func TestFabricClientEndToEnd(t *testing.T) {
 		if r.Worker == "" || r.Shard == 0 {
 			t.Fatalf("job %d lost its attribution over the wire: worker=%q shard=%d",
 				r.Index, r.Worker, r.Shard)
+		}
+	}
+}
+
+// routeCounter counts the sweep API requests passing through to next,
+// by route.
+type routeCounter struct {
+	next                  http.Handler
+	posts, events, status atomic.Int64
+}
+
+func (rc *routeCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/sweeps":
+		rc.posts.Add(1)
+	case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/events"):
+		rc.events.Add(1)
+	case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/sweeps/"):
+		rc.status.Add(1)
+	}
+	rc.next.ServeHTTP(w, r)
+}
+
+// withoutElapsed zeroes the wall-clock field, the one field a remote
+// and an in-process run of the same jobs may differ in.
+func withoutElapsed(rs []vliwmt.SweepResult) []vliwmt.SweepResult {
+	out := append([]vliwmt.SweepResult(nil), rs...)
+	for i := range out {
+		out[i].Elapsed = 0
+	}
+	return out
+}
+
+// TestClientTwoExchangesOneConnection pins the warm request protocol:
+// each SweepJobs call is one POST and one event stream, whose terminal
+// event carries the final status (no status GET), and the client
+// drains every response so sequential calls share one keep-alive
+// connection.
+func TestClientTwoExchangesOneConnection(t *testing.T) {
+	jobs, err := runnerTestGrid().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := vliwmt.SweepJobs(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	rc := &routeCounter{next: srv.Handler()}
+	ts := httptest.NewUnstartedServer(rc)
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	const n = 4
+	c := vliwmt.NewClient(ts.URL)
+	for i := 0; i < n; i++ {
+		remote, err := c.SweepJobs(context.Background(), jobs, nil)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(withoutElapsed(remote), withoutElapsed(local)) {
+			t.Fatalf("call %d: remote results differ from in-process:\n%+v\nvs\n%+v", i, remote, local)
+		}
+	}
+	if p, e, s := rc.posts.Load(), rc.events.Load(), rc.status.Load(); p != n || e != n || s != 0 {
+		t.Errorf("%d calls made %d POSTs, %d event streams, %d status GETs; want %d, %d, 0", n, p, e, s, n, n)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("%d sequential calls opened %d connections, want 1", n, got)
+	}
+}
+
+// statusStripper drops the status from the terminal event, rewriting
+// the stream as a server that predates the field writes it. The server
+// encodes each event with one Write.
+type statusStripper struct{ http.ResponseWriter }
+
+func (s statusStripper) Write(b []byte) (int, error) {
+	var ev api.Event
+	if json.Unmarshal(b, &ev) != nil || ev.Status == nil {
+		return s.ResponseWriter.Write(b)
+	}
+	ev.Status = nil
+	line, err := json.Marshal(ev)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := s.ResponseWriter.Write(append(line, '\n')); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
+
+func (s statusStripper) Flush() {
+	if fl, ok := s.ResponseWriter.(http.Flusher); ok {
+		fl.Flush()
+	}
+}
+
+// TestClientOlderServerFetchesStatusOnce: against a server whose
+// terminal event has no status, the client makes exactly one status
+// GET and still returns complete, ordered results with one progress
+// callback per job.
+func TestClientOlderServerFetchesStatusOnce(t *testing.T) {
+	g := runnerTestGrid()
+	local, err := vliwmt.Sweep(context.Background(), g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	inner := srv.Handler()
+	rc := &routeCounter{next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			w = statusStripper{w}
+		}
+		inner.ServeHTTP(w, r)
+	})}
+	ts := httptest.NewServer(rc)
+	defer ts.Close()
+
+	calls := 0
+	remote, err := vliwmt.NewClient(ts.URL).Sweep(context.Background(), g, &vliwmt.SweepOptions{
+		Progress: func(done, total int, r vliwmt.SweepResult) { calls++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rc.status.Load(); n != 1 {
+		t.Errorf("%d status GETs, want exactly 1", n)
+	}
+	if calls != len(local) {
+		t.Errorf("progress called %d times for %d jobs", calls, len(local))
+	}
+	if got := sweepKeys(t, remote); !reflect.DeepEqual(got, sweepKeys(t, local)) {
+		t.Error("results from an older server differ from in-process run")
+	}
+}
+
+// TestClientFollowsOversizedTerminalEvent feeds the client a terminal
+// event bigger than any sane line cap (16 MB, the old scanner's): it
+// must be decoded from the stream, not dropped into polling — the fake
+// server fails every status GET.
+func TestClientFollowsOversizedTerminalEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 16 MB+ event")
+	}
+	const n = 12_000
+	label := strings.Repeat("x", 1500)
+	st := api.SweepStatus{Version: api.Version, ID: "s000001", State: api.StateDone, Done: n, Total: n,
+		Results: make([]api.Result, n)}
+	for i := range st.Results {
+		st.Results[i] = api.Result{Index: i, Job: api.Job{Label: label, Scheme: "2SC3"},
+			Sim: &api.SimResult{Cycles: int64(i + 1)}}
+	}
+	line, err := json.Marshal(api.Event{Done: n, Total: n, State: api.StateDone, Status: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(line) <= 16<<20 {
+		t.Fatalf("terminal event is %d bytes, want more than 16 MB", len(line))
+	}
+	var statusGets atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost:
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(api.SweepStatus{Version: api.Version, ID: st.ID, State: api.StateRunning, Total: n})
+		case strings.HasSuffix(r.URL.Path, "/events"):
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Write(append(line, '\n'))
+		default:
+			statusGets.Add(1)
+			http.Error(w, "status must come from the terminal event", http.StatusInternalServerError)
+		}
+	}))
+	defer ts.Close()
+
+	res, err := vliwmt.NewClient(ts.URL).SweepJobs(context.Background(), []vliwmt.SweepJob{{Scheme: "2SC3"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := statusGets.Load(); g != 0 {
+		t.Errorf("client fell back to %d status GETs", g)
+	}
+	if len(res) != n {
+		t.Fatalf("got %d results, want %d", len(res), n)
+	}
+	for i, r := range res {
+		if r.Index != i || r.Res == nil || r.Res.Cycles != int64(i+1) {
+			t.Fatalf("result %d out of order or incomplete: %+v", i, r)
 		}
 	}
 }

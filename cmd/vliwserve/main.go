@@ -15,16 +15,18 @@
 //	POST   /v1/sweeps             submit (202; ?wait=1 blocks, disconnect cancels)
 //	GET    /v1/sweeps             list sweeps
 //	GET    /v1/sweeps/{id}         status + results once finished
-//	GET    /v1/sweeps/{id}/events  NDJSON progress stream
+//	GET    /v1/sweeps/{id}/events  NDJSON progress stream; the terminal
+//	                               event carries the final status
 //	DELETE /v1/sweeps/{id}         cancel
 //	GET    /healthz               liveness probe
 //	GET    /metrics               Prometheus text format (disable with -debug=false)
 //	GET    /debug/pprof/          net/http/pprof      (disable with -debug=false)
 //
-// All sweeps share one compile cache for the life of the process, and
-// results are bit-identical to an in-process run of the same grid and
-// seed at any worker count. SIGINT/SIGTERM drain the listener and
-// cancel in-flight sweeps.
+// Responses are compact JSON. A client needs two requests per sweep:
+// the POST, then the event stream. All sweeps share one compile cache
+// for the life of the process, and results are bit-identical to an
+// in-process run of the same grid and seed at any worker count.
+// SIGINT/SIGTERM drain the listener and cancel in-flight sweeps.
 //
 // Structured tracing goes to stderr via log/slog: every sweep logs
 // span-style start/finish events tagged with its ID (-log-level debug

@@ -41,8 +41,9 @@ import (
 //	   when absent, so no bump): sweep statuses may carry an "errors"
 //	   count and a terminal "summary" roll-up (SweepSummary), NDJSON
 //	   events an "err" string for failed jobs, results a "worker" and
-//	   "shard" attribution (set by the distributed sweep fabric), and
-//	   the server a /v1/healthz document (Health)
+//	   "shard" attribution (set by the distributed sweep fabric),
+//	   the server a /v1/healthz document (Health), and the terminal
+//	   NDJSON event a "status" carrying the final SweepStatus
 const Version = 3
 
 // Machine is the wire form of isa.Machine.

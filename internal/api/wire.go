@@ -144,24 +144,22 @@ type StoreStatus struct {
 // surfaces a failed job's error string at the event's top level, so a
 // stream consumer spots failures without digging into the result
 // document (it duplicates Result.Err; additive within version 3).
+// Status rides on the terminal event only: the same document
+// GET /v1/sweeps/{id} would return, ordered results included, so a
+// client learns the outcome without a further request (additive
+// within version 3; a server predating it omits the field and the
+// client fetches the status instead).
 type Event struct {
-	Done   int     `json:"done"`
-	Total  int     `json:"total"`
-	Result *Result `json:"result,omitempty"`
-	Err    string  `json:"err,omitempty"`
-	State  State   `json:"state,omitempty"`
+	Done   int          `json:"done"`
+	Total  int          `json:"total"`
+	Result *Result      `json:"result,omitempty"`
+	Err    string       `json:"err,omitempty"`
+	State  State        `json:"state,omitempty"`
+	Status *SweepStatus `json:"status,omitempty"`
 }
 
 // Terminal reports whether this is the stream's final event.
 func (e Event) Terminal() bool { return e.State.Terminal() }
-
-// UnmarshalLine decodes one NDJSON stream line into the event.
-func (e *Event) UnmarshalLine(line []byte) error {
-	if err := json.Unmarshal(line, e); err != nil {
-		return fmt.Errorf("api: decode event: %w", err)
-	}
-	return nil
-}
 
 // CheckVersion validates a decoded document's version field: versions
 // 1 through the current Version and zero (pre-versioning documents)

@@ -61,52 +61,75 @@ func (s *Store) Stats() Stats {
 	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load()}
 }
 
-// entryFile is the on-disk document of one stored job result. The key
-// is stored redundantly with the filename so a renamed or hand-copied
-// file is detected; the job is stored in wire form so an entry is
-// self-describing (vliwdiff labels deltas from it, and a golden
-// corpus entry can be re-run without the grid that produced it).
+// entryHeader opens every entry document: the schema version and the
+// key, stored redundantly with the filename so a renamed or
+// hand-copied file is detected.
+type entryHeader struct {
+	Schema int    `json:"schema"`
+	Key    string `json:"key"`
+}
+
+// valid reports whether the entry speaks this build's schema and, when
+// wantKey is set, belongs under that key.
+func (h entryHeader) valid(wantKey string) bool {
+	return h.Schema == SchemaVersion && (wantKey == "" || h.Key == wantKey)
+}
+
+// entryFile is the on-disk document of one stored job result. The job
+// is stored in wire form so an entry is self-describing (vliwdiff
+// labels deltas from it, and a golden corpus entry can be re-run
+// without the grid that produced it).
 type entryFile struct {
-	Schema int           `json:"schema"`
-	Key    string        `json:"key"`
-	Job    api.Job       `json:"job"`
-	Sim    api.SimResult `json:"sim"`
+	entryHeader
+	Job api.Job       `json:"job"`
+	Sim api.SimResult `json:"sim"`
 	// ElapsedNS is integer nanoseconds (not the wire format's float
 	// seconds) so the replayed duration is bit-exact: a warm sweep
 	// reports precisely the elapsed values the cold sweep did.
 	ElapsedNS int64 `json:"elapsed_ns"`
 }
 
+// hitEntry is the part of an entry file a store hit decodes. The job
+// echo is left out: the key already proves the entry belongs to the
+// job asked for, and building the echo's strings and slices is most
+// of a hit's decode cost.
+type hitEntry struct {
+	entryHeader
+	Sim       api.SimResult `json:"sim"`
+	ElapsedNS int64         `json:"elapsed_ns"`
+}
+
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, "jobs", key[:2], key+".json")
 }
 
-// readEntry loads and validates one entry file; any failure is (zero,
-// false). The returned size is the bytes read off disk (nonzero even
-// for entries that then fail validation) and the failed flag
+// readEntry loads and validates one entry file into E — the full
+// entryFile, or the lean hitEntry of a store hit; any failure is
+// (zero, false). The returned size is the bytes read off disk (nonzero
+// even for entries that then fail validation) and the failed flag
 // distinguishes "file existed but was unusable" — torn, corrupt,
 // schema- or key-mismatched — from a plain absence.
-func readEntry(path, wantKey string) (e entryFile, size int, failed, ok bool) {
+func readEntry[E interface{ valid(string) bool }](path, wantKey string) (e E, size int, failed, ok bool) {
+	var zero E
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return entryFile{}, 0, !os.IsNotExist(err), false
+		return zero, 0, !os.IsNotExist(err), false
 	}
-	if err := json.Unmarshal(b, &e); err != nil {
-		return entryFile{}, len(b), true, false
-	}
-	if e.Schema != SchemaVersion || (wantKey != "" && e.Key != wantKey) {
-		return entryFile{}, len(b), true, false
+	if err := json.Unmarshal(b, &e); err != nil || !e.valid(wantKey) {
+		return zero, len(b), true, false
 	}
 	return e, len(b), false, true
 }
 
 // Get returns the stored result for the job, with the wall-clock time
 // the original simulation took (replayed so a warm sweep reports the
-// same elapsed column as the cold one). Any failure — unkeyable job,
-// missing, torn, corrupt or schema-mismatched entry — is a miss; the
-// unusable-entry cases additionally count as read failures on the
-// store_read_failures_total instrument, so a corrupted store shows up
-// on a scrape instead of masquerading as a cold one.
+// same elapsed column as the cold one). A hit decodes only the entry's
+// header, result and time: the stored job echo is skipped, not read
+// back (Snapshot and vliwdiff read the full entry). Any failure —
+// unkeyable job, missing, torn, corrupt or schema-mismatched entry —
+// is a miss; the unusable-entry cases additionally count as read
+// failures on the store_read_failures_total instrument, so a corrupted
+// store shows up on a scrape instead of masquerading as a cold one.
 //
 //vliw:hotpath
 func (s *Store) Get(j sweep.Job) (*sim.Result, time.Duration, bool) {
@@ -122,7 +145,7 @@ func (s *Store) Get(j sweep.Job) (*sim.Result, time.Duration, bool) {
 		metMisses.Inc()
 		return nil, 0, false
 	}
-	e, size, failed, ok := readEntry(s.path(key), key)
+	e, size, failed, ok := readEntry[hitEntry](s.path(key), key)
 	metBytesRead.Add(int64(size))
 	if !ok {
 		if failed {
@@ -152,11 +175,10 @@ func (s *Store) Put(j sweep.Job, res *sim.Result, elapsed time.Duration) error {
 		return err
 	}
 	e := entryFile{
-		Schema:    SchemaVersion,
-		Key:       key,
-		Job:       api.JobFrom(j),
-		Sim:       api.SimResultFrom(*res),
-		ElapsedNS: elapsed.Nanoseconds(),
+		entryHeader: entryHeader{Schema: SchemaVersion, Key: key},
+		Job:         api.JobFrom(j),
+		Sim:         api.SimResultFrom(*res),
+		ElapsedNS:   elapsed.Nanoseconds(),
 	}
 	b, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {

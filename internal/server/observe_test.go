@@ -7,6 +7,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -173,7 +174,7 @@ func streamEvents(ctx context.Context, ts *httptest.Server, id string, stopAfter
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	for sc.Scan() {
 		var ev api.Event
-		if err := ev.UnmarshalLine(sc.Bytes()); err != nil {
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			return dones, errs, "", err
 		}
 		if ev.Result != nil {

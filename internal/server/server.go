@@ -4,14 +4,18 @@
 //	POST   /v1/sweeps            submit a grid or job set (202; ?wait=1 blocks)
 //	GET    /v1/sweeps            list sweeps
 //	GET    /v1/sweeps/{id}        status, plus ordered results once terminal
-//	GET    /v1/sweeps/{id}/events NDJSON progress stream (replay + live)
+//	GET    /v1/sweeps/{id}/events NDJSON progress stream (replay + live); the
+//	                             terminal event carries the final status
 //	DELETE /v1/sweeps/{id}        cancel a running sweep
 //	GET    /v1/store             result-store stats (entries, hits, misses)
 //	DELETE /v1/store             clear the result store
 //	GET    /v1/healthz           structured health (build, load, store stats)
 //	GET    /healthz              plain-text liveness probe
 //
-// Bodies are the versioned wire documents of internal/api. Every sweep
+// Bodies are the versioned wire documents of internal/api, written as
+// compact (unindented) JSON. A client needs two exchanges per sweep:
+// POST to submit, then the event stream, whose terminal event carries
+// the same status document GET /v1/sweeps/{id} returns. Every sweep
 // shares one compile cache for the life of the server; each runs under
 // a context cancelled by DELETE, by client disconnect (in wait mode),
 // or by server Close. The engine's determinism contract holds across
@@ -239,9 +243,9 @@ func (r *run) progress(done, total int, res sweep.Result) {
 
 // finish records the terminal state, computes the lifecycle summary
 // and emits the final event. The per-job replay log is dropped at that
-// point — the status document already carries the full ordered
-// results, so a subscriber arriving after completion just gets the
-// terminal event and fetches those.
+// point — the terminal event carries the full status document when it
+// is written to a stream, so a subscriber arriving after completion
+// gets every result from that one event.
 func (r *run) finish(results []sweep.Result, err error) {
 	summary := api.SummaryFrom(sweep.Summarize(results, time.Since(r.started)))
 	r.mu.Lock()
@@ -478,12 +482,13 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
+// writeJSON writes v as one line of compact JSON. Indenting a status
+// document nearly doubles it (every result repeats its job and thread
+// records), and its readers are programs; pipe through jq to read one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // handleSubmit accepts a sweep request: a grid (expanded server-side
@@ -599,8 +604,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the run's progress as NDJSON: the replay first
 // (per-job history while running; just the terminal event once the
 // sweep has finished), then live events until the terminal event or
-// the client disconnects. Disconnecting from the event stream does not
-// cancel the sweep (use DELETE, or submit with ?wait=1, for that).
+// the client disconnects. The terminal event is written with the run's
+// final status attached — built here, at emit time, rather than kept
+// in the replay log, so a retained run holds its results once.
+// Disconnecting from the event stream does not cancel the sweep (use
+// DELETE, or submit with ?wait=1, for that).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ru := s.get(r.PathValue("id"))
 	if ru == nil {
@@ -615,13 +623,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	emit := func(ev api.Event) bool {
+		terminal := ev.Terminal()
+		if terminal {
+			st := ru.status(true)
+			ev.Status = &st
+		}
 		if err := enc.Encode(ev); err != nil {
 			return false
 		}
-		if fl != nil {
+		// The terminal event is not flushed on its own: the handler
+		// returns next, so the event and the end of the body go out
+		// in one write, and a client that stops reading at the event
+		// has usually read the whole response and keeps its
+		// connection.
+		if fl != nil && !terminal {
 			fl.Flush()
 		}
-		return !ev.Terminal()
+		return !terminal
 	}
 	for _, ev := range replay {
 		if !emit(ev) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -193,7 +194,7 @@ func TestEventsStream(t *testing.T) {
 	var last api.Event
 	for sc.Scan() {
 		var ev api.Event
-		if err := ev.UnmarshalLine(sc.Bytes()); err != nil {
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatal(err)
 		}
 		if ev.Result != nil {
@@ -215,6 +216,64 @@ func TestEventsStream(t *testing.T) {
 	}
 	if last.State != api.StateDone {
 		t.Errorf("terminal event state %q", last.State)
+	}
+}
+
+// readEvents reads a sweep's event stream through its terminal event
+// and returns that event with the number of job events before it.
+func readEvents(t *testing.T, ts *httptest.Server, id string) (api.Event, int) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	jobEvents := 0
+	for {
+		var ev api.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("event stream ended before the terminal event: %v", err)
+		}
+		if ev.Terminal() {
+			return ev, jobEvents
+		}
+		if ev.Status != nil {
+			t.Errorf("job event %d carries a status", ev.Done)
+		}
+		if ev.Result != nil {
+			jobEvents++
+		}
+	}
+}
+
+// TestTerminalEventCarriesStatus: the terminal event of a live stream
+// and of a late subscriber's replay both carry exactly the document
+// GET /v1/sweeps/{id} returns, ordered results included.
+func TestTerminalEventCarriesStatus(t *testing.T) {
+	g := testGrid()
+	g.InstrLimit = 100_000
+	_, ts := newTestServer(t, Options{})
+	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1}, "")
+
+	live, jobEvents := readEvents(t, ts, st.ID)
+	if jobEvents != 4 {
+		t.Errorf("live stream saw %d job events, want 4", jobEvents)
+	}
+	want := getStatus(t, ts, st.ID)
+	if want.State != api.StateDone || len(want.Results) != 4 {
+		t.Fatalf("final status: %s with %d results", want.State, len(want.Results))
+	}
+	if live.Status == nil || !reflect.DeepEqual(*live.Status, want) {
+		t.Errorf("live terminal event status differs from GET:\n%+v\nvs\n%+v", live.Status, want)
+	}
+
+	late, jobEvents := readEvents(t, ts, st.ID)
+	if jobEvents != 0 {
+		t.Errorf("late subscriber replayed %d job events, want only the terminal event", jobEvents)
+	}
+	if late.Status == nil || !reflect.DeepEqual(*late.Status, want) {
+		t.Errorf("replayed terminal event status differs from GET:\n%+v\nvs\n%+v", late.Status, want)
 	}
 }
 

@@ -15,8 +15,9 @@ type ClusterUse struct {
 	Branch uint8 // branch operations
 }
 
-// IsZero reports whether the cluster is completely unused.
-func (u ClusterUse) IsZero() bool { return u.Total == 0 }
+// IsZero reports whether the cluster is completely unused: every count,
+// not only Total, is zero.
+func (u ClusterUse) IsZero() bool { return u == ClusterUse{} }
 
 // Occupancy is the per-cluster resource summary of an instruction or a
 // merged execution packet. It is the only information the thread merge
@@ -129,7 +130,7 @@ func (o Occupancy) FitsAlone(m *Machine) bool {
 		}
 	}
 	for c := m.Clusters; c < MaxClusters; c++ {
-		if o.Clusters[c].Total > 0 {
+		if !o.Clusters[c].IsZero() {
 			return false
 		}
 	}

@@ -157,6 +157,13 @@ func TestFitsAlone(t *testing.T) {
 	if outside.FitsAlone(&m) {
 		t.Error("use of a cluster beyond the machine must not fit")
 	}
+	// A hand-built summary can carry slot-class counts with Total 0;
+	// on a cluster the machine lacks, any nonzero count is a use.
+	stray := Occupancy{}
+	stray.Clusters[7].Mul = 64
+	if stray.FitsAlone(&m) {
+		t.Error("a nonzero count on a cluster beyond the machine must not fit")
+	}
 }
 
 // randomOccupancy builds an occupancy that fits machine m on its own.

@@ -1,12 +1,11 @@
 package merge
 
-import "vliwmt/internal/isa"
-
 // This file is the merge compilation step of the simulator hot path
-// (DESIGN.md): a Tree is flattened once, at Selector build time, into
-// either a linear fold over its leaves or a post-order instruction
-// array, and selection then runs without recursion, per-cycle interface
-// dispatch through child nodes, or heap allocation.
+// (DESIGN.md): a scheme is flattened once, at Selector build time, into
+// a linear fold over its leaves, a post-order instruction array or one
+// of the two baseline policies, and SelectPacked (packed.go) then
+// selects without recursion, per-cycle interface dispatch through child
+// nodes, or heap allocation.
 //
 // Shape detection is automatic. Left-deep trees — every input after a
 // node's first is a leaf, and the first input chains down to a leaf —
@@ -14,20 +13,20 @@ import "vliwmt/internal/isa"
 // parallel C<n>/CSMT nodes, the hybrid parallel-CSMT cascades like 2SC3
 // and 4SC3C3C3) and fold into a per-leaf (port, kind) step list, because
 // the greedy all-or-nothing merge visits their leaves in a fixed order
-// with a fixed merge kind per leaf. Pure-SMT and pure-CSMT folds get
-// specialized loops (the CSMT one tracks the accumulated cluster mask
-// incrementally, so each merge attempt is one AND). Everything else —
-// the balanced 2XY trees, custom trees with interior non-first subtrees
-// — runs on a small stack machine over a preallocated scratch buffer.
+// with a fixed merge kind per leaf. Pure-CSMT folds get a specialized
+// loop that needs no slot counts. Everything else — the balanced 2XY
+// trees, custom trees with interior non-first subtrees — runs on a
+// small stack machine over a preallocated scratch buffer.
 
 // evalKind identifies the specialized evaluator a compiled scheme uses.
 type evalKind uint8
 
 const (
-	evalFoldSMT   evalKind = iota // left-deep, every merge level SMT
-	evalFoldCSMT                  // left-deep, every merge level CSMT
-	evalFoldMixed                 // left-deep, mixed SMT/CSMT levels
-	evalStack                     // general post-order stack program
+	evalFold     evalKind = iota // left-deep tree, SMT or mixed levels
+	evalFoldCSMT                 // left-deep tree, every merge level CSMT
+	evalStack                    // general post-order stack program
+	evalIMT                      // interleaved baseline: lowest valid port
+	evalBMT                      // block baseline: current port while valid
 )
 
 // foldStep is one leaf visit of a linear fold: join the candidate at
@@ -51,48 +50,50 @@ type cinstr struct {
 	arg uint8 // opLeaf: port; opMerge*: input count
 }
 
-// Compiled is a Tree flattened for fast selection. It implements
-// Selector and selects bit-identically to the Tree's recursive reference
-// walk (enforced by the differential tests). The scratch stack makes an
-// instance single-simulator state: build one per run via Scheme.Selector.
+// Compiled is a merge scheme flattened for fast selection on the packed
+// occupancy dictionary (SelectPacked). It selects bit-identically to the
+// scheme's reference Selector — the Tree's recursive walk, IMT or BMT —
+// which the differential tests enforce. The stack scratch and BMT's
+// current port make an instance single-simulator state: build one per
+// run via Scheme.Selector.
 type Compiled struct {
-	tree   *Tree
+	name   string
+	ports  int
+	tree   *Tree // nil for the baselines
 	kind   evalKind
-	steps  []foldStep  // fold evaluators
-	prog   []cinstr    // evalStack program
-	stack  []Selection // evalStack scratch, len = max program depth
-	masks  []uint8     // cluster mask per stack entry, same length
-	pstack []pentry    // evalStack scratch for SelectPacked, same length
+	steps  []foldStep // fold evaluators
+	prog   []cinstr   // evalStack program
+	pstack []pentry   // evalStack scratch, len = max program depth
+	cur    uint       // evalBMT: the port that keeps issuing while valid
 }
 
 // Compile flattens t into its fastest evaluator form. The result selects
 // exactly like t.Select.
 func Compile(t *Tree) *Compiled {
-	c := &Compiled{tree: t}
+	c := &Compiled{name: t.Name(), ports: t.Ports(), tree: t}
 	if steps, ok := flattenFold(t.root, nil); ok {
 		c.steps = steps
-		c.kind = evalFoldMixed
-		smt, csmt := true, true
+		c.kind = evalFoldCSMT
 		for _, s := range steps[1:] {
 			if s.kind == SMT {
-				csmt = false
-			} else {
-				smt = false
+				c.kind = evalFold
 			}
-		}
-		switch {
-		case smt:
-			c.kind = evalFoldSMT
-		case csmt:
-			c.kind = evalFoldCSMT
 		}
 		return c
 	}
 	c.kind = evalStack
-	c.prog, c.stack = compileStack(t.root)
-	c.masks = make([]uint8, len(c.stack))
-	c.pstack = make([]pentry, len(c.stack))
+	c.prog, c.pstack = compileStack(t.root)
 	return c
+}
+
+// compileBaseline builds the evaluator of the IMT or BMT baseline at
+// ports thread ports.
+func compileBaseline(name string, ports int) *Compiled {
+	kind := evalIMT
+	if name == "BMT" {
+		kind = evalBMT
+	}
+	return &Compiled{name: name, ports: ports, kind: kind}
 }
 
 // flattenFold linearizes a left-deep tree into fold steps: node n
@@ -123,7 +124,7 @@ func flattenFold(n *Node, steps []foldStep) ([]foldStep, bool) {
 
 // compileStack emits the post-order program for an arbitrary tree and
 // sizes its scratch stack to the program's maximum depth.
-func compileStack(root *Node) ([]cinstr, []Selection) {
+func compileStack(root *Node) ([]cinstr, []pentry) {
 	var prog []cinstr
 	var emit func(n *Node)
 	emit = func(n *Node) {
@@ -152,156 +153,21 @@ func compileStack(root *Node) ([]cinstr, []Selection) {
 			depth -= int(ins.arg) - 1
 		}
 	}
-	return prog, make([]Selection, maxDepth)
+	return prog, make([]pentry, maxDepth)
 }
 
-// Name implements Selector.
-func (c *Compiled) Name() string { return c.tree.Name() }
+// Name returns the scheme name the evaluator was built for.
+func (c *Compiled) Name() string { return c.name }
 
-// Ports implements Selector.
-func (c *Compiled) Ports() int { return c.tree.Ports() }
+// Ports returns the number of thread ports the evaluator merges.
+func (c *Compiled) Ports() int { return c.ports }
 
-// Tree returns the scheme tree the evaluator was compiled from.
+// Tree returns the scheme tree the evaluator was compiled from, or nil
+// for the IMT and BMT baselines.
 func (c *Compiled) Tree() *Tree { return c.tree }
 
-// Select implements Selector.
-//
-//vliw:hotpath
-func (c *Compiled) Select(m *isa.Machine, cands []isa.Occupancy, valid uint32) Selection {
-	switch c.kind {
-	case evalFoldSMT:
-		return c.selectFoldSMT(m, cands, valid)
-	case evalFoldCSMT:
-		return c.selectFoldCSMT(cands, valid)
-	case evalFoldMixed:
-		return c.selectFoldMixed(m, cands, valid)
-	}
-	return c.selectStack(m, cands, valid)
-}
-
-//vliw:hotpath
-func (c *Compiled) selectFoldSMT(m *isa.Machine, cands []isa.Occupancy, valid uint32) Selection {
-	var acc Selection
-	for i := range c.steps {
-		p := c.steps[i].port
-		if valid&(1<<p) == 0 {
-			continue
-		}
-		if acc.Mask == 0 {
-			acc.Mask = 1 << p
-			acc.Occ = cands[p]
-			continue
-		}
-		if isa.AccumSMT(&acc.Occ, &cands[p], m) {
-			acc.Mask |= 1 << p
-		}
-	}
-	return acc
-}
-
-//vliw:hotpath
-func (c *Compiled) selectFoldCSMT(cands []isa.Occupancy, valid uint32) Selection {
-	var acc Selection
-	var used uint8
-	for i := range c.steps {
-		p := c.steps[i].port
-		if valid&(1<<p) == 0 {
-			continue
-		}
-		cm := isa.UsedClusters(&cands[p])
-		if acc.Mask == 0 {
-			acc.Mask = 1 << p
-			acc.Occ = cands[p]
-			used = cm
-			continue
-		}
-		if used&cm == 0 {
-			used |= cm
-			acc.Mask |= 1 << p
-			acc.Occ.Accumulate(&cands[p])
-		}
-	}
-	return acc
-}
-
-//vliw:hotpath
-func (c *Compiled) selectFoldMixed(m *isa.Machine, cands []isa.Occupancy, valid uint32) Selection {
-	var acc Selection
-	var used uint8 // cluster mask of acc, maintained incrementally
-	for i := range c.steps {
-		step := &c.steps[i]
-		p := step.port
-		if valid&(1<<p) == 0 {
-			continue
-		}
-		cand := &cands[p]
-		if acc.Mask == 0 {
-			acc.Mask = 1 << p
-			acc.Occ = *cand
-			used = isa.UsedClusters(cand)
-			continue
-		}
-		if step.kind == CSMT {
-			if cm := isa.UsedClusters(cand); used&cm == 0 {
-				used |= cm
-				acc.Mask |= 1 << p
-				acc.Occ.Accumulate(cand)
-			}
-		} else if isa.AccumSMT(&acc.Occ, cand, m) {
-			acc.Mask |= 1 << p
-			used |= isa.UsedClusters(cand)
-		}
-	}
-	return acc
-}
-
-//vliw:hotpath
-func (c *Compiled) selectStack(m *isa.Machine, cands []isa.Occupancy, valid uint32) Selection {
-	st := c.stack
-	cm := c.masks // cluster mask per stack entry, maintained incrementally
-	sp := 0
-	for _, ins := range c.prog {
-		if ins.op == opLeaf {
-			p := ins.arg
-			if valid&(1<<p) != 0 {
-				st[sp] = Selection{Mask: 1 << p, Occ: cands[p]}
-				cm[sp] = isa.UsedClusters(&cands[p])
-			} else {
-				st[sp] = Selection{}
-				cm[sp] = 0
-			}
-			sp++
-			continue
-		}
-		base := sp - int(ins.arg)
-		acc := st[base]
-		used := cm[base]
-		for i := base + 1; i < sp; i++ {
-			s := &st[i]
-			if s.Mask == 0 {
-				continue
-			}
-			if acc.Mask == 0 {
-				acc = *s
-				used = cm[i]
-				continue
-			}
-			// Incompatible inputs are dropped whole, as in the
-			// reference walk (VLIW all-or-nothing sub-packets).
-			if ins.op == opMergeCSMT {
-				if used&cm[i] != 0 {
-					continue
-				}
-				acc.Occ.Accumulate(&s.Occ)
-			} else if !isa.AccumSMT(&acc.Occ, &s.Occ, m) {
-				continue
-			}
-			acc.Mask |= s.Mask
-			used |= cm[i]
-		}
-		st[base] = acc
-		cm[base] = used
-		sp = base + 1
-	}
-	return st[0]
-}
+// Stateful reports whether the evaluator keeps state across calls (the
+// BMT baseline's current port). A stateful evaluator must see every
+// non-empty call; a stateless one may be skipped when its result is
+// known, e.g. a lone candidate, which every other kind selects whole.
+func (c *Compiled) Stateful() bool { return c.kind == evalBMT }

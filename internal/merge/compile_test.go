@@ -16,14 +16,14 @@ func TestCompileShapeDetection(t *testing.T) {
 		ports  int
 		want   evalKind
 	}{
-		{"3SSS", 4, evalFoldSMT},
-		{"1S", 2, evalFoldSMT},
+		{"3SSS", 4, evalFold},
+		{"1S", 2, evalFold},
 		{"3CCC", 4, evalFoldCSMT},
 		{"C4", 4, evalFoldCSMT},
 		{"C8", 8, evalFoldCSMT},
-		{"2SC3", 4, evalFoldMixed},
-		{"3SCC", 4, evalFoldMixed},
-		{"2C3S", 4, evalFoldMixed},
+		{"2SC3", 4, evalFold},
+		{"3SCC", 4, evalFold},
+		{"2C3S", 4, evalFold},
 		{"2SS", 4, evalStack},
 		{"2CC", 4, evalStack},
 		{"2CS", 4, evalStack},
@@ -50,7 +50,7 @@ func TestCompileFoldOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Compile(tree)
-	if c.kind != evalFoldMixed {
+	if c.kind != evalFold {
 		t.Fatalf("permuted cascade compiled to evaluator %d, want fold", c.kind)
 	}
 	wantPorts := []uint8{2, 0, 3, 1}
@@ -117,8 +117,9 @@ func sortedCuts(r *rand.Rand, n, groups int) []int {
 }
 
 // TestCompiledMatchesReferenceRandomTrees is the core differential: on
-// random trees of 2..8 ports and random candidate sets, the compiled
-// evaluator must reproduce the recursive reference selection exactly.
+// random trees of 2..8 ports and random candidate sets, the packed
+// evaluator must reproduce the recursive reference selection's mask and
+// merged operation count exactly.
 func TestCompiledMatchesReferenceRandomTrees(t *testing.T) {
 	m := isa.Default()
 	r := rand.New(rand.NewSource(2026))
@@ -129,32 +130,16 @@ func TestCompiledMatchesReferenceRandomTrees(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			vals, valid := pack(randomCands(r, &m, n))
 			ref := tree.Select(&m, vals, valid)
-			fast := c.Select(&m, vals, valid)
-			if ref != fast {
-				t.Fatalf("tree %s: compiled %+v != reference %+v (valid %0*b)", tree, fast, ref, n, valid)
+			mask, ops := selectPacked(t, c, &m, vals, valid)
+			if mask != ref.Mask || ops != ref.Occ.Ops {
+				t.Fatalf("tree %s: packed (mask %0*b, ops %d) != reference (mask %0*b, ops %d), valid %0*b",
+					tree, n, mask, ops, n, ref.Mask, ref.Occ.Ops, n, valid)
 			}
 		}
 	}
 }
 
-// TestCompiledSelectZeroAllocs: selection must never touch the heap —
-// the per-cycle contract the simulator's allocation-free core builds on.
-func TestCompiledSelectZeroAllocs(t *testing.T) {
-	m := isa.Default()
-	r := rand.New(rand.NewSource(11))
-	for _, name := range []string{"3SSS", "3CCC", "2SC3", "2SS", "C4"} {
-		c := Compile(mustParse(t, name, 4))
-		vals, valid := pack(randomCands(r, &m, 4))
-		allocs := testing.AllocsPerRun(200, func() {
-			c.Select(&m, vals, valid)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Select allocates %.1f times per call, want 0", name, allocs)
-		}
-	}
-}
-
-// FuzzCompiledSelect cross-checks the compiled evaluator against the
+// FuzzCompiledSelect cross-checks the packed evaluator against the
 // reference walk on fuzz-chosen tree expressions and candidate sets.
 func FuzzCompiledSelect(f *testing.F) {
 	f.Add("C(S(T0,T1),T2,T3)", uint64(1))
@@ -171,9 +156,9 @@ func FuzzCompiledSelect(f *testing.F) {
 		for i := 0; i < 20; i++ {
 			vals, valid := pack(randomCands(r, &m, tree.Ports()))
 			ref := tree.Select(&m, vals, valid)
-			fast := c.Select(&m, vals, valid)
-			if ref != fast {
-				t.Fatalf("tree %s: compiled %+v != reference %+v", tree, fast, ref)
+			mask, ops := selectPacked(t, c, &m, vals, valid)
+			if mask != ref.Mask || ops != ref.Occ.Ops {
+				t.Fatalf("tree %s: packed (mask %b, ops %d) != reference (mask %b, ops %d)", tree, mask, ops, ref.Mask, ref.Occ.Ops)
 			}
 		}
 	})

@@ -1,8 +1,12 @@
 package merge
 
-import "vliwmt/internal/isa"
+import (
+	"math/bits"
 
-// Packed selection: the batched simulator's occupancy-free fast path.
+	"vliwmt/internal/isa"
+)
+
+// Packed selection: the simulator's one fast merge evaluator.
 //
 // A compiled evaluator consumes an occupancy only through three
 // questions — which clusters does it use (CSMT disjointness), do the
@@ -19,17 +23,18 @@ import "vliwmt/internal/isa"
 // counts are capped at packMax (63) and machine limits likewise, so
 // byte sums never carry into a neighbouring byte, and "count_a +
 // count_b > limit" becomes "byte + (127 - limit) has bit 7 set".
-// Clusters the plain path never checks (index >= Machine.Clusters, or
-// clusters not used by both packets) are masked out of the overflow
-// word, which reproduces AccumSMT's skip rules exactly. The
-// differential tests in packed_test.go and the simulator's
-// batch-vs-refsim suite enforce bit-identity with Select.
+// Clusters the reference walk never checks (index >= Machine.Clusters,
+// or clusters not used by both packets) are masked out of the overflow
+// word, which reproduces Occupancy.CompatSMT's skip rules exactly. Every
+// valid machine and every occupancy that fits one alone lies inside the
+// headroom (TestPackingTotalForValidInput). The differential tests in
+// packed_test.go and the simulator's batch-vs-refsim suite enforce
+// bit-identity with the reference Selectors.
 
 const (
 	// packMax bounds every packed per-cluster count and machine limit;
-	// beyond it the byte arithmetic could carry and callers must use
-	// the plain path. Real machines are nowhere near it (the default
-	// issue width is 4).
+	// beyond it the byte arithmetic could carry. Valid machines are
+	// nowhere near it (isa.MaxIssueWidth is 8).
 	packMax = 63
 
 	packLow7 = 0x7f7f7f7f7f7f7f7f // 127 in every byte
@@ -48,8 +53,8 @@ type PackedOcc struct {
 }
 
 // PackOcc converts an occupancy to packed form. It reports false when
-// any per-cluster count exceeds packMax, in which case the caller must
-// keep the plain evaluator.
+// any per-cluster count exceeds packMax, which no occupancy that fits a
+// valid machine alone does.
 func PackOcc(o *isa.Occupancy) (PackedOcc, bool) {
 	var p PackedOcc
 	for c := 0; c < isa.MaxClusters; c++ {
@@ -74,15 +79,15 @@ func PackOcc(o *isa.Occupancy) (PackedOcc, bool) {
 // each word is 127-limit for that slot class on cluster c, so a packed
 // sum exceeds the limit exactly when adding the constant sets bit 7.
 // Bytes for clusters the machine does not have are zero — with counts
-// capped at packMax the test bit can never fire there, mirroring the
-// plain path's c < Machine.Clusters loop bound.
+// capped at packMax the test bit can never fire there, mirroring
+// CompatSMT's c < Machine.Clusters loop bound.
 type PackedLimits struct {
 	KT, KM, KL, KB uint64
 }
 
 // PackLimits converts a machine's merge constraints to packed form. It
 // reports false when any limit exceeds packMax (the SWAR byte headroom),
-// in which case callers must keep the plain evaluator.
+// which no valid machine's does.
 func PackLimits(m *isa.Machine) (PackedLimits, bool) {
 	var lim PackedLimits
 	if m.Clusters > isa.MaxClusters || m.IssueWidth > packMax || m.Muls > packMax || m.MemUnits > packMax {
@@ -120,25 +125,51 @@ type pentry struct {
 	mask       uint32
 }
 
-// SelectPacked selects exactly like Select, but from the batch-wide
-// packed-occupancy dictionary d: ids[p] is the dictionary index of port
-// p's candidate (read only where valid has the bit set). It returns the
-// selected-port mask and the merged packet's operation count — the only
-// two facts of a Selection the batched cycle loop consumes. lim must be
-// PackLimits of the same machine Select would receive, and every
-// dictionary entry must have come from PackOcc of the corresponding
-// candidate; under those premises the differential suites hold this
-// bit-identical to Select.
+// SelectPacked runs the merge stage from the batch-wide packed-occupancy
+// dictionary d: ids[p] is the dictionary index of port p's candidate
+// (read only where valid has the bit set). It returns the selected-port
+// mask and the merged packet's operation count — the only two facts of
+// a Selection the simulator's cycle loop consumes. lim must be
+// PackLimits of the machine the reference Select would receive, and
+// every dictionary entry must have come from PackOcc of the
+// corresponding candidate; under those premises the differential
+// suites hold it bit-identical to the reference Selector. Like every
+// Selector it is pure on empty input: valid == 0 selects nothing and
+// leaves the BMT baseline's current port alone.
 //
 //vliw:hotpath
 func (c *Compiled) SelectPacked(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
 	switch c.kind {
+	case evalFold:
+		return c.packedFold(d, lim, ids, valid)
 	case evalFoldCSMT:
 		return c.packedFoldCSMT(d, ids, valid)
-	case evalFoldSMT, evalFoldMixed:
-		return c.packedFold(d, lim, ids, valid)
+	case evalStack:
+		return c.packedStack(d, lim, ids, valid)
 	}
-	return c.packedStack(d, lim, ids, valid)
+	return c.packedBaseline(d, ids, valid)
+}
+
+// packedBaseline issues exactly one thread: IMT the lowest valid port
+// (the highest priority under the simulator's rotation), BMT its
+// current port while that stays valid, else the next valid port after
+// it in cyclic order, which becomes current.
+//
+//vliw:hotpath
+func (c *Compiled) packedBaseline(d []PackedOcc, ids []int32, valid uint32) (uint32, uint8) {
+	if valid == 0 {
+		return 0, 0
+	}
+	p := uint(bits.TrailingZeros32(valid))
+	if c.kind == evalBMT {
+		if valid&(1<<c.cur) != 0 {
+			p = c.cur
+		} else if after := valid &^ (2<<c.cur - 1); after != 0 {
+			p = uint(bits.TrailingZeros32(after))
+		}
+		c.cur = p
+	}
+	return 1 << p, d[ids[p]].Ops
 }
 
 // packedFoldCSMT is the pure-CSMT fold: disjointness is the cluster
@@ -211,8 +242,8 @@ func (c *Compiled) packedFold(d []PackedOcc, lim *PackedLimits, ids []int32, val
 }
 
 // packedStack runs the general post-order program on packed entries,
-// mirroring selectStack's merge rules (incompatible inputs dropped
-// whole, in input order).
+// with the reference walk's merge rules: incompatible inputs are
+// dropped whole, in input order (VLIW all-or-nothing sub-packets).
 //
 //vliw:hotpath
 func (c *Compiled) packedStack(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {

@@ -11,7 +11,7 @@ import (
 // SelectPacked consumes: every distinct candidate value becomes one
 // dictionary entry (here simply one entry per port, which is a legal —
 // if maximally redundant — dictionary).
-func packDict(t *testing.T, vals []isa.Occupancy) ([]PackedOcc, []int32) {
+func packDict(t testing.TB, vals []isa.Occupancy) ([]PackedOcc, []int32) {
 	t.Helper()
 	d := make([]PackedOcc, len(vals))
 	ids := make([]int32, len(vals))
@@ -26,11 +26,23 @@ func packDict(t *testing.T, vals []isa.Occupancy) ([]PackedOcc, []int32) {
 	return d, ids
 }
 
+// selectPacked runs c's packed evaluator on a candidate set, packing the
+// dictionary and the machine limits as the simulator does.
+func selectPacked(t testing.TB, c *Compiled, m *isa.Machine, vals []isa.Occupancy, valid uint32) (uint32, uint8) {
+	t.Helper()
+	lim, ok := PackLimits(m)
+	if !ok {
+		t.Fatalf("machine unpackable: %+v", *m)
+	}
+	d, ids := packDict(t, vals)
+	return c.SelectPacked(d, &lim, ids, valid)
+}
+
 // TestSelectPackedMatchesSelect is the packed-path differential: on the
 // paper's schemes plus random trees, random machines and random
-// candidate sets, SelectPacked must agree with Select on the selected
-// mask and the merged packet's operation count — the two facts the
-// batched simulator consumes.
+// candidate sets, SelectPacked must agree with the reference Tree.Select
+// on the selected mask and the merged packet's operation count — the
+// two facts the simulator consumes.
 func TestSelectPackedMatchesSelect(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	machines := []isa.Machine{isa.Default()}
@@ -45,13 +57,8 @@ func TestSelectPackedMatchesSelect(t *testing.T) {
 	}
 	check := func(c *Compiled, m *isa.Machine, vals []isa.Occupancy, valid uint32) {
 		t.Helper()
-		lim, ok := PackLimits(m)
-		if !ok {
-			t.Fatalf("machine unpackable: %+v", m)
-		}
-		d, ids := packDict(t, vals)
-		ref := c.Select(m, vals, valid)
-		mask, ops := c.SelectPacked(d, &lim, ids, valid)
+		ref := c.Tree().Select(m, vals, valid)
+		mask, ops := selectPacked(t, c, m, vals, valid)
 		if mask != ref.Mask || ops != ref.Occ.Ops {
 			t.Fatalf("%s on %+v: packed (mask %04b, ops %d) != reference (mask %04b, ops %d), valid %04b",
 				c.Name(), *m, mask, ops, ref.Mask, ref.Occ.Ops, valid)
@@ -91,7 +98,7 @@ func TestSelectPackedMatchesSelect(t *testing.T) {
 }
 
 // TestPackOccRoundTrip pins the packed encoding: per-cluster counts land
-// in the right bytes, the cluster mask matches UsedClusters, and
+// in the right bytes, the cluster mask matches ClusterMask, and
 // over-limit counts are rejected.
 func TestPackOccRoundTrip(t *testing.T) {
 	var o isa.Occupancy
@@ -111,8 +118,8 @@ func TestPackOccRoundTrip(t *testing.T) {
 	if got := uint8(p.B >> 24); got != 1 {
 		t.Errorf("cluster 3 branch byte = %d, want 1", got)
 	}
-	if p.CM != isa.UsedClusters(&o) {
-		t.Errorf("CM = %08b, want UsedClusters %08b", p.CM, isa.UsedClusters(&o))
+	if p.CM != o.ClusterMask() {
+		t.Errorf("CM = %08b, want ClusterMask %08b", p.CM, o.ClusterMask())
 	}
 	if p.Ops != 8 {
 		t.Errorf("Ops = %d, want 8", p.Ops)
@@ -125,7 +132,7 @@ func TestPackOccRoundTrip(t *testing.T) {
 }
 
 // TestPackLimitsRejectsWideMachines: limits beyond the SWAR byte
-// headroom must force the plain path.
+// headroom must be refused.
 func TestPackLimitsRejectsWideMachines(t *testing.T) {
 	m := isa.Default()
 	if _, ok := PackLimits(&m); !ok {
@@ -137,8 +144,8 @@ func TestPackLimitsRejectsWideMachines(t *testing.T) {
 	}
 }
 
-// TestSelectPackedZeroAllocs: the packed path shares the plain path's
-// per-cycle contract — no heap traffic.
+// TestSelectPackedZeroAllocs: selection must never touch the heap — the
+// per-cycle contract the simulator's allocation-free core builds on.
 func TestSelectPackedZeroAllocs(t *testing.T) {
 	m := isa.Default()
 	lim, ok := PackLimits(&m)
@@ -146,8 +153,11 @@ func TestSelectPackedZeroAllocs(t *testing.T) {
 		t.Fatal("default machine must be packable")
 	}
 	r := rand.New(rand.NewSource(13))
-	for _, name := range []string{"3SSS", "3CCC", "2SC3", "2SS", "C4"} {
-		c := Compile(mustParse(t, name, 4))
+	for _, name := range []string{"3SSS", "3CCC", "2SC3", "2SS", "C4", "IMT", "BMT"} {
+		c, err := NewSelector(name, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		vals, valid := pack(randomCands(r, &m, 4))
 		d, ids := packDict(t, vals)
 		allocs := testing.AllocsPerRun(200, func() {
@@ -155,6 +165,91 @@ func TestSelectPackedZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: SelectPacked allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestBaselinesMatchReference: the packed IMT and BMT evaluators select
+// exactly like the reference structs over random candidate sequences,
+// including empty and lone-candidate cycles. BMT carries its current
+// port from cycle to cycle, so both sides see the same sequence.
+func TestBaselinesMatchReference(t *testing.T) {
+	m := isa.Default()
+	r := rand.New(rand.NewSource(31))
+	for _, name := range []string{"IMT", "BMT"} {
+		sch, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ports := range []int{1, 2, 3, 4, 8} {
+			ref, err := sch.ReferenceSelector(ports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := sch.Selector(ports)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cycle := 0; cycle < 400; cycle++ {
+				vals, valid := pack(randomCands(r, &m, ports))
+				if r.Intn(3) == 0 {
+					valid &= 1 << uint(r.Intn(ports)) // a lone candidate, or none
+				}
+				want := ref.Select(&m, vals, valid)
+				mask, ops := selectPacked(t, c, &m, vals, valid)
+				if mask != want.Mask || ops != want.Occ.Ops {
+					t.Fatalf("%s/%d cycle %d: packed (mask %b, ops %d) != reference (mask %b, ops %d), valid %b",
+						name, ports, cycle, mask, ops, want.Mask, want.Occ.Ops, valid)
+				}
+			}
+		}
+	}
+}
+
+// TestPackingTotalForValidInput: packing cannot fail on validated input,
+// so the simulator's pack errors are guards rather than paths. The
+// widest valid machine packs. Every valid machine's per-cluster limits
+// are at most the widest one's and FitsAlone requires clusters beyond a
+// machine to be zero, so an occupancy that fits any valid machine fits
+// the widest; and since FitsAlone and PackOcc both bound each count on
+// each cluster independently, sweeping every count of every slot class
+// on every cluster, plus the all-maximal corner, covers all of them.
+func TestPackingTotalForValidInput(t *testing.T) {
+	wide := isa.Default()
+	wide.Clusters = isa.MaxClusters
+	wide.IssueWidth = isa.MaxIssueWidth
+	wide.Muls = isa.MaxIssueWidth
+	wide.MemUnits = isa.MaxIssueWidth
+	wide.BranchClusters = isa.MaxClusters
+	if err := wide.Validate(); err != nil {
+		t.Fatalf("widest machine invalid: %v", err)
+	}
+	if _, ok := PackLimits(&wide); !ok {
+		t.Fatalf("PackLimits rejects the widest valid machine %+v", wide)
+	}
+	var corner isa.Occupancy
+	for c := range corner.Clusters {
+		corner.Clusters[c] = isa.ClusterUse{Total: isa.MaxIssueWidth, Mul: isa.MaxIssueWidth, Mem: isa.MaxIssueWidth, Branch: 1}
+	}
+	if !corner.FitsAlone(&wide) {
+		t.Fatalf("all-maximal occupancy does not fit the widest machine: %v", corner)
+	}
+	if _, ok := PackOcc(&corner); !ok {
+		t.Fatalf("PackOcc rejects the all-maximal occupancy %v", corner)
+	}
+	for c := 0; c < isa.MaxClusters; c++ {
+		for field := 0; field < 4; field++ {
+			for v := 0; v < 256; v++ {
+				var o isa.Occupancy
+				u := &o.Clusters[c]
+				*[]*uint8{&u.Total, &u.Mul, &u.Mem, &u.Branch}[field] = uint8(v)
+				if !o.FitsAlone(&wide) {
+					continue
+				}
+				if _, ok := PackOcc(&o); !ok {
+					t.Fatalf("PackOcc rejects %+v on cluster %d, which fits the widest machine", *u, c)
+				}
+			}
 		}
 	}
 }

@@ -76,16 +76,15 @@ func (s Scheme) WithName(name string) Scheme {
 	return Scheme{name: name, tree: &Tree{name: name, root: s.tree.root, ports: s.tree.ports}}
 }
 
-// Selector builds a Selector for ports hardware thread ports.
-// Tree-backed schemes require ports to match the tree (0 accepts the
-// tree's own count); the baselines adapt to any positive width. Every
-// call returns a fresh instance, safe to hand to one simulator: the
-// baselines because BMT keeps cross-cycle state, tree-backed schemes
-// because the compiled evaluator (Compile) owns a per-instance scratch
-// buffer. The compiled evaluator selects bit-identically to the tree's
-// recursive reference walk; ReferenceSelector exposes the latter for
-// differential testing.
-func (s Scheme) Selector(ports int) (Selector, error) {
+// Selector builds the scheme's compiled evaluator for ports hardware
+// thread ports. Tree-backed schemes require ports to match the tree (0
+// accepts the tree's own count); the baselines adapt to any positive
+// width. Every call returns a fresh instance, safe to hand to one
+// simulator: BMT keeps cross-cycle state and tree stack programs own a
+// per-instance scratch buffer. The evaluator selects bit-identically to
+// the reference Selector; ReferenceSelector exposes the latter for
+// refsim and the differential tests.
+func (s Scheme) Selector(ports int) (*Compiled, error) {
 	sel, err := s.ReferenceSelector(ports)
 	if err != nil {
 		return nil, err
@@ -93,14 +92,14 @@ func (s Scheme) Selector(ports int) (Selector, error) {
 	if t, ok := sel.(*Tree); ok {
 		return Compile(t), nil
 	}
-	return sel, nil
+	return compileBaseline(s.baseline, ports), nil
 }
 
 // ReferenceSelector builds the naive reference Selector for the scheme:
-// the recursive tree walk for tree-backed schemes, the plain baselines
+// the recursive tree walk for tree-backed schemes, the IMT/BMT structs
 // otherwise. It validates exactly like Selector. The refsim oracle and
-// the differential tests use it; production paths should use Selector,
-// which returns the compiled evaluator instead.
+// the differential tests use it; the simulator uses Selector, which
+// returns the compiled evaluator instead.
 func (s Scheme) ReferenceSelector(ports int) (Selector, error) {
 	switch s.baseline {
 	case "IMT":

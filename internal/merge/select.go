@@ -22,21 +22,21 @@ func (s Selection) Count() int { return bits.OnesCount32(s.Mask) }
 // Has reports whether port p was selected.
 func (s Selection) Has(p int) bool { return s.Mask&(1<<uint(p)) != 0 }
 
-// Selector is the merge-stage policy: given the candidate instruction
-// occupancy at each thread port, it picks the set of ports that issue
-// this cycle. cands is a value slice indexed by port; entry p is
-// meaningful only when bit p of valid is set (a clear bit means the
-// thread is stalled or absent — the old nil-pointer convention). The
-// value-slice + bitmask form keeps the per-cycle loop free of heap
-// traffic and lets selectors test availability with one bit operation.
+// Selector is the reference merge-stage policy: given the candidate
+// instruction occupancy at each thread port, it picks the set of ports
+// that issue this cycle. Its implementations — Tree, IMT and BMT — are
+// the oracle family refsim and the differential tests run; the
+// simulator selects with the compiled evaluator (Scheme.Selector,
+// Compiled.SelectPacked), which must agree with them bit for bit. cands
+// is a value slice indexed by port; entry p is meaningful only when bit
+// p of valid is set (a clear bit means the thread is stalled or absent).
 //
-// Implementations may keep state across cycles (e.g. block
-// multithreading, the compiled evaluator's scratch stack), so a Selector
-// instance must not be shared between simulators. All implementations
-// must be pure on empty input: Select with valid == 0 returns the empty
-// Selection and mutates nothing — the simulator's stall fast-forward
-// relies on this to skip all-stalled cycles without consulting the
-// selector (see DESIGN.md).
+// Implementations may keep state across cycles (block multithreading),
+// so a Selector instance must not be shared between simulators. All
+// implementations must be pure on empty input: Select with valid == 0
+// returns the empty Selection and mutates nothing — the simulator's
+// stall fast-forward relies on this to skip all-stalled cycles without
+// consulting the selector (see DESIGN.md).
 type Selector interface {
 	Name() string
 	Ports() int
@@ -46,8 +46,8 @@ type Selector interface {
 // Select implements the greedy priority-ordered merging of the scheme by
 // walking the tree recursively. It is the reference implementation: the
 // refsim oracle and the differential tests run it against the compiled
-// evaluator (Compile), which must select identically. Production paths
-// get a *Compiled from Scheme.Selector instead.
+// evaluator (Compile), which must select identically. The simulator
+// gets a *Compiled from Scheme.Selector instead.
 func (t *Tree) Select(m *isa.Machine, cands []isa.Occupancy, valid uint32) Selection {
 	return t.root.sel(m, cands, valid)
 }
@@ -137,11 +137,12 @@ func (s *BMT) Select(m *isa.Machine, cands []isa.Occupancy, valid uint32) Select
 	return Selection{}
 }
 
-// NewSelector builds a Selector by name — anything Resolve accepts: a
-// paper scheme name, a registered custom scheme, a canonical tree
-// expression, or the baselines "IMT" and "BMT". ports is the number of
-// hardware thread ports; tree-backed schemes must match it exactly.
-func NewSelector(name string, ports int) (Selector, error) {
+// NewSelector builds the compiled evaluator for a scheme by name —
+// anything Resolve accepts: a paper scheme name, a registered custom
+// scheme, a canonical tree expression, or the baselines "IMT" and
+// "BMT". ports is the number of hardware thread ports; tree-backed
+// schemes must match it exactly.
+func NewSelector(name string, ports int) (*Compiled, error) {
 	s, err := Resolve(name)
 	if err != nil {
 		return nil, err

@@ -52,17 +52,17 @@ func pack(cands []*isa.Occupancy) ([]isa.Occupancy, uint32) {
 	return vals, valid
 }
 
-// treeSelect runs both the recursive reference walk and the compiled
-// evaluator on cands and fails the test when they disagree, so every
-// tree selection in this suite doubles as a compiled-vs-reference
-// differential check.
+// treeSelect runs both the recursive reference walk and the packed
+// evaluator on cands and fails the test when they disagree on the mask
+// or the merged operation count, so every tree selection in this suite
+// doubles as a packed-vs-reference differential check.
 func treeSelect(t testing.TB, tree *Tree, m *isa.Machine, cands []*isa.Occupancy) Selection {
 	t.Helper()
 	vals, valid := pack(cands)
 	ref := tree.Select(m, vals, valid)
-	fast := Compile(tree).Select(m, vals, valid)
-	if ref != fast {
-		t.Fatalf("%s: compiled selection %+v != reference %+v", tree.Name(), fast, ref)
+	mask, ops := selectPacked(t, Compile(tree), m, vals, valid)
+	if mask != ref.Mask || ops != ref.Occ.Ops {
+		t.Fatalf("%s: packed selection (mask %b, ops %d) != reference (mask %b, ops %d)", tree.Name(), mask, ops, ref.Mask, ref.Occ.Ops)
 	}
 	return ref
 }

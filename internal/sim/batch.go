@@ -53,12 +53,11 @@ const selEmptyOps = uint32(1) << 31
 type lane struct {
 	cfg Config
 	m   isa.Machine
-	sel merge.Selector
-	// comp is sel when it is the stateless compiled evaluator; nil for
-	// the stateful baselines (BMT keeps cross-cycle state and must see
-	// every Select call, so it gets neither packed dictionary nor fast
-	// paths).
-	comp   *merge.Compiled
+	sel *merge.Compiled
+	// lone is set when sel is stateless, so a cycle with one candidate
+	// may skip it (every stateless kind selects a lone candidate whole);
+	// BMT must see every non-empty call.
+	lone   bool
 	ic, dc *cache.Cache
 
 	// Per-task context state, subsliced from the batch SoA backing.
@@ -86,21 +85,17 @@ type lane struct {
 	rotMask   int64
 	fixedPrio bool
 
-	// Per-cycle buffers, reused across every cycle of the run: cands[p]
-	// and candID[p] are the candidate at merge port p (meaningful only
-	// when bit p of the cycle's valid mask is set) and ports[p] is the
-	// context mapped to port p under the cycle's priority rotation.
-	// cands is nil when the lane runs on the packed dictionary — then
-	// the gather records IDs only and the merge stage never touches an
-	// Occupancy.
-	cands  []isa.Occupancy
+	// Per-cycle buffers, reused across every cycle of the run:
+	// candID[p] is the dictionary ID of the candidate at merge port p
+	// (meaningful only when bit p of the cycle's valid mask is set) and
+	// ports[p] is the context mapped to port p under the cycle's
+	// priority rotation. The merge stage never touches an Occupancy.
 	candID []int32
 	ports  []int
 
 	// Packed selection state: pd aliases the batch-wide packed
 	// occupancy dictionary and plim holds the machine's SWAR limit
-	// constants. pd is nil when the lane must use the plain evaluator
-	// (stateful selector, or counts/limits beyond the packing headroom).
+	// constants.
 	pd   []merge.PackedOcc
 	plim merge.PackedLimits
 
@@ -203,27 +198,6 @@ func RunBatch(cfgs []Config, tasks []Task) ([]*Result, error) {
 		}
 		b.plis[i] = instrs
 	}
-	// Pack the batch-wide occupancy dictionary for the SWAR merge fast
-	// path. Dictionary IDs are already global, so one table serves every
-	// lane; a single unpackable occupancy (a count beyond the SWAR byte
-	// headroom — unreachable for realistic machines) disables the packed
-	// path for the whole batch.
-	pd := make([]merge.PackedOcc, totalOccs)
-	for i := range b.plis {
-		for j := range b.plis[i] {
-			pi := &b.plis[i][j]
-			po, ok := merge.PackOcc(&pi.Occ)
-			if !ok {
-				pd = nil
-				break
-			}
-			pd[pi.OccID] = po
-		}
-		if pd == nil {
-			break
-		}
-	}
-
 	nt := len(tasks)
 	// SoA backing for the per-[job][task] context state.
 	curAll := make([]int32, len(cfgs)*nt)
@@ -237,10 +211,16 @@ func RunBatch(cfgs []Config, tasks []Task) ([]*Result, error) {
 		if err != nil {
 			return nil, &laneError{lane: li, err: err}
 		}
+		// Every valid machine packs; the error is a guard, not a path.
+		plim, ok := merge.PackLimits(&cfg.Machine)
+		if !ok {
+			return nil, &laneError{lane: li, err: fmt.Errorf("sim: machine %v exceeds the packed merge limits", cfg.Machine)}
+		}
 		l := &lane{
 			cfg:       cfg,
 			m:         cfg.Machine,
 			sel:       sel,
+			lone:      !sel.Stateful(),
 			ic:        ic,
 			dc:        dc,
 			walkers:   make([]*program.Walker, nt),
@@ -257,9 +237,9 @@ func RunBatch(cfgs []Config, tasks []Task) ([]*Result, error) {
 			nextSlice: cfg.TimesliceCycles,
 			rotMask:   -1,
 			fixedPrio: cfg.FixedPriority,
-			cands:     make([]isa.Occupancy, cfg.Contexts),
 			candID:    make([]int32, cfg.Contexts),
 			ports:     make([]int, cfg.Contexts),
+			plim:      plim,
 			res: &Result{
 				MergeHist:  make([]int64, cfg.Contexts+1),
 				IssueWidth: cfg.Machine.TotalIssueWidth(),
@@ -267,19 +247,6 @@ func RunBatch(cfgs []Config, tasks []Task) ([]*Result, error) {
 		}
 		if cfg.Contexts&(cfg.Contexts-1) == 0 {
 			l.rotMask = int64(cfg.Contexts - 1)
-		}
-		if c, ok := sel.(*merge.Compiled); ok {
-			l.comp = c
-			if pd != nil {
-				if lim, ok := merge.PackLimits(&cfg.Machine); ok {
-					l.pd = pd
-					l.plim = lim
-					// The packed path selects from dictionary IDs alone;
-					// dropping the value buffer removes the 33-byte
-					// occupancy copy from every gathered port.
-					l.cands = nil
-				}
-			}
 		}
 		for i, t := range tasks {
 			l.walkers[i] = newTaskWalker(&cfg, i, t)
@@ -291,6 +258,26 @@ func RunBatch(cfgs []Config, tasks []Task) ([]*Result, error) {
 		}
 		l.schedule()
 		b.lanes[li] = l
+	}
+
+	// Pack the batch-wide occupancy dictionary the merge stage selects
+	// from. Dictionary IDs are already global, so one table serves every
+	// lane. Every lane validated every task against its machine, and an
+	// occupancy that fits a valid machine always packs, so the error is
+	// a guard, not a path.
+	pd := make([]merge.PackedOcc, totalOccs)
+	for i := range b.plis {
+		for j := range b.plis[i] {
+			pi := &b.plis[i][j]
+			po, ok := merge.PackOcc(&pi.Occ)
+			if !ok {
+				return nil, fmt.Errorf("sim: task %s: occupancy %v exceeds the packed merge limits", tasks[i].Name, pi.Occ)
+			}
+			pd[pi.OccID] = po
+		}
+	}
+	for _, l := range b.lanes {
+		l.pd = pd
 	}
 
 	b.live = make([]*lane, len(b.lanes))
@@ -484,7 +471,7 @@ func (l *lane) nextEvent(now int64) int64 {
 // selection, retirement. An all-stalled cycle bulk-accounts the stall
 // span up to the next event and sleeps the lane: the stall
 // fast-forward. Selectors are pure on empty input (Selector contract),
-// so skipping their Select calls cannot change later selections.
+// so skipping their SelectPacked calls cannot change later selections.
 //
 //vliw:hotpath
 func (l *lane) step(b *batchCore, cycle int64) {
@@ -524,9 +511,6 @@ func (l *lane) step(b *batchCore, cycle int64) {
 				l.stats[ti].StallFetch += pen
 				continue
 			}
-		}
-		if l.cands != nil {
-			l.cands[p] = pi.Occ
 		}
 		l.candID[p] = pi.OccID
 		valid |= 1 << uint(p)
@@ -614,64 +598,29 @@ func (l *lane) stepSingle(b *batchCore, cycle int64) {
 	l.wakeAt = cycle + 1
 }
 
-// selectCands runs the merge stage for the gathered candidates. For the
-// compiled evaluator — stateless across calls by construction — a lone
-// candidate is always selected whole (every tree node passes a single
-// non-empty input through unmerged), so the evaluator walk is skipped;
-// multi-candidate cycles evaluate in full, on the packed dictionary
-// when the lane qualifies. Stateful selectors (BMT) take the plain path
-// unconditionally.
+// selectCands runs the merge stage for the gathered candidates on the
+// packed dictionary. For a stateless evaluator a lone candidate is
+// always selected whole (every tree node passes a single non-empty
+// input through unmerged, and IMT issues it), so the evaluator call is
+// skipped; BMT sees every call.
 //
 // The return value is packed: the selected-port mask in the low bits
 // plus the selEmptyOps flag — the only two facts the cycle loop
-// consumes from a Selection.
+// consumes from a selection.
 //
 //vliw:hotpath
 func (l *lane) selectCands(valid uint32) uint32 {
-	if l.comp == nil {
-		return packSelection(l.sel.Select(&l.m, l.cands, valid))
+	var mask uint32
+	var ops uint8
+	if l.lone && valid&(valid-1) == 0 {
+		mask, ops = valid, l.pd[l.candID[bits.TrailingZeros32(valid)]].Ops
+	} else {
+		mask, ops = l.sel.SelectPacked(l.pd, &l.plim, l.candID, valid)
 	}
-	if valid&(valid-1) == 0 {
-		p := uint(bits.TrailingZeros32(valid))
-		var ops uint8
-		if l.pd != nil {
-			ops = l.pd[l.candID[p]].Ops
-		} else {
-			ops = l.cands[p].Ops
-		}
-		if ops == 0 {
-			return valid | selEmptyOps
-		}
-		return valid
+	if ops == 0 {
+		mask |= selEmptyOps
 	}
-	return l.selectFull(valid)
-}
-
-// selectFull evaluates the compiled selector in full: on the packed
-// dictionary when the lane qualifies, on occupancy values otherwise.
-// Both forms produce the same packed selection — SelectPacked's
-// differential suite ties it to Select.
-//
-//vliw:hotpath
-func (l *lane) selectFull(valid uint32) uint32 {
-	if l.pd != nil {
-		mask, ops := l.comp.SelectPacked(l.pd, &l.plim, l.candID, valid)
-		if ops == 0 {
-			mask |= selEmptyOps
-		}
-		return mask
-	}
-	return packSelection(l.comp.Select(&l.m, l.cands, valid))
-}
-
-// packSelection compresses a Selection to the packed form the cycle
-// loop consumes: selected-port mask plus the zero-ops flag.
-func packSelection(s merge.Selection) uint32 {
-	v := s.Mask
-	if s.Occ.Ops == 0 {
-		v |= selEmptyOps
-	}
-	return v
+	return mask
 }
 
 // retireOne retires task ti's current instruction at cycle, updating

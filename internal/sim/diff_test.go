@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vliwmt/internal/cache"
@@ -230,5 +231,43 @@ func TestFastForwardAccounting(t *testing.T) {
 	}
 	if res.EmptyCycles < res.MergeHist[0] {
 		t.Errorf("EmptyCycles %d below all-stalled cycles %d", res.EmptyCycles, res.MergeHist[0])
+	}
+}
+
+// TestStrayClusterCountRejected: a hand-built occupancy with a
+// slot-class count but Total 0 on a cluster the machine lacks is beyond
+// what the packed merge stage accepts, so Program.Validate must reject
+// it — and both loops, which share that check, refuse the run rather
+// than one of them failing later at packing.
+func TestStrayClusterCountRejected(t *testing.T) {
+	m := isa.Default()
+	good := diffTasks(t, m)[0]
+	prog := *good.Prog
+	prog.Blocks = append(prog.Blocks[:0:0], prog.Blocks...)
+	prog.Blocks[0].Instrs = append(prog.Blocks[0].Instrs[:0:0], prog.Blocks[0].Instrs...)
+	prog.Blocks[0].Instrs[0].Occ.Clusters[isa.MaxClusters-1].Mul = 64
+	verr := prog.Validate(&m)
+	if verr == nil {
+		t.Fatal("Program.Validate accepted a stray count on a missing cluster")
+	}
+	for _, scheme := range []string{"", "2SC3", "BMT"} {
+		contexts := 4
+		if scheme == "" {
+			contexts = 1
+		}
+		cfg := sim.DefaultConfig()
+		cfg.Contexts = contexts
+		cfg.Scheme = scheme
+		cfg.InstrLimit = 1000
+		tasks := []sim.Task{{Name: "stray", Prog: &prog}}
+		for len(tasks) < contexts {
+			tasks = append(tasks, good)
+		}
+		_, errFast := sim.Run(cfg, tasks)
+		_, errRef := refsim.Run(cfg, tasks)
+		if errFast == nil || errRef == nil ||
+			!strings.Contains(errFast.Error(), verr.Error()) || !strings.Contains(errRef.Error(), verr.Error()) {
+			t.Fatalf("%q: want both loops to fail Program.Validate (%v): sim %v, refsim %v", scheme, verr, errFast, errRef)
+		}
 	}
 }

@@ -176,7 +176,7 @@ func (cfg Config) Validate() error {
 
 // selector applies the Validate rules and returns the merge selector
 // they resolved, so run set-up builds it once.
-func (cfg *Config) selector() (merge.Selector, error) {
+func (cfg *Config) selector() (*merge.Compiled, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
 	}
@@ -195,7 +195,7 @@ func (cfg *Config) selector() (merge.Selector, error) {
 		}
 	}
 	if cfg.Contexts == 1 {
-		return &merge.IMT{NumPorts: 1}, nil // trivial single-thread issue
+		return merge.NewSelector("IMT", 1) // trivial single-thread issue
 	}
 	sch := cfg.Merge
 	if sch.IsZero() {
@@ -216,7 +216,7 @@ func (cfg *Config) selector() (merge.Selector, error) {
 
 // setupRun validates one lane's config against the tasks, applies the
 // config defaults and builds the lane's selector and caches.
-func setupRun(cfg Config, tasks []Task) (Config, merge.Selector, *cache.Cache, *cache.Cache, error) {
+func setupRun(cfg Config, tasks []Task) (Config, *merge.Compiled, *cache.Cache, *cache.Cache, error) {
 	sel, err := cfg.selector()
 	if err != nil {
 		return cfg, nil, nil, nil, err

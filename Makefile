@@ -7,7 +7,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkStoreColdSweep$$|BenchmarkBatchedSweep$$|BenchmarkStoreWarmSweep$$|BenchmarkFabricSweep$$|BenchmarkGeneratedSweepCold$$|BenchmarkGeneratedSweepWarm$$
+SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkStoreColdSweep$$|BenchmarkBatchedSweep$$|BenchmarkStoreWarmSweep$$|BenchmarkStoreHotSweep$$|BenchmarkFabricSweep$$|BenchmarkGeneratedSweepCold$$|BenchmarkGeneratedSweepWarm$$
 
 .PHONY: test lint check-allocs golden golden-check bench-simcore bench-simcore-ci
 

@@ -279,6 +279,38 @@ func BenchmarkStoreWarmSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreHotSweep is BenchmarkStoreWarmSweep on one reused
+// Runner, as a long-lived server sweeps on one store handle: the first
+// pass decodes every entry off disk, and later passes are served from
+// the handle's decoded copies after a stat of each entry file. The
+// ratio to BenchmarkStoreWarmSweep is what skipping the read and
+// decode saves per hit.
+func BenchmarkStoreHotSweep(b *testing.B) {
+	grid := storeBenchGrid()
+	dir := b.TempDir()
+	warm := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	if _, err := warm.Sweep(context.Background(), grid); err != nil {
+		b.Fatal(err)
+	}
+	r := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	jobs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := r.Sweep(context.Background(), grid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs += len(results)
+	}
+	b.StopTimer()
+	if st := r.Store().Stats(); st.Misses != 0 {
+		b.Fatalf("hot sweep missed the store: %+v", st)
+	}
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(jobs)/sec, "jobs/s")
+	}
+}
+
 // generatedBenchGrid is storeBenchGrid over synthetic workloads: two
 // generated mixes named canonically, so every iteration regenerates
 // the kernels from their names before compiling — the full

@@ -175,9 +175,17 @@ func (c *Client) abandon(id string, cause error) ([]SweepResult, error) {
 // without one (from a server that predates the field) costs one status
 // request instead. The stream is read by a single json.Decoder, so no
 // line-length cap applies: a terminal event carries every result of
-// the sweep and grows with it.
+// the sweep and grows with it. Without a progress callback the stream
+// is requested with ?results=false: the per-job events then carry no
+// results, which the terminal status delivers anyway. A server that
+// predates the parameter ignores it; the per-job results it then sends
+// are decoded and dropped.
 func (c *Client) follow(ctx context.Context, id string, progress func(done, total int, r SweepResult)) (api.SweepStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/sweeps/"+id+"/events", nil)
+	url := c.baseURL + "/v1/sweeps/" + id + "/events"
+	if progress == nil {
+		url += "?results=false"
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return api.SweepStatus{}, err
 	}

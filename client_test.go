@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"vliwmt/internal/api"
 	"vliwmt/internal/fabric"
 	"vliwmt/internal/server"
+	"vliwmt/internal/sweep"
 )
 
 // cutter is a ResponseWriter that aborts the connection after limit
@@ -448,5 +450,163 @@ func TestClientFollowsOversizedTerminalEvent(t *testing.T) {
 		if r.Index != i || r.Res == nil || r.Res.Cycles != int64(i+1) {
 			t.Fatalf("result %d out of order or incomplete: %+v", i, r)
 		}
+	}
+}
+
+// streamTap records the events a server writes to its event streams
+// (one Write per event) and the query each stream was requested with.
+type streamTap struct {
+	mu      sync.Mutex
+	events  []api.Event
+	queries []string
+	// started is closed by the first event written. The handler writes
+	// only after subscribing to the run, so a sweep held open until
+	// then streams every per-job event.
+	started chan struct{}
+	once    sync.Once
+}
+
+type tapWriter struct {
+	http.ResponseWriter
+	tap *streamTap
+}
+
+func (w tapWriter) Write(b []byte) (int, error) {
+	var ev api.Event
+	if json.Unmarshal(b, &ev) == nil {
+		w.tap.mu.Lock()
+		w.tap.events = append(w.tap.events, ev)
+		w.tap.mu.Unlock()
+	}
+	w.tap.once.Do(func() { close(w.tap.started) })
+	return w.ResponseWriter.Write(b)
+}
+
+func (w tapWriter) Flush() {
+	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
+		fl.Flush()
+	}
+}
+
+// jobEvents counts the recorded non-terminal events and those of them
+// that carry a result.
+func (tap *streamTap) jobEvents() (n, withResult int) {
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	for _, ev := range tap.events {
+		if ev.Terminal() {
+			continue
+		}
+		n++
+		if ev.Result != nil {
+			withResult++
+		}
+	}
+	return n, withResult
+}
+
+// heldServer serves the sweep API with each sweep held open after its
+// last job until its event stream has started, and taps the streams.
+// With ignoreResultsParam it drops ?results from event-stream requests,
+// as a server that predates the parameter ignores it.
+func heldServer(t *testing.T, ignoreResultsParam bool) (*httptest.Server, *streamTap) {
+	t.Helper()
+	tap := &streamTap{started: make(chan struct{})}
+	exec := func(ctx context.Context, jobs []vliwmt.SweepJob, workers int, progress sweep.ProgressFunc) ([]vliwmt.SweepResult, error) {
+		res, err := vliwmt.NewRunner(vliwmt.WithWorkers(workers), vliwmt.WithProgress(progress)).SweepJobs(ctx, jobs)
+		select {
+		case <-tap.started:
+		case <-ctx.Done():
+		}
+		return res, err
+	}
+	srv := server.New(server.Options{Execute: exec})
+	inner := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			tap.mu.Lock()
+			tap.queries = append(tap.queries, r.URL.RawQuery)
+			tap.mu.Unlock()
+			if ignoreResultsParam {
+				r.URL.RawQuery = ""
+			}
+			w = tapWriter{w, tap}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return ts, tap
+}
+
+// TestClientWithoutProgressSkipsEventResults: a client without a
+// progress callback asks for ?results=false and is sent no per-job
+// results, only the terminal status; with a callback the per-job
+// events still carry them. Results are identical either way.
+func TestClientWithoutProgressSkipsEventResults(t *testing.T) {
+	jobs, err := runnerTestGrid().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := vliwmt.SweepJobs(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withProgress := range []bool{false, true} {
+		ts, tap := heldServer(t, false)
+		var opts *vliwmt.SweepOptions
+		calls := 0
+		if withProgress {
+			opts = &vliwmt.SweepOptions{Progress: func(done, total int, r vliwmt.SweepResult) { calls++ }}
+		}
+		remote, err := vliwmt.NewClient(ts.URL).SweepJobs(context.Background(), jobs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(withoutElapsed(remote), withoutElapsed(local)) {
+			t.Errorf("progress=%v: remote results differ from in-process", withProgress)
+		}
+		n, withResult := tap.jobEvents()
+		wantQuery, wantResults := "results=false", 0
+		if withProgress {
+			wantQuery, wantResults = "", len(jobs)
+		}
+		if n != len(jobs) || withResult != wantResults {
+			t.Errorf("progress=%v: %d job events, %d with a result; want %d, %d",
+				withProgress, n, withResult, len(jobs), wantResults)
+		}
+		if !reflect.DeepEqual(tap.queries, []string{wantQuery}) {
+			t.Errorf("progress=%v: event streams requested with %q, want [%q]", withProgress, tap.queries, wantQuery)
+		}
+		if withProgress && calls != len(jobs) {
+			t.Errorf("progress called %d times for %d jobs", calls, len(jobs))
+		}
+	}
+}
+
+// TestClientOlderServerIgnoresResultsParam: against a server that
+// ignores ?results=false and streams every per-job result, a client
+// without a callback still returns identical results.
+func TestClientOlderServerIgnoresResultsParam(t *testing.T) {
+	jobs, err := runnerTestGrid().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := vliwmt.SweepJobs(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, tap := heldServer(t, true)
+	remote, err := vliwmt.NewClient(ts.URL).SweepJobs(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, withResult := tap.jobEvents(); n != len(jobs) || withResult != len(jobs) {
+		t.Fatalf("stub streamed %d job events, %d with a result; want every result", n, withResult)
+	}
+	if !reflect.DeepEqual(withoutElapsed(remote), withoutElapsed(local)) {
+		t.Error("results from a server ignoring ?results differ from in-process")
 	}
 }

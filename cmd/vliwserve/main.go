@@ -17,6 +17,7 @@
 //	GET    /v1/sweeps/{id}         status + results once finished
 //	GET    /v1/sweeps/{id}/events  NDJSON progress stream; the terminal
 //	                               event carries the final status
+//	                               (?results=false: no per-job results)
 //	DELETE /v1/sweeps/{id}         cancel
 //	GET    /healthz               liveness probe
 //	GET    /metrics               Prometheus text format (disable with -debug=false)

@@ -140,7 +140,9 @@ type StoreStatus struct {
 
 // Event is one line of the NDJSON progress stream
 // (GET /v1/sweeps/{id}/events): a per-job completion event carries the
-// result; the final event carries the terminal State instead. Err
+// result (unless the stream was requested with ?results=false, which
+// leaves Result off and keeps Done, Total and Err); the final event
+// carries the terminal State instead. Err
 // surfaces a failed job's error string at the event's top level, so a
 // stream consumer spots failures without digging into the result
 // document (it duplicates Result.Err; additive within version 3).

@@ -12,7 +12,9 @@ import (
 // "whose handle is it".
 var (
 	metHits = telemetry.NewCounter("store_hits_total",
-		"Store probes served from disk.")
+		"Store probes served from the store, from disk or from memory.")
+	metMemoryHits = telemetry.NewCounter("store_memory_hits_total",
+		"Store hits served from a handle's decoded copy of an unchanged entry file (a subset of store_hits_total).")
 	metMisses = telemetry.NewCounter("store_misses_total",
 		"Store probes that fell through to simulation (including read failures).")
 	metReadFailures = telemetry.NewCounter("store_read_failures_total",
@@ -20,7 +22,7 @@ var (
 	metPuts = telemetry.NewCounter("store_puts_total",
 		"Entries written.")
 	metBytesRead = telemetry.NewCounter("store_bytes_read_total",
-		"Entry bytes read by probes (hits only; failed reads count what was read).")
+		"Entry bytes read by probes (disk hits; failed reads count what was read; memory hits read none).")
 	metBytesWritten = telemetry.NewCounter("store_bytes_written_total",
 		"Entry bytes written by puts.")
 	metProbeDuration = telemetry.NewHistogram("store_probe_duration_seconds",

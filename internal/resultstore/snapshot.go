@@ -46,7 +46,7 @@ func (s *Store) Snapshot() (Snapshot, error) {
 	err := s.walk(func(path string) error {
 		key := filepath.Base(path)
 		key = key[:len(key)-len(".json")]
-		e, _, _, ok := readEntry[entryFile](path, key)
+		e, _, _, _, ok := readEntry[entryFile](path, key)
 		if !ok {
 			return nil
 		}

@@ -2,12 +2,16 @@ package resultstore
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,12 +32,44 @@ import (
 // filename. The store can therefore only ever cost a re-simulation,
 // never return a wrong answer. A Store handle is safe for concurrent
 // use; the zero Store (empty Dir) stores nothing and never hits.
+//
+// A handle also keeps the entries its Gets have decoded, each with the
+// identity of the file it was decoded from. A later Get of the same
+// key stats the file and, while the identity still matches, serves
+// the decoded copy without reading the file again; any change to the
+// file sends the probe back to disk. See recall.
 type Store struct {
 	dir string
 
 	hits   atomic.Int64
 	misses atomic.Int64
 	puts   atomic.Int64
+
+	memMu sync.Mutex
+	mem   map[string]memEntry // by store key; nil until the first hit
+}
+
+// memCap bounds a handle's decoded entries (about 2 KB each, so at
+// most ~8 MB). A full map is reset rather than evicted from: the
+// entries are a shortcut past a decode, and the next Get of any of
+// them re-reads its file and adds it back.
+const memCap = 4096
+
+// memEntry is one decoded entry and the identity of the file it came
+// from: the fstat of the open file Get read, compared with a later
+// stat of the path by os.SameFile, size and modification time.
+type memEntry struct {
+	res     sim.Result
+	elapsed time.Duration
+	file    os.FileInfo
+}
+
+// current reports whether fi still describes the file the entry was
+// decoded from. Put replaces an entry by renaming a new file over it
+// and Clear unlinks it, so both change the file's identity; an
+// in-place rewrite changes its size or its modification time.
+func (m memEntry) current(fi os.FileInfo) bool {
+	return os.SameFile(m.file, fi) && fi.Size() == m.file.Size() && fi.ModTime().Equal(m.file.ModTime())
 }
 
 // Open returns a Store rooted at dir. The directory is created on
@@ -48,7 +84,8 @@ func (s *Store) Dir() string { return s.dir }
 // counters. Counters are per-handle, not per-directory: two handles on
 // one directory count their own traffic.
 type Stats struct {
-	// Hits counts Gets served from disk.
+	// Hits counts Gets served from the store, whether read from disk
+	// or from the handle's validated in-memory copy of the entry.
 	Hits int64 `json:"hits"`
 	// Misses counts Gets that fell through to simulation.
 	Misses int64 `json:"misses"`
@@ -105,31 +142,44 @@ func (s *Store) path(key string) string {
 
 // readEntry loads and validates one entry file into E — the full
 // entryFile, or the lean hitEntry of a store hit; any failure is
-// (zero, false). The returned size is the bytes read off disk (nonzero
-// even for entries that then fail validation) and the failed flag
-// distinguishes "file existed but was unusable" — torn, corrupt,
-// schema- or key-mismatched — from a plain absence.
-func readEntry[E interface{ valid(string) bool }](path, wantKey string) (e E, size int, failed, ok bool) {
+// (zero, false). The file is read through one open handle, and info is
+// that handle's fstat: the identity of exactly the bytes decoded. The
+// returned size is the bytes read off disk (nonzero even for entries
+// that then fail validation) and the failed flag distinguishes "file
+// existed but was unusable" — torn, corrupt, schema- or key-mismatched
+// — from a plain absence.
+func readEntry[E interface{ valid(string) bool }](path, wantKey string) (e E, info os.FileInfo, size int, failed, ok bool) {
 	var zero E
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return zero, 0, !os.IsNotExist(err), false
+		return zero, nil, 0, !os.IsNotExist(err), false
+	}
+	defer f.Close()
+	if info, err = f.Stat(); err != nil {
+		return zero, nil, 0, true, false
+	}
+	b := make([]byte, info.Size())
+	n, err := io.ReadFull(f, b)
+	if err != nil {
+		return zero, nil, n, true, false
 	}
 	if err := json.Unmarshal(b, &e); err != nil || !e.valid(wantKey) {
-		return zero, len(b), true, false
+		return zero, nil, n, true, false
 	}
-	return e, len(b), false, true
+	return e, info, n, false, true
 }
 
 // Get returns the stored result for the job, with the wall-clock time
 // the original simulation took (replayed so a warm sweep reports the
 // same elapsed column as the cold one). A hit decodes only the entry's
 // header, result and time: the stored job echo is skipped, not read
-// back (Snapshot and vliwdiff read the full entry). Any failure —
-// unkeyable job, missing, torn, corrupt or schema-mismatched entry —
-// is a miss; the unusable-entry cases additionally count as read
-// failures on the store_read_failures_total instrument, so a corrupted
-// store shows up on a scrape instead of masquerading as a cold one.
+// back (Snapshot and vliwdiff read the full entry). A repeat hit on
+// this handle whose file is unchanged is served from the decoded copy
+// (see recall). Any failure — unkeyable job, missing, torn, corrupt or
+// schema-mismatched entry — is a miss; the unusable-entry cases
+// additionally count as read failures on the store_read_failures_total
+// instrument, so a corrupted store shows up on a scrape instead of
+// masquerading as a cold one.
 //
 //vliw:hotpath
 func (s *Store) Get(j sweep.Job) (*sim.Result, time.Duration, bool) {
@@ -145,7 +195,14 @@ func (s *Store) Get(j sweep.Job) (*sim.Result, time.Duration, bool) {
 		metMisses.Inc()
 		return nil, 0, false
 	}
-	e, size, failed, ok := readEntry[hitEntry](s.path(key), key)
+	path := s.path(key)
+	if res, elapsed, ok := s.recall(key, path); ok {
+		s.hits.Add(1)
+		metHits.Inc()
+		metMemoryHits.Inc()
+		return res, elapsed, true
+	}
+	e, info, size, failed, ok := readEntry[hitEntry](path, key)
 	metBytesRead.Add(int64(size))
 	if !ok {
 		if failed {
@@ -156,9 +213,61 @@ func (s *Store) Get(j sweep.Job) (*sim.Result, time.Duration, bool) {
 		return nil, 0, false
 	}
 	res := e.Sim.Sim()
+	elapsed := time.Duration(e.ElapsedNS)
+	s.remember(key, res, elapsed, info)
 	s.hits.Add(1)
 	metHits.Inc()
-	return &res, time.Duration(e.ElapsedNS), true
+	return &res, elapsed, true
+}
+
+// recall serves key from the handle's decoded entries when the file
+// at path is still the one the entry was decoded from, as a copy the
+// caller may modify. A missing, replaced or rewritten file is no
+// recall: the stale entry is dropped and Get reads the file as if it
+// had never been decoded, so every disk-path contract (corruption is a
+// miss and counts as a read failure, a new entry is served as written)
+// holds unchanged.
+func (s *Store) recall(key, path string) (*sim.Result, time.Duration, bool) {
+	s.memMu.Lock()
+	m, ok := s.mem[key]
+	s.memMu.Unlock()
+	if !ok {
+		return nil, 0, false
+	}
+	if fi, err := os.Stat(path); err != nil || !m.current(fi) {
+		s.memMu.Lock()
+		delete(s.mem, key)
+		s.memMu.Unlock()
+		return nil, 0, false
+	}
+	res := cloneResult(m.res)
+	return &res, m.elapsed, true
+}
+
+// remember keeps a decoded entry for recall. Only Get calls it: an
+// entry joins the memory after its bytes have been read back and
+// validated, so a sweep that only writes grows no memory, and the
+// first hit of a fresh handle always checks the file on disk. The
+// entry keeps its own copy of res's slices.
+func (s *Store) remember(key string, res sim.Result, elapsed time.Duration, file os.FileInfo) {
+	m := memEntry{res: cloneResult(res), elapsed: elapsed, file: file}
+	s.memMu.Lock()
+	defer s.memMu.Unlock()
+	if _, ok := s.mem[key]; !ok && len(s.mem) >= memCap {
+		clear(s.mem)
+	}
+	if s.mem == nil {
+		s.mem = make(map[string]memEntry)
+	}
+	s.mem[key] = m
+}
+
+// cloneResult copies r with fresh slices, so the copy shares no
+// memory with r.
+func cloneResult(r sim.Result) sim.Result {
+	r.MergeHist = slices.Clone(r.MergeHist)
+	r.Threads = slices.Clone(r.Threads)
+	return r
 }
 
 // Put persists one completed job result. The write is atomic (temp
@@ -184,31 +293,48 @@ func (s *Store) Put(j sweep.Job, res *sim.Result, elapsed time.Duration) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: encode %s: %w", key, err)
 	}
+	b = append(b, '\n')
+	// A Clear racing this Put can move the shard directory away
+	// between its creation and the rename; the entry is then written
+	// once more into a fresh tree.
 	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
+	err = writeEntry(path, key, b)
+	if errors.Is(err, fs.ErrNotExist) {
+		err = writeEntry(path, key, b)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp")
 	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	s.puts.Add(1)
 	metPuts.Inc()
-	metBytesWritten.Add(int64(len(b) + 1))
-	metEntryBytes.Observe(float64(len(b) + 1))
+	metBytesWritten.Add(int64(len(b)))
+	metEntryBytes.Observe(float64(len(b)))
+	return nil
+}
+
+// writeEntry atomically places b at path: a temp file in the final
+// directory, then a rename over the old entry.
+func writeEntry(path, key string, b []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(b); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
 	return nil
 }
 
@@ -239,13 +365,31 @@ func (s *Store) Len() (int, error) {
 	return n, nil
 }
 
-// Clear removes every stored entry. The shard tree is deleted
-// wholesale; the root directory itself is kept so handles stay valid.
+// Clear removes every stored entry, and the handle's decoded copies
+// with them. The shard tree is first renamed to a unique hidden
+// sibling and then deleted there, so a Put racing the Clear never
+// creates files inside a tree being deleted: it writes into the old
+// tree before the rename or into a fresh one after it. The root
+// directory itself is kept so handles stay valid.
 func (s *Store) Clear() error {
 	if s == nil || s.dir == "" {
 		return nil
 	}
-	if err := os.RemoveAll(filepath.Join(s.dir, "jobs")); err != nil {
+	s.memMu.Lock()
+	s.mem = nil
+	s.memMu.Unlock()
+	trash, err := os.MkdirTemp(s.dir, ".cleared-")
+	if os.IsNotExist(err) {
+		return nil // nothing was ever stored
+	}
+	if err != nil {
+		return fmt.Errorf("resultstore: clear: %w", err)
+	}
+	if err := os.Rename(filepath.Join(s.dir, "jobs"), filepath.Join(trash, "jobs")); err != nil && !os.IsNotExist(err) {
+		os.Remove(trash)
+		return fmt.Errorf("resultstore: clear: %w", err)
+	}
+	if err := os.RemoveAll(trash); err != nil {
 		return fmt.Errorf("resultstore: clear: %w", err)
 	}
 	return nil

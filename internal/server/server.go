@@ -5,7 +5,9 @@
 //	GET    /v1/sweeps            list sweeps
 //	GET    /v1/sweeps/{id}        status, plus ordered results once terminal
 //	GET    /v1/sweeps/{id}/events NDJSON progress stream (replay + live); the
-//	                             terminal event carries the final status
+//	                             terminal event carries the final status;
+//	                             ?results=false leaves per-job results off
+//	                             the progress events
 //	DELETE /v1/sweeps/{id}        cancel a running sweep
 //	GET    /v1/store             result-store stats (entries, hits, misses)
 //	DELETE /v1/store             clear the result store
@@ -465,15 +467,16 @@ func (s *Server) handleStoreClear(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.StoreStatus{Version: api.Version})
 }
 
-// parseWait interprets the wait query parameter: absent means async,
-// and explicit false values ("0", "false") stay async too.
-func parseWait(v string) (bool, error) {
+// queryBool interprets a boolean query parameter: absent means def,
+// anything else must parse as a boolean ("1", "true", "0", "false",
+// ...).
+func queryBool(name, v string, def bool) (bool, error) {
 	if v == "" {
-		return false, nil
+		return def, nil
 	}
 	b, err := strconv.ParseBool(v)
 	if err != nil {
-		return false, fmt.Errorf("invalid wait=%q (want a boolean)", v)
+		return false, fmt.Errorf("invalid %s=%q (want a boolean)", name, v)
 	}
 	return b, nil
 }
@@ -533,7 +536,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		workers = s.opts.Workers
 	}
 
-	wait, err := parseWait(r.URL.Query().Get("wait"))
+	// Absent or an explicit false value ("0", "false") stays async.
+	wait, err := queryBool("wait", r.URL.Query().Get("wait"), false)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -606,13 +610,21 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // sweep has finished), then live events until the terminal event or
 // the client disconnects. The terminal event is written with the run's
 // final status attached — built here, at emit time, rather than kept
-// in the replay log, so a retained run holds its results once.
+// in the replay log, so a retained run holds its results once. With
+// ?results=false the per-job events keep their done/total counts and
+// error but leave out the result: a client that takes every result
+// from the terminal status need not receive (and decode) each twice.
 // Disconnecting from the event stream does not cancel the sweep (use
 // DELETE, or submit with ?wait=1, for that).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ru := s.get(r.PathValue("id"))
 	if ru == nil {
 		httpError(w, http.StatusNotFound, "no such sweep %q", r.PathValue("id"))
+		return
+	}
+	withResults, err := queryBool("results", r.URL.Query().Get("results"), true)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	replay, ch := ru.subscribe()
@@ -627,6 +639,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if terminal {
 			st := ru.status(true)
 			ev.Status = &st
+		} else if !withResults {
+			ev.Result = nil
 		}
 		if err := enc.Encode(ev); err != nil {
 			return false

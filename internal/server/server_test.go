@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"vliwmt"
 	"vliwmt/internal/api"
 	"vliwmt/internal/sweep"
 )
@@ -216,6 +217,67 @@ func TestEventsStream(t *testing.T) {
 	}
 	if last.State != api.StateDone {
 		t.Errorf("terminal event state %q", last.State)
+	}
+}
+
+// TestEventsWithoutResults: with ?results=false the per-job events keep
+// their counts but carry no result, and the terminal event still
+// carries the full status; an unparsable value is a 400. The executor
+// holds the sweep open after its last job, so every per-job event is
+// in the stream before the terminal one.
+func TestEventsWithoutResults(t *testing.T) {
+	release := make(chan struct{})
+	exec := func(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error) {
+		res, err := vliwmt.NewRunner(vliwmt.WithWorkers(1), vliwmt.WithProgress(progress)).SweepJobs(ctx, jobs)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return res, err
+	}
+	_, ts := newTestServer(t, Options{Execute: exec})
+	g := testGrid()
+	st := submit(t, ts, api.SweepRequest{Grid: &g}, "")
+
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/events?results=bogus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("results=bogus: %s, want 400", resp.Status)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/events?results=false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	for done := 1; done <= st.Total; done++ {
+		var ev api.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Terminal() || ev.Done != done || ev.Total != st.Total {
+			t.Fatalf("event %+v, want job event %d/%d", ev, done, st.Total)
+		}
+		if ev.Result != nil {
+			t.Errorf("job event %d carries a result", done)
+		}
+	}
+	close(release)
+	var last api.Event
+	if err := dec.Decode(&last); err != nil {
+		t.Fatal(err)
+	}
+	if !last.Terminal() || last.Status == nil || len(last.Status.Results) != st.Total {
+		t.Fatalf("terminal event lacks the full status: %+v", last)
+	}
+	for _, r := range last.Status.Results {
+		if r.Sim == nil {
+			t.Errorf("terminal status result %d has no simulation result", r.Index)
+		}
 	}
 }
 
@@ -514,16 +576,23 @@ func TestRunRetentionBounded(t *testing.T) {
 	}
 }
 
-// TestWaitParam checks explicit false values stay asynchronous.
+// TestWaitParam checks explicit false values stay asynchronous, and
+// that the same parser defaults an absent ?results to true.
 func TestWaitParam(t *testing.T) {
 	for v, want := range map[string]bool{"": false, "0": false, "false": false, "1": true, "true": true} {
-		got, err := parseWait(v)
+		got, err := queryBool("wait", v, false)
 		if err != nil || got != want {
-			t.Errorf("parseWait(%q) = %v, %v; want %v", v, got, err, want)
+			t.Errorf("queryBool(wait=%q) = %v, %v; want %v", v, got, err, want)
 		}
 	}
-	if _, err := parseWait("yes-please"); err == nil {
+	if _, err := queryBool("wait", "yes-please", false); err == nil {
 		t.Error("garbage wait value accepted")
+	}
+	for v, want := range map[string]bool{"": true, "0": false, "false": false, "1": true} {
+		got, err := queryBool("results", v, true)
+		if err != nil || got != want {
+			t.Errorf("queryBool(results=%q) = %v, %v; want %v", v, got, err, want)
+		}
 	}
 }
 

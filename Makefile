@@ -7,7 +7,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkStoreColdSweep$$|BenchmarkBatchedSweep$$|BenchmarkStoreWarmSweep$$|BenchmarkStoreHotSweep$$|BenchmarkFabricSweep$$|BenchmarkGeneratedSweepCold$$|BenchmarkGeneratedSweepWarm$$
+SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkCacheAccess$$|BenchmarkStoreColdSweep$$|BenchmarkBatchedSweep$$|BenchmarkStoreWarmSweep$$|BenchmarkStoreHotSweep$$|BenchmarkFabricSweep$$|BenchmarkGeneratedSweepCold$$|BenchmarkGeneratedSweepWarm$$
 
 .PHONY: test lint check-allocs golden golden-check bench-simcore bench-simcore-ci
 
@@ -61,11 +61,13 @@ golden-check:
 
 # bench-simcore runs the simulator-core benchmarks at measurement
 # quality and rewrites BENCH_simcore.json, the committed machine-readable
-# perf record (ns/op, allocs/op, cycles/s; see DESIGN.md). Run it on a
+# perf record (ns/op, allocs/op, cycles/s; see DESIGN.md). Each benchmark
+# runs five times and benchjson records the median with the min/max
+# spread, so a recorded number is never a single sample. Run it on a
 # quiet machine when a PR touches the hot path, and commit the result so
 # the perf trajectory stays diffable.
 bench-simcore: check-allocs
-	go test -run '^$$' -bench '$(SIMCORE_BENCHES)' -benchmem -benchtime 2s -count 1 . \
+	go test -run '^$$' -bench '$(SIMCORE_BENCHES)' -benchmem -benchtime 2s -count 5 . \
 		| tee /dev/stderr | go run ./cmd/benchjson > BENCH_simcore.json
 
 # bench-simcore-ci is the cheap CI variant: one iteration per benchmark,

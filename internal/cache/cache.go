@@ -2,6 +2,15 @@
 // the simulated processor. The paper's configuration is 64KB, 4-way
 // set-associative with a flat 20-cycle miss penalty (400MHz core, 50ns
 // worst-case DRAM critical-word latency); hits never stall.
+//
+// MRU rule: a Cache remembers the line and way of its previous access. A
+// repeat access to that line is a hit that only counts the access (and
+// marks the line dirty on a write); it skips the LRU clock tick and the
+// stamp update. This is exact. The previous line always holds the newest
+// stamp in its set, LRU only compares stamps within one set, and skipping
+// a tick keeps every stamp in the same order, so every later victim
+// choice is the one a ticking cache would make. Flush forgets the
+// remembered line.
 package cache
 
 import "fmt"
@@ -58,22 +67,27 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	used  uint64 // LRU timestamp
-	valid bool
-	dirty bool
-}
-
 // Cache is a single write-back, write-allocate, LRU set-associative cache.
 // It is a timing model only: no data is stored.
+//
+// The tag store is flat: way w of set s is entry s*Ways+w of tags (the
+// line address plus one, so zero marks an invalid way), used (the LRU
+// stamp) and dirty. Line address 2^64-1, which only 1-byte lines at the
+// very top of the address space can produce, has no encoding.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	tags      []uint64
+	used      []uint64
+	dirty     []bool
+	ways      int
 	setMask   uint64
 	lineShift uint
 	clock     uint64
-	Stats     Stats
+	// mruTag is the encoded tag of the previous access (0: none) and
+	// mruWay its flat way index: the package doc's MRU rule.
+	mruTag uint64
+	mruWay int
+	Stats  Stats
 }
 
 // New builds a cache from cfg.
@@ -82,16 +96,20 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Size / (cfg.LineSize * cfg.Ways)
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
-	}
+	n := nsets * cfg.Ways
 	shift := uint(0)
 	for 1<<shift != cfg.LineSize {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), lineShift: shift}, nil
+	return &Cache{
+		cfg:       cfg,
+		tags:      make([]uint64, n),
+		used:      make([]uint64, n),
+		dirty:     make([]bool, n),
+		ways:      cfg.Ways,
+		setMask:   uint64(nsets - 1),
+		lineShift: shift,
+	}, nil
 }
 
 // Config returns the cache configuration.
@@ -101,48 +119,58 @@ func (c *Cache) Config() Config { return c.cfg }
 // whether it hit. Misses allocate the line, evicting the LRU way; evicting
 // a dirty line counts a writeback.
 func (c *Cache) Access(addr uint64, write bool) bool {
-	c.clock++
 	c.Stats.Accesses++
-	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].used = c.clock
+	tag := addr>>c.lineShift + 1
+	if tag == c.mruTag {
+		if write {
+			c.dirty[c.mruWay] = true
+		}
+		return true
+	}
+	c.clock++
+	base := int((tag-1)&c.setMask) * c.ways
+	set := c.tags[base : base+c.ways]
+	for i, t := range set {
+		if t == tag {
+			w := base + i
+			c.used[w] = c.clock
 			if write {
-				set[i].dirty = true
+				c.dirty[w] = true
 			}
+			c.mruTag, c.mruWay = tag, w
 			return true
 		}
 	}
 	c.Stats.Misses++
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			victim = i
+	w := -1
+	for i, t := range set {
+		if t == 0 {
+			w = base + i
 			break
 		}
 	}
-	if victim < 0 {
-		victim = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].used < set[victim].used {
-				victim = i
+	if w < 0 {
+		w = base
+		for i := base + 1; i < base+c.ways; i++ {
+			if c.used[i] < c.used[w] {
+				w = i
 			}
 		}
+		if c.dirty[w] {
+			c.Stats.Writebacks++
+		}
 	}
-	if set[victim].valid && set[victim].dirty {
-		c.Stats.Writebacks++
-	}
-	set[victim] = line{tag: lineAddr, used: c.clock, valid: true, dirty: write}
+	c.tags[w], c.used[w], c.dirty[w] = tag, c.clock, write
+	c.mruTag, c.mruWay = tag, w
 	return false
 }
 
 // Contains reports whether addr's line is resident (no state change).
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+	tag := addr>>c.lineShift + 1
+	base := int((tag-1)&c.setMask) * c.ways
+	for _, t := range c.tags[base : base+c.ways] {
+		if t == tag {
 			return true
 		}
 	}
@@ -155,12 +183,13 @@ func (c *Cache) MissPenalty() int { return c.cfg.MissPenalty }
 // Flush invalidates all lines (keeping statistics), counting writebacks
 // for dirty lines.
 func (c *Cache) Flush() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid && c.sets[si][wi].dirty {
-				c.Stats.Writebacks++
-			}
-			c.sets[si][wi] = line{}
+	for w, t := range c.tags {
+		if t != 0 && c.dirty[w] {
+			c.Stats.Writebacks++
 		}
 	}
+	clear(c.tags)
+	clear(c.used)
+	clear(c.dirty)
+	c.mruTag = 0
 }

@@ -201,3 +201,153 @@ func TestMissPenaltyAccessor(t *testing.T) {
 		t.Errorf("Config().Size = %d", c.Config().Size)
 	}
 }
+
+// refCache is the cache model as it stood before the tag store went
+// flat and gained the MRU rule: per-set slices of line records and a
+// clock that ticks on every access. It is the oracle for
+// TestCacheMatchesReference, because every simulator loop, refsim
+// included, shares Cache and so cannot catch a bug in it.
+type refCache struct {
+	sets      [][]refLine
+	setMask   uint64
+	lineShift uint
+	clock     uint64
+	Stats     Stats
+}
+
+type refLine struct {
+	tag   uint64
+	used  uint64 // LRU timestamp
+	valid bool
+	dirty bool
+}
+
+func newRefCache(cfg Config) *refCache {
+	nsets := cfg.Size / (cfg.LineSize * cfg.Ways)
+	sets := make([][]refLine, nsets)
+	for i := range sets {
+		sets[i] = make([]refLine, cfg.Ways)
+	}
+	shift := uint(0)
+	for 1<<shift != cfg.LineSize {
+		shift++
+	}
+	return &refCache{sets: sets, setMask: uint64(nsets - 1), lineShift: shift}
+}
+
+func (c *refCache) Access(addr uint64, write bool) bool {
+	c.clock++
+	c.Stats.Accesses++
+	lineAddr := addr >> c.lineShift
+	set := c.sets[lineAddr&c.setMask]
+	for i := range set {
+		if set[i].valid && set[i].tag == lineAddr {
+			set[i].used = c.clock
+			if write {
+				set[i].dirty = true
+			}
+			return true
+		}
+	}
+	c.Stats.Misses++
+	victim := -1
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		victim = 0
+		for i := 1; i < len(set); i++ {
+			if set[i].used < set[victim].used {
+				victim = i
+			}
+		}
+	}
+	if set[victim].valid && set[victim].dirty {
+		c.Stats.Writebacks++
+	}
+	set[victim] = refLine{tag: lineAddr, used: c.clock, valid: true, dirty: write}
+	return false
+}
+
+func (c *refCache) Flush() {
+	for si := range c.sets {
+		for wi := range c.sets[si] {
+			if c.sets[si][wi].valid && c.sets[si][wi].dirty {
+				c.Stats.Writebacks++
+			}
+			c.sets[si][wi] = refLine{}
+		}
+	}
+}
+
+// TestCacheMatchesReference drives the flat MRU cache and refCache with
+// the same seeded read/write streams and requires the same answer on
+// every access and the same final Stats. The streams mix uniform
+// addresses with runs on one line (the MRU short-circuit), ping-pong
+// between lines of one set (LRU order under skipped ticks) and a Flush
+// partway through (the remembered line must be forgotten).
+func TestCacheMatchesReference(t *testing.T) {
+	geoms := []Config{
+		{Size: 1 << 10, LineSize: 64, Ways: 1, MissPenalty: 20},
+		{Size: 2 << 10, LineSize: 64, Ways: 2, MissPenalty: 200},
+		DefaultConfig(),
+	}
+	for _, cfg := range geoms {
+		for seed := int64(1); seed <= 4; seed++ {
+			c := mustNew(t, cfg)
+			ref := newRefCache(cfg)
+			r := rand.New(rand.NewSource(seed))
+			nsets := uint64(cfg.Size / (cfg.LineSize * cfg.Ways))
+			line := uint64(cfg.LineSize)
+			// A footprint of a few cache sizes keeps both hits and
+			// evictions common.
+			span := uint64(4 * cfg.Size)
+			const n = 20_000
+			for i := 0; i < n; i++ {
+				if i == n/2 {
+					c.Flush()
+					ref.Flush()
+				}
+				addr := uint64(r.Int63n(int64(span)))
+				var burst int
+				switch r.Intn(4) {
+				case 0: // a run on one line, varying the word
+					burst = 1 + r.Intn(6)
+				case 1: // alternate between two lines of one set
+					other := addr + nsets*line*uint64(1+r.Intn(cfg.Ways+1))
+					for k := 0; k < 2+r.Intn(6); k++ {
+						a := addr
+						if k%2 == 1 {
+							a = other
+						}
+						w := r.Intn(3) == 0
+						if got, want := c.Access(a, w), ref.Access(a, w); got != want {
+							t.Fatalf("%+v seed %d access %d (%#x, write=%v): hit=%v, reference %v", cfg, seed, i, a, w, got, want)
+						}
+					}
+					continue
+				default:
+					burst = 1
+				}
+				for k := 0; k < burst; k++ {
+					a := addr&^(line-1) + uint64(r.Intn(cfg.LineSize))
+					w := r.Intn(3) == 0
+					if got, want := c.Access(a, w), ref.Access(a, w); got != want {
+						t.Fatalf("%+v seed %d access %d (%#x, write=%v): hit=%v, reference %v", cfg, seed, i, a, w, got, want)
+					}
+				}
+			}
+			c.Flush()
+			ref.Flush()
+			if c.Stats != ref.Stats {
+				t.Errorf("%+v seed %d: stats %+v, reference %+v", cfg, seed, c.Stats, ref.Stats)
+			}
+			if c.Stats.Writebacks == 0 || c.Stats.Misses == 0 || c.Stats.Misses == c.Stats.Accesses {
+				t.Errorf("%+v seed %d: stream exercised too little: %+v", cfg, seed, c.Stats)
+			}
+		}
+	}
+}

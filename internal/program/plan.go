@@ -19,8 +19,8 @@ type PlannedInstr struct {
 	// gathering never touches the Instruction.
 	Occ isa.Occupancy
 	// OccID is the dense index of Occ in the plan's occupancy
-	// dictionary: equal IDs imply equal occupancy values, which lets a
-	// selection memo key on small integers instead of 33-byte structs.
+	// dictionary: equal IDs imply equal occupancy values, which lets the
+	// merge stage's packed dictionary stand in for 33-byte structs.
 	OccID int32
 	// Addr is the unrelocated fetch address; add Walker.CodeOffset.
 	Addr uint64

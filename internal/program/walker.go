@@ -82,7 +82,19 @@ func (w *Walker) streamAddr(si int) uint64 {
 	switch s.Kind {
 	case ir.StreamStride:
 		pos := w.streamPos[si]
-		w.streamPos[si] = (pos + uint64(s.Stride)) % s.Footprint
+		if st := uint64(s.Stride); s.Stride >= 0 && st < s.Footprint {
+			// pos < Footprint holds (it starts at 0 and every step keeps
+			// it there), so the wrap is one conditional subtract; the
+			// compare against Footprint-st cannot overflow.
+			if pos >= s.Footprint-st {
+				w.streamPos[si] = pos - (s.Footprint - st)
+			} else {
+				w.streamPos[si] = pos + st
+			}
+		} else {
+			// ir.Validate does not bound strides: keep the general form.
+			w.streamPos[si] = (pos + st) % s.Footprint
+		}
 		return s.Base + pos + w.DataOffset
 	case ir.StreamRandom:
 		off := (w.next() % (s.Footprint / 4)) * 4

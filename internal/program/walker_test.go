@@ -86,6 +86,39 @@ func TestWalkerStrideAddresses(t *testing.T) {
 	}
 }
 
+// TestWalkerStrideWrapMatchesModulo pins the stride stream's wrap to
+// the modulo formula pos' = (pos + uint64(Stride)) % Footprint across
+// several wraps, for strides on both sides of the conditional-subtract
+// fast path (0 <= Stride < Footprint) and for the strides that keep the
+// general form (Stride >= Footprint, negative).
+func TestWalkerStrideWrapMatchesModulo(t *testing.T) {
+	const fp = 320 // not a power of two, so no mask could stand in
+	for _, stride := range []int64{0, 2, fp - 1, fp, fp + 3, -24} {
+		b := ir.NewBuilder("stride")
+		s := b.Stream(ir.MemStream{Kind: ir.StreamStride, Base: 0x40, Stride: stride, Footprint: fp})
+		b.Block("body")
+		b.Load(s)
+		b.Branch("body", ir.Always())
+		p, err := compiler.Compile(b.MustFinish(), compiler.Options{Machine: isa.Default()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := program.NewWalker(p, 1, 0, 0x1000)
+		const loads = 2000 // stride 2 wraps 12 times
+		_, mem := runRetires(w, loads*len(p.Blocks[0].Instrs))
+		if len(mem) != loads {
+			t.Fatalf("stride %d: got %d accesses, want %d", stride, len(mem), loads)
+		}
+		var pos uint64
+		for i, a := range mem {
+			if want := 0x40 + pos + 0x1000; a.Addr != want {
+				t.Fatalf("stride %d: access %d addr = %#x, want %#x", stride, i, a.Addr, want)
+			}
+			pos = (pos + uint64(stride)) % fp
+		}
+	}
+}
+
 func TestWalkerOffsets(t *testing.T) {
 	p := loopKernel(t, 100)
 	w := program.NewWalker(p, 1, 0x1000, 0x2000)

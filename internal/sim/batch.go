@@ -16,7 +16,8 @@
 // Scheduling: the driver is epoch-major (see batchEpoch) — each live
 // lane executes its own consecutive cycles until it sleeps past the
 // epoch boundary, finishes or times out, then the next lane runs its
-// epoch. Lanes carry a wake cycle: an active lane wakes at cycle+1,
+// epoch. Lanes carry a wake cycle: an active lane wakes at cycle+1 (or,
+// after a lone-candidate burst, at the cycle after the burst's last),
 // an all-stalled lane bulk-accounts its stall span (the stall
 // fast-forward) and sleeps until its next event. When every
 // surviving lane sleeps past the boundary, the clock jumps straight to
@@ -41,11 +42,6 @@ import (
 	"vliwmt/internal/program"
 )
 
-// selEmptyOps flags a packed selection whose merged word retires zero
-// operations; the low bits are the selected-port mask (selector widths
-// are far below 31 ports, so the flag bit can never collide).
-const selEmptyOps = uint32(1) << 31
-
 // lane is one job of a batch: the full per-job state (selector,
 // caches, walkers, OS scheduler, result accumulators) plus the wake
 // cycle the driver schedules it by. The context-state slices alias the
@@ -55,8 +51,8 @@ type lane struct {
 	m   isa.Machine
 	sel *merge.Compiled
 	// lone is set when sel is stateless, so a cycle with one candidate
-	// may skip it (every stateless kind selects a lone candidate whole);
-	// BMT must see every non-empty call.
+	// opens a burst without calling it (every stateless kind selects a
+	// lone candidate whole); BMT must see every non-empty call.
 	lone   bool
 	ic, dc *cache.Cache
 
@@ -101,8 +97,9 @@ type lane struct {
 
 	res *Result
 	// ffSpans/ffCycles count stall fast-forward jumps and the cycles
-	// they skipped, flushed to the telemetry counters once, in finalize.
-	ffSpans, ffCycles int64
+	// they skipped, and burstCycles the cycles issued by bursts; all
+	// three are flushed to the telemetry counters once, in finalize.
+	ffSpans, ffCycles, burstCycles int64
 
 	// wakeAt is the next global cycle at which this lane must step.
 	wakeAt   int64
@@ -336,14 +333,11 @@ func (b *batchCore) runLoop() {
 				if c >= end {
 					break
 				}
-				if l.nCtx == 1 {
-					l.stepSingle(b, c)
-				} else {
-					l.step(b, c)
-				}
+				l.step(b, c)
 				if l.finished {
-					// The finishing cycle counts: Cycles = cycle+1.
-					l.endCycle = c + 1
+					// The finishing cycle counts: the lane's wake cycle
+					// is one past it (a burst may finish after c).
+					l.endCycle = l.wakeAt
 					removed = true
 					break
 				}
@@ -432,14 +426,16 @@ func (l *lane) schedule() {
 }
 
 // nextEvent returns the earliest cycle after now at which a candidate
-// can reappear: the soonest readyAt among running threads (a thread
-// whose stall already elapsed counts as now+1), the next timeslice
-// boundary when descheduled tasks exist, or MaxCycles. Between now and
-// that cycle every context stays candidate-free, so the lane's state
-// cannot change — the fast-forward invariant DESIGN.md spells out.
+// can reappear among the running threads other than task skip (-1
+// skips none): the soonest readyAt (a thread whose stall already
+// elapsed counts as now+1), the next timeslice boundary when
+// descheduled tasks exist, or MaxCycles. With skip = -1, every context
+// stays candidate-free between now and that cycle, so the lane's state
+// cannot change — the fast-forward invariant DESIGN.md spells out. With
+// skip = ti it is the horizon of ti's lone-candidate burst.
 //
 //vliw:hotpath
-func (l *lane) nextEvent(now int64) int64 {
+func (l *lane) nextEvent(now int64, skip int) int64 {
 	next := l.cfg.MaxCycles
 	if l.slicing && l.nextSlice < next {
 		// nextSlice is maintained by step: when this runs it is always
@@ -447,7 +443,7 @@ func (l *lane) nextEvent(now int64) int64 {
 		next = l.nextSlice
 	}
 	for _, ti := range l.running {
-		if ti < 0 || l.done[ti] {
+		if ti < 0 || ti == skip || l.done[ti] {
 			continue
 		}
 		e := l.readyAt[ti]
@@ -464,14 +460,28 @@ func (l *lane) nextEvent(now int64) int64 {
 	return next
 }
 
-// step advances a multi-context lane by one cycle at global cycle
-// `cycle`, one iteration of refsim's cycle loop: timeslice scheduling,
-// priority rotation, candidate gathering (plan-driven — the occupancy
-// and fetch address come from the flat PlannedInstr record), merge
-// selection, retirement. An all-stalled cycle bulk-accounts the stall
-// span up to the next event and sleeps the lane: the stall
+// idle bulk-accounts a candidate-free cycle and every cycle up to the
+// lane's next event, then sleeps the lane until it: the stall
 // fast-forward. Selectors are pure on empty input (Selector contract),
 // so skipping their SelectPacked calls cannot change later selections.
+//
+//vliw:hotpath
+func (l *lane) idle(cycle int64) {
+	next := l.nextEvent(cycle, -1)
+	span := next - cycle
+	l.res.MergeHist[0] += span
+	l.res.EmptyCycles += span
+	l.ffSpans++
+	l.ffCycles += span
+	l.wakeAt = next
+}
+
+// step advances the lane by one cycle at global cycle `cycle`, one
+// iteration of refsim's cycle loop: timeslice scheduling, priority
+// rotation, candidate gathering (plan-driven — the occupancy and fetch
+// address come from the flat PlannedInstr record), merge selection,
+// retirement. An all-stalled cycle opens a fast-forward span (idle); a
+// lone candidate under a stateless selector opens a burst.
 //
 //vliw:hotpath
 func (l *lane) step(b *batchCore, cycle int64) {
@@ -503,37 +513,30 @@ func (l *lane) step(b *batchCore, cycle int64) {
 			continue
 		}
 		pi := &b.plis[ti][l.cur[ti]]
-		if !l.fetched[ti] {
-			l.fetched[ti] = true // the line arrives during any stall
-			if l.ic != nil && !l.ic.Access(pi.Addr, false) {
-				pen := int64(l.ic.MissPenalty())
-				l.readyAt[ti] = cycle + pen
-				l.stats[ti].StallFetch += pen
-				continue
-			}
+		if !l.fetched[ti] && !l.fetch(pi.Addr, ti, cycle) {
+			continue
 		}
 		l.candID[p] = pi.OccID
 		valid |= 1 << uint(p)
 	}
 
 	if valid == 0 {
-		next := l.nextEvent(cycle)
-		span := next - cycle
-		l.res.MergeHist[0] += span
-		l.res.EmptyCycles += span
-		l.ffSpans++
-		l.ffCycles += span
-		l.wakeAt = next
+		l.idle(cycle)
+		return
+	}
+	if l.lone && valid&(valid-1) == 0 {
+		// Every stateless kind selects a lone candidate whole (a tree
+		// node passes a single non-empty input through unmerged, and
+		// IMT issues it), so no evaluator call is needed.
+		l.burst(b, l.running[l.ports[bits.TrailingZeros32(valid)]], cycle)
 		return
 	}
 
-	selv := l.selectCands(valid)
-	mask := selv &^ selEmptyOps
+	mask, ops := l.sel.SelectPacked(l.pd, &l.plim, l.candID, valid)
 	l.res.MergeHist[bits.OnesCount32(mask)]++
-	if selv&selEmptyOps != 0 {
+	if ops == 0 {
 		l.res.EmptyCycles++
 	}
-
 	for p := 0; p < nCtx; p++ {
 		if valid&(1<<uint(p)) == 0 {
 			continue
@@ -544,7 +547,9 @@ func (l *lane) step(b *batchCore, cycle int64) {
 			l.stats[ti].ConflictCycles++
 			continue
 		}
-		if l.retireOne(b, ti, cycle) {
+		n, done := l.retire(l.walkers[ti], b.plans[ti], ti, cycle)
+		l.issued(ti, 1, n)
+		if done {
 			l.done[ti] = true
 			l.finished = true
 		}
@@ -552,95 +557,85 @@ func (l *lane) step(b *batchCore, cycle int64) {
 	l.wakeAt = cycle + 1
 }
 
-// stepSingle advances a single-context lane by one cycle: with one
-// hardware context there is no merge stage (the selector is the
-// trivial one-port IMT, so a runnable thread always issues alone), and
-// the step reduces to fetch, retire and stall fast-forward.
+// burst issues task ti, the lone candidate of `cycle`, then keeps
+// issuing it alone for as long as it stays ready and its fetches hit,
+// up to the horizon h = nextEvent(cycle, ti). Before h no other thread
+// can become a candidate and no timeslice boundary falls, so each of
+// those cycles is again a lone-candidate cycle whose selection is ti
+// whole (DESIGN.md, "Lone-candidate bursts"). Each burst cycle
+// retires, performs its data accesses and updates ti's stall clock
+// exactly as step would; the per-cycle counters are added once per
+// burst. The burst ends when ti finishes or reaches h (the lane wakes
+// at the next cycle), or when, before h, ti stalls or its fetch misses
+// the I-cache: that cycle has no candidate, so the burst opens the
+// fast-forward span step would open.
 //
 //vliw:hotpath
-func (l *lane) stepSingle(b *batchCore, cycle int64) {
-	if l.slicing && cycle == l.nextSlice {
-		l.schedule()
-		l.nextSlice = cycle + l.cfg.TimesliceCycles
-	}
-	ti := l.running[0]
-	ready := ti >= 0 && !l.done[ti] && l.readyAt[ti] <= cycle
-	if ready && !l.fetched[ti] {
-		pi := &b.plis[ti][l.cur[ti]]
-		l.fetched[ti] = true // the line arrives during any stall
-		if l.ic != nil && !l.ic.Access(pi.Addr, false) {
-			pen := int64(l.ic.MissPenalty())
-			l.readyAt[ti] = cycle + pen
-			l.stats[ti].StallFetch += pen
-			ready = false
+func (l *lane) burst(b *batchCore, ti int, cycle int64) {
+	h := l.nextEvent(cycle, ti)
+	w, pl := l.walkers[ti], b.plans[ti]
+	start := cycle
+	var ops, empty int64
+	for {
+		if pl.Instrs[l.cur[ti]].Occ.Ops == 0 {
+			empty++
+		}
+		n, done := l.retire(w, pl, ti, cycle)
+		ops += n
+		cycle++
+		if done {
+			l.done[ti] = true
+			l.finished = true
+		}
+		if done || cycle >= h {
+			l.wakeAt = cycle
+			break
+		}
+		if l.readyAt[ti] > cycle || !l.fetch(pl.Instrs[l.cur[ti]].Addr, ti, cycle) {
+			l.idle(cycle)
+			break
 		}
 	}
-	if !ready {
-		next := l.nextEvent(cycle)
-		span := next - cycle
-		l.res.MergeHist[0] += span
-		l.res.EmptyCycles += span
-		l.ffSpans++
-		l.ffCycles += span
-		l.wakeAt = next
-		return
-	}
-	pi := &b.plis[ti][l.cur[ti]]
-	l.res.MergeHist[1]++
-	if pi.Occ.Ops == 0 {
-		l.res.EmptyCycles++
-	}
-	l.stats[ti].ScheduledCycles++
-	if l.retireOne(b, ti, cycle) {
-		l.done[ti] = true
-		l.finished = true
-	}
-	l.wakeAt = cycle + 1
+	n := cycle - start
+	l.res.MergeHist[1] += n
+	l.res.EmptyCycles += empty
+	l.stats[ti].ScheduledCycles += n
+	l.issued(ti, n, ops)
+	l.burstCycles += n
 }
 
-// selectCands runs the merge stage for the gathered candidates on the
-// packed dictionary. For a stateless evaluator a lone candidate is
-// always selected whole (every tree node passes a single non-empty
-// input through unmerged, and IMT issues it), so the evaluator call is
-// skipped; BMT sees every call.
-//
-// The return value is packed: the selected-port mask in the low bits
-// plus the selEmptyOps flag — the only two facts the cycle loop
-// consumes from a selection.
+// fetch marks task ti's current instruction fetched at cycle and looks
+// its line up in the I-cache, reporting whether the instruction can
+// issue this cycle. A miss stalls the thread for the miss penalty; the
+// line arrives during the stall, so the retry needs no second access.
 //
 //vliw:hotpath
-func (l *lane) selectCands(valid uint32) uint32 {
-	var mask uint32
-	var ops uint8
-	if l.lone && valid&(valid-1) == 0 {
-		mask, ops = valid, l.pd[l.candID[bits.TrailingZeros32(valid)]].Ops
-	} else {
-		mask, ops = l.sel.SelectPacked(l.pd, &l.plim, l.candID, valid)
+func (l *lane) fetch(addr uint64, ti int, cycle int64) bool {
+	l.fetched[ti] = true
+	if l.ic != nil && !l.ic.Access(addr, false) {
+		pen := int64(l.ic.MissPenalty())
+		l.readyAt[ti] = cycle + pen
+		l.stats[ti].StallFetch += pen
+		return false
 	}
-	if ops == 0 {
-		mask |= selEmptyOps
-	}
-	return mask
+	return true
 }
 
-// retireOne retires task ti's current instruction at cycle, updating
-// run totals and the thread's stall clock, and reports whether the
-// thread hit its instruction budget (ending the run). It is driven by
-// the task's plan: the memory-op recipe and operation count come
-// precomputed from the PlannedInstr, and the successor is a flat index
-// instead of walker block/idx bookkeeping.
+// retire retires task ti's current instruction at cycle: it advances
+// the walker w over plan pl, performs the instruction's data accesses
+// and sets the thread's stall clock. It returns the instruction's
+// operation count and whether the thread hit its instruction budget
+// (ending the run); the caller accounts the retire through issued. It
+// is driven by the task's plan: the memory-op recipe comes precomputed
+// from the PlannedInstr, and the successor is a flat index instead of
+// walker block/idx bookkeeping.
 //
 //vliw:hotpath
-func (l *lane) retireOne(b *batchCore, ti int, cycle int64) bool {
+func (l *lane) retire(w *program.Walker, pl *program.Plan, ti int, cycle int64) (ops int64, done bool) {
 	f := l.cur[ti]
-	next, mem, taken := l.walkers[ti].RetirePlan(b.plans[ti], f)
-	pi := &b.plans[ti].Instrs[f]
+	next, mem, taken := w.RetirePlan(pl, f)
 	l.cur[ti] = next
 	l.fetched[ti] = false
-	l.stats[ti].Instrs++
-	l.stats[ti].Ops += int64(pi.Ops)
-	l.res.Instrs++
-	l.res.Ops += int64(pi.Ops)
 
 	var memStall, brStall int64
 	for i := range mem {
@@ -662,7 +657,18 @@ func (l *lane) retireOne(b *batchCore, ti int, cycle int64) bool {
 		l.stats[ti].StallMem += memStall
 		l.stats[ti].StallBranch += brStall
 	}
-	return l.walkers[ti].Retired >= l.cfg.InstrLimit
+	return int64(pl.Instrs[f].Ops), w.Retired >= l.cfg.InstrLimit
+}
+
+// issued accounts n retired instructions carrying ops operations to
+// task ti and to the run.
+//
+//vliw:hotpath
+func (l *lane) issued(ti int, n, ops int64) {
+	l.stats[ti].Instrs += n
+	l.stats[ti].Ops += ops
+	l.res.Instrs += n
+	l.res.Ops += ops
 }
 
 // finalize closes the lane's run after the driver retired it.
@@ -682,6 +688,6 @@ func (l *lane) finalize() *Result {
 	if l.dc != nil {
 		res.DCache = l.dc.Stats
 	}
-	recordRunMetrics(res, l.ffSpans, l.ffCycles)
+	recordRunMetrics(res, l.ffSpans, l.ffCycles, l.burstCycles)
 	return res
 }

@@ -23,6 +23,8 @@ var (
 		"All-stalled spans the stall fast-forward jumped over.")
 	metFFCycles = telemetry.NewCounter("sim_fastforward_cycles_total",
 		"Cycles skipped (bulk-accounted) by the stall fast-forward.")
+	metBurstCycles = telemetry.NewCounter("sim_issue_burst_cycles_total",
+		"Lone-candidate cycles issued inside issue bursts, each burst's opening cycle included.")
 	metMerges = telemetry.NewCounter("sim_merges_total",
 		"Thread merges performed: sum over cycles of (threads issued together - 1).")
 
@@ -44,13 +46,14 @@ var (
 // recordRunMetrics flushes one finished run into the process-wide
 // instruments. merges is derived from the merge histogram: a cycle in
 // which k threads issued together performed k-1 merges.
-func recordRunMetrics(res *Result, ffSpans, ffCycles int64) {
+func recordRunMetrics(res *Result, ffSpans, ffCycles, burstCycles int64) {
 	metRuns.Inc()
 	metCycles.Add(res.Cycles)
 	metInstrs.Add(res.Instrs)
 	metOps.Add(res.Ops)
 	metFFSpans.Add(ffSpans)
 	metFFCycles.Add(ffCycles)
+	metBurstCycles.Add(burstCycles)
 	var merges int64
 	for k, n := range res.MergeHist {
 		if k >= 2 {

@@ -12,8 +12,8 @@ import (
 // TestRunTelemetry checks the per-run instrument flush: one
 // stall-heavy run must move the run/cycle/instr/op counters by
 // exactly the Result's totals, count itself as one one-lane batch,
-// record the fast-forwarded spans, and count merges consistently with
-// the merge histogram. The
+// record the fast-forwarded spans and the burst-issued cycles, and
+// count merges consistently with the merge histogram. The
 // zero-allocs/cycle guarantee of this same instrumented path is
 // enforced separately by TestSteadyStateZeroAllocs.
 func TestRunTelemetry(t *testing.T) {
@@ -53,6 +53,11 @@ func TestRunTelemetry(t *testing.T) {
 	}
 	if d := delta("sim_fastforward_cycles_total"); d <= 0 || d > res.Cycles {
 		t.Errorf("sim_fastforward_cycles_total moved by %d, want in (0, %d]", d, res.Cycles)
+	}
+	// The miss-heavy run leaves one thread ready on most issuing cycles,
+	// and every such cycle is issued by a lone-candidate burst.
+	if d := delta("sim_issue_burst_cycles_total"); d <= 0 || d > res.MergeHist[1] {
+		t.Errorf("sim_issue_burst_cycles_total moved by %d, want in (0, %d], the lone-issue cycles", d, res.MergeHist[1])
 	}
 	var merges int64
 	for k, n := range res.MergeHist {

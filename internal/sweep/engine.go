@@ -54,9 +54,10 @@ type Engine struct {
 }
 
 // autoBatchCap bounds auto-formed batch units. Beyond a few dozen
-// lanes the shared-plan and selection-memo wins are already amortised,
-// while bigger units coarsen cancellation and progress granularity and
-// grow the batch's working set past cache comfort.
+// lanes the set-up a batch shares — one plan per task and one packed
+// occupancy dictionary — is already amortised, while bigger units
+// coarsen cancellation and progress granularity and grow the batch's
+// working set past cache comfort.
 const autoBatchCap = 32
 
 // PoolSize resolves a requested worker count to the effective pool

@@ -198,37 +198,8 @@ func storeBenchGrid() vliwmt.Grid {
 // every job simulates and persists, so the delta against
 // BenchmarkSweepGrid is the store's write-path overhead. Each
 // iteration gets a fresh directory (a fresh Runner with an empty
-// compile cache, too, so cold means cold). Units are pinned to one
-// lane — every job is its own sim.RunBatch call — which is the
-// baseline BenchmarkBatchedSweep is measured against.
+// compile cache, too, so cold means cold).
 func BenchmarkStoreColdSweep(b *testing.B) {
-	grid := storeBenchGrid()
-	jobs := 0
-	for i := 0; i < b.N; i++ {
-		r := vliwmt.NewRunner(vliwmt.WithResultStore(b.TempDir()), vliwmt.WithBatch(1))
-		results, err := r.Sweep(context.Background(), grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs += len(results)
-		if st := r.Store().Stats(); st.Hits != 0 {
-			b.Fatalf("cold sweep hit the store: %+v", st)
-		}
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(jobs)/sec, "jobs/s")
-	}
-}
-
-// BenchmarkBatchedSweep is BenchmarkStoreColdSweep with the batched
-// simulation core on (the default): shape-compatible jobs advance
-// through one shared cycle loop with shared compiled plans and the
-// packed selection dictionary. Same grid, same cold store,
-// bit-identical results —
-// the jobs/s ratio against BenchmarkStoreColdSweep is the batching
-// speedup the sweep engine delivers on one core.
-func BenchmarkBatchedSweep(b *testing.B) {
 	grid := storeBenchGrid()
 	jobs := 0
 	for i := 0; i < b.N; i++ {
@@ -327,7 +298,7 @@ func generatedBenchGrid() vliwmt.Grid {
 // BenchmarkGeneratedSweepCold measures a cold sweep over generated
 // workloads: fresh store and compile cache each iteration, so kernel
 // generation and compilation are inside the measurement. The delta
-// against BenchmarkBatchedSweep (same shape over hand-written
+// against BenchmarkStoreColdSweep (same shape over hand-written
 // benchmarks) is what generation costs a real sweep.
 func BenchmarkGeneratedSweepCold(b *testing.B) {
 	grid := generatedBenchGrid()
@@ -442,8 +413,8 @@ func mergeSelectSets() ([][]isa.Occupancy, []uint32) {
 // BenchmarkMergeSelect measures the merge-stage selection throughput
 // of the recommended scheme on the evaluator the simulator drives every
 // multi-candidate cycle: the compiled SelectPacked over a packed
-// occupancy dictionary, built outside the timed loop as RunBatch builds
-// it once per batch.
+// occupancy dictionary, built outside the timed loop as sim.Run builds
+// it once per run.
 func BenchmarkMergeSelect(b *testing.B) {
 	m := isa.Default()
 	sel, err := merge.NewSelector("2SC3", 4)

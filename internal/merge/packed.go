@@ -125,7 +125,7 @@ type pentry struct {
 	mask       uint32
 }
 
-// SelectPacked runs the merge stage from the batch-wide packed-occupancy
+// SelectPacked runs the merge stage from the run-wide packed-occupancy
 // dictionary d: ids[p] is the dictionary index of port p's candidate
 // (read only where valid has the bit set). It returns the selected-port
 // mask and the merged packet's operation count — the only two facts of

@@ -48,8 +48,7 @@ type PlannedInstr struct {
 // of every block in one contiguous table, with successor flat indices
 // precomputed. A Plan is immutable after NewPlan and carries no
 // execution state, so one Plan is safely shared by any number of
-// Walkers across concurrent simulations — the batched simulation core
-// builds one per task and shares it across all lanes of a batch.
+// Walkers across concurrent simulations.
 type Plan struct {
 	P      *Program
 	Instrs []PlannedInstr

@@ -180,9 +180,9 @@ func TestDifferentialIMTFewerTasksThanContexts(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocs asserts the allocation-free core: heap
-// allocations must not grow with simulated cycles. Each Run — a
-// one-lane RunBatch — pays a fixed setup cost (plans, walkers, caches,
-// the lane's buffers); a 6x longer run must allocate nothing more.
+// allocations must not grow with simulated cycles. Each Run pays a
+// fixed setup cost (plans, walkers, caches, the lane's buffers); a 6x
+// longer run must allocate nothing more.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	m := isa.Default()
 	tasks := diffTasks(t, m)[:4]

@@ -11,10 +11,9 @@
 // picked at random when a timeslice expires. A run ends when the first
 // thread retires its instruction budget.
 //
-// There is one cycle loop, the lane core of batch.go: RunBatch advances
-// N jobs through it and Run is RunBatch with one lane. The naive
-// reference loop in internal/refsim is the oracle both must match bit
-// for bit.
+// There is one cycle loop, Run's in core.go: every simulation is one
+// run of it. The naive reference loop in internal/refsim is the oracle
+// it must match bit for bit.
 package sim
 
 import (
@@ -167,8 +166,8 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // a valid machine, at least one context, a positive instruction
 // budget, valid cache geometries (unless PerfectMemory is set) and, for
 // more than one context, a merge scheme that resolves to exactly
-// Contexts ports. Run and RunBatch reject an invalid config with the
-// same error, before any simulation work.
+// Contexts ports. Run rejects an invalid config with the same error,
+// before any simulation work.
 func (cfg Config) Validate() error {
 	_, err := cfg.selector()
 	return err
@@ -214,34 +213,6 @@ func (cfg *Config) selector() (*merge.Compiled, error) {
 	return sel, nil
 }
 
-// setupRun validates one lane's config against the tasks, applies the
-// config defaults and builds the lane's selector and caches.
-func setupRun(cfg Config, tasks []Task) (Config, *merge.Compiled, *cache.Cache, *cache.Cache, error) {
-	sel, err := cfg.selector()
-	if err != nil {
-		return cfg, nil, nil, nil, err
-	}
-	if cfg.TimesliceCycles <= 0 {
-		cfg.TimesliceCycles = 1_000_000
-	}
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 400 * cfg.InstrLimit
-	}
-	var ic, dc *cache.Cache
-	if !cfg.PerfectMemory {
-		// Validate checked both geometries, so New cannot fail here.
-		ic, _ = cache.New(cfg.ICache)
-		dc, _ = cache.New(cfg.DCache)
-	}
-	m := cfg.Machine
-	for _, t := range tasks {
-		if err := t.Prog.Validate(&m); err != nil {
-			return cfg, nil, nil, nil, fmt.Errorf("sim: task %s: %w", t.Name, err)
-		}
-	}
-	return cfg, sel, ic, dc, nil
-}
-
 // newTaskWalker builds task i's walker: the seed derivation and the
 // per-task code/data relocation are part of the determinism contract
 // and must match refsim's.
@@ -257,17 +228,4 @@ func osSeed(cfg *Config) uint64 {
 		s = 1
 	}
 	return s
-}
-
-// Run simulates tasks on the configured processor. It is a one-lane
-// RunBatch: there is one cycle loop, and refsim is its only oracle.
-func Run(cfg Config, tasks []Task) (*Result, error) {
-	res, err := RunBatch([]Config{cfg}, tasks)
-	if err != nil {
-		if le, ok := err.(*laneError); ok {
-			err = le.err // a one-lane run reports no lane number
-		}
-		return nil, err
-	}
-	return res[0], nil
 }

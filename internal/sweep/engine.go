@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,15 +49,7 @@ type Engine struct {
 	cache    *CompileCache
 	progress ProgressFunc
 	store    ResultStore
-	batch    int
 }
-
-// autoBatchCap bounds auto-formed batch units. Beyond a few dozen
-// lanes the set-up a batch shares — one plan per task and one packed
-// occupancy dictionary — is already amortised, while bigger units
-// coarsen cancellation and progress granularity and grow the batch's
-// working set past cache comfort.
-const autoBatchCap = 32
 
 // PoolSize resolves a requested worker count to the effective pool
 // size: values <= 0 select runtime.NumCPU(). It is the single owner of
@@ -103,19 +94,6 @@ func (e *Engine) SetProgress(fn ProgressFunc) { e.progress = fn }
 // correctness dependency.
 func (e *Engine) SetStore(s ResultStore) { e.store = s }
 
-// SetBatch caps the lanes of the units the engine runs through
-// sim.RunBatch: n <= 0 (the default) groups pending jobs by shape —
-// same machine, same benchmark list — into units of at most
-// autoBatchCap lanes; n >= 1 caps units at n lanes, so n == 1 runs
-// every job as a one-lane unit. Batching is a scheduling decision
-// only: per-job results, seeds, ordering, progress and store
-// interactions are identical at every setting, because every lane of
-// a batch is bit-identical to the same job run alone.
-func (e *Engine) SetBatch(n int) { e.batch = n }
-
-// Batch returns the configured batching cap (0 = auto).
-func (e *Engine) Batch() int { return e.batch }
-
 // Run executes every job and returns one Result per job, ordered by job
 // index regardless of completion order. Individual job failures are
 // collected on their Result (and joined into the returned error); they
@@ -140,16 +118,13 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		results[i] = Result{Index: i, Job: jobs[i]}
 	}
 
-	// Dispatch in shape-homogeneous units: each unit's jobs share
-	// compiled programs (same machine, same benchmarks) and run through
-	// one batched cycle loop. SetBatch(1) makes every unit one job.
-	units := e.batchUnits(jobs)
-	unitCh := make(chan []int)
+	// Dispatch one job at a time: every job is one sim.Run.
+	jobCh := make(chan int)
 	go func() {
-		defer close(unitCh)
-		for _, u := range units {
+		defer close(jobCh)
+		for i := range jobs {
 			select {
-			case unitCh <- u:
+			case jobCh <- i:
 			case <-ctx.Done():
 				return
 			}
@@ -162,20 +137,17 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for unit := range unitCh {
+			for i := range jobCh {
 				if err := ctx.Err(); err != nil {
-					// Cancellation is unit-granular: a unit already
-					// dispatched runs to completion, later units are
-					// skipped whole.
-					for _, i := range unit {
-						results[i].Err = err
-						metJobsErrored.Inc()
-						metQueueDepth.Add(-1)
-						st.processed.Add(1)
-					}
+					// Cancellation is job-granular: a job already
+					// running finishes, later jobs are skipped.
+					results[i].Err = err
+					metJobsErrored.Inc()
+					metQueueDepth.Add(-1)
+					st.processed.Add(1)
 					continue
 				}
-				e.runUnit(st, unit)
+				e.runJob(st, i)
 			}
 		}()
 	}
@@ -226,128 +198,52 @@ type sweepState struct {
 	logger    *slog.Logger
 }
 
-// shapeKey renders the part of a job the batched core requires to be
-// common across a batch: the machine (which determines compilation)
-// and the exact benchmark list (which determines the task vector and
-// the per-task seeds/relocations). Everything else — scheme, contexts,
-// caches, budgets, seeds — may vary freely between lanes.
-func shapeKey(j Job) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%+v", j.Machine)
-	for _, n := range j.Benchmarks {
-		b.WriteByte('|')
-		b.WriteString(n)
-	}
-	return b.String()
-}
-
-// batchUnits partitions job indices into dispatch units: shape groups
-// in first-seen order, chunked to the configured cap. Unit formation is
-// deterministic in the job list alone, and per-job results never
-// depend on it.
-func (e *Engine) batchUnits(jobs []Job) [][]int {
-	limit := e.batch
-	if limit <= 0 {
-		limit = autoBatchCap
-	}
-	groupOf := map[string]int{}
-	var groups [][]int
-	for i := range jobs {
-		k := shapeKey(jobs[i])
-		gi, ok := groupOf[k]
-		if !ok {
-			gi = len(groups)
-			groupOf[k] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-	units := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		for len(g) > limit {
-			units = append(units, g[:limit])
-			g = g[limit:]
-		}
-		units = append(units, g)
-	}
-	return units
-}
-
-// runUnit processes a shape-homogeneous unit through sim.RunBatch.
-// Every per-job interaction is preserved: each job gets its own store
-// probe (hits drop out of the batch), its own validation and its own
-// compile-cache lookups, and progress/telemetry fire once per job.
-// Only the cycle loop is shared — and every lane of sim.RunBatch is
-// bit-identical to the job run alone, so results cannot depend on unit
-// formation. Job.Validate applies sim.Config.Validate, so a job that
-// reaches the batch is never rejected there; should RunBatch fail
-// anyway, its error lands on every lane of the unit.
-func (e *Engine) runUnit(st *sweepState, unit []int) {
+// runJob processes one job: a store probe (a hit skips the rest),
+// validation, compilation through the shared cache, one sim.Run and
+// the store write-back, then the completion tail. Job.Validate applies
+// sim.Config.Validate, so a job that validates is never rejected by
+// sim.Run.
+func (e *Engine) runJob(st *sweepState, i int) {
 	//vliwvet:allow detpure job wall time feeds the duration histogram only
-	unitStart := time.Now()
-	lanes := make([]int, 0, len(unit))
-	cfgs := make([]sim.Config, 0, len(unit))
-	var tasks []sim.Task
-	for _, i := range unit {
-		metJobsStarted.Inc()
-		if e.store != nil {
-			if res, elapsed, ok := e.store.Get(st.jobs[i]); ok {
-				st.results[i].Res, st.results[i].Elapsed, st.results[i].Cached = res, elapsed, true
-				continue
-			}
-		}
-		if err := st.jobs[i].Validate(); err != nil {
-			st.results[i].Err = err
-			continue
-		}
-		// Compile through the cache per job, not once per unit: the
-		// hit/miss accounting and pre-warm semantics must not depend on
-		// batching. Lookups past the unit's first are cheap map hits
-		// returning the same *Program pointers.
-		jt, err := e.compileTasks(st.jobs[i])
-		if err != nil {
-			st.results[i].Err = err
-			continue
-		}
-		if tasks == nil {
-			tasks = jt
-		}
-		cfgs = append(cfgs, st.jobs[i].config())
-		lanes = append(lanes, i)
-	}
-	if len(lanes) > 0 {
-		//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-		simStart := time.Now()
-		ress, err := sim.RunBatch(cfgs, tasks)
-		// Elapsed is the amortised per-lane share of the batch's
-		// wall-clock. Wall time is informational and excluded from the
-		// determinism contract; the share keeps sweep summaries and
-		// stored replay times meaningful.
-		//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
-		share := time.Since(simStart) / time.Duration(len(lanes))
-		for k, i := range lanes {
-			if err != nil {
-				st.results[i].Err = err
-				continue
-			}
-			st.results[i].Res = ress[k]
-			st.results[i].Elapsed = share
-			if e.store != nil {
-				_ = e.store.Put(st.jobs[i], ress[k], share)
-			}
-		}
-	}
+	start := time.Now()
 	//vliwvet:allow detpure job wall time feeds the duration histogram only
-	took := time.Since(unitStart) / time.Duration(len(unit))
-	for _, i := range unit {
-		e.finishJob(st, i, took)
+	defer func() { e.finishJob(st, i, time.Since(start)) }()
+	metJobsStarted.Inc()
+	j, r := st.jobs[i], &st.results[i]
+	if e.store != nil {
+		if res, elapsed, ok := e.store.Get(j); ok {
+			r.Res, r.Elapsed, r.Cached = res, elapsed, true
+			return
+		}
+	}
+	if err := j.Validate(); err != nil {
+		r.Err = err
+		return
+	}
+	tasks, err := e.compileTasks(j)
+	if err != nil {
+		r.Err = err
+		return
+	}
+	//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
+	simStart := time.Now()
+	res, err := sim.Run(j.config(), tasks)
+	//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
+	elapsed := time.Since(simStart)
+	if err != nil {
+		r.Err = err
+		return
+	}
+	r.Res, r.Elapsed = res, elapsed
+	if e.store != nil {
+		_ = e.store.Put(j, res, elapsed)
 	}
 }
 
 // finishJob is the per-job completion tail: the duration observation,
 // outcome counters, queue-depth release, per-job trace and the
-// serialised progress callback (done increments by exactly one per call, as documented on
-// ProgressFunc, at any batch setting).
+// serialised progress callback (done increments by exactly one per
+// call, as documented on ProgressFunc).
 func (e *Engine) finishJob(st *sweepState, i int, took time.Duration) {
 	metJobDuration.Observe(took.Seconds())
 	if st.results[i].Err != nil {

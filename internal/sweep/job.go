@@ -134,7 +134,7 @@ func (j Job) config() sim.Config {
 // config defect sim.Config.Validate reports (invalid machine or cache
 // geometry, non-positive instruction budget, scheme/context mismatch),
 // with the simulator's own message. A job that validates is never
-// rejected by sim.RunBatch.
+// rejected by sim.Run.
 func (j Job) Validate() error {
 	if len(j.Benchmarks) == 0 {
 		return fmt.Errorf("sweep: job %s has no benchmarks", j.Describe())

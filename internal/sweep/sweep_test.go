@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vliwmt/internal/isa"
+	"vliwmt/internal/merge"
 )
 
 // testGrid is a small but non-trivial sweep: 4 schemes x 3 mixes with a
@@ -205,6 +206,45 @@ func TestCancellationReturnsPartialResults(t *testing.T) {
 	}
 }
 
+// TestCancellationIsJobGranular cancels a one-worker sweep of one
+// 16-job shape from the progress callback after the third job: the
+// job in flight finishes, and no further job is simulated.
+func TestCancellationIsJobGranular(t *testing.T) {
+	jobs, err := (Grid{Schemes: merge.PaperSchemes4(), Mixes: []string{"LLHH"}, InstrLimit: 5_000, Seed: 3}).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 16 {
+		t.Fatalf("got %d jobs, want 16", len(jobs))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := New(1)
+	e.SetProgress(func(done, total int, r Result) {
+		if done == 3 {
+			cancel()
+		}
+	})
+	results, err := e.Run(ctx, jobs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	completed, skipped := 0, 0
+	for _, r := range results {
+		switch {
+		case r.Err == nil && r.Res != nil:
+			completed++
+		case r.Res == nil && errors.Is(r.Err, context.Canceled):
+			skipped++
+		default:
+			t.Errorf("job %d: unexpected state res=%v err=%v", r.Index, r.Res, r.Err)
+		}
+	}
+	if completed != 3 || skipped != 13 {
+		t.Errorf("%d jobs completed and %d skipped, want 3 and 13", completed, skipped)
+	}
+}
+
 func TestProgressSerialised(t *testing.T) {
 	jobs, err := testGrid().Jobs()
 	if err != nil {
@@ -215,6 +255,9 @@ func TestProgressSerialised(t *testing.T) {
 	e.SetProgress(func(done, total int, r Result) {
 		if total != len(jobs) {
 			t.Errorf("total = %d, want %d", total, len(jobs))
+		}
+		if r.Res == nil && r.Err == nil {
+			t.Errorf("progress delivered a job with neither result nor error: %s", r.Job.Describe())
 		}
 		seen = append(seen, done)
 	})

@@ -110,31 +110,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveN records n observations of v in one shot — the bulk form
-// used by per-run aggregation (e.g. the batched simulator observing
-// one lane-occupancy sample per simulated cycle from a counter it
-// accumulated in plain fields). n <= 0 records nothing.
-//
-//vliw:hotpath
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(n)
-	h.count.Add(n)
-	for {
-		old := h.sumBits.Load()
-		new := math.Float64bits(math.Float64frombits(old) + v*float64(n))
-		if h.sumBits.CompareAndSwap(old, new) {
-			return
-		}
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -62,7 +62,6 @@ type Runner struct {
 	progress func(done, total int, r SweepResult)
 	seed     uint64
 	store    *ResultStore
-	batch    int
 }
 
 // RunnerOption configures a Runner.
@@ -130,16 +129,6 @@ func WithStore(s *ResultStore) RunnerOption {
 			r.store = s
 		}
 	}
-}
-
-// WithBatch sets the sweep batching cap: how many shape-compatible
-// jobs (same machine, same benchmark list) the engine may advance
-// through one batched cycle loop. 0 (the default) groups automatically
-// up to the engine's cap; 1 runs every job as a one-lane unit.
-// Batching is a throughput lever only — per-job results are
-// bit-identical at every setting.
-func WithBatch(n int) RunnerOption {
-	return func(r *Runner) { r.batch = n }
 }
 
 // NewRunner returns a session configured by opts.
@@ -211,6 +200,5 @@ func (r *Runner) SweepJobs(ctx context.Context, jobs []SweepJob) ([]SweepResult,
 	if r.store != nil {
 		e.SetStore(r.store)
 	}
-	e.SetBatch(r.batch)
 	return e.Run(ctx, jobs)
 }

@@ -285,18 +285,13 @@ type SweepOptions struct {
 	// previously completed jobs are served from disk (marked Cached)
 	// and fresh simulations are persisted. See WithResultStore.
 	ResultDir string
-	// Batch caps how many shape-compatible jobs are advanced through
-	// one batched cycle loop: 0 groups automatically, 1 runs every job
-	// as a one-lane unit. Results are bit-identical at every setting; see
-	// WithBatch.
-	Batch int
 }
 
 // runner builds a one-call Runner on the process-wide compile cache
 // from legacy SweepOptions.
 func (o SweepOptions) runner() *Runner {
 	return NewRunner(WithSharedCache(), WithWorkers(o.Workers), WithProgress(o.Progress),
-		WithResultStore(o.ResultDir), WithBatch(o.Batch))
+		WithResultStore(o.ResultDir))
 }
 
 // Sweep expands the grid into jobs and executes them on a bounded worker

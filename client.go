@@ -76,8 +76,7 @@ func (c *Client) Sweep(ctx context.Context, g Grid, opts *SweepOptions) ([]Sweep
 			return c.SweepJobs(ctx, jobs, opts)
 		}
 	}
-	ag := api.GridFrom(g)
-	return c.submit(ctx, api.SweepRequest{Grid: &ag}, opts)
+	return c.submit(ctx, api.SweepRequest{Grid: &g}, opts)
 }
 
 // SweepJobs submits an explicit job set; see Sweep.

@@ -411,7 +411,7 @@ func TestClientFollowsOversizedTerminalEvent(t *testing.T) {
 		Results: make([]api.Result, n)}
 	for i := range st.Results {
 		st.Results[i] = api.Result{Index: i, Job: api.Job{Label: label, Scheme: "2SC3"},
-			Sim: &api.SimResult{Cycles: int64(i + 1)}}
+			Sim: &vliwmt.Result{Cycles: int64(i + 1)}}
 	}
 	line, err := json.Marshal(api.Event{Done: n, Total: n, State: api.StateDone, Status: &st})
 	if err != nil {

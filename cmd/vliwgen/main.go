@@ -159,7 +159,7 @@ func run() error {
 		}
 		req := api.SweepRequest{
 			Version: api.Version,
-			Grid: &api.Grid{
+			Grid: &vliwmt.Grid{
 				Schemes:    schemeList,
 				Mixes:      mixNames,
 				InstrLimit: *instr,

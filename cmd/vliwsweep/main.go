@@ -218,7 +218,7 @@ func main() {
 				jobs = append(jobs, j)
 			}
 		case req.Grid != nil:
-			grid = req.Grid.Sweep()
+			grid = *req.Grid
 		default:
 			fatal("-jobs document carries neither a grid nor a job set")
 		}

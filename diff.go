@@ -13,7 +13,7 @@ import (
 type ResultSnapshot = resultstore.Snapshot
 
 // SnapshotEntry is one job inside a ResultSnapshot: its content key,
-// label, wire-form job and full simulation result.
+// label, wire-form job and full simulation Result.
 type SnapshotEntry = resultstore.Entry
 
 // ResultDiff is the comparison of two ResultSnapshots: how many jobs

@@ -17,7 +17,7 @@ type RunResult struct {
 // SweepRow is missing a tag on one exported field.
 type SweepRow struct {
 	Scheme string  `json:"scheme"`
-	Speed  float64 // want `exported DTO field SweepRow.Speed has no json tag`
+	Speed  float64 // want `exported wire field SweepRow.Speed has no json tag`
 }
 
 // LegacyRow keeps an untagged field under an explicit waiver.

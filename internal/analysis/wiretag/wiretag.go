@@ -1,11 +1,14 @@
 // Package wiretag enforces wire-format and telemetry hygiene:
 //
-//  1. Every exported field of a struct declared in the wire DTO
-//     package (import path ending internal/api) must carry a json
-//     tag — the wire format is hand-stabilised, so an untagged field
-//     would silently ship under its Go name and drift the format.
-//     Deprecated fields are not exempt: their tags must stay, since
-//     old documents still carry them.
+//  1. Every exported field of a wire struct must carry a json tag — the
+//     wire format is hand-stabilised, so an untagged field would
+//     silently ship under its Go name and drift the format. A wire
+//     struct is any struct declared in the wire DTO package (import
+//     path ending internal/api) and, anywhere in the module, any
+//     struct with at least one json-tagged field: sim.Result,
+//     isa.Machine and the other internal types that are their own
+//     wire form. Deprecated fields are not exempt: their tags must
+//     stay, since old documents still carry them.
 //  2. Metric names registered through internal/telemetry must be
 //     compile-time constants matching ^[a-z][a-z0-9_]*$, and label
 //     sets must be statically well-formed key="value" lists whose
@@ -27,7 +30,7 @@ import (
 // Analyzer is the wiretag analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "wiretag",
-	Doc:  "require json tags on wire DTO fields and statically valid telemetry metric names and label sets",
+	Doc:  "require json tags on every field of a wire struct and statically valid telemetry metric names and label sets",
 	Run:  run,
 }
 
@@ -48,14 +51,20 @@ var registrars = map[string]int{
 
 func run(pass *analysis.Pass) error {
 	isAPI := strings.HasSuffix(pass.Pkg.Path(), "internal/api")
+	named := map[*ast.StructType]bool{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
-				if isAPI {
-					if st, ok := n.Type.(*ast.StructType); ok {
-						checkDTO(pass, n.Name.Name, st)
+				if st, ok := n.Type.(*ast.StructType); ok {
+					named[st] = true
+					if isAPI || hasJSONTag(st) {
+						checkTags(pass, n.Name.Name, st)
 					}
+				}
+			case *ast.StructType:
+				if !named[n] && hasJSONTag(n) {
+					checkTags(pass, "struct", n)
 				}
 			case *ast.CallExpr:
 				checkRegistration(pass, f, n)
@@ -66,23 +75,36 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkDTO requires a json tag on every exported field.
-func checkDTO(pass *analysis.Pass, typeName string, st *ast.StructType) {
+// hasJSONTag reports whether any field of st carries a json tag, which
+// makes st a wire struct wherever it is declared.
+func hasJSONTag(st *ast.StructType) bool {
 	for _, field := range st.Fields.List {
-		if len(field.Names) == 0 {
-			continue // embedded: promoted fields are checked at their declaration
+		if jsonTag(field) != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// jsonTag returns the field's json tag value ("" when absent).
+func jsonTag(field *ast.Field) string {
+	if field.Tag == nil {
+		return ""
+	}
+	return reflect.StructTag(strings.Trim(field.Tag.Value, "`")).Get("json")
+}
+
+// checkTags requires a json tag on every exported field of a wire
+// struct.
+func checkTags(pass *analysis.Pass, typeName string, st *ast.StructType) {
+	for _, field := range st.Fields.List {
+		if len(field.Names) == 0 || jsonTag(field) != "" {
+			continue // tagged, or embedded: promoted fields are checked at their declaration
 		}
 		for _, name := range field.Names {
-			if !ast.IsExported(name.Name) {
-				continue
-			}
-			var tag string
-			if field.Tag != nil {
-				tag = strings.Trim(field.Tag.Value, "`")
-			}
-			if v, ok := reflect.StructTag(tag).Lookup("json"); !ok || v == "" {
+			if ast.IsExported(name.Name) {
 				pass.Reportf(name.Pos(),
-					"exported DTO field %s.%s has no json tag; the wire format must not depend on Go field names",
+					"exported wire field %s.%s has no json tag; the wire format must not depend on Go field names",
 					typeName, name.Name)
 			}
 		}

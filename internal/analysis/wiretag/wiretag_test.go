@@ -15,3 +15,10 @@ import (
 func TestWiretag(t *testing.T) {
 	analysistest.Run(t, "testdata/src/wiretag", "vliwmt/internal/api", wiretag.Analyzer)
 }
+
+// TestWiretagTaggedStructs covers the json-tag rule outside the DTO
+// package: a partly tagged struct, named or anonymous, is flagged,
+// while fully tagged and untagged structs pass.
+func TestWiretagTaggedStructs(t *testing.T) {
+	analysistest.Run(t, "testdata/src/tagged", "vliwmt/internal/sim", wiretag.Analyzer)
+}

@@ -1,14 +1,16 @@
 // Package api defines the stable wire format of the sweep service: the
-// versioned JSON DTOs for machine, cache, job, grid and result values,
-// the request/response envelopes of the HTTP endpoints, and a
-// content-addressed on-disk result store that reuses the same encoding.
+// versioned job and result envelopes and the request/response
+// documents of the HTTP endpoints. The result store in
+// internal/resultstore reuses the same encoding.
 //
-// The DTO types deliberately mirror the internal configuration structs
-// field by field but own their JSON tags, so the wire format cannot
-// drift when an internal struct is refactored. Zero-valued DTO fields
-// convert to zero-valued internal fields, which means a sparse grid
-// document like {} expands through sweep.Grid.Jobs with exactly the
-// same defaulting as an in-process zero-value Grid.
+// Machine, cache, grid and simulation-result values travel in their
+// internal types (isa.Machine, cache.Config, sweep.Grid, sim.Result),
+// whose json tags are the wire format; the wiretag analyzer requires
+// every exported field of a tagged struct to carry a tag, so a new
+// field cannot ship under its Go name. Jobs, sweep results and
+// summaries keep wire forms of their own: a job's merge control
+// travels as a SchemeSpec, and a result or summary flattens its error
+// and durations.
 package api
 
 import (
@@ -45,70 +47,6 @@ import (
 //	   the server a /v1/healthz document (Health), and the terminal
 //	   NDJSON event a "status" carrying the final SweepStatus
 const Version = 3
-
-// Machine is the wire form of isa.Machine.
-type Machine struct {
-	Clusters       int `json:"clusters,omitempty"`
-	IssueWidth     int `json:"issue_width,omitempty"`
-	Muls           int `json:"muls,omitempty"`
-	MemUnits       int `json:"mem_units,omitempty"`
-	BranchClusters int `json:"branch_clusters,omitempty"`
-	LatencyALU     int `json:"latency_alu,omitempty"`
-	LatencyMul     int `json:"latency_mul,omitempty"`
-	LatencyMem     int `json:"latency_mem,omitempty"`
-	LatencyCopy    int `json:"latency_copy,omitempty"`
-	BranchPenalty  int `json:"branch_penalty,omitempty"`
-}
-
-// MachineFrom converts an internal machine description to its wire form.
-func MachineFrom(m isa.Machine) Machine {
-	return Machine{
-		Clusters:       m.Clusters,
-		IssueWidth:     m.IssueWidth,
-		Muls:           m.Muls,
-		MemUnits:       m.MemUnits,
-		BranchClusters: m.BranchClusters,
-		LatencyALU:     m.LatencyALU,
-		LatencyMul:     m.LatencyMul,
-		LatencyMem:     m.LatencyMem,
-		LatencyCopy:    m.LatencyCopy,
-		BranchPenalty:  m.BranchPenalty,
-	}
-}
-
-// ISA converts the wire form back to the internal machine description.
-func (m Machine) ISA() isa.Machine {
-	return isa.Machine{
-		Clusters:       m.Clusters,
-		IssueWidth:     m.IssueWidth,
-		Muls:           m.Muls,
-		MemUnits:       m.MemUnits,
-		BranchClusters: m.BranchClusters,
-		LatencyALU:     m.LatencyALU,
-		LatencyMul:     m.LatencyMul,
-		LatencyMem:     m.LatencyMem,
-		LatencyCopy:    m.LatencyCopy,
-		BranchPenalty:  m.BranchPenalty,
-	}
-}
-
-// CacheConfig is the wire form of cache.Config.
-type CacheConfig struct {
-	Size        int `json:"size,omitempty"`
-	LineSize    int `json:"line_size,omitempty"`
-	Ways        int `json:"ways,omitempty"`
-	MissPenalty int `json:"miss_penalty,omitempty"`
-}
-
-// CacheConfigFrom converts an internal cache configuration to its wire form.
-func CacheConfigFrom(c cache.Config) CacheConfig {
-	return CacheConfig{Size: c.Size, LineSize: c.LineSize, Ways: c.Ways, MissPenalty: c.MissPenalty}
-}
-
-// Config converts the wire form back to the internal cache configuration.
-func (c CacheConfig) Config() cache.Config {
-	return cache.Config{Size: c.Size, LineSize: c.LineSize, Ways: c.Ways, MissPenalty: c.MissPenalty}
-}
 
 // SchemeSpec is the wire form of a first-class merge scheme
 // (merge.Scheme), introduced in wire version 2. Tree is the canonical
@@ -160,20 +98,21 @@ func (s SchemeSpec) Scheme() (merge.Scheme, error) {
 	return sch, nil
 }
 
-// Job is the wire form of sweep.Job.
+// Job is the wire form of sweep.Job; its merge control travels as a
+// SchemeSpec.
 type Job struct {
-	Label           string      `json:"label,omitempty"`
-	Scheme          string      `json:"scheme,omitempty"`
-	Merge           *SchemeSpec `json:"merge,omitempty"`
-	Benchmarks      []string    `json:"benchmarks,omitempty"`
-	Contexts        int         `json:"contexts,omitempty"`
-	Machine         Machine     `json:"machine,omitempty"`
-	ICache          CacheConfig `json:"icache,omitempty"`
-	DCache          CacheConfig `json:"dcache,omitempty"`
-	PerfectMemory   bool        `json:"perfect_memory,omitempty"`
-	InstrLimit      int64       `json:"instr_limit,omitempty"`
-	TimesliceCycles int64       `json:"timeslice_cycles,omitempty"`
-	Seed            uint64      `json:"seed,omitempty"`
+	Label           string       `json:"label,omitempty"`
+	Scheme          string       `json:"scheme,omitempty"`
+	Merge           *SchemeSpec  `json:"merge,omitempty"`
+	Benchmarks      []string     `json:"benchmarks,omitempty"`
+	Contexts        int          `json:"contexts,omitempty"`
+	Machine         isa.Machine  `json:"machine,omitempty"`
+	ICache          cache.Config `json:"icache,omitempty"`
+	DCache          cache.Config `json:"dcache,omitempty"`
+	PerfectMemory   bool         `json:"perfect_memory,omitempty"`
+	InstrLimit      int64        `json:"instr_limit,omitempty"`
+	TimesliceCycles int64        `json:"timeslice_cycles,omitempty"`
+	Seed            uint64       `json:"seed,omitempty"`
 }
 
 // jobSchemeSpec inlines the job's merge control for the wire: the
@@ -198,9 +137,9 @@ func JobFrom(j sweep.Job) Job {
 		Merge:           jobSchemeSpec(j),
 		Benchmarks:      append([]string(nil), j.Benchmarks...),
 		Contexts:        j.Contexts,
-		Machine:         MachineFrom(j.Machine),
-		ICache:          CacheConfigFrom(j.ICache),
-		DCache:          CacheConfigFrom(j.DCache),
+		Machine:         j.Machine,
+		ICache:          j.ICache,
+		DCache:          j.DCache,
 		PerfectMemory:   j.PerfectMemory,
 		InstrLimit:      j.InstrLimit,
 		TimesliceCycles: j.TimesliceCycles,
@@ -217,9 +156,9 @@ func (j Job) Sweep() (sweep.Job, error) {
 		Scheme:          j.Scheme,
 		Benchmarks:      append([]string(nil), j.Benchmarks...),
 		Contexts:        j.Contexts,
-		Machine:         j.Machine.ISA(),
-		ICache:          j.ICache.Config(),
-		DCache:          j.DCache.Config(),
+		Machine:         j.Machine,
+		ICache:          j.ICache,
+		DCache:          j.DCache,
 		PerfectMemory:   j.PerfectMemory,
 		InstrLimit:      j.InstrLimit,
 		TimesliceCycles: j.TimesliceCycles,
@@ -235,152 +174,6 @@ func (j Job) Sweep() (sweep.Job, error) {
 	return out, nil
 }
 
-// Grid is the wire form of sweep.Grid. A zero-valued (or entirely
-// omitted) field defaults exactly as the in-process Grid does when
-// expanded with Jobs: paper machine and caches, 300k-instruction
-// budget, seed 1.
-type Grid struct {
-	Schemes         []string    `json:"schemes,omitempty"`
-	Mixes           []string    `json:"mixes,omitempty"`
-	Machine         Machine     `json:"machine,omitempty"`
-	ICache          CacheConfig `json:"icache,omitempty"`
-	DCache          CacheConfig `json:"dcache,omitempty"`
-	InstrLimit      int64       `json:"instr_limit,omitempty"`
-	TimesliceCycles int64       `json:"timeslice_cycles,omitempty"`
-	Seed            uint64      `json:"seed,omitempty"`
-	SharedSeed      bool        `json:"shared_seed,omitempty"`
-}
-
-// GridFrom converts an internal grid to its wire form.
-func GridFrom(g sweep.Grid) Grid {
-	return Grid{
-		Schemes:         append([]string(nil), g.Schemes...),
-		Mixes:           append([]string(nil), g.Mixes...),
-		Machine:         MachineFrom(g.Machine),
-		ICache:          CacheConfigFrom(g.ICache),
-		DCache:          CacheConfigFrom(g.DCache),
-		InstrLimit:      g.InstrLimit,
-		TimesliceCycles: g.TimesliceCycles,
-		Seed:            g.Seed,
-		SharedSeed:      g.SharedSeed,
-	}
-}
-
-// Sweep converts the wire form back to an internal grid.
-func (g Grid) Sweep() sweep.Grid {
-	return sweep.Grid{
-		Schemes:         append([]string(nil), g.Schemes...),
-		Mixes:           append([]string(nil), g.Mixes...),
-		Machine:         g.Machine.ISA(),
-		ICache:          g.ICache.Config(),
-		DCache:          g.DCache.Config(),
-		InstrLimit:      g.InstrLimit,
-		TimesliceCycles: g.TimesliceCycles,
-		Seed:            g.Seed,
-		SharedSeed:      g.SharedSeed,
-	}
-}
-
-// ThreadStats is the wire form of sim.ThreadStats.
-type ThreadStats struct {
-	Name            string `json:"name,omitempty"`
-	Instrs          int64  `json:"instrs,omitempty"`
-	Ops             int64  `json:"ops,omitempty"`
-	ScheduledCycles int64  `json:"scheduled_cycles,omitempty"`
-	ConflictCycles  int64  `json:"conflict_cycles,omitempty"`
-	StallMem        int64  `json:"stall_mem,omitempty"`
-	StallFetch      int64  `json:"stall_fetch,omitempty"`
-	StallBranch     int64  `json:"stall_branch,omitempty"`
-}
-
-// CacheStats is the wire form of cache.Stats.
-type CacheStats struct {
-	Accesses   int64 `json:"accesses,omitempty"`
-	Misses     int64 `json:"misses,omitempty"`
-	Writebacks int64 `json:"writebacks,omitempty"`
-}
-
-// SimResult is the wire form of sim.Result. Every deterministic field
-// round-trips exactly, so a result fetched over the wire is
-// bit-identical to the in-process one.
-type SimResult struct {
-	Cycles      int64         `json:"cycles"`
-	Instrs      int64         `json:"instrs"`
-	Ops         int64         `json:"ops"`
-	IPC         float64       `json:"ipc"`
-	MergeHist   []int64       `json:"merge_hist,omitempty"`
-	Threads     []ThreadStats `json:"threads,omitempty"`
-	ICache      CacheStats    `json:"icache,omitempty"`
-	DCache      CacheStats    `json:"dcache,omitempty"`
-	IssueWidth  int           `json:"issue_width,omitempty"`
-	EmptyCycles int64         `json:"empty_cycles,omitempty"`
-	TimedOut    bool          `json:"timed_out,omitempty"`
-}
-
-// SimResultFrom converts an internal simulation result to its wire form.
-func SimResultFrom(r sim.Result) SimResult {
-	threads := make([]ThreadStats, len(r.Threads))
-	for i, t := range r.Threads {
-		threads[i] = ThreadStats{
-			Name:            t.Name,
-			Instrs:          t.Instrs,
-			Ops:             t.Ops,
-			ScheduledCycles: t.ScheduledCycles,
-			ConflictCycles:  t.ConflictCycles,
-			StallMem:        t.StallMem,
-			StallFetch:      t.StallFetch,
-			StallBranch:     t.StallBranch,
-		}
-	}
-	return SimResult{
-		Cycles:      r.Cycles,
-		Instrs:      r.Instrs,
-		Ops:         r.Ops,
-		IPC:         r.IPC,
-		MergeHist:   append([]int64(nil), r.MergeHist...),
-		Threads:     threads,
-		ICache:      CacheStats{Accesses: r.ICache.Accesses, Misses: r.ICache.Misses, Writebacks: r.ICache.Writebacks},
-		DCache:      CacheStats{Accesses: r.DCache.Accesses, Misses: r.DCache.Misses, Writebacks: r.DCache.Writebacks},
-		IssueWidth:  r.IssueWidth,
-		EmptyCycles: r.EmptyCycles,
-		TimedOut:    r.TimedOut,
-	}
-}
-
-// Sim converts the wire form back to an internal simulation result.
-func (r SimResult) Sim() sim.Result {
-	threads := make([]sim.ThreadStats, len(r.Threads))
-	for i, t := range r.Threads {
-		threads[i] = sim.ThreadStats{
-			Name:            t.Name,
-			Instrs:          t.Instrs,
-			Ops:             t.Ops,
-			ScheduledCycles: t.ScheduledCycles,
-			ConflictCycles:  t.ConflictCycles,
-			StallMem:        t.StallMem,
-			StallFetch:      t.StallFetch,
-			StallBranch:     t.StallBranch,
-		}
-	}
-	var hist []int64
-	if r.MergeHist != nil {
-		hist = append([]int64(nil), r.MergeHist...)
-	}
-	return sim.Result{
-		Cycles:      r.Cycles,
-		Instrs:      r.Instrs,
-		Ops:         r.Ops,
-		IPC:         r.IPC,
-		MergeHist:   hist,
-		Threads:     threads,
-		ICache:      cache.Stats{Accesses: r.ICache.Accesses, Misses: r.ICache.Misses, Writebacks: r.ICache.Writebacks},
-		DCache:      cache.Stats{Accesses: r.DCache.Accesses, Misses: r.DCache.Misses, Writebacks: r.DCache.Writebacks},
-		IssueWidth:  r.IssueWidth,
-		EmptyCycles: r.EmptyCycles,
-		TimedOut:    r.TimedOut,
-	}
-}
-
 // Result is the wire form of sweep.Result. ElapsedSec is the only
 // wall-clock (non-deterministic) field; Err flattens the job's error
 // to its message, so error identity does not survive the wire. Cached
@@ -390,33 +183,37 @@ func (r SimResult) Sim() sim.Result {
 // sweep fabric — the worker address that simulated the job and the
 // 1-based shard it travelled in; absent for local, unsharded runs.
 type Result struct {
-	Index      int        `json:"index"`
-	Job        Job        `json:"job"`
-	Sim        *SimResult `json:"sim,omitempty"`
-	Err        string     `json:"err,omitempty"`
-	ElapsedSec float64    `json:"elapsed_sec"`
-	Cached     bool       `json:"cached,omitempty"`
-	Worker     string     `json:"worker,omitempty"`
-	Shard      int        `json:"shard,omitempty"`
+	Index      int         `json:"index"`
+	Job        Job         `json:"job"`
+	Sim        *sim.Result `json:"sim,omitempty"`
+	Err        string      `json:"err,omitempty"`
+	ElapsedSec float64     `json:"elapsed_sec"`
+	Cached     bool        `json:"cached,omitempty"`
+	Worker     string      `json:"worker,omitempty"`
+	Shard      int         `json:"shard,omitempty"`
 }
 
-// ResultFrom converts an internal sweep result to its wire form.
+// ResultFrom converts an internal sweep result to its wire form. Sim
+// shares r.Res rather than copying it: a wire result is only encoded,
+// and a sweep result is not modified once its job has completed.
 func ResultFrom(r sweep.Result) Result {
-	out := Result{Index: r.Index, Job: JobFrom(r.Job), ElapsedSec: r.Elapsed.Seconds(),
+	out := Result{Index: r.Index, Job: JobFrom(r.Job), Sim: r.Res, ElapsedSec: r.Elapsed.Seconds(),
 		Cached: r.Cached, Worker: r.Worker, Shard: r.Shard}
 	if r.Err != nil {
 		out.Err = r.Err.Error()
 	}
-	if r.Res != nil {
-		s := SimResultFrom(*r.Res)
-		out.Sim = &s
-	}
 	return out
 }
 
-// Sweep converts the wire form back to an internal sweep result. The
-// job inside a result is informational, so a malformed scheme spec
-// surfaces on the result's Err rather than failing the whole decode.
+// SimResultFrom returns r unchanged: sim.Result is its own wire form.
+// The identity remains for perfbench/bench.go, which encodes results
+// through it until the benchmark next changes.
+func SimResultFrom(r sim.Result) sim.Result { return r }
+
+// Sweep converts the wire form back to an internal sweep result, which
+// takes over r.Sim. The job inside a result is informational, so a
+// malformed scheme spec surfaces on the result's Err rather than
+// failing the whole decode.
 func (r Result) Sweep() sweep.Result {
 	job, jerr := r.Job.Sweep()
 	out := sweep.Result{
@@ -426,15 +223,12 @@ func (r Result) Sweep() sweep.Result {
 		Cached:  r.Cached,
 		Worker:  r.Worker,
 		Shard:   r.Shard,
+		Res:     r.Sim,
 	}
 	if r.Err != "" {
 		out.Err = errors.New(r.Err)
 	} else if jerr != nil {
 		out.Err = jerr
-	}
-	if r.Sim != nil {
-		res := r.Sim.Sim()
-		out.Res = &res
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,9 +30,9 @@ func fixtureJob() Job {
 		Scheme:          "2SC3",
 		Benchmarks:      []string{"mcf", "dijkstra", "colorspace", "fft"},
 		Contexts:        4,
-		Machine:         MachineFrom(isa.Default()),
-		ICache:          CacheConfigFrom(cache.DefaultConfig()),
-		DCache:          CacheConfigFrom(cache.DefaultConfig()),
+		Machine:         isa.Default(),
+		ICache:          cache.DefaultConfig(),
+		DCache:          cache.DefaultConfig(),
 		PerfectMemory:   true,
 		InstrLimit:      300_000,
 		TimesliceCycles: 3_000,
@@ -39,13 +40,13 @@ func fixtureJob() Job {
 	}
 }
 
-func fixtureGrid() Grid {
-	return Grid{
+func fixtureGrid() sweep.Grid {
+	return sweep.Grid{
 		Schemes:         []string{"2SC3", "3SSS"},
 		Mixes:           []string{"LLHH", "HHHH"},
-		Machine:         MachineFrom(isa.Default()),
-		ICache:          CacheConfigFrom(cache.DefaultConfig()),
-		DCache:          CacheConfigFrom(cache.DefaultConfig()),
+		Machine:         isa.Default(),
+		ICache:          cache.DefaultConfig(),
+		DCache:          cache.DefaultConfig(),
 		InstrLimit:      20_000,
 		TimesliceCycles: 500,
 		Seed:            7,
@@ -57,24 +58,77 @@ func fixtureResult() Result {
 	return Result{
 		Index: 3,
 		Job:   fixtureJob(),
-		Sim: &SimResult{
+		Sim: &sim.Result{
 			Cycles:    123_456,
 			Instrs:    300_000,
 			Ops:       911_222,
 			IPC:       7.380952380952381,
 			MergeHist: []int64{10, 20, 30, 40, 50},
-			Threads: []ThreadStats{
+			Threads: []sim.ThreadStats{
 				{Name: "mcf", Instrs: 100, Ops: 321, ScheduledCycles: 999, ConflictCycles: 5, StallMem: 7, StallFetch: 3, StallBranch: 11},
 				{Name: "fft", Instrs: 200, Ops: 654, ScheduledCycles: 888, ConflictCycles: 6, StallMem: 8, StallFetch: 4, StallBranch: 12},
 			},
-			ICache:      CacheStats{Accesses: 1000, Misses: 10, Writebacks: 1},
-			DCache:      CacheStats{Accesses: 2000, Misses: 20, Writebacks: 2},
+			ICache:      cache.Stats{Accesses: 1000, Misses: 10, Writebacks: 1},
+			DCache:      cache.Stats{Accesses: 2000, Misses: 20, Writebacks: 2},
 			IssueWidth:  16,
 			EmptyCycles: 42,
 			TimedOut:    true,
 		},
 		ElapsedSec: 1.25,
 	}
+}
+
+// TestFixturesSetEveryField backs the fixtures' claim that every field
+// is non-zero: a zero or empty leaf in the result, machine, cache or
+// grid fixtures fails here, so a new field has to enter the fixtures
+// and, through them, the golden files. The envelope fields of Job and
+// Result (Merge, Cached, Worker, ...) are left out: populating them
+// would change committed golden bytes.
+func TestFixturesSetEveryField(t *testing.T) {
+	j := fixtureJob()
+	for _, c := range []struct {
+		name string
+		v    any
+	}{
+		{"result.Sim", fixtureResult().Sim},
+		{"job.Machine", j.Machine},
+		{"job.ICache", j.ICache},
+		{"job.DCache", j.DCache},
+		{"grid", fixtureGrid()},
+	} {
+		for _, path := range zeroLeaves(c.name, reflect.ValueOf(c.v)) {
+			t.Errorf("fixture field %s is zero; set it so the golden files pin it", path)
+		}
+	}
+}
+
+// zeroLeaves lists the paths of v's zero leaves, nil pointers and empty
+// slices.
+func zeroLeaves(path string, v reflect.Value) []string {
+	var out []string
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return []string{path}
+		}
+		return zeroLeaves(path, v.Elem())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			out = append(out, zeroLeaves(path+"."+v.Type().Field(i).Name, v.Field(i))...)
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			return []string{path}
+		}
+		for i := range v.Len() {
+			out = append(out, zeroLeaves(fmt.Sprintf("%s[%d]", path, i), v.Index(i))...)
+		}
+	default:
+		if v.IsZero() {
+			return []string{path}
+		}
+	}
+	return out
 }
 
 func fixtureRequest() SweepRequest {
@@ -91,16 +145,16 @@ func TestRoundTrips(t *testing.T) {
 		in   any
 		out  any
 	}{
-		{"Machine", MachineFrom(isa.Default()), &Machine{}},
-		{"CacheConfig", CacheConfigFrom(cache.DefaultConfig()), &CacheConfig{}},
+		{"Machine", isa.Default(), &isa.Machine{}},
+		{"CacheConfig", cache.DefaultConfig(), &cache.Config{}},
 		{"Job", fixtureJob(), &Job{}},
-		{"Grid", fixtureGrid(), &Grid{}},
+		{"Grid", fixtureGrid(), &sweep.Grid{}},
 		{"Result", fixtureResult(), &Result{}},
 		{"SweepRequest", fixtureRequest(), &SweepRequest{}},
 		{"SweepStatus", SweepStatus{Version: Version, ID: "s000001", State: StateDone,
 			Done: 4, Total: 4, Results: []Result{fixtureResult()}, Error: "job 2 failed"}, &SweepStatus{}},
 		{"Event", Event{Done: 2, Total: 4, Result: func() *Result { r := fixtureResult(); return &r }()}, &Event{}},
-		{"zero Grid", Grid{}, &Grid{}},
+		{"zero Grid", sweep.Grid{}, &sweep.Grid{}},
 		{"zero Job", Job{}, &Job{}},
 		{"grid request", SweepRequest{Version: Version, Grid: &g}, &SweepRequest{}},
 	}
@@ -124,14 +178,6 @@ func TestRoundTrips(t *testing.T) {
 // TestConversionsAreLossless checks that wire -> internal -> wire and
 // internal -> wire -> internal conversions preserve every field.
 func TestConversionsAreLossless(t *testing.T) {
-	m := isa.Default()
-	if got := MachineFrom(m).ISA(); got != m {
-		t.Errorf("machine: %+v != %+v", got, m)
-	}
-	cc := cache.DefaultConfig()
-	if got := CacheConfigFrom(cc).Config(); got != cc {
-		t.Errorf("cache: %+v != %+v", got, cc)
-	}
 	j, err := fixtureJob().Sweep()
 	if err != nil {
 		t.Fatal(err)
@@ -139,21 +185,25 @@ func TestConversionsAreLossless(t *testing.T) {
 	if got, err := JobFrom(j).Sweep(); err != nil || !reflect.DeepEqual(got, j) {
 		t.Errorf("job: %+v != %+v (%v)", got, j, err)
 	}
-	g := fixtureGrid().Sweep()
-	if got := GridFrom(g).Sweep(); !reflect.DeepEqual(got, g) {
-		t.Errorf("grid: %+v != %+v", got, g)
-	}
 
-	// A full sweep.Result with a live sim.Result round-trips every
-	// deterministic field; Err collapses to its message by design.
+	// A full sweep.Result with a live sim.Result survives the wire with
+	// every deterministic field; Err collapses to its message by design.
 	sr := sweep.Result{
 		Index:   2,
 		Job:     j,
-		Res:     func() *sim.Result { r := fixtureResult().Sim.Sim(); return &r }(),
+		Res:     fixtureResult().Sim,
 		Err:     errors.New("boom"),
 		Elapsed: 1500 * time.Millisecond,
 	}
-	got := ResultFrom(sr).Sweep()
+	b, err := json.Marshal(ResultFrom(sr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire Result
+	if err := json.Unmarshal(b, &wire); err != nil {
+		t.Fatal(err)
+	}
+	got := wire.Sweep()
 	if !reflect.DeepEqual(got.Res, sr.Res) {
 		t.Errorf("sim result: %+v != %+v", got.Res, sr.Res)
 	}
@@ -174,11 +224,11 @@ func TestGridDefaultingMatchesInProcess(t *testing.T) {
 		`{"schemes":["2SC3","C4"],"mixes":["LLHH"]}`,
 		`{"instr_limit":20000,"seed":9,"shared_seed":true}`,
 	} {
-		var g Grid
+		var g sweep.Grid
 		if err := json.Unmarshal([]byte(doc), &g); err != nil {
 			t.Fatalf("%s: %v", doc, err)
 		}
-		want, err := g.Sweep().Jobs()
+		want, err := g.Jobs()
 		if err != nil {
 			t.Fatalf("%s: %v", doc, err)
 		}
@@ -210,8 +260,8 @@ func TestGolden(t *testing.T) {
 		v    any
 		dec  func([]byte) (any, error)
 	}{
-		{"machine.golden.json", MachineFrom(isa.Default()), func(b []byte) (any, error) {
-			var v Machine
+		{"machine.golden.json", isa.Default(), func(b []byte) (any, error) {
+			var v isa.Machine
 			return v, json.Unmarshal(b, &v)
 		}},
 		{"job.golden.json", fixtureJob(), func(b []byte) (any, error) {
@@ -219,7 +269,7 @@ func TestGolden(t *testing.T) {
 			return v, json.Unmarshal(b, &v)
 		}},
 		{"grid.golden.json", fixtureGrid(), func(b []byte) (any, error) {
-			var v Grid
+			var v sweep.Grid
 			return v, json.Unmarshal(b, &v)
 		}},
 		{"result.golden.json", fixtureResult(), func(b []byte) (any, error) {
@@ -372,12 +422,11 @@ func TestV1BackCompat(t *testing.T) {
 	if req.Version != 1 || req.Grid == nil {
 		t.Fatalf("unexpected decode: %+v", req)
 	}
-	v1Jobs, err := req.Grid.Sweep().Jobs()
+	v1Jobs, err := req.Grid.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := fixtureGrid()
-	v2Jobs, err := g.Sweep().Jobs()
+	v2Jobs, err := fixtureGrid().Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,6 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if req.Grid != nil {
-			req.Grid.Sweep()
-		}
 		for _, j := range req.Jobs {
 			j.Sweep() // a malformed scheme spec is an error, never a panic
 		}

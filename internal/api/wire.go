@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"vliwmt/internal/sweep"
 )
 
 // State is the lifecycle of a submitted sweep.
@@ -32,11 +34,11 @@ func (s State) Terminal() bool {
 // pool size; because sweep results are deterministic at any worker
 // count it never changes the results, only the wall-clock time.
 type SweepRequest struct {
-	Version int    `json:"version"`
-	Grid    *Grid  `json:"grid,omitempty"`
-	Jobs    []Job  `json:"jobs,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	Tag     string `json:"tag,omitempty"`
+	Version int         `json:"version"`
+	Grid    *sweep.Grid `json:"grid,omitempty"`
+	Jobs    []Job       `json:"jobs,omitempty"`
+	Workers int         `json:"workers,omitempty"`
+	Tag     string      `json:"tag,omitempty"`
 }
 
 // SweepStatus is the body of sweep submission and status responses.

@@ -15,16 +15,17 @@ package cache
 
 import "fmt"
 
-// Config describes one cache.
+// Config describes one cache. Its json tags are the wire and store form
+// of a cache configuration.
 type Config struct {
 	// Size is the total capacity in bytes.
-	Size int
+	Size int `json:"size,omitempty"`
 	// LineSize is the line (block) size in bytes.
-	LineSize int
+	LineSize int `json:"line_size,omitempty"`
 	// Ways is the set associativity.
-	Ways int
+	Ways int `json:"ways,omitempty"`
 	// MissPenalty is the thread stall in cycles on a miss.
-	MissPenalty int
+	MissPenalty int `json:"miss_penalty,omitempty"`
 }
 
 // DefaultConfig returns the paper's cache configuration: 64KB, 4-way,
@@ -54,9 +55,9 @@ func (c Config) Validate() error {
 
 // Stats accumulates access counters.
 type Stats struct {
-	Accesses   int64
-	Misses     int64
-	Writebacks int64
+	Accesses   int64 `json:"accesses,omitempty"`
+	Misses     int64 `json:"misses,omitempty"`
+	Writebacks int64 `json:"writebacks,omitempty"`
 }
 
 // MissRate returns Misses/Accesses (0 when idle).

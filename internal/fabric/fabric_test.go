@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -276,10 +277,18 @@ func TestFabricDedup(t *testing.T) {
 			if r.Res == results[0].Res {
 				t.Fatalf("job %d aliases job 0's result", i)
 			}
-			if r.Res.IPC != results[0].Res.IPC || r.Res.Cycles != results[0].Res.Cycles {
+			if !reflect.DeepEqual(r.Res, results[0].Res) {
 				t.Fatalf("job %d diverges from job 0", i)
 			}
 		}
+	}
+	// A secondary's copy shares no slice with job 0's result.
+	want := results[0].Res.Clone()
+	results[1].Res.Threads[0].Instrs++
+	results[1].Res.Threads[0].Name += "x"
+	results[1].Res.MergeHist[0]++
+	if !reflect.DeepEqual(results[0].Res, want) {
+		t.Fatal("mutating job 1's result changed job 0's")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"vliwmt/internal/api"
 	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
@@ -247,7 +246,7 @@ func (d *dispatch) mergeLocked(u *unit, r sweep.Result, workerName string, shard
 		if n > 0 && res != nil {
 			// Secondary indices get their own copy so downstream
 			// consumers can't alias one simulation result across rows.
-			res = copySim(res)
+			res = res.Clone()
 		}
 		d.results[idx].Err = r.Err
 		deliver(d.results, idx, res, r.Elapsed, r.Cached, workerName, shardID)
@@ -268,12 +267,6 @@ func (d *dispatch) finish(idx int, err error) {
 		d.progress(d.done, len(d.jobs), d.results[idx])
 	}
 	d.mu.Unlock()
-}
-
-// copySim deep-copies a simulation result through its wire form.
-func copySim(r *sim.Result) *sim.Result {
-	c := api.SimResultFrom(*r).Sim()
-	return &c
 }
 
 // deliver fills one result slot from a merged outcome. On the merge

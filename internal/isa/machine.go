@@ -23,33 +23,37 @@ const MaxClusters = 8
 // MaxIssueWidth is the maximum number of issue slots per cluster.
 const MaxIssueWidth = 8
 
-// Machine describes a clustered VLIW processor configuration.
+// Machine describes a clustered VLIW processor configuration. Its json
+// tags are the wire and store form of a machine.
 //
 // The zero value is not a valid machine; use Default for the paper's
 // 4-cluster, 4-issue-per-cluster configuration or fill in the fields and
 // call Validate.
 type Machine struct {
 	// Clusters is the number of register-file clusters (M).
-	Clusters int
+	Clusters int `json:"clusters,omitempty"`
 	// IssueWidth is the number of issue slots per cluster (W). Every slot
 	// can execute an ALU operation.
-	IssueWidth int
+	IssueWidth int `json:"issue_width,omitempty"`
 	// Muls is the number of multiplier units per cluster.
-	Muls int
+	Muls int `json:"muls,omitempty"`
 	// MemUnits is the number of load/store units per cluster.
-	MemUnits int
+	MemUnits int `json:"mem_units,omitempty"`
 	// BranchClusters is the number of clusters (starting from cluster 0)
 	// that host a branch unit. The paper's architecture resolves branches
 	// on cluster 0 only.
-	BranchClusters int
+	BranchClusters int `json:"branch_clusters,omitempty"`
 
 	// LatencyALU, LatencyMul and LatencyMem are operation latencies in
 	// cycles. Copy is the latency of an intercluster copy.
-	LatencyALU, LatencyMul, LatencyMem, LatencyCopy int
+	LatencyALU  int `json:"latency_alu,omitempty"`
+	LatencyMul  int `json:"latency_mul,omitempty"`
+	LatencyMem  int `json:"latency_mem,omitempty"`
+	LatencyCopy int `json:"latency_copy,omitempty"`
 
 	// BranchPenalty is the number of squashed cycles after a taken branch
 	// (there is no branch predictor; fall-through is the predicted path).
-	BranchPenalty int
+	BranchPenalty int `json:"branch_penalty,omitempty"`
 }
 
 // Default returns the machine configuration used in the paper's evaluation:

@@ -3,10 +3,12 @@ package resultstore
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 
-	"vliwmt/internal/api"
+	"vliwmt/internal/sim"
 )
 
 // FieldDelta is one metric that differs between two snapshots of the
@@ -102,78 +104,50 @@ func DiffSnapshots(old, new Snapshot) Diff {
 	return d
 }
 
-// deltaCollector accumulates field deltas with typed renderers.
-type deltaCollector []FieldDelta
-
-func (c *deltaCollector) ints(field string, a, b int64) {
-	if a != b {
-		*c = append(*c, FieldDelta{field, strconv.FormatInt(a, 10), strconv.FormatInt(b, 10)})
-	}
+// simDeltas lists every diverging leaf of two results in the result's
+// field order, each named by its json path: "ipc", "icache.misses",
+// "merge_hist[2]", "threads[1].stall_mem". A slice whose lengths differ
+// reports one "merge_hist(len)" or "threads(len)" delta instead of its
+// elements. The walk reaches every field, so "no deltas" is exactly
+// "bit-identical result", and a new field is diffed without an edit
+// here.
+func simDeltas(a, b sim.Result) []FieldDelta {
+	var out []FieldDelta
+	walkDeltas(&out, "", reflect.ValueOf(a), reflect.ValueOf(b))
+	return out
 }
 
-func (c *deltaCollector) floats(field string, a, b float64) {
-	if a != b {
-		*c = append(*c, FieldDelta{
-			field,
-			strconv.FormatFloat(a, 'g', -1, 64),
-			strconv.FormatFloat(b, 'g', -1, 64),
-		})
-	}
-}
-
-func (c *deltaCollector) bools(field string, a, b bool) {
-	if a != b {
-		*c = append(*c, FieldDelta{field, strconv.FormatBool(a), strconv.FormatBool(b)})
-	}
-}
-
-// simDeltas enumerates every diverging field of two wire results. The
-// enumeration is exhaustive over api.SimResult — each field appears
-// here by name — so "no deltas" is exactly "bit-identical result".
-func simDeltas(a, b api.SimResult) []FieldDelta {
-	var c deltaCollector
-	c.ints("cycles", a.Cycles, b.Cycles)
-	c.ints("instrs", a.Instrs, b.Instrs)
-	c.ints("ops", a.Ops, b.Ops)
-	c.floats("ipc", a.IPC, b.IPC)
-	c.ints("empty_cycles", a.EmptyCycles, b.EmptyCycles)
-	c.ints("issue_width", int64(a.IssueWidth), int64(b.IssueWidth))
-	c.bools("timed_out", a.TimedOut, b.TimedOut)
-
-	if len(a.MergeHist) != len(b.MergeHist) {
-		c.ints("merge_hist(len)", int64(len(a.MergeHist)), int64(len(b.MergeHist)))
-	} else {
-		for i := range a.MergeHist {
-			c.ints(fmt.Sprintf("merge_hist[%d]", i), a.MergeHist[i], b.MergeHist[i])
+func walkDeltas(out *[]FieldDelta, path string, a, b reflect.Value) {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := range a.NumField() {
+			name, _, _ := strings.Cut(a.Type().Field(i).Tag.Get("json"), ",")
+			if path != "" {
+				name = path + "." + name
+			}
+			walkDeltas(out, name, a.Field(i), b.Field(i))
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			*out = append(*out, FieldDelta{path + "(len)", strconv.Itoa(a.Len()), strconv.Itoa(b.Len())})
+			return
+		}
+		for i := range a.Len() {
+			walkDeltas(out, fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i))
+		}
+	default:
+		if !a.Equal(b) {
+			*out = append(*out, FieldDelta{path, render(a), render(b)})
 		}
 	}
+}
 
-	c.ints("icache.accesses", a.ICache.Accesses, b.ICache.Accesses)
-	c.ints("icache.misses", a.ICache.Misses, b.ICache.Misses)
-	c.ints("icache.writebacks", a.ICache.Writebacks, b.ICache.Writebacks)
-	c.ints("dcache.accesses", a.DCache.Accesses, b.DCache.Accesses)
-	c.ints("dcache.misses", a.DCache.Misses, b.DCache.Misses)
-	c.ints("dcache.writebacks", a.DCache.Writebacks, b.DCache.Writebacks)
-
-	if len(a.Threads) != len(b.Threads) {
-		c.ints("threads(len)", int64(len(a.Threads)), int64(len(b.Threads)))
-		return c
+// render formats one leaf value: floats in their shortest exact form.
+func render(v reflect.Value) string {
+	if v.Kind() == reflect.Float64 {
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	}
-	for i := range a.Threads {
-		at, bt := a.Threads[i], b.Threads[i]
-		pre := fmt.Sprintf("threads[%d].", i)
-		if at.Name != bt.Name {
-			c = append(c, FieldDelta{pre + "name", at.Name, bt.Name})
-		}
-		c.ints(pre+"instrs", at.Instrs, bt.Instrs)
-		c.ints(pre+"ops", at.Ops, bt.Ops)
-		c.ints(pre+"scheduled_cycles", at.ScheduledCycles, bt.ScheduledCycles)
-		c.ints(pre+"conflict_cycles", at.ConflictCycles, bt.ConflictCycles)
-		c.ints(pre+"stall_mem", at.StallMem, bt.StallMem)
-		c.ints(pre+"stall_fetch", at.StallFetch, bt.StallFetch)
-		c.ints(pre+"stall_branch", at.StallBranch, bt.StallBranch)
-	}
-	return c
+	return fmt.Sprint(v.Interface())
 }
 
 // WriteText renders the diff for humans: every divergence with its

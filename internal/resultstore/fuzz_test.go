@@ -54,8 +54,8 @@ func FuzzStoreEntry(f *testing.F) {
 		case ok != valid:
 			t.Fatalf("Get hit=%v, but the bytes decode valid=%v", ok, valid)
 		case ok:
-			if res := want.Sim.Sim(); !reflect.DeepEqual(got, &res) {
-				t.Fatalf("Get served\n%+v\nbut the bytes decode to\n%+v", got, &res)
+			if !reflect.DeepEqual(got, &want.Sim) {
+				t.Fatalf("Get served\n%+v\nbut the bytes decode to\n%+v", got, &want.Sim)
 			}
 			if elapsed != time.Duration(want.ElapsedNS) {
 				t.Fatalf("Get replayed elapsed %v, the bytes hold %v", elapsed, time.Duration(want.ElapsedNS))

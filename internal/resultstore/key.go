@@ -28,7 +28,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"vliwmt/internal/api"
+	"vliwmt/internal/cache"
+	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
 	"vliwmt/internal/sweep"
 )
@@ -49,17 +50,17 @@ const SchemaVersion = 1
 // scheme is reduced to its canonical spelling — so the hash does not
 // depend on how the job was written down, only on what it simulates.
 type keyDoc struct {
-	Schema     int             `json:"schema"`
-	Scheme     string          `json:"scheme"`
-	Contexts   int             `json:"contexts"`
-	Benchmarks []string        `json:"benchmarks"`
-	Machine    api.Machine     `json:"machine"`
-	ICache     api.CacheConfig `json:"icache"`
-	DCache     api.CacheConfig `json:"dcache"`
-	Perfect    bool            `json:"perfect_memory"`
-	Instr      int64           `json:"instr_limit"`
-	Timeslice  int64           `json:"timeslice_cycles"`
-	Seed       uint64          `json:"seed"`
+	Schema     int          `json:"schema"`
+	Scheme     string       `json:"scheme"`
+	Contexts   int          `json:"contexts"`
+	Benchmarks []string     `json:"benchmarks"`
+	Machine    isa.Machine  `json:"machine"`
+	ICache     cache.Config `json:"icache"`
+	DCache     cache.Config `json:"dcache"`
+	Perfect    bool         `json:"perfect_memory"`
+	Instr      int64        `json:"instr_limit"`
+	Timeslice  int64        `json:"timeslice_cycles"`
+	Seed       uint64       `json:"seed"`
 }
 
 // canonicalScheme reduces a job's merge control to one spelling: the
@@ -98,9 +99,9 @@ func Key(j sweep.Job) (string, error) {
 		Scheme:     scheme,
 		Contexts:   j.EffectiveContexts(),
 		Benchmarks: j.Benchmarks,
-		Machine:    api.MachineFrom(j.Machine),
-		ICache:     api.CacheConfigFrom(j.ICache),
-		DCache:     api.CacheConfigFrom(j.DCache),
+		Machine:    j.Machine,
+		ICache:     j.ICache,
+		DCache:     j.DCache,
 		Perfect:    j.PerfectMemory,
 		Instr:      j.InstrLimit,
 		Timeslice:  j.TimesliceCycles,

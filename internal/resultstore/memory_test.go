@@ -190,7 +190,7 @@ func TestStoreMemoryCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := *fakeResult(1)
+	res := fakeResult(1)
 	for i := 0; i <= memCap; i++ {
 		s.remember(fmt.Sprintf("%064x", i), res, 0, info)
 		if n := len(s.mem); n > memCap {

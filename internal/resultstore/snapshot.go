@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"vliwmt/internal/api"
+	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
 )
 
@@ -17,10 +18,10 @@ import (
 // snapshot is a statement about simulator behaviour, and committing
 // one (as a golden baseline) must be reproducible byte for byte.
 type Entry struct {
-	Key   string        `json:"key"`
-	Label string        `json:"label,omitempty"`
-	Job   api.Job       `json:"job"`
-	Sim   api.SimResult `json:"sim"`
+	Key   string     `json:"key"`
+	Label string     `json:"label,omitempty"`
+	Job   api.Job    `json:"job"`
+	Sim   sim.Result `json:"sim"`
 }
 
 // Snapshot is a diffable corpus of job results, sorted by key. It is
@@ -86,7 +87,7 @@ func SnapshotResults(results []sweep.Result) (Snapshot, error) {
 			Key:   key,
 			Label: r.Job.Describe(),
 			Job:   api.JobFrom(r.Job),
-			Sim:   api.SimResultFrom(*r.Res),
+			Sim:   *r.Res.Clone(),
 		})
 	}
 	sortEntries(snap.Entries)

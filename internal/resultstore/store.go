@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,7 +58,7 @@ const memCap = 4096
 // from: the fstat of the open file Get read, compared with a later
 // stat of the path by os.SameFile, size and modification time.
 type memEntry struct {
-	res     sim.Result
+	res     *sim.Result
 	elapsed time.Duration
 	file    os.FileInfo
 }
@@ -118,8 +117,8 @@ func (h entryHeader) valid(wantKey string) bool {
 // without the grid that produced it).
 type entryFile struct {
 	entryHeader
-	Job api.Job       `json:"job"`
-	Sim api.SimResult `json:"sim"`
+	Job api.Job    `json:"job"`
+	Sim sim.Result `json:"sim"`
 	// ElapsedNS is integer nanoseconds (not the wire format's float
 	// seconds) so the replayed duration is bit-exact: a warm sweep
 	// reports precisely the elapsed values the cold sweep did.
@@ -132,8 +131,8 @@ type entryFile struct {
 // of a hit's decode cost.
 type hitEntry struct {
 	entryHeader
-	Sim       api.SimResult `json:"sim"`
-	ElapsedNS int64         `json:"elapsed_ns"`
+	Sim       sim.Result `json:"sim"`
+	ElapsedNS int64      `json:"elapsed_ns"`
 }
 
 func (s *Store) path(key string) string {
@@ -212,12 +211,12 @@ func (s *Store) Get(j sweep.Job) (*sim.Result, time.Duration, bool) {
 		metMisses.Inc()
 		return nil, 0, false
 	}
-	res := e.Sim.Sim()
+	res := &e.Sim
 	elapsed := time.Duration(e.ElapsedNS)
 	s.remember(key, res, elapsed, info)
 	s.hits.Add(1)
 	metHits.Inc()
-	return &res, elapsed, true
+	return res, elapsed, true
 }
 
 // recall serves key from the handle's decoded entries when the file
@@ -240,8 +239,7 @@ func (s *Store) recall(key, path string) (*sim.Result, time.Duration, bool) {
 		s.memMu.Unlock()
 		return nil, 0, false
 	}
-	res := cloneResult(m.res)
-	return &res, m.elapsed, true
+	return m.res.Clone(), m.elapsed, true
 }
 
 // remember keeps a decoded entry for recall. Only Get calls it: an
@@ -249,8 +247,8 @@ func (s *Store) recall(key, path string) (*sim.Result, time.Duration, bool) {
 // validated, so a sweep that only writes grows no memory, and the
 // first hit of a fresh handle always checks the file on disk. The
 // entry keeps its own copy of res's slices.
-func (s *Store) remember(key string, res sim.Result, elapsed time.Duration, file os.FileInfo) {
-	m := memEntry{res: cloneResult(res), elapsed: elapsed, file: file}
+func (s *Store) remember(key string, res *sim.Result, elapsed time.Duration, file os.FileInfo) {
+	m := memEntry{res: res.Clone(), elapsed: elapsed, file: file}
 	s.memMu.Lock()
 	defer s.memMu.Unlock()
 	if _, ok := s.mem[key]; !ok && len(s.mem) >= memCap {
@@ -260,14 +258,6 @@ func (s *Store) remember(key string, res sim.Result, elapsed time.Duration, file
 		s.mem = make(map[string]memEntry)
 	}
 	s.mem[key] = m
-}
-
-// cloneResult copies r with fresh slices, so the copy shares no
-// memory with r.
-func cloneResult(r sim.Result) sim.Result {
-	r.MergeHist = slices.Clone(r.MergeHist)
-	r.Threads = slices.Clone(r.Threads)
-	return r
 }
 
 // Put persists one completed job result. The write is atomic (temp
@@ -283,10 +273,11 @@ func (s *Store) Put(j sweep.Job, res *sim.Result, elapsed time.Duration) error {
 	if err != nil {
 		return err
 	}
+	// The entry shares res's slices: it is encoded here and dropped.
 	e := entryFile{
 		entryHeader: entryHeader{Schema: SchemaVersion, Key: key},
 		Job:         api.JobFrom(j),
-		Sim:         api.SimResultFrom(*res),
+		Sim:         *res,
 		ElapsedNS:   elapsed.Nanoseconds(),
 	}
 	b, err := json.MarshalIndent(e, "", "  ")

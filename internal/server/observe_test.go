@@ -261,7 +261,7 @@ func TestConcurrentEventSubscribers(t *testing.T) {
 // event's top-level err string, the status's errors count and the
 // terminal summary.
 func TestJobErrorsSurfaced(t *testing.T) {
-	jobs, err := testGrid().Sweep().Jobs()
+	jobs, err := testGrid().Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}

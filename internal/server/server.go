@@ -508,7 +508,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var jobs []sweep.Job
 	if req.Grid != nil {
-		if jobs, err = req.Grid.Sweep().Jobs(); err != nil {
+		if jobs, err = req.Grid.Jobs(); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}

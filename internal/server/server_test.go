@@ -19,8 +19,8 @@ import (
 )
 
 // testGrid is a 2x2 grid small enough for handler tests.
-func testGrid() api.Grid {
-	return api.Grid{
+func testGrid() sweep.Grid {
+	return sweep.Grid{
 		Schemes:    []string{"2SC3", "3SSS"},
 		Mixes:      []string{"LLHH", "HHHH"},
 		InstrLimit: 5_000,
@@ -111,7 +111,7 @@ func fingerprint(t *testing.T, results []sweep.Result) string {
 // same grid — the acceptance criterion of the service redesign — at
 // two different server worker counts.
 func TestSubmitStatusMatchesInProcess(t *testing.T) {
-	jobs, err := testGrid().Sweep().Jobs()
+	jobs, err := testGrid().Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSubmitStatusMatchesInProcess(t *testing.T) {
 // TestExplicitJobsAndWaitMode submits explicit jobs with ?wait=1 and
 // checks the synchronous response carries the finished results.
 func TestExplicitJobsAndWaitMode(t *testing.T) {
-	jobs, err := testGrid().Sweep().Jobs()
+	jobs, err := testGrid().Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestTerminalEventCarriesStatus(t *testing.T) {
 func TestCancel(t *testing.T) {
 	// A grid big enough to still be running when the DELETE lands, on
 	// a single worker.
-	g := api.Grid{InstrLimit: 50_000, Seed: 1}
+	g := sweep.Grid{InstrLimit: 50_000, Seed: 1}
 	_, ts := newTestServer(t, Options{})
 	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1}, "")
 	if st.Total != 16*9 {
@@ -376,7 +376,7 @@ func TestCancel(t *testing.T) {
 // path: a client that disconnects from a ?wait=1 submission cancels
 // the sweep server-side.
 func TestWaitModeClientDisconnectCancels(t *testing.T) {
-	g := api.Grid{InstrLimit: 50_000, Seed: 1}
+	g := sweep.Grid{InstrLimit: 50_000, Seed: 1}
 	_, ts := newTestServer(t, Options{})
 	var body bytes.Buffer
 	if err := api.EncodeSweepRequest(&body, api.SweepRequest{Grid: &g, Workers: 1}); err != nil {

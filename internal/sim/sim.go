@@ -18,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"vliwmt/internal/cache"
 	"vliwmt/internal/isa"
@@ -82,38 +83,53 @@ type Task struct {
 
 // ThreadStats reports per-software-thread results.
 type ThreadStats struct {
-	Name string
+	Name string `json:"name,omitempty"`
 	// Instrs and Ops are retired VLIW instructions and operations.
-	Instrs, Ops int64
+	Instrs int64 `json:"instrs,omitempty"`
+	Ops    int64 `json:"ops,omitempty"`
 	// ScheduledCycles counts cycles the thread held a hardware context.
-	ScheduledCycles int64
+	ScheduledCycles int64 `json:"scheduled_cycles,omitempty"`
 	// ConflictCycles counts cycles the thread had an instruction ready
 	// but the merge control did not select it.
-	ConflictCycles int64
+	ConflictCycles int64 `json:"conflict_cycles,omitempty"`
 	// StallMem, StallFetch and StallBranch are cycles lost to data-cache
 	// misses, instruction-cache misses and taken-branch squash.
-	StallMem, StallFetch, StallBranch int64
+	StallMem    int64 `json:"stall_mem,omitempty"`
+	StallFetch  int64 `json:"stall_fetch,omitempty"`
+	StallBranch int64 `json:"stall_branch,omitempty"`
 }
 
-// Result is the outcome of a run.
+// Result is the outcome of a run. Its json tags are the result's wire
+// and store form: every field round-trips exactly, so a result fetched
+// over the wire or read from a store is bit-identical to the
+// in-process one.
 type Result struct {
-	Cycles int64
-	Instrs int64
-	Ops    int64
+	Cycles int64 `json:"cycles"`
+	Instrs int64 `json:"instrs"`
+	Ops    int64 `json:"ops"`
 	// IPC is operations per cycle (the paper's metric).
-	IPC float64
+	IPC float64 `json:"ipc"`
 	// MergeHist[k] counts cycles in which k threads issued together.
-	MergeHist []int64
-	Threads   []ThreadStats
-	ICache    cache.Stats
-	DCache    cache.Stats
+	MergeHist []int64       `json:"merge_hist,omitempty"`
+	Threads   []ThreadStats `json:"threads,omitempty"`
+	ICache    cache.Stats   `json:"icache,omitempty"`
+	DCache    cache.Stats   `json:"dcache,omitempty"`
 	// IssueWidth is the machine-wide issue width, for waste accounting.
-	IssueWidth int
+	IssueWidth int `json:"issue_width,omitempty"`
 	// EmptyCycles counts cycles in which zero operations issued (no
 	// thread selected, or only NOP bundles covering latency gaps).
-	EmptyCycles int64
+	EmptyCycles int64 `json:"empty_cycles,omitempty"`
 	// TimedOut reports that MaxCycles elapsed before any thread finished.
-	TimedOut bool
+	TimedOut bool `json:"timed_out,omitempty"`
+}
+
+// Clone returns a copy of r with its own slices, so the copy shares no
+// memory with r.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.MergeHist = slices.Clone(r.MergeHist)
+	c.Threads = slices.Clone(r.Threads)
+	return &c
 }
 
 // VerticalWaste returns the fraction of cycles in which no operation

@@ -18,33 +18,34 @@ func DefaultSchemes() []string { return merge.PaperSchemes4() }
 //
 // Zero-valued fields assume the paper's defaults: Default machine and
 // caches, a 300k-instruction budget with a 1%-of-budget timeslice, and
-// seed 1.
+// seed 1. The json tags are the grid's wire form, so a sparse document
+// such as {} expands with exactly this defaulting.
 type Grid struct {
 	// Schemes are merge-control names — paper names, baselines,
 	// registered custom schemes or canonical tree expressions; empty
 	// selects the paper's sixteen Figure 9 schemes.
-	Schemes []string
+	Schemes []string `json:"schemes,omitempty"`
 	// Mixes are Table 2 mix names; empty selects all nine.
-	Mixes []string
+	Mixes []string `json:"mixes,omitempty"`
 	// Machine, ICache, DCache configure the processor (zero: defaults).
-	Machine isa.Machine
-	ICache  cache.Config
-	DCache  cache.Config
+	Machine isa.Machine  `json:"machine,omitempty"`
+	ICache  cache.Config `json:"icache,omitempty"`
+	DCache  cache.Config `json:"dcache,omitempty"`
 	// InstrLimit is the per-thread budget (zero: 300k, the scaled-down
 	// default that converges on the synthetic kernels).
-	InstrLimit int64
+	InstrLimit int64 `json:"instr_limit,omitempty"`
 	// TimesliceCycles is the OS quantum (zero: InstrLimit/100, floored
 	// at 1000, the paper's proportion).
-	TimesliceCycles int64
+	TimesliceCycles int64 `json:"timeslice_cycles,omitempty"`
 	// Seed seeds the sweep. Each job derives its own seed from it and
 	// the job index (splitmix64), so results are deterministic at any
 	// worker count yet jobs are decorrelated.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// SharedSeed gives every job the sweep seed verbatim instead of a
 	// derived one. Required when comparing schemes the paper treats as
 	// functionally identical (e.g. C4 vs 3CCC), where the OS scheduling
 	// sequence must match across jobs.
-	SharedSeed bool
+	SharedSeed bool `json:"shared_seed,omitempty"`
 }
 
 // deriveSeed spreads the sweep seed over job indices (splitmix64).

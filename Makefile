@@ -7,7 +7,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkCacheAccess$$|BenchmarkStoreColdSweep$$|BenchmarkStoreWarmSweep$$|BenchmarkStoreHotSweep$$|BenchmarkFabricSweep$$|BenchmarkGeneratedSweepCold$$|BenchmarkGeneratedSweepWarm$$
+SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkCacheAccess$$|BenchmarkStoreColdSweep$$|BenchmarkStoreWarmSweep$$|BenchmarkStoreHotSweep$$|BenchmarkGeneratedSweepCold$$|BenchmarkGeneratedSweepWarm$$
 
 .PHONY: test lint check-allocs golden golden-check bench-simcore bench-simcore-ci
 

@@ -10,18 +10,15 @@ package vliwmt_test
 import (
 	"context"
 	"math/rand"
-	"net/http/httptest"
 	"testing"
 
 	"vliwmt"
 	"vliwmt/internal/cache"
 	"vliwmt/internal/experiments"
-	"vliwmt/internal/fabric"
 	"vliwmt/internal/isa"
 	"vliwmt/internal/logic"
 	"vliwmt/internal/merge"
 	"vliwmt/internal/refsim"
-	"vliwmt/internal/server"
 	"vliwmt/internal/sim"
 	"vliwmt/internal/workload"
 )
@@ -726,45 +723,4 @@ func BenchmarkExtension8Threads(b *testing.B) {
 		frac = hybrid / smt
 	}
 	b.ReportMetric(frac, "hybrid/SMT-IPC")
-}
-
-// BenchmarkFabricSweep measures the distributed sweep path end to end:
-// a fabric coordinator sharding the store-bench grid (32 jobs) across
-// two local vliwserve workers over real HTTP and merging the results
-// in index order. On one box the delta against BenchmarkSweepGrid is
-// the fabric's wire, sharding and coordination overhead; across boxes
-// that overhead buys the fan-out the ROADMAP's cluster-scale target
-// needs.
-func BenchmarkFabricSweep(b *testing.B) {
-	jobs, err := storeBenchGrid().Jobs()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		wsrv := server.New(server.Options{})
-		wts := httptest.NewServer(wsrv.Handler())
-		b.Cleanup(wts.Close)
-		b.Cleanup(wsrv.Close)
-		addrs = append(addrs, wts.URL)
-	}
-	coord, err := fabric.New(fabric.Options{Workers: addrs, ShardJobs: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(coord.Close)
-
-	done := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := coord.Run(context.Background(), jobs, 0, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		done += len(results)
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(done)/sec, "jobs/s")
-	}
 }

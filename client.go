@@ -55,6 +55,29 @@ func (c *Client) Ping(ctx context.Context) error {
 	return nil
 }
 
+// ServerHealth is the structured liveness document served by
+// GET /v1/healthz on vliwserve: build identity, current load and (when
+// persistence is configured) result-store traffic.
+type ServerHealth = api.Health
+
+// Health fetches the server's structured health document — a richer
+// probe than Ping, exposing active sweeps and store counters.
+func (c *Client) Health(ctx context.Context) (ServerHealth, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/healthz", nil)
+	if err != nil {
+		return ServerHealth{}, err
+	}
+	resp, err := c.httpc.Do(req)
+	if err != nil {
+		return ServerHealth{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return ServerHealth{}, fmt.Errorf("vliwmt: health: %s: %s", resp.Status, readError(resp.Body))
+	}
+	return api.DecodeHealth(resp.Body)
+}
+
 // Sweep submits the grid to the server, which expands it with the same
 // defaulting as in-process Grid.Jobs, streams progress into
 // opts.Progress, and returns the index-ordered results. Cancelling ctx

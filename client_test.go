@@ -14,7 +14,6 @@ import (
 
 	"vliwmt"
 	"vliwmt/internal/api"
-	"vliwmt/internal/fabric"
 	"vliwmt/internal/server"
 	"vliwmt/internal/sweep"
 )
@@ -202,54 +201,6 @@ func TestClientHealth(t *testing.T) {
 	}
 	if h.ActiveSweeps != 0 {
 		t.Errorf("idle server reports %d active sweeps", h.ActiveSweeps)
-	}
-}
-
-// TestFabricClientEndToEnd drives the full public path: a coordinator
-// serving the wire API with two vliwserve workers behind it, submitted
-// to via FabricClient — results bit-identical to in-process, with
-// worker/shard attribution preserved across the wire.
-func TestFabricClientEndToEnd(t *testing.T) {
-	g := runnerTestGrid()
-	local, err := vliwmt.Sweep(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var workers []string
-	for i := 0; i < 2; i++ {
-		wsrv := server.New(server.Options{})
-		wts := httptest.NewServer(wsrv.Handler())
-		defer wts.Close()
-		defer wsrv.Close()
-		workers = append(workers, wts.URL)
-	}
-	coord, err := fabric.New(fabric.Options{Workers: workers, ShardJobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	csrv := server.New(server.Options{Execute: coord.Run, Service: "vliwfabric"})
-	defer csrv.Close()
-	cts := httptest.NewServer(csrv.Handler())
-	defer cts.Close()
-
-	fc := vliwmt.NewFabricClient(cts.URL)
-	if h, err := fc.Health(context.Background()); err != nil || h.Service != "vliwfabric" {
-		t.Fatalf("coordinator health: %+v, %v", h, err)
-	}
-	remote, err := fc.Sweep(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sweepKeys(t, remote); !reflect.DeepEqual(got, sweepKeys(t, local)) {
-		t.Error("fabric results differ from in-process run")
-	}
-	for _, r := range remote {
-		if r.Worker == "" || r.Shard == 0 {
-			t.Fatalf("job %d lost its attribution over the wire: worker=%q shard=%d",
-				r.Index, r.Worker, r.Shard)
-		}
 	}
 }
 

@@ -14,8 +14,8 @@
 // invocation always emits byte-identical JSON, so generated scenarios
 // are reproducible from the command line that made them. Benchmarks
 // travel as canonical "gen:" names (mixes as "genmix:" names), which
-// every consumer — vliwsweep, vliwserve, the fabric — regenerates
-// deterministically; no kernel bytes cross the wire.
+// every consumer — vliwsweep, vliwserve — regenerates deterministically;
+// no kernel bytes cross the wire.
 package main
 
 import (

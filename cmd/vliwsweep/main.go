@@ -11,7 +11,6 @@
 //	vliwsweep -sharedseed -progress
 //	vliwsweep -store results/ -mixes LLHH      # persistent result store
 //	vliwsweep -addr localhost:8080 -mixes LLHH # same grid, remote vliwserve
-//	vliwsweep -fabric coord:8080 -mixes LLHH   # same grid, distributed fabric
 //	vliwsweep -stats -mixes LLHH               # lifecycle summary on stderr
 //	vliwsweep -log-level debug -log-json       # structured sweep tracing
 //
@@ -23,9 +22,7 @@
 // With -addr the grid is submitted to a running vliwserve instance
 // instead of the in-process engine; the determinism contract crosses
 // the wire, so the output is identical modulo the wall-clock fields
-// (elapsed_sec / time). With -fabric it is submitted to a vliwfabric
-// coordinator, which shards it across a worker pool — same contract,
-// same output, many boxes.
+// (elapsed_sec / time).
 //
 // With -store, completed jobs persist in a content-addressed store at
 // the given directory and later sweeps serve identical jobs from disk
@@ -119,7 +116,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "", "submit the grid to a remote vliwserve at this address instead of running in-process")
 		jobsFile   = flag.String("jobs", "", "read a sweep-request JSON document (a grid or an explicit job set, e.g. emitted by vliwgen) from this file, - for stdin; replaces -schemes/-mixes")
-		fabric     = flag.String("fabric", "", "submit the grid to a vliwfabric coordinator at this address (sharded across its worker pool)")
 		schemes    = flag.String("schemes", "", "comma-separated merge schemes — names or tree expressions like C(S(T0,T1),T2,T3) (default: the paper's sixteen)")
 		mixes      = flag.String("mixes", "", "comma-separated Table 2 mixes (default: all nine)")
 		workers    = flag.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
@@ -151,14 +147,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *addr != "" && *fabric != "" {
-		log.Fatal("-addr and -fabric both name a remote endpoint; pick one")
-	}
-	if (*addr != "" || *fabric != "") && *store != "" {
-		// The remote server owns its own store (vliwserve -results,
-		// vliwfabric -results); silently ignoring -store would look
-		// like caching that never happens.
-		log.Fatal("-store applies to in-process sweeps; with -addr or -fabric, configure the store on the server (-results)")
+	if *addr != "" && *store != "" {
+		// The remote server owns its own store (vliwserve -results);
+		// silently ignoring -store would look like caching that never
+		// happens.
+		log.Fatal("-store applies to in-process sweeps; with -addr, configure the store on the server (-results)")
 	}
 	// Profiling starts only after flag validation, and fatal paths go
 	// through fatal() below so an error mid-sweep still flushes the
@@ -254,10 +247,6 @@ func main() {
 		results, err = vliwmt.NewClient(*addr).SweepJobs(ctx, jobs, opts)
 	case *addr != "":
 		results, err = vliwmt.NewClient(*addr).Sweep(ctx, grid, opts)
-	case *fabric != "" && jobs != nil:
-		results, err = vliwmt.NewFabricClient(*fabric).SweepJobs(ctx, jobs, opts)
-	case *fabric != "":
-		results, err = vliwmt.NewFabricClient(*fabric).Sweep(ctx, grid, opts)
 	case jobs != nil:
 		results, err = vliwmt.SweepJobs(ctx, jobs, opts)
 	default:

@@ -10,8 +10,8 @@ import (
 // from a typed parameter profile; a generated benchmark is identified
 // everywhere by its canonical "gen:" name, which encodes the profile
 // and seed completely. CompileBenchmark, SweepJob.Benchmarks,
-// Grid.Mixes ("genmix:" names), Runner, Client and the sweep fabric
-// all accept generated names exactly like Table 1 names.
+// Grid.Mixes ("genmix:" names), Runner and Client all accept generated
+// names exactly like Table 1 names.
 
 // GenClass is the generator's ILP class axis.
 type GenClass = wgen.Class
@@ -91,7 +91,7 @@ func GenerateStream(opt GenStreamOptions, seed uint64) ([]GenRequest, error) {
 // default of 300k instructions; the timeslice is 1% of the budget,
 // floored at 1000 cycles). Each request becomes one job carrying the
 // request's members, scheme and seed, so the whole scenario runs
-// through SweepJobs, a Runner, a Client or the fabric unchanged.
+// through SweepJobs, a Runner or a Client unchanged.
 func StreamJobs(reqs []GenRequest, instrLimit int64) []SweepJob {
 	if instrLimit <= 0 {
 		instrLimit = 300_000

@@ -47,7 +47,6 @@ var DeterministicPackages = map[string]bool{
 	"vliwmt/internal/wgen":        true,
 	"vliwmt/internal/sweep":       true,
 	"vliwmt/internal/resultstore": true,
-	"vliwmt/internal/fabric":      true,
 }
 
 // randConstructors are the math/rand functions that build seeded,

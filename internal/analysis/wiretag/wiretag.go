@@ -42,7 +42,6 @@ var registrars = map[string]int{
 	"NewGauge":            -1,
 	"NewHistogram":        -1,
 	"NewLabeledCounter":   1,
-	"NewLabeledGauge":     1,
 	"NewLabeledHistogram": 1,
 	"Counter":             1, // Registry methods
 	"Gauge":               1,

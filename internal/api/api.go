@@ -42,10 +42,11 @@ import (
 //	   within 3 (all optional, omitted when empty, version-1-semantics
 //	   when absent, so no bump): sweep statuses may carry an "errors"
 //	   count and a terminal "summary" roll-up (SweepSummary), NDJSON
-//	   events an "err" string for failed jobs, results a "worker" and
-//	   "shard" attribution (set by the distributed sweep fabric),
-//	   the server a /v1/healthz document (Health), and the terminal
-//	   NDJSON event a "status" carrying the final SweepStatus
+//	   events an "err" string for failed jobs, the server a
+//	   /v1/healthz document (Health), and the terminal NDJSON event a
+//	   "status" carrying the final SweepStatus. Results from older
+//	   servers may carry "worker" and "shard" attribution; decoders
+//	   ignore both fields
 const Version = 3
 
 // SchemeSpec is the wire form of a first-class merge scheme
@@ -178,10 +179,7 @@ func (j Job) Sweep() (sweep.Job, error) {
 // wall-clock (non-deterministic) field; Err flattens the job's error
 // to its message, so error identity does not survive the wire. Cached
 // (wire version 3) reports the result was served from the persistent
-// result store rather than simulated. Worker and Shard (additive
-// within version 3) attribute a result computed by the distributed
-// sweep fabric — the worker address that simulated the job and the
-// 1-based shard it travelled in; absent for local, unsharded runs.
+// result store rather than simulated.
 type Result struct {
 	Index      int         `json:"index"`
 	Job        Job         `json:"job"`
@@ -189,8 +187,6 @@ type Result struct {
 	Err        string      `json:"err,omitempty"`
 	ElapsedSec float64     `json:"elapsed_sec"`
 	Cached     bool        `json:"cached,omitempty"`
-	Worker     string      `json:"worker,omitempty"`
-	Shard      int         `json:"shard,omitempty"`
 }
 
 // ResultFrom converts an internal sweep result to its wire form. Sim
@@ -198,7 +194,7 @@ type Result struct {
 // and a sweep result is not modified once its job has completed.
 func ResultFrom(r sweep.Result) Result {
 	out := Result{Index: r.Index, Job: JobFrom(r.Job), Sim: r.Res, ElapsedSec: r.Elapsed.Seconds(),
-		Cached: r.Cached, Worker: r.Worker, Shard: r.Shard}
+		Cached: r.Cached}
 	if r.Err != nil {
 		out.Err = r.Err.Error()
 	}
@@ -221,8 +217,6 @@ func (r Result) Sweep() sweep.Result {
 		Job:     job,
 		Elapsed: time.Duration(r.ElapsedSec * float64(time.Second)),
 		Cached:  r.Cached,
-		Worker:  r.Worker,
-		Shard:   r.Shard,
 		Res:     r.Sim,
 	}
 	if r.Err != "" {

@@ -82,7 +82,7 @@ func fixtureResult() Result {
 // is non-zero: a zero or empty leaf in the result, machine, cache or
 // grid fixtures fails here, so a new field has to enter the fixtures
 // and, through them, the golden files. The envelope fields of Job and
-// Result (Merge, Cached, Worker, ...) are left out: populating them
+// Result (Merge, Cached, ...) are left out: populating them
 // would change committed golden bytes.
 func TestFixturesSetEveryField(t *testing.T) {
 	j := fixtureJob()
@@ -433,6 +433,71 @@ func TestV1BackCompat(t *testing.T) {
 	if !reflect.DeepEqual(v1Jobs, v2Jobs) {
 		t.Error("version 1 document expands differently from its version 2 equivalent")
 	}
+}
+
+// TestOldAttributionFieldsIgnored pins decoding of version 3 documents
+// whose results carry the "worker" and "shard" attribution older
+// servers wrote: such a status document or event decodes to the same
+// sweep result as the document without them, and re-encodes to the
+// fieldless bytes.
+func TestOldAttributionFieldsIgnored(t *testing.T) {
+	// withAttribution splices the old fields into every result object,
+	// which is where elapsed_sec appears.
+	withAttribution := func(t *testing.T, plain []byte, results int) []byte {
+		t.Helper()
+		key := []byte(`"elapsed_sec":`)
+		if n := bytes.Count(plain, key); n != results {
+			t.Fatalf("%d elapsed_sec keys, want %d:\n%s", n, results, plain)
+		}
+		return bytes.ReplaceAll(plain, key, append([]byte(`"worker":"h:1","shard":2,`), key...))
+	}
+	want := fixtureResult().Sweep()
+
+	t.Run("status", func(t *testing.T) {
+		var plain bytes.Buffer
+		st := SweepStatus{ID: "s000001", State: StateDone, Done: 1, Total: 1, Results: []Result{fixtureResult()}}
+		if err := EncodeSweepStatus(&plain, st); err != nil {
+			t.Fatal(err)
+		}
+		old := withAttribution(t, plain.Bytes(), 1)
+		got, err := DecodeSweepStatus(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("old status rejected: %v", err)
+		}
+		if len(got.Results) != 1 || !reflect.DeepEqual(got.Results[0].Sweep(), want) {
+			t.Errorf("old status decodes to %+v, want %+v", got.Results, want)
+		}
+		var again bytes.Buffer
+		if err := EncodeSweepStatus(&again, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), plain.Bytes()) {
+			t.Errorf("old status re-encodes to\n%s\nwant\n%s", again.Bytes(), plain.Bytes())
+		}
+	})
+
+	t.Run("event", func(t *testing.T) {
+		r := fixtureResult()
+		plain, err := json.Marshal(Event{Done: 4, Total: 9, Result: &r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := withAttribution(t, plain, 1)
+		var got Event
+		if err := json.NewDecoder(bytes.NewReader(old)).Decode(&got); err != nil {
+			t.Fatalf("old event rejected: %v", err)
+		}
+		if got.Result == nil || !reflect.DeepEqual(got.Result.Sweep(), want) {
+			t.Errorf("old event decodes to %+v, want %+v", got.Result, want)
+		}
+		again, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, plain) {
+			t.Errorf("old event re-encodes to\n%s\nwant\n%s", again, plain)
+		}
+	})
 }
 
 func TestVersionChecking(t *testing.T) {

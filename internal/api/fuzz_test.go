@@ -10,7 +10,9 @@ import (
 
 // FuzzDecodeSweepRequest feeds arbitrary bytes to the server's request
 // decoder, seeded with version 1, 2 and 3 documents. Decoding and the
-// conversions the server applies next must not panic, and an accepted
+// conversions the server applies next, grid expansion included, must
+// not panic; expansion is safe to run on untrusted grids because
+// sweep.MaxGridJobs bounds it before it allocates. An accepted
 // request must survive a re-encode: omitempty folds an empty list into
 // an absent one and the encoder restamps the version, so equality is
 // checked on the wire form — encoding the decoded document must be a
@@ -36,6 +38,9 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 		req, err := DecodeSweepRequest(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if req.Grid != nil {
+			req.Grid.Jobs() // a bad name or an over-cap grid is an error
 		}
 		for _, j := range req.Jobs {
 			j.Sweep() // a malformed scheme spec is an error, never a panic

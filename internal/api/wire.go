@@ -82,9 +82,9 @@ type SweepSummary struct {
 
 // Health is the body of GET /v1/healthz (additive within wire
 // version 3): a structured liveness document for load balancers and
-// the sweep fabric — build identity, current load and (when
-// persistence is configured) result-store stats — cheap enough to
-// poll, unlike GET /v1/store whose entry count walks the disk.
+// monitors — build identity, current load and (when persistence is
+// configured) result-store stats — cheap enough to poll, unlike
+// GET /v1/store whose entry count walks the disk.
 type Health struct {
 	Version int    `json:"version"`
 	Service string `json:"service"`

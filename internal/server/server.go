@@ -59,8 +59,8 @@ import (
 // contract. workers is the request's pool-size hint; progress must be
 // called with monotonic done counts as jobs complete. The default
 // executor is a vliwmt.Runner on the server's shared compile cache
-// and store; the sweep fabric substitutes a coordinator that fans the
-// jobs out to remote workers instead.
+// and store; perfbench's traced run (perfbench/trace.go) substitutes a
+// sweep engine with a timed store to split each job into spans.
 type Executor func(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error)
 
 // Options configures a Server.
@@ -74,16 +74,13 @@ type Options struct {
 	// restarts.
 	ResultDir string
 	// Store attaches an existing result-store handle instead of opening
-	// one from ResultDir (it wins when both are set). The fabric
-	// coordinator shares one handle between its probe path and the
-	// server's /v1/store endpoints this way.
+	// one from ResultDir (it wins when both are set), so a caller that
+	// also reads the store directly shares one handle with the server's
+	// /v1/store endpoints.
 	Store *vliwmt.ResultStore
 	// Execute substitutes the sweep execution strategy; nil selects the
 	// in-process Runner. See Executor.
 	Execute Executor
-	// Service names the process in GET /v1/healthz documents; empty
-	// defaults to "vliwserve".
-	Service string
 	// Log receives request and sweep lifecycle lines; nil disables.
 	Log *log.Logger
 	// DisableDebug removes the observability endpoints — GET /metrics
@@ -354,12 +351,12 @@ func (s *Server) register(total int, cancel context.CancelFunc) *run {
 }
 
 // execute runs the job set — on a per-sweep Runner sharing the
-// server's compile cache, or on the configured Executor (the fabric
-// coordinator's fan-out path) — then records the terminal state. It
-// releases the run's context on return so finished sweeps don't stay
-// registered as children of the server context. The run's ID rides the
-// context as the telemetry sweep ID, so the engine's span events (and
-// anything below them) are attributable to this submission.
+// server's compile cache, or on the configured Executor — then records
+// the terminal state. It releases the run's context on return so
+// finished sweeps don't stay registered as children of the server
+// context. The run's ID rides the context as the telemetry sweep ID, so
+// the engine's span events (and anything below them) are attributable
+// to this submission.
 func (s *Server) execute(ctx context.Context, ru *run, jobs []sweep.Job, workers int) {
 	defer ru.cancel()
 	metActiveSweeps.Add(1)
@@ -389,15 +386,11 @@ func (s *Server) runnerExecute(ctx context.Context, jobs []sweep.Job, workers in
 
 // handleHealth serves the structured liveness document: build
 // identity, active-sweep load and store traffic counters — everything
-// a load balancer or the fabric's health pinger needs, without the
-// disk walk of GET /v1/store.
+// a load balancer or monitor needs, without the disk walk of
+// GET /v1/store.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	service := s.opts.Service
-	if service == "" {
-		service = "vliwserve"
-	}
 	h := api.Health{
-		Service:      service,
+		Service:      "vliwserve",
 		GoVersion:    runtime.Version(),
 		Revision:     buildRevision(),
 		ActiveSweeps: int(metActiveSweeps.Value()),

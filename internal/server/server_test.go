@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -640,12 +641,47 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOverCapGridRejected checks that a few-kilobyte request whose
+// grid expands past sweep.MaxGridJobs is a 400 naming the limit, and
+// that nothing is registered for it.
+func TestOverCapGridRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	g := sweep.Grid{Mixes: make([]string, 256), Schemes: make([]string, sweep.MaxGridJobs/256+1)}
+	for i := range g.Mixes {
+		g.Mixes[i] = "LLHH"
+	}
+	for i := range g.Schemes {
+		g.Schemes[i] = "3SSS"
+	}
+	var body bytes.Buffer
+	if err := api.EncodeSweepRequest(&body, api.SweepRequest{Grid: &g}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-cap grid: %s, want 400", resp.Status)
+	}
+	if !strings.Contains(string(msg), fmt.Sprint(sweep.MaxGridJobs)) {
+		t.Errorf("error %q does not name the limit", msg)
+	}
+	srv.mu.Lock()
+	registered := len(srv.runs)
+	srv.mu.Unlock()
+	if registered != 0 {
+		t.Errorf("%d sweeps registered for a rejected request", registered)
+	}
+}
+
 // TestHealthzV1 exercises the structured health document: service
-// identity, load and store stats, cheap enough for the fabric's
-// periodic ping.
+// identity, load and store stats, cheap enough for a periodic ping.
 func TestHealthzV1(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Options{ResultDir: dir, Service: "vliwfabric"})
+	_, ts := newTestServer(t, Options{ResultDir: dir})
 
 	fetch := func() api.Health {
 		t.Helper()
@@ -665,8 +701,8 @@ func TestHealthzV1(t *testing.T) {
 	}
 
 	h := fetch()
-	if h.Service != "vliwfabric" {
-		t.Errorf("service %q, want the configured name", h.Service)
+	if h.Service != "vliwserve" {
+		t.Errorf("service %q, want vliwserve", h.Service)
 	}
 	if h.Version != api.Version {
 		t.Errorf("version %d, want %d", h.Version, api.Version)
@@ -692,8 +728,8 @@ func TestHealthzV1(t *testing.T) {
 		t.Error("store puts not visible in health after a sweep")
 	}
 
-	// An unconfigured service name defaults to vliwserve, and a
-	// storeless server omits the store block.
+	// A storeless server still names itself vliwserve and omits the
+	// store block.
 	_, plain := newTestServer(t, Options{})
 	resp, err := http.Get(plain.URL + "/v1/healthz")
 	if err != nil {
@@ -705,7 +741,7 @@ func TestHealthzV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ph.Service != "vliwserve" {
-		t.Errorf("default service %q, want vliwserve", ph.Service)
+		t.Errorf("storeless service %q, want vliwserve", ph.Service)
 	}
 	if ph.Store != nil {
 		t.Error("storeless server reports store stats")

@@ -62,21 +62,34 @@ func deriveSeed(base uint64, idx int) uint64 {
 	return z
 }
 
-// Jobs expands the grid into a job set, validating scheme and mix names.
+// MaxGridJobs bounds the cross-product a Grid may expand to: 455 times
+// the paper's 144-job Figure 10 grid. A grid document is tiny next to
+// its expansion (1,000 schemes by 1,000 mixes is 14 KB of JSON and a
+// million jobs), so the axis product is checked before anything is
+// allocated.
+const MaxGridJobs = 1 << 16
+
+// Jobs expands the grid into a job set, validating scheme and mix names
+// and rejecting grids whose axis product exceeds MaxGridJobs.
 func (g Grid) Jobs() ([]Job, error) {
 	schemes := g.Schemes
 	if len(schemes) == 0 {
 		schemes = DefaultSchemes()
 	}
-	for _, s := range schemes {
-		if _, err := merge.Resolve(s); err != nil {
-			return nil, fmt.Errorf("sweep: grid: scheme %s: %w", s, err)
-		}
-	}
 	mixNames := g.Mixes
 	if len(mixNames) == 0 {
 		for _, m := range workload.Mixes() {
 			mixNames = append(mixNames, m.Name)
+		}
+	}
+	n := len(schemes) * len(mixNames)
+	if n > MaxGridJobs {
+		return nil, fmt.Errorf("sweep: grid: %d schemes x %d mixes = %d jobs exceeds the limit of %d",
+			len(schemes), len(mixNames), n, MaxGridJobs)
+	}
+	for _, s := range schemes {
+		if _, err := merge.Resolve(s); err != nil {
+			return nil, fmt.Errorf("sweep: grid: scheme %s: %w", s, err)
 		}
 	}
 	machine := g.Machine
@@ -106,7 +119,7 @@ func (g Grid) Jobs() ([]Job, error) {
 		base = 1
 	}
 
-	var jobs []Job
+	jobs := make([]Job, 0, n)
 	for _, mixName := range mixNames {
 		mix, err := workload.MixByName(mixName)
 		if err != nil {

@@ -173,13 +173,6 @@ type Result struct {
 	// being simulated. It is informational: a cached result is
 	// bit-identical to a fresh one under the determinism contract.
 	Cached bool
-	// Worker and Shard attribute a result computed by the distributed
-	// sweep fabric: the worker address that simulated it and the
-	// 1-based shard it travelled in (zero values mean the job ran
-	// locally / unsharded). Like Elapsed and Cached they are
-	// informational — which box computed a result can never change it.
-	Worker string
-	Shard  int
 }
 
 // IPC returns the achieved IPC, or an error if the job failed or the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -342,5 +343,52 @@ func TestGridValidation(t *testing.T) {
 		if j.Machine.Clusters == 0 || j.ICache.Size == 0 || j.InstrLimit == 0 || j.TimesliceCycles == 0 {
 			t.Errorf("defaults not applied: %+v", j)
 		}
+	}
+}
+
+// overCapGrid returns a grid whose axis product is 16 jobs past
+// MaxGridJobs, built from repeats of valid names as a hostile request
+// would be.
+func overCapGrid() Grid {
+	g := Grid{Mixes: make([]string, 16), Schemes: make([]string, MaxGridJobs/16+1)}
+	for i := range g.Mixes {
+		g.Mixes[i] = "LLHH"
+	}
+	for i := range g.Schemes {
+		g.Schemes[i] = "3SSS"
+	}
+	return g
+}
+
+// TestGridExpansionCapped pins the bound on grid expansion: a grid at
+// MaxGridJobs expands, one past it fails with an error naming both
+// counts, and the failure comes before the job slice is allocated.
+func TestGridExpansionCapped(t *testing.T) {
+	g := overCapGrid()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	jobs, err := g.Jobs()
+	runtime.ReadMemStats(&after)
+	n := len(g.Schemes) * len(g.Mixes)
+	if err == nil {
+		t.Fatalf("%d-job grid expanded to %d jobs, want an error", n, len(jobs))
+	}
+	for _, want := range []string{fmt.Sprint(n), fmt.Sprint(MaxGridJobs)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	// The job slice alone would be tens of megabytes.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rejecting the grid allocated %d bytes", got)
+	}
+
+	g.Schemes = g.Schemes[:MaxGridJobs/16]
+	jobs, err = g.Jobs()
+	if err != nil {
+		t.Fatalf("grid at the cap rejected: %v", err)
+	}
+	if len(jobs) != MaxGridJobs {
+		t.Errorf("grid at the cap expanded to %d jobs, want %d", len(jobs), MaxGridJobs)
 	}
 }

@@ -223,12 +223,6 @@ func NewLabeledCounter(name, labels, help string) *Counter {
 // NewGauge registers a gauge in the process-wide registry.
 func NewGauge(name, help string) *Gauge { return defaultRegistry.Gauge(name, "", help) }
 
-// NewLabeledGauge registers a gauge with rendered label pairs
-// (e.g. `worker="host:1234"`) in the process-wide registry.
-func NewLabeledGauge(name, labels, help string) *Gauge {
-	return defaultRegistry.Gauge(name, labels, help)
-}
-
 // NewHistogram registers a histogram in the process-wide registry.
 func NewHistogram(name, help string, bounds []float64) *Histogram {
 	return defaultRegistry.Histogram(name, "", help, bounds)

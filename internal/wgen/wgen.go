@@ -10,7 +10,7 @@
 // named by its parameters alone — the canonical "gen:" names built by
 // BenchmarkName and parsed by Parse — so generated workloads flow
 // through every existing layer (compile cache, sweep engine, result
-// store keys, the wire format, the distributed fabric) as plain
+// store keys, the wire format, the sweep server) as plain
 // benchmark-name strings, and the receiving end regenerates exactly
 // the kernel the sender meant. vliwvet's detpure analyzer polices the
 // package: no wall clocks, no global RNG, no environment reads.

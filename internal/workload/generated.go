@@ -12,8 +12,8 @@ import (
 // it and returns a Benchmark whose Build regenerates the kernel
 // deterministically. Because the name alone reproduces the IR, a
 // generated benchmark travels through the compile cache, the result
-// store, the wire format and the distributed fabric exactly like a
-// Table 1 name — no layer needs to know kernels can be synthetic.
+// store, the wire format and the sweep server exactly like a Table 1
+// name — no layer needs to know kernels can be synthetic.
 // "genmix:" names expand to 4-thread mixes of generated benchmarks the
 // same way.
 

@@ -452,10 +452,11 @@ var mergeSelectSink uint32
 // selector's win.
 func BenchmarkMergeSelectRef(b *testing.B) {
 	m := isa.Default()
-	tree, err := merge.Parse("2SC3", 4)
+	sch, err := merge.Resolve("2SC3")
 	if err != nil {
 		b.Fatal(err)
 	}
+	tree := sch.Tree()
 	sets, valids := mergeSelectSets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -561,3 +561,74 @@ func TestClientOlderServerIgnoresResultsParam(t *testing.T) {
 		t.Error("results from a server ignoring ?results differ from in-process")
 	}
 }
+
+// TestClientGeneratedNamesCrossTheWire sends generated workloads to a
+// server by name alone: a grid over "genmix:" mixes and an explicit job
+// whose benchmarks include a "gen:" kernel must give the same results
+// remotely as in-process, since both sides regenerate the kernels from
+// the names.
+func TestClientGeneratedNamesCrossTheWire(t *testing.T) {
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := vliwmt.NewClient(ts.URL)
+	ctx := context.Background()
+
+	g := vliwmt.Grid{
+		Schemes:    []string{"2SC3", "C4"},
+		Mixes:      []string{"genmix:LLHH:s7", "genmix:HHHH:s9"},
+		InstrLimit: 5_000,
+		Seed:       7,
+	}
+	local, err := vliwmt.Sweep(ctx, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := c.Sweep(ctx, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "genmix grid", local, remote)
+
+	jobs := []vliwmt.SweepJob{{
+		Label:           "gen-pair",
+		Scheme:          "1S",
+		Benchmarks:      []string{"gen:H:b2:o32:m1500:u2000:x500:p2500:t64:r1:s42", "bzip2"},
+		Machine:         vliwmt.DefaultMachine(),
+		ICache:          vliwmt.DefaultCache(),
+		DCache:          vliwmt.DefaultCache(),
+		InstrLimit:      5_000,
+		TimesliceCycles: 1_000,
+		Seed:            3,
+	}}
+	local, err = vliwmt.SweepJobs(ctx, jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err = c.SweepJobs(ctx, jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "gen: job", local, remote)
+}
+
+// assertSameResults fails unless every job succeeded on both sides and
+// the remote results equal the in-process ones, wall clock aside.
+func assertSameResults(t *testing.T, what string, local, remote []vliwmt.SweepResult) {
+	t.Helper()
+	if len(local) == 0 || len(remote) != len(local) {
+		t.Fatalf("%s: %d remote results for %d local", what, len(remote), len(local))
+	}
+	for i := range local {
+		if local[i].Err != nil || remote[i].Err != nil {
+			t.Fatalf("%s job %d: local err %v, remote err %v", what, i, local[i].Err, remote[i].Err)
+		}
+		if local[i].Res.Ops == 0 {
+			t.Fatalf("%s job %d ran no operations", what, i)
+		}
+	}
+	if !reflect.DeepEqual(withoutElapsed(remote), withoutElapsed(local)) {
+		t.Fatalf("%s: remote results differ from in-process:\n%+v\nvs\n%+v", what, remote, local)
+	}
+}

@@ -13,7 +13,7 @@
 //
 // Absolute values depend on this repository's synthetic kernels and gate
 // library; the relations between schemes are the reproduction target
-// (see EXPERIMENTS.md).
+// (see the README's "Quickstart: paperfigs" section).
 //
 // Usage:
 //

@@ -47,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"vliwmt"
 	"vliwmt/internal/server"
 	"vliwmt/internal/telemetry"
 )
@@ -68,7 +69,10 @@ func main() {
 	if _, err := telemetry.ConfigureSlog(os.Stderr, *logLevel, *logJSON); err != nil {
 		log.Fatal(err)
 	}
-	opts := server.Options{Workers: *workers, ResultDir: *results, DisableDebug: !*debug}
+	opts := server.Options{Workers: *workers, DisableDebug: !*debug}
+	if *results != "" {
+		opts.Store = vliwmt.OpenResultStore(*results)
+	}
 	if !*quiet {
 		opts.Log = log.Default()
 	}

@@ -115,9 +115,9 @@ func main() {
 	log.SetPrefix("vliwsweep: ")
 	var (
 		addr       = flag.String("addr", "", "submit the grid to a remote vliwserve at this address instead of running in-process")
-		jobsFile   = flag.String("jobs", "", "read a sweep-request JSON document (a grid or an explicit job set, e.g. emitted by vliwgen) from this file, - for stdin; replaces -schemes/-mixes")
+		jobsFile   = flag.String("jobs", "", "read a sweep-request JSON document (a declarative grid or an explicit job set) from this file, - for stdin; replaces -schemes/-mixes")
 		schemes    = flag.String("schemes", "", "comma-separated merge schemes — names or tree expressions like C(S(T0,T1),T2,T3) (default: the paper's sixteen)")
-		mixes      = flag.String("mixes", "", "comma-separated Table 2 mixes (default: all nine)")
+		mixes      = flag.String("mixes", "", "comma-separated Table 2 mixes or genmix:<LMH combo>:s<seed> names (default: all nine)")
 		workers    = flag.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
 		seed       = flag.Uint64("seed", 1, "sweep seed; per-job seeds derive from it")
 		instr      = flag.Int64("instr", 300_000, "per-thread instruction budget")
@@ -181,8 +181,7 @@ func main() {
 		SharedSeed:      *sharedSeed,
 	}
 	// -jobs replaces the flag-built grid with a decoded request: a
-	// declarative grid, or an explicit job set (a vliwgen stream
-	// scenario) executed verbatim.
+	// declarative grid, or an explicit job set executed verbatim.
 	var jobs []vliwmt.SweepJob
 	if *jobsFile != "" {
 		if *schemes != "" || *mixes != "" {

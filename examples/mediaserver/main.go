@@ -3,14 +3,10 @@
 // colour-space conversion) share the machine with low-ILP control code
 // (compression, protocol handling). Given a transistor budget for the
 // thread merge control, pick the merging scheme that maximises
-// throughput on the production workload mix, then validate the pick
-// under a generated multi-tenant request stream (the steady-state mix
-// generalised into a load model: synthetic 4-thread mixes arriving
-// with exponential interarrivals across several tenants).
+// throughput on the production workload mix.
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -93,61 +89,4 @@ func main() {
 	}
 	fmt.Println(")")
 
-	// Validate the pick beyond the four hand-written kernels: a
-	// generated request stream models the server's production day —
-	// three tenants submitting synthetic 4-thread mixes drawn from the
-	// full ILP-class palette, arrivals exponentially spaced. Everything
-	// below is a pure function of the stream seed, so this scenario
-	// reruns bit-identically (and its jobs cache in a result store like
-	// any others).
-	reqs, err := vliwmt.GenerateStream(vliwmt.GenStreamOptions{
-		Requests:         12,
-		Tenants:          3,
-		MeanInterarrival: 50_000,
-		Schemes:          []string{best.scheme},
-	}, 2009)
-	if err != nil {
-		log.Fatal(err)
-	}
-	results, err := vliwmt.SweepJobs(context.Background(), vliwmt.StreamJobs(reqs, 50_000), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	type tenantLoad struct {
-		requests int
-		cycles   int64
-		ops      int64
-	}
-	loads := map[int]*tenantLoad{}
-	var totalCycles, totalOps int64
-	for i, r := range results {
-		if r.Err != nil {
-			log.Fatalf("%s: %v", r.Job.Describe(), r.Err)
-		}
-		tl := loads[reqs[i].Tenant]
-		if tl == nil {
-			tl = &tenantLoad{}
-			loads[reqs[i].Tenant] = tl
-		}
-		tl.requests++
-		tl.cycles += r.Res.Cycles
-		tl.ops += r.Res.Ops
-		totalCycles += r.Res.Cycles
-		totalOps += r.Res.Ops
-	}
-
-	fmt.Printf("\ngenerated load model under %s: %d requests, %d tenants\n",
-		best.scheme, len(reqs), len(loads))
-	fmt.Printf("%-7s %9s %12s %12s %7s\n", "tenant", "requests", "cycles", "ops", "IPC")
-	for tenant := 0; tenant < 3; tenant++ {
-		tl := loads[tenant]
-		if tl == nil {
-			continue
-		}
-		fmt.Printf("%-7d %9d %12d %12d %7.3f\n",
-			tenant, tl.requests, tl.cycles, tl.ops, float64(tl.ops)/float64(tl.cycles))
-	}
-	fmt.Printf("%-7s %9d %12d %12d %7.3f\n",
-		"all", len(reqs), totalCycles, totalOps, float64(totalOps)/float64(totalCycles))
 }

@@ -55,7 +55,7 @@ func Scaling8(opts Options) ([]ScalingRow, error) {
 	}
 	var rows []ScalingRow
 	for i, scheme := range schemes {
-		tree, err := merge.Parse(scheme, 8)
+		sch, err := merge.Resolve(scheme)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling scheme %s: %w", scheme, err)
 		}
@@ -65,7 +65,7 @@ func Scaling8(opts Options) ([]ScalingRow, error) {
 		}
 		rows = append(rows, ScalingRow{
 			Scheme:      scheme,
-			Structure:   tree.String(),
+			Structure:   sch.String(),
 			IPC:         ipcs[i],
 			Transistors: sc.Transistors,
 			GateDelays:  sc.GateDelays,

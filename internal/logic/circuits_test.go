@@ -8,24 +8,21 @@ import (
 	"vliwmt/internal/merge"
 )
 
-// schemePorts resolves a scheme name's port count, failing the test on
-// an unknown name.
-func schemePorts(t *testing.T, scheme string) int {
+// schemeTree resolves a scheme name to its merge tree, failing the
+// test on an unknown name.
+func schemeTree(t *testing.T, scheme string) *merge.Tree {
 	t.Helper()
-	n, err := merge.Ports(scheme)
+	s, err := merge.Resolve(scheme)
 	if err != nil {
-		t.Fatalf("Ports(%s): %v", scheme, err)
+		t.Fatalf("Resolve(%s): %v", scheme, err)
 	}
-	return n
+	return s.Tree()
 }
 
 func buildCircuit(t *testing.T, scheme string) (*Circuit, *merge.Tree) {
 	t.Helper()
 	m := isa.Default()
-	tree, err := merge.Parse(scheme, schemePorts(t, scheme))
-	if err != nil {
-		t.Fatalf("Parse(%s): %v", scheme, err)
-	}
+	tree := schemeTree(t, scheme)
 	c, err := BuildScheme(&m, tree)
 	if err != nil {
 		t.Fatalf("BuildScheme(%s): %v", scheme, err)
@@ -276,7 +273,7 @@ func TestEvaluateRejectsWrongArity(t *testing.T) {
 func TestBuildSchemeRejectsBadMachine(t *testing.T) {
 	m := isa.Default()
 	m.Clusters = 0
-	tree, _ := merge.Parse("1S", 2)
+	tree := schemeTree(t, "1S")
 	if _, err := BuildScheme(&m, tree); err == nil {
 		t.Error("BuildScheme accepted invalid machine")
 	}
@@ -302,10 +299,7 @@ func TestCircuitEquivalenceOtherMachines(t *testing.T) {
 		m := m
 		r := rand.New(rand.NewSource(int64(100 + mi)))
 		for _, scheme := range []string{"1S", "3CCC", "2SC3", "3SSS", "2SC", "C4"} {
-			tree, err := merge.Parse(scheme, schemePorts(t, scheme))
-			if err != nil {
-				t.Fatal(err)
-			}
+			tree := schemeTree(t, scheme)
 			c, err := BuildScheme(&m, tree)
 			if err != nil {
 				t.Fatalf("machine %d scheme %s: %v", mi, scheme, err)

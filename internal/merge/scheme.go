@@ -211,41 +211,6 @@ func parseLevels(s string) ([]level, error) {
 	return levels, nil
 }
 
-// Parse builds the scheme named name for n thread ports. It understands the
-// paper's naming:
-//
-//   - "Cn" (e.g. "C4"): one parallel CSMT node merging all n threads.
-//   - "1S"/"1C": a single two-input node (n = 2).
-//   - "kL1L2...Lk" cascades ("3SSS", "3SCC", "2SC3", "2C3S", ...): k levels,
-//     each letter optionally followed by a digit marking a parallel
-//     multi-input CSMT level; the levels consume thread ports left to right.
-//   - "2XY" with plain letters and n = 4 ("2CC", "2CS", "2SC", "2SS"): the
-//     balanced tree whose groups (T0,T1), (T2,T3) merge with X and whose
-//     root merges with Y.
-func Parse(name string, n int) (*Tree, error) {
-	if arity, ok, err := parallelArity(name); ok {
-		if err != nil {
-			return nil, err
-		}
-		if arity != n {
-			return nil, fmt.Errorf("merge: scheme %s merges %d threads, machine has %d ports", name, arity, n)
-		}
-		return ParallelCSMT(name, n)
-	}
-	levels, ports, plain, err := parseCounted(name)
-	if err != nil {
-		return nil, err
-	}
-	// Port consumption under the cascade interpretation.
-	if ports == n {
-		return buildCascade(name, levels)
-	}
-	if len(levels) == 2 && plain && n == 4 {
-		return Balanced(name, levels[0].kind, levels[1].kind)
-	}
-	return nil, fmt.Errorf("merge: scheme %s merges %d threads, machine has %d ports", name, ports, n)
-}
-
 // parallelArity recognises the "C<n>" parallel scheme form. ok
 // reports whether the name is of that form at all; err reports a
 // malformed or out-of-range arity.
@@ -261,7 +226,7 @@ func parallelArity(name string) (arity int, ok bool, err error) {
 }
 
 // parseCounted parses the "<k><levels>" cascade/balanced name form
-// shared by Parse and the name resolver: the level count, the levels,
+// of the paper's scheme names: the level count, the levels,
 // and the port consumption under the cascade interpretation. plain
 // reports that every level is a serial two-input one — the
 // precondition for the paper's balanced-tree naming.
@@ -284,10 +249,17 @@ func parseCounted(name string) (levels []level, ports int, plain bool, err error
 }
 
 // parseName builds the scheme a paper name canonically denotes,
-// deriving the port count from the name itself: "Cn" merges n
-// threads, a cascade merges one thread plus one (or arity-1) per
-// level, and plain two-level names denote the balanced 4-thread
-// trees.
+// deriving the port count from the name itself:
+//
+//   - "Cn" (e.g. "C4"): one parallel CSMT node merging n threads.
+//   - "1S"/"1C": a single two-input node (2 threads).
+//   - "kL1L2...Lk" cascades ("3SSS", "3SCC", "2SC3", "2C3S", ...): k levels,
+//     each letter optionally followed by a digit marking a parallel
+//     multi-input CSMT level; the levels consume thread ports left to
+//     right, one plus one (or arity-1) per level.
+//   - "2XY" with plain letters ("2CC", "2CS", "2SC", "2SS"): the
+//     balanced 4-thread tree whose groups (T0,T1), (T2,T3) merge with X
+//     and whose root merges with Y.
 func parseName(name string) (*Tree, error) {
 	if arity, ok, err := parallelArity(name); ok {
 		if err != nil {

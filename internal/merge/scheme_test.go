@@ -25,19 +25,19 @@ func TestParsePaperSchemes(t *testing.T) {
 		"3SSS": "S(S(S(T0,T1),T2),T3)",
 	}
 	for _, name := range PaperSchemes4() {
-		tree, err := Parse(name, mustPorts(t, name))
+		tree, err := parseName(name)
 		if err != nil {
-			t.Errorf("Parse(%q): %v", name, err)
+			t.Errorf("parseName(%q): %v", name, err)
 			continue
 		}
 		if tree.Name() != name {
 			t.Errorf("tree name %q, want %q", tree.Name(), name)
 		}
 		if got := tree.String(); got != want[name] {
-			t.Errorf("Parse(%q) = %s, want %s", name, got, want[name])
+			t.Errorf("parseName(%q) = %s, want %s", name, got, want[name])
 		}
 		if tree.Ports() != mustPorts(t, name) {
-			t.Errorf("Parse(%q).Ports() = %d, want %d", name, tree.Ports(), mustPorts(t, name))
+			t.Errorf("parseName(%q).Ports() = %d, want %d", name, tree.Ports(), mustPorts(t, name))
 		}
 	}
 }
@@ -56,55 +56,69 @@ func TestParseCoversAllSixteen(t *testing.T) {
 }
 
 func TestParseGeneralizations(t *testing.T) {
-	// 3-thread cascade.
-	tree, err := Parse("2SC", 3)
+	// 3-thread cascade: the paper names fix 2SC as the balanced 4-thread
+	// tree, so a 3-thread SMT-then-CSMT cascade is a tree expression.
+	tree, err := ParseTreeExpr("C(S(T0,T1),T2)")
 	if err != nil {
-		t.Fatalf("Parse(2SC, 3): %v", err)
+		t.Fatalf("ParseTreeExpr(C(S(T0,T1),T2)): %v", err)
 	}
-	if got := tree.String(); got != "C(S(T0,T1),T2)" {
-		t.Errorf("Parse(2SC, 3) = %s", got)
+	if got := tree.String(); got != "C(S(T0,T1),T2)" || tree.Ports() != 3 {
+		t.Errorf("3-thread cascade = %s on %d ports", got, tree.Ports())
 	}
 	// 8-thread SMT cascade.
-	tree, err = Parse("7SSSSSSS", 8)
+	tree, err = parseName("7SSSSSSS")
 	if err != nil {
-		t.Fatalf("Parse(7SSSSSSS, 8): %v", err)
+		t.Fatalf("parseName(7SSSSSSS): %v", err)
 	}
 	if tree.Ports() != 8 {
 		t.Errorf("8-thread cascade ports = %d", tree.Ports())
 	}
 	// 8-thread parallel CSMT.
-	tree, err = Parse("C8", 8)
+	tree, err = parseName("C8")
 	if err != nil {
-		t.Fatalf("Parse(C8, 8): %v", err)
+		t.Fatalf("parseName(C8): %v", err)
 	}
 	if !strings.HasPrefix(tree.String(), "C8(") {
-		t.Errorf("Parse(C8, 8) = %s", tree.String())
+		t.Errorf("parseName(C8) = %s", tree.String())
 	}
 }
 
 func TestParseErrors(t *testing.T) {
+	for _, name := range []string{
+		"",
+		"XSS",
+		"3SS",   // declares 3 levels, names 2
+		"3SSSS", // declares 3 levels, names 4
+		"CX",    // bad arity
+		"2S3C",  // parallel multi-input SMT not defined
+		"3S1C",  // arity < 2
+		"0S",    // zero levels
+		"C1",    // parallel CSMT needs >= 2
+	} {
+		if _, err := Resolve(name); err == nil {
+			t.Errorf("Resolve(%q) unexpectedly succeeded", name)
+		}
+	}
+	// A well-formed name fixes its own port count; a selector for any
+	// other width is rejected.
 	cases := []struct {
 		name  string
 		ports int
 	}{
-		{"", 4},
-		{"XSS", 4},
-		{"3SS", 4},   // declares 3 levels, names 2
-		{"3SSSS", 4}, // declares 3 levels, names 4
-		{"3SSS", 5},  // wrong port count
-		{"C4", 2},    // wrong port count
-		{"CX", 4},    // bad arity
-		{"2S3C", 4},  // parallel multi-input SMT not defined
-		{"3S1C", 4},  // arity < 2
-		{"2SC3", 5},  // wrong port count
-		{"0S", 2},    // zero levels
-		{"2CC", 5},   // neither cascade (3) nor balanced (4)
-		{"C1", 1},    // parallel CSMT needs >= 2
+		{"3SSS", 5},
+		{"C4", 2},
+		{"2SC3", 5},
+		{"2CC", 5},
 		{"9SSSSSSSSS", 4},
 	}
 	for _, tc := range cases {
-		if _, err := Parse(tc.name, tc.ports); err == nil {
-			t.Errorf("Parse(%q, %d) unexpectedly succeeded", tc.name, tc.ports)
+		s, err := Resolve(tc.name)
+		if err != nil {
+			t.Errorf("Resolve(%q): %v", tc.name, err)
+			continue
+		}
+		if _, err := s.Selector(tc.ports); err == nil {
+			t.Errorf("%s.Selector(%d) unexpectedly succeeded", tc.name, tc.ports)
 		}
 	}
 }
@@ -170,10 +184,10 @@ func TestPortsInference(t *testing.T) {
 			t.Errorf("Ports(%q) = %d, %v; want %d", name, got, err, want)
 		}
 	}
-	// Every inferred count must round-trip through Parse.
+	// Every inferred count must be the built tree's own.
 	for _, name := range []string{"C8", "7SSSSSSS", "7CCCCCCC", "2SC7", "4SC3C3C3"} {
-		if _, err := Parse(name, mustPorts(t, name)); err != nil {
-			t.Errorf("Parse(%s, Ports) failed: %v", name, err)
+		if tree, err := parseName(name); err != nil || tree.Ports() != mustPorts(t, name) {
+			t.Errorf("parseName(%s) = %v, %v; want %d ports", name, tree, err, mustPorts(t, name))
 		}
 	}
 }

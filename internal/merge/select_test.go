@@ -29,11 +29,16 @@ func denseOcc(m *isa.Machine, n int) *isa.Occupancy {
 	return &o
 }
 
+// mustParse builds the tree a paper scheme name denotes and checks
+// that it merges ports threads.
 func mustParse(t *testing.T, name string, ports int) *Tree {
 	t.Helper()
-	tree, err := Parse(name, ports)
+	tree, err := parseName(name)
 	if err != nil {
-		t.Fatalf("Parse(%q, %d): %v", name, ports, err)
+		t.Fatalf("parseName(%q): %v", name, err)
+	}
+	if tree.Ports() != ports {
+		t.Fatalf("%s merges %d threads, want %d", name, tree.Ports(), ports)
 	}
 	return tree
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"vliwmt/internal/api"
+	"vliwmt/internal/resultstore"
 )
 
 // scrapeMetric fetches /metrics and sums every series of the named
@@ -68,7 +69,7 @@ func scrapeMetric(t *testing.T, ts *httptest.Server, name string) float64 {
 // goes from 0 to 1.
 func TestMetricsScrapeColdWarm(t *testing.T) {
 	g := testGrid()
-	_, ts := newTestServer(t, Options{ResultDir: t.TempDir()})
+	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
 	base := map[string]float64{}
 	for _, name := range []string{
 		"sweep_jobs_completed_total", "store_hits_total",

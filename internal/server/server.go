@@ -68,15 +68,12 @@ type Options struct {
 	// Workers is the default per-sweep worker pool size when a request
 	// does not ask for one; 0 selects runtime.NumCPU().
 	Workers int
-	// ResultDir, when set, roots the persistent result store there:
-	// completed jobs are content-addressed on disk, identical submitted
-	// jobs are served without simulating, and the cache survives server
-	// restarts.
-	ResultDir string
-	// Store attaches an existing result-store handle instead of opening
-	// one from ResultDir (it wins when both are set), so a caller that
-	// also reads the store directly shares one handle with the server's
-	// /v1/store endpoints.
+	// Store, when set, is the persistent result store (see
+	// vliwmt.OpenResultStore): completed jobs are content-addressed on
+	// disk, identical submitted jobs are served without simulating, and
+	// the cache survives server restarts. A caller that also reads the
+	// store directly shares this one handle with the server's /v1/store
+	// endpoints. Nil disables persistence and /v1/store answers 404.
 	Store *vliwmt.ResultStore
 	// Execute substitutes the sweep execution strategy; nil selects the
 	// in-process Runner. See Executor.
@@ -117,12 +114,7 @@ func New(opts Options) *Server {
 		ctx:     ctx,
 		cancel:  cancel,
 		runs:    map[string]*run{},
-	}
-	switch {
-	case opts.Store != nil:
-		s.store = opts.Store
-	case opts.ResultDir != "":
-		s.store = vliwmt.OpenResultStore(opts.ResultDir)
+		store:   opts.Store,
 	}
 	return s
 }

@@ -16,6 +16,7 @@ import (
 
 	"vliwmt"
 	"vliwmt/internal/api"
+	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sweep"
 )
 
@@ -434,7 +435,7 @@ func TestWaitModeClientDisconnectCancels(t *testing.T) {
 func TestResultPersistenceServesRepeats(t *testing.T) {
 	dir := t.TempDir()
 	g := testGrid()
-	srv, ts := newTestServer(t, Options{ResultDir: dir})
+	srv, ts := newTestServer(t, Options{Store: resultstore.Open(dir)})
 	first := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}, "").ID)
 	if first.State != api.StateDone {
 		t.Fatalf("first sweep: %+v", first)
@@ -469,7 +470,7 @@ func TestResultPersistenceServesRepeats(t *testing.T) {
 
 	// The store outlives the server: a fresh server on the same
 	// directory — a restart — serves the same sweep without simulating.
-	srv2, ts2 := newTestServer(t, Options{ResultDir: dir})
+	srv2, ts2 := newTestServer(t, Options{Store: resultstore.Open(dir)})
 	third := waitTerminal(t, ts2, submit(t, ts2, api.SweepRequest{Grid: &g}, "").ID)
 	if third.State != api.StateDone || third.CacheHits != third.Total {
 		t.Errorf("restarted server: state %s, %d/%d cache hits; want done and all hits",
@@ -514,7 +515,7 @@ func TestStoreEndpoints(t *testing.T) {
 		t.Errorf("DELETE /v1/store without a store: %d, want 404", code)
 	}
 
-	_, ts = newTestServer(t, Options{ResultDir: t.TempDir()})
+	_, ts = newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
 	first := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}, "").ID)
 	if first.State != api.StateDone {
 		t.Fatalf("first sweep: %+v", first)
@@ -681,7 +682,7 @@ func TestOverCapGridRejected(t *testing.T) {
 // identity, load and store stats, cheap enough for a periodic ping.
 func TestHealthzV1(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Options{ResultDir: dir})
+	_, ts := newTestServer(t, Options{Store: resultstore.Open(dir)})
 
 	fetch := func() api.Health {
 		t.Helper()

@@ -340,8 +340,8 @@ func MustGenerate(p Profile, seed uint64) *ir.Function {
 }
 
 // RandomProfile draws a profile within the plausible parameter ranges
-// of the given ILP class — the sampler behind generated mixes, the
-// generative conformance harness and cmd/vliwgen. Draw order is part
+// of the given ILP class — the sampler behind generated mixes and the
+// generative conformance harness. Draw order is part
 // of the determinism contract: the same rng state always yields the
 // same profile.
 func RandomProfile(rng *Rand, c Class) Profile {

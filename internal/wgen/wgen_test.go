@@ -262,87 +262,3 @@ func TestMixNames(t *testing.T) {
 		}
 	}
 }
-
-// TestGenerateStream pins stream determinism and shape: strictly
-// increasing arrivals, tenants in range, parsable mixes and members,
-// round-robin scheme assignment.
-func TestGenerateStream(t *testing.T) {
-	opt := StreamOptions{Requests: 64, Tenants: 5, MeanInterarrival: 500,
-		Schemes: []string{"2SC3", "C4"}}
-	a, err := GenerateStream(opt, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateStream(opt, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
-		t.Fatal("GenerateStream not deterministic")
-	}
-
-	var prev uint64
-	for i, r := range a {
-		if r.Index != i {
-			t.Fatalf("request %d has index %d", i, r.Index)
-		}
-		if r.Arrival <= prev {
-			t.Fatalf("request %d arrival %d not after %d", i, r.Arrival, prev)
-		}
-		prev = r.Arrival
-		if r.Tenant < 0 || r.Tenant >= opt.Tenants {
-			t.Fatalf("request %d tenant %d outside [0, %d)", i, r.Tenant, opt.Tenants)
-		}
-		combo, seed, err := ParseMixName(r.Mix)
-		if err != nil {
-			t.Fatalf("request %d mix %q: %v", i, r.Mix, err)
-		}
-		members, err := MixMembers(combo, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if members != r.Members {
-			t.Fatalf("request %d members disagree with its mix name", i)
-		}
-		if want := opt.Schemes[i%len(opt.Schemes)]; r.Scheme != want {
-			t.Fatalf("request %d scheme %q, want %q", i, r.Scheme, want)
-		}
-	}
-
-	if c, err := GenerateStream(opt, 43); err != nil {
-		t.Fatal(err)
-	} else {
-		cj, _ := json.Marshal(c)
-		if string(cj) == string(aj) {
-			t.Fatal("different stream seeds produced identical streams")
-		}
-	}
-
-	for _, bad := range []StreamOptions{
-		{Requests: 0},
-		{Requests: 1 << 20},
-		{Requests: 4, Tenants: -1},
-		{Requests: 4, MeanInterarrival: -5},
-		{Requests: 4, Combos: []string{"LLQX"}},
-	} {
-		if _, err := GenerateStream(bad, 1); err == nil {
-			t.Errorf("GenerateStream(%+v) accepted", bad)
-		}
-	}
-
-	// Defaults: one tenant, default palette and interarrival.
-	d, err := GenerateStream(StreamOptions{Requests: 8}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range d {
-		if r.Tenant != 0 {
-			t.Fatalf("default tenants: got tenant %d", r.Tenant)
-		}
-		if r.Scheme != "" {
-			t.Fatalf("default schemes: got scheme %q", r.Scheme)
-		}
-	}
-}

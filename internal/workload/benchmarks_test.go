@@ -34,8 +34,8 @@ func measure(t *testing.T, b Benchmark, instrs int64) (float64, float64) {
 
 // TestTable1Calibration verifies that every synthetic kernel lands near
 // its Table 1 target: IPCp and IPCr within 20% of the paper's values.
-// (cmd/paperfigs -table1 regenerates the full table; EXPERIMENTS.md
-// records the exact measurements.)
+// (cmd/paperfigs -table1 regenerates the full table; see the README's
+// "Quickstart: paperfigs" section.)
 func TestTable1Calibration(t *testing.T) {
 	// 120k instructions converge in well under a second; shorter budgets
 	// leave the caches cold and IPCr far from the paper's values, so

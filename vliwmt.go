@@ -151,7 +151,12 @@ type Benchmark = workload.Benchmark
 // Benchmarks returns the twelve Table 1 benchmarks.
 func Benchmarks() []Benchmark { return workload.Benchmarks() }
 
-// CompileBenchmark compiles the named Table 1 benchmark for machine m.
+// CompileBenchmark compiles the named benchmark for machine m: a
+// Table 1 name, or a canonical generated "gen:" name such as
+// "gen:H:b2:o32:m1500:u2000:x500:p2500:t64:r1:s42". A generated name
+// encodes its profile and seed completely and regenerates the same
+// kernel anywhere, so it is accepted wherever a Table 1 name is
+// (SweepJob.Benchmarks, Runner, Client, the wire format).
 func CompileBenchmark(name string, m Machine) (*Program, error) {
 	b, err := workload.ByName(name)
 	if err != nil {
@@ -167,8 +172,11 @@ type Mix = workload.Mix
 func Mixes() []Mix { return workload.Mixes() }
 
 // MixByName returns the named workload mix: a Table 2 name, or a
-// canonical generated "genmix:" name (GeneratedMix) expanded into four
-// generated benchmarks.
+// canonical generated "genmix:<combo>:s<seed>" name such as
+// "genmix:LLHH:s7", whose four-letter L/M/H combination picks the ILP
+// class of each member and whose seed expands it deterministically
+// into four generated benchmarks. Generated mix names are accepted
+// wherever a Table 2 name is (RunMix, Grid.Mixes, vliwsweep -mixes).
 func MixByName(name string) (Mix, error) { return workload.MixByName(name) }
 
 // RunMix compiles the named Table 2 mix (through the process-wide

@@ -28,6 +28,7 @@ func fixtureJob() Job {
 	return Job{
 		Label:           "LLHH/2SC3",
 		Scheme:          "2SC3",
+		Merge:           &SchemeSpec{Name: "asym4", Tree: "S(C(T0,T1,T2),T3)"},
 		Benchmarks:      []string{"mcf", "dijkstra", "colorspace", "fft"},
 		Contexts:        4,
 		Machine:         isa.Default(),
@@ -79,21 +80,18 @@ func fixtureResult() Result {
 }
 
 // TestFixturesSetEveryField backs the fixtures' claim that every field
-// is non-zero: a zero or empty leaf in the result, machine, cache or
-// grid fixtures fails here, so a new field has to enter the fixtures
-// and, through them, the golden files. The envelope fields of Job and
-// Result (Merge, Cached, ...) are left out: populating them
-// would change committed golden bytes.
+// is non-zero: a zero or empty leaf in the job, result, machine, cache
+// or grid fixtures fails here, so a new field has to enter the
+// fixtures and, through them, the golden files. The envelope fields of
+// Result (Err, Cached) are left out: populating them would change
+// committed golden bytes.
 func TestFixturesSetEveryField(t *testing.T) {
-	j := fixtureJob()
 	for _, c := range []struct {
 		name string
 		v    any
 	}{
+		{"job", fixtureJob()},
 		{"result.Sim", fixtureResult().Sim},
-		{"job.Machine", j.Machine},
-		{"job.ICache", j.ICache},
-		{"job.DCache", j.DCache},
 		{"grid", fixtureGrid()},
 	} {
 		for _, path := range zeroLeaves(c.name, reflect.ValueOf(c.v)) {
@@ -103,8 +101,15 @@ func TestFixturesSetEveryField(t *testing.T) {
 }
 
 // zeroLeaves lists the paths of v's zero leaves, nil pointers and empty
-// slices.
+// slices. A merge.Scheme is a leaf: its fields are unexported, and its
+// IsZero says whether it is set.
 func zeroLeaves(path string, v reflect.Value) []string {
+	if s, ok := v.Interface().(merge.Scheme); ok {
+		if s.IsZero() {
+			return []string{path}
+		}
+		return nil
+	}
 	var out []string
 	switch v.Kind() {
 	case reflect.Pointer:
@@ -360,6 +365,37 @@ func TestSchemeSpecRoundTrip(t *testing.T) {
 	}
 	if _, err := (SchemeSpec{Tree: "S(T0"}).Scheme(); err == nil {
 		t.Error("malformed tree spec accepted")
+	}
+}
+
+// decodeJob decodes one job document the way the server reads the jobs
+// of a request.
+func decodeJob(doc string) (sweep.Job, error) {
+	var j Job
+	if err := json.Unmarshal([]byte(doc), &j); err != nil {
+		return sweep.Job{}, err
+	}
+	return j.Sweep()
+}
+
+// TestJobMergeDecode pins how a job's "merge" member decodes: null is
+// no scheme, as an absent member is, while an empty or malformed spec
+// is an error.
+func TestJobMergeDecode(t *testing.T) {
+	j, err := decodeJob(`{"scheme":"2SC3","merge":null,"benchmarks":["mcf"]}`)
+	if err != nil {
+		t.Fatalf("merge null: %v", err)
+	}
+	if !j.Merge.IsZero() {
+		t.Errorf("merge null decoded to scheme %s", j.Merge.Name())
+	}
+	for _, doc := range []string{
+		`{"merge":{},"benchmarks":["mcf"]}`,
+		`{"merge":{"tree":"S(T0"},"benchmarks":["mcf"]}`,
+	} {
+		if _, err := decodeJob(doc); err == nil {
+			t.Errorf("%s: accepted", doc)
+		}
 	}
 }
 

@@ -622,6 +622,12 @@ func TestBadRequests(t *testing.T) {
 	if code := post(`{"version":1,"grid":{"schemes":["bogus!"]}}`); code != http.StatusBadRequest {
 		t.Errorf("bogus scheme: %d", code)
 	}
+	for _, spec := range []string{`{"tree":"S(T0"}`, `{}`} {
+		body := `{"version":3,"jobs":[{"merge":` + spec + `,"benchmarks":["mcf","fft","dijkstra","colorspace"],"instr_limit":1000}]}`
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("job with merge spec %s: %d", spec, code)
+		}
+	}
 	for _, path := range []string{"/v1/sweeps/nope", "/v1/sweeps/nope/events"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

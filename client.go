@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"vliwmt/internal/api"
-	"vliwmt/internal/merge"
 )
 
 // Client submits sweeps to a remote vliwserve instance (cmd/vliwserve)
@@ -82,35 +81,22 @@ func (c *Client) Health(ctx context.Context) (ServerHealth, error) {
 // defaulting as in-process Grid.Jobs, streams progress into
 // opts.Progress, and returns the index-ordered results. Cancelling ctx
 // cancels the remote sweep (best-effort DELETE) and returns ctx's
-// error with any results the server had aggregated.
-//
-// Scheme names that resolve only through this process's registry
-// (vliwmt.RegisterScheme) do not exist on the server, so such grids
-// are expanded client-side — Grid.Jobs is deterministic and identical
-// on both ends — and submitted as explicit jobs whose merge trees
-// travel inline. Results are bit-identical either way.
+// error with any results the server had aggregated. Every scheme
+// spelling crosses the wire as written: paper names, baselines and
+// tree expressions mean the same on both ends.
 func (c *Client) Sweep(ctx context.Context, g Grid, opts *SweepOptions) ([]SweepResult, error) {
-	for _, s := range g.Schemes {
-		if _, ok := merge.Lookup(s); ok {
-			jobs, err := g.Jobs()
-			if err != nil {
-				return nil, err
-			}
-			return c.SweepJobs(ctx, jobs, opts)
-		}
-	}
 	return c.submit(ctx, api.SweepRequest{Grid: &g}, opts)
 }
 
-// SweepJobs submits an explicit job set; see Sweep.
+// SweepJobs submits an explicit job set; see Sweep. A job's typed
+// Merge scheme travels as its tree expression, so a custom tree
+// reaches the server with its label.
 func (c *Client) SweepJobs(ctx context.Context, jobs []SweepJob, opts *SweepOptions) ([]SweepResult, error) {
-	req := api.SweepRequest{Jobs: make([]api.Job, len(jobs))}
-	for i, j := range jobs {
-		req.Jobs[i] = api.JobFrom(j)
-	}
-	return c.submit(ctx, req, opts)
+	return c.submit(ctx, api.SweepRequest{Jobs: jobs}, opts)
 }
 
+// submit posts the request and follows it to completion. Of opts it
+// reads Workers, sent as the server's pool-size hint, and Progress.
 func (c *Client) submit(ctx context.Context, sreq api.SweepRequest, opts *SweepOptions) ([]SweepResult, error) {
 	var o SweepOptions
 	if opts != nil {

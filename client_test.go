@@ -361,7 +361,7 @@ func TestClientFollowsOversizedTerminalEvent(t *testing.T) {
 	st := api.SweepStatus{Version: api.Version, ID: "s000001", State: api.StateDone, Done: n, Total: n,
 		Results: make([]api.Result, n)}
 	for i := range st.Results {
-		st.Results[i] = api.Result{Index: i, Job: api.Job{Label: label, Scheme: "2SC3"},
+		st.Results[i] = api.Result{Index: i, Job: vliwmt.SweepJob{Label: label, Scheme: "2SC3"},
 			Sim: &vliwmt.Result{Cycles: int64(i + 1)}}
 	}
 	line, err := json.Marshal(api.Event{Done: n, Total: n, State: api.StateDone, Status: &st})

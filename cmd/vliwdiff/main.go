@@ -82,9 +82,7 @@ func run() (clean bool, err error) {
 		var jobs []vliwmt.SweepJob
 		if *live {
 			// Replay the baseline's own jobs, whatever grid produced them.
-			if jobs, err = oldSnap.Jobs(); err != nil {
-				return false, err
-			}
+			jobs = oldSnap.Jobs()
 		} else {
 			if !gridMode {
 				return false, fmt.Errorf("one source given but no grid flags; pass -live to re-run the baseline's own jobs")

@@ -127,11 +127,7 @@ func checkCorpus(path string, workers int) error {
 	// Replay exactly the committed jobs (not the generator's current
 	// defaults), so -check stays meaningful even if the corpus was
 	// built with non-default flags.
-	jobs, err := golden.Jobs()
-	if err != nil {
-		return err
-	}
-	results, err := vliwmt.SweepJobs(context.Background(), jobs, &vliwmt.SweepOptions{Workers: workers})
+	results, err := vliwmt.SweepJobs(context.Background(), golden.Jobs(), &vliwmt.SweepOptions{Workers: workers})
 	if err != nil {
 		return err
 	}

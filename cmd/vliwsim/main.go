@@ -130,12 +130,6 @@ func printLists() {
 	}
 	printScheme("IMT")
 	printScheme("BMT")
-	if reg := vliwmt.RegisteredSchemes(); len(reg) > 0 {
-		fmt.Println("\nRegistered custom schemes:")
-		for _, sch := range reg {
-			printScheme(sch.Name())
-		}
-	}
 	fmt.Println("\nAny canonical tree expression also names a scheme, e.g. -scheme 'S(C(T0,T1,T2),T3)'.")
 }
 

@@ -83,9 +83,13 @@ func rowsFrom(results []vliwmt.SweepResult, warn func(error)) []row {
 			continue
 		}
 		mix, _, _ := strings.Cut(r.Job.Label, "/")
+		scheme := r.Job.Scheme
+		if scheme == "" {
+			scheme = r.Job.Merge.Name() // a job with a typed scheme only
+		}
 		rows = append(rows, row{
 			Mix:        mix,
-			Scheme:     r.Job.Scheme,
+			Scheme:     scheme,
 			Contexts:   r.Job.EffectiveContexts(),
 			Seed:       r.Job.Seed,
 			IPC:        ipc,
@@ -202,20 +206,14 @@ func main() {
 		}
 		switch {
 		case len(req.Jobs) > 0:
-			for _, wj := range req.Jobs {
-				j, err := wj.Sweep()
-				if err != nil {
-					fatal(err)
-				}
-				jobs = append(jobs, j)
-			}
+			jobs = req.Jobs
 		case req.Grid != nil:
 			grid = *req.Grid
 		default:
 			fatal("-jobs document carries neither a grid nor a job set")
 		}
 	}
-	opts := &vliwmt.SweepOptions{Workers: *workers, ResultDir: *store}
+	opts := &vliwmt.SweepOptions{Workers: *workers}
 	if *progress {
 		opts.Progress = func(done, total int, r vliwmt.SweepResult) {
 			status := "ok"
@@ -238,6 +236,10 @@ func main() {
 		stop()
 	}()
 
+	// In-process sweeps run on a Runner over the process-wide compile
+	// cache; -store roots its result store.
+	local := vliwmt.NewRunner(vliwmt.WithSharedCache(), vliwmt.WithWorkers(*workers),
+		vliwmt.WithProgress(opts.Progress), vliwmt.WithResultStore(*store))
 	start := time.Now()
 	var results []vliwmt.SweepResult
 	var err error
@@ -247,9 +249,9 @@ func main() {
 	case *addr != "":
 		results, err = vliwmt.NewClient(*addr).Sweep(ctx, grid, opts)
 	case jobs != nil:
-		results, err = vliwmt.SweepJobs(ctx, jobs, opts)
+		results, err = local.SweepJobs(ctx, jobs)
 	default:
-		results, err = vliwmt.Sweep(ctx, grid, opts)
+		results, err = local.Sweep(ctx, grid)
 	}
 	elapsed := time.Since(start)
 	if err != nil && results == nil {

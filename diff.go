@@ -31,8 +31,8 @@ type MetricDelta = resultstore.FieldDelta
 // JobKey returns the job's canonical content hash — the key the result
 // store files it under. Two jobs share a key exactly when the
 // determinism contract guarantees identical results: the scheme is
-// reduced to its canonical tree (registered names, paper names and
-// inlined trees all hash alike), labels are ignored, and machine,
+// reduced to its canonical tree (paper names, tree expressions and
+// typed schemes all hash alike), labels are ignored, and machine,
 // caches, memory model, budget, seed and the result-schema version are
 // all hashed.
 func JobKey(j SweepJob) (string, error) { return resultstore.Key(j) }

@@ -28,10 +28,7 @@ func TestGoldenCorpus(t *testing.T) {
 	want := append(vliwmt.Schemes(), "IMT", "BMT")
 	covered := map[string]map[bool]bool{}
 	for _, e := range golden.Entries {
-		j, err := e.Job.Sweep()
-		if err != nil {
-			t.Fatalf("entry %s: %v", e.Key, err)
-		}
+		j := e.Job
 		if covered[j.Scheme] == nil {
 			covered[j.Scheme] = map[bool]bool{}
 		}
@@ -43,11 +40,7 @@ func TestGoldenCorpus(t *testing.T) {
 		}
 	}
 
-	jobs, err := golden.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := vliwmt.SweepJobs(context.Background(), jobs, nil)
+	results, err := vliwmt.SweepJobs(context.Background(), golden.Jobs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +74,7 @@ func TestGeneratedGoldenCorpus(t *testing.T) {
 	// point of this corpus — and cover both memory models.
 	perMem := map[bool]int{}
 	for _, e := range golden.Entries {
-		j, err := e.Job.Sweep()
-		if err != nil {
-			t.Fatalf("entry %s: %v", e.Key, err)
-		}
+		j := e.Job
 		perMem[j.PerfectMemory]++
 		for _, b := range j.Benchmarks {
 			if !strings.HasPrefix(b, "gen:") {
@@ -96,11 +86,7 @@ func TestGeneratedGoldenCorpus(t *testing.T) {
 		t.Errorf("corpus memory-model coverage %v; want both real and perfect", perMem)
 	}
 
-	jobs, err := golden.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := vliwmt.SweepJobs(context.Background(), jobs, nil)
+	results, err := vliwmt.SweepJobs(context.Background(), golden.Jobs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,24 +3,20 @@
 // documents of the HTTP endpoints. The result store in
 // internal/resultstore reuses the same encoding.
 //
-// Machine, cache, grid and simulation-result values travel in their
-// internal types (isa.Machine, cache.Config, sweep.Grid, sim.Result),
-// whose json tags are the wire format; the wiretag analyzer requires
-// every exported field of a tagged struct to carry a tag, so a new
-// field cannot ship under its Go name. Jobs, sweep results and
-// summaries keep wire forms of their own: a job's merge control
-// travels as a SchemeSpec, and a result or summary flattens its error
+// Machine, cache, job, grid and simulation-result values travel in
+// their internal types (isa.Machine, cache.Config, sweep.Job,
+// sweep.Grid, sim.Result), whose json tags are the wire format; a
+// job's merge control travels in merge.Scheme's JSON form. The wiretag
+// analyzer requires every exported field of a tagged struct to carry a
+// tag, so a new field cannot ship under its Go name. Sweep results and
+// summaries keep wire forms of their own, which flatten their errors
 // and durations.
 package api
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
-	"vliwmt/internal/cache"
-	"vliwmt/internal/isa"
-	"vliwmt/internal/merge"
 	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
 )
@@ -34,8 +30,9 @@ import (
 // Version history:
 //
 //	1: initial format (machine, cache, job, grid, result DTOs)
-//	2: jobs may carry a SchemeSpec ("merge") inlining a first-class
-//	   merge scheme as a canonical tree expression
+//	2: jobs may carry a "merge" member inlining a first-class merge
+//	   scheme as a canonical tree expression: {"name":...,"tree":...},
+//	   now merge.Scheme's JSON form, with the same bytes
 //	3: results may carry a "cached" flag (served from the persistent
 //	   result store), sweep statuses a "cache_hits" count, and the
 //	   server a /v1/store document (StoreStatus). Later additions
@@ -49,131 +46,13 @@ import (
 //	   ignore both fields
 const Version = 3
 
-// SchemeSpec is the wire form of a first-class merge scheme
-// (merge.Scheme), introduced in wire version 2. Tree is the canonical
-// grammar emitted by merge.Tree.String (e.g. "C(S(T0,T1),T2,T3)");
-// it is empty for the IMT/BMT baselines, which Name identifies. A
-// spec with a tree is self-contained: the receiver rebuilds the exact
-// scheme without consulting its own registry, which is what makes
-// custom schemes submitted remotely bit-identical to in-process runs.
-type SchemeSpec struct {
-	Name string `json:"name,omitempty"`
-	Tree string `json:"tree,omitempty"`
-}
+// Job is sweep.Job, which is its own wire form. The alias and the
+// JobFrom identity remain for perfbench/trace.go, which builds
+// requests through them until the benchmark next changes.
+type Job = sweep.Job
 
-// SchemeSpecFrom converts a first-class scheme to its wire form; the
-// zero Scheme converts to nil.
-func SchemeSpecFrom(s merge.Scheme) *SchemeSpec {
-	if s.IsZero() {
-		return nil
-	}
-	sp := &SchemeSpec{Name: s.Name()}
-	if t := s.Tree(); t != nil {
-		sp.Tree = t.String()
-	}
-	return sp
-}
-
-// Scheme converts the wire form back to a first-class scheme: the
-// tree expression when present (relabelled with Name), else Name
-// resolved as usual (baselines, paper names, local registry).
-func (s SchemeSpec) Scheme() (merge.Scheme, error) {
-	if s.Tree != "" {
-		t, err := merge.ParseTreeExpr(s.Tree)
-		if err != nil {
-			return merge.Scheme{}, fmt.Errorf("api: scheme spec: %w", err)
-		}
-		sch, err := merge.FromTree(t)
-		if err != nil {
-			return merge.Scheme{}, fmt.Errorf("api: scheme spec: %w", err)
-		}
-		return sch.WithName(s.Name), nil
-	}
-	if s.Name == "" {
-		return merge.Scheme{}, fmt.Errorf("api: empty scheme spec")
-	}
-	sch, err := merge.Resolve(s.Name)
-	if err != nil {
-		return merge.Scheme{}, fmt.Errorf("api: scheme spec: %w", err)
-	}
-	return sch, nil
-}
-
-// Job is the wire form of sweep.Job; its merge control travels as a
-// SchemeSpec.
-type Job struct {
-	Label           string       `json:"label,omitempty"`
-	Scheme          string       `json:"scheme,omitempty"`
-	Merge           *SchemeSpec  `json:"merge,omitempty"`
-	Benchmarks      []string     `json:"benchmarks,omitempty"`
-	Contexts        int          `json:"contexts,omitempty"`
-	Machine         isa.Machine  `json:"machine,omitempty"`
-	ICache          cache.Config `json:"icache,omitempty"`
-	DCache          cache.Config `json:"dcache,omitempty"`
-	PerfectMemory   bool         `json:"perfect_memory,omitempty"`
-	InstrLimit      int64        `json:"instr_limit,omitempty"`
-	TimesliceCycles int64        `json:"timeslice_cycles,omitempty"`
-	Seed            uint64       `json:"seed,omitempty"`
-}
-
-// jobSchemeSpec inlines the job's merge control for the wire: the
-// typed field when set, else a registered custom name's tree (a
-// remote server does not share this process's registry). Paper names
-// and baselines travel as the name alone.
-func jobSchemeSpec(j sweep.Job) *SchemeSpec {
-	if !j.Merge.IsZero() {
-		return SchemeSpecFrom(j.Merge)
-	}
-	if s, ok := merge.Lookup(j.Scheme); ok {
-		return SchemeSpecFrom(s)
-	}
-	return nil
-}
-
-// JobFrom converts an internal job to its wire form.
-func JobFrom(j sweep.Job) Job {
-	return Job{
-		Label:           j.Label,
-		Scheme:          j.Scheme,
-		Merge:           jobSchemeSpec(j),
-		Benchmarks:      append([]string(nil), j.Benchmarks...),
-		Contexts:        j.Contexts,
-		Machine:         j.Machine,
-		ICache:          j.ICache,
-		DCache:          j.DCache,
-		PerfectMemory:   j.PerfectMemory,
-		InstrLimit:      j.InstrLimit,
-		TimesliceCycles: j.TimesliceCycles,
-		Seed:            j.Seed,
-	}
-}
-
-// Sweep converts the wire form back to an internal job. A malformed
-// scheme spec is an error; a job without one converts scheme-name
-// verbatim, exactly as in wire version 1.
-func (j Job) Sweep() (sweep.Job, error) {
-	out := sweep.Job{
-		Label:           j.Label,
-		Scheme:          j.Scheme,
-		Benchmarks:      append([]string(nil), j.Benchmarks...),
-		Contexts:        j.Contexts,
-		Machine:         j.Machine,
-		ICache:          j.ICache,
-		DCache:          j.DCache,
-		PerfectMemory:   j.PerfectMemory,
-		InstrLimit:      j.InstrLimit,
-		TimesliceCycles: j.TimesliceCycles,
-		Seed:            j.Seed,
-	}
-	if j.Merge != nil {
-		s, err := j.Merge.Scheme()
-		if err != nil {
-			return out, fmt.Errorf("api: job %s: %w", out.Describe(), err)
-		}
-		out.Merge = s
-	}
-	return out, nil
-}
+// JobFrom returns j unchanged; see Job.
+func JobFrom(j sweep.Job) Job { return j }
 
 // Result is the wire form of sweep.Result. ElapsedSec is the only
 // wall-clock (non-deterministic) field; Err flattens the job's error
@@ -182,7 +61,7 @@ func (j Job) Sweep() (sweep.Job, error) {
 // result store rather than simulated.
 type Result struct {
 	Index      int         `json:"index"`
-	Job        Job         `json:"job"`
+	Job        sweep.Job   `json:"job"`
 	Sim        *sim.Result `json:"sim,omitempty"`
 	Err        string      `json:"err,omitempty"`
 	ElapsedSec float64     `json:"elapsed_sec"`
@@ -193,7 +72,7 @@ type Result struct {
 // shares r.Res rather than copying it: a wire result is only encoded,
 // and a sweep result is not modified once its job has completed.
 func ResultFrom(r sweep.Result) Result {
-	out := Result{Index: r.Index, Job: JobFrom(r.Job), Sim: r.Res, ElapsedSec: r.Elapsed.Seconds(),
+	out := Result{Index: r.Index, Job: r.Job, Sim: r.Res, ElapsedSec: r.Elapsed.Seconds(),
 		Cached: r.Cached}
 	if r.Err != nil {
 		out.Err = r.Err.Error()
@@ -207,22 +86,17 @@ func ResultFrom(r sweep.Result) Result {
 func SimResultFrom(r sim.Result) sim.Result { return r }
 
 // Sweep converts the wire form back to an internal sweep result, which
-// takes over r.Sim. The job inside a result is informational, so a
-// malformed scheme spec surfaces on the result's Err rather than
-// failing the whole decode.
+// takes over r.Sim.
 func (r Result) Sweep() sweep.Result {
-	job, jerr := r.Job.Sweep()
 	out := sweep.Result{
 		Index:   r.Index,
-		Job:     job,
+		Job:     r.Job,
 		Elapsed: time.Duration(r.ElapsedSec * float64(time.Second)),
 		Cached:  r.Cached,
 		Res:     r.Sim,
 	}
 	if r.Err != "" {
 		out.Err = errors.New(r.Err)
-	} else if jerr != nil {
-		out.Err = jerr
 	}
 	return out
 }

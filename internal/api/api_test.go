@@ -24,11 +24,15 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixtures returns one fully populated value of every wire type; every
 // field is non-zero so a dropped or mis-tagged field breaks a test.
-func fixtureJob() Job {
-	return Job{
+func fixtureJob() sweep.Job {
+	asym, err := merge.Resolve("S(C(T0,T1,T2),T3)")
+	if err != nil {
+		panic(err)
+	}
+	return sweep.Job{
 		Label:           "LLHH/2SC3",
 		Scheme:          "2SC3",
-		Merge:           &SchemeSpec{Name: "asym4", Tree: "S(C(T0,T1,T2),T3)"},
+		Merge:           asym.WithName("asym4"),
 		Benchmarks:      []string{"mcf", "dijkstra", "colorspace", "fft"},
 		Contexts:        4,
 		Machine:         isa.Default(),
@@ -152,7 +156,7 @@ func TestRoundTrips(t *testing.T) {
 	}{
 		{"Machine", isa.Default(), &isa.Machine{}},
 		{"CacheConfig", cache.DefaultConfig(), &cache.Config{}},
-		{"Job", fixtureJob(), &Job{}},
+		{"Job", fixtureJob(), &sweep.Job{}},
 		{"Grid", fixtureGrid(), &sweep.Grid{}},
 		{"Result", fixtureResult(), &Result{}},
 		{"SweepRequest", fixtureRequest(), &SweepRequest{}},
@@ -160,7 +164,7 @@ func TestRoundTrips(t *testing.T) {
 			Done: 4, Total: 4, Results: []Result{fixtureResult()}, Error: "job 2 failed"}, &SweepStatus{}},
 		{"Event", Event{Done: 2, Total: 4, Result: func() *Result { r := fixtureResult(); return &r }()}, &Event{}},
 		{"zero Grid", sweep.Grid{}, &sweep.Grid{}},
-		{"zero Job", Job{}, &Job{}},
+		{"zero Job", sweep.Job{}, &sweep.Job{}},
 		{"grid request", SweepRequest{Version: Version, Grid: &g}, &SweepRequest{}},
 	}
 	for _, tc := range cases {
@@ -180,17 +184,10 @@ func TestRoundTrips(t *testing.T) {
 	}
 }
 
-// TestConversionsAreLossless checks that wire -> internal -> wire and
-// internal -> wire -> internal conversions preserve every field.
+// TestConversionsAreLossless checks that internal -> wire -> internal
+// result conversion preserves every field.
 func TestConversionsAreLossless(t *testing.T) {
-	j, err := fixtureJob().Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := JobFrom(j).Sweep(); err != nil || !reflect.DeepEqual(got, j) {
-		t.Errorf("job: %+v != %+v (%v)", got, j, err)
-	}
-
+	j := fixtureJob()
 	// A full sweep.Result with a live sim.Result survives the wire with
 	// every deterministic field; Err collapses to its message by design.
 	sr := sweep.Result{
@@ -270,7 +267,7 @@ func TestGolden(t *testing.T) {
 			return v, json.Unmarshal(b, &v)
 		}},
 		{"job.golden.json", fixtureJob(), func(b []byte) (any, error) {
-			var v Job
+			var v sweep.Job
 			return v, json.Unmarshal(b, &v)
 		}},
 		{"grid.golden.json", fixtureGrid(), func(b []byte) (any, error) {
@@ -320,62 +317,12 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestSchemeSpecRoundTrip checks the version-2 SchemeSpec DTO: typed
-// schemes (paper, baseline, custom tree) survive the wire with their
-// names and exact merge trees.
-func TestSchemeSpecRoundTrip(t *testing.T) {
-	paper, err := merge.Resolve("2SC3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	custom, err := merge.Resolve("S(C(T0,T1,T2),T3)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	imt, err := merge.Resolve("IMT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []merge.Scheme{paper, custom.WithName("asym4"), imt} {
-		sp := SchemeSpecFrom(s)
-		if sp == nil {
-			t.Fatalf("SchemeSpecFrom(%s) = nil", s.Name())
-		}
-		b, err := json.Marshal(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back SchemeSpec
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Scheme()
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if got.Name() != s.Name() || got.String() != s.String() {
-			t.Errorf("scheme %s round-tripped to %s (%s)", s.Name(), got.Name(), got.String())
-		}
-	}
-	if SchemeSpecFrom(merge.Scheme{}) != nil {
-		t.Error("zero scheme should convert to a nil spec")
-	}
-	if _, err := (SchemeSpec{}).Scheme(); err == nil {
-		t.Error("empty spec accepted")
-	}
-	if _, err := (SchemeSpec{Tree: "S(T0"}).Scheme(); err == nil {
-		t.Error("malformed tree spec accepted")
-	}
-}
-
 // decodeJob decodes one job document the way the server reads the jobs
 // of a request.
 func decodeJob(doc string) (sweep.Job, error) {
-	var j Job
-	if err := json.Unmarshal([]byte(doc), &j); err != nil {
-		return sweep.Job{}, err
-	}
-	return j.Sweep()
+	var j sweep.Job
+	err := json.Unmarshal([]byte(doc), &j)
+	return j, err
 }
 
 // TestJobMergeDecode pins how a job's "merge" member decodes: null is
@@ -397,50 +344,6 @@ func TestJobMergeDecode(t *testing.T) {
 			t.Errorf("%s: accepted", doc)
 		}
 	}
-}
-
-// TestJobInlinesRegisteredScheme checks that JobFrom attaches the tree
-// of a registry-resolved scheme name, so a remote server needs no
-// matching registration, and that Job.Sweep rebuilds the typed scheme.
-func TestJobInlinesRegisteredScheme(t *testing.T) {
-	tree, err := merge.ParseTreeExpr("S(C(T0,T1,T2),T3)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch, err := merge.FromTree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := merge.Register("apitest4", sch); err != nil {
-		t.Fatal(err)
-	}
-	defer merge.Unregister("apitest4")
-
-	j := fixtureJob()
-	j.Scheme = "apitest4"
-	wire := JobFrom(mustSweepJob(t, j))
-	if wire.Merge == nil || wire.Merge.Tree != "S(C(T0,T1,T2),T3)" {
-		t.Fatalf("registered scheme not inlined: %+v", wire.Merge)
-	}
-	back, err := wire.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Merge.IsZero() || back.Merge.String() != "S(C(T0,T1,T2),T3)" {
-		t.Errorf("typed scheme lost on decode: %+v", back.Merge)
-	}
-	if back.EffectiveContexts() != 4 {
-		t.Errorf("EffectiveContexts = %d, want 4", back.EffectiveContexts())
-	}
-}
-
-func mustSweepJob(t *testing.T, j Job) sweep.Job {
-	t.Helper()
-	sj, err := j.Sweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sj
 }
 
 // TestV1BackCompat pins backwards compatibility: a checked-in wire

@@ -6,12 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"vliwmt/internal/sweep"
 )
 
 // FuzzDecodeSweepRequest feeds arbitrary bytes to the server's request
 // decoder, seeded with version 1, 2 and 3 documents. Decoding and the
 // conversions the server applies next, grid expansion included, must
-// not panic; expansion is safe to run on untrusted grids because
+// not panic (decoding parses each job's merge scheme, and a malformed
+// one is an error); expansion is safe to run on untrusted grids because
 // sweep.MaxGridJobs bounds it before it allocates. An accepted
 // request must survive a re-encode: omitempty folds an empty list into
 // an absent one and the encoder restamps the version, so equality is
@@ -28,7 +31,7 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"version":2,"jobs":[{"scheme":"mine","merge":{"name":"mine","tree":"C(S(T0,T1),T2,T3)"},` +
 		`"benchmarks":["mcf","fft","dijkstra","colorspace"],"instr_limit":5000,"seed":3}]}`))
 	var jobs bytes.Buffer
-	if err := EncodeSweepRequest(&jobs, SweepRequest{Jobs: []Job{fixtureJob()}, Workers: 2, Tag: "t"}); err != nil {
+	if err := EncodeSweepRequest(&jobs, SweepRequest{Jobs: []sweep.Job{fixtureJob()}, Workers: 2, Tag: "t"}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(jobs.Bytes())
@@ -41,9 +44,6 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 		}
 		if req.Grid != nil {
 			req.Grid.Jobs() // a bad name or an over-cap grid is an error
-		}
-		for _, j := range req.Jobs {
-			j.Sweep() // a malformed scheme spec is an error, never a panic
 		}
 		var first bytes.Buffer
 		if err := EncodeSweepRequest(&first, req); err != nil {

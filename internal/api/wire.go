@@ -36,7 +36,7 @@ func (s State) Terminal() bool {
 type SweepRequest struct {
 	Version int         `json:"version"`
 	Grid    *sweep.Grid `json:"grid,omitempty"`
-	Jobs    []Job       `json:"jobs,omitempty"`
+	Jobs    []sweep.Job `json:"jobs,omitempty"`
 	Workers int         `json:"workers,omitempty"`
 	Tag     string      `json:"tag,omitempty"`
 }
@@ -108,12 +108,6 @@ type StoreStats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Puts   int64 `json:"puts"`
-}
-
-// EncodeHealth writes h as versioned JSON.
-func EncodeHealth(w io.Writer, h Health) error {
-	h.Version = Version
-	return json.NewEncoder(w).Encode(h)
 }
 
 // DecodeHealth reads and version-checks a health document.

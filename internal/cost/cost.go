@@ -20,9 +20,9 @@ type SchemeCost struct {
 }
 
 // ForScheme builds and costs the merge control of the named scheme on
-// machine m. The name resolves like merge.Resolve, so registered
-// custom schemes and canonical tree expressions work; the IMT/BMT
-// baselines have no merge control and are an error.
+// machine m. The name resolves like merge.Resolve, so canonical tree
+// expressions work; the IMT/BMT baselines have no merge control and
+// are an error.
 func ForScheme(m isa.Machine, name string) (SchemeCost, error) {
 	s, err := merge.Resolve(name)
 	if err != nil {

@@ -41,12 +41,6 @@ func ParseOpClass(s string) (OpClass, error) {
 	return 0, fmt.Errorf("isa: unknown operation class %q", s)
 }
 
-// IsMemLike reports whether the class uses the load/store unit.
-func (c OpClass) IsMemLike() bool { return c == OpMem }
-
-// UsesALUSlot reports whether the class can issue from a generic ALU slot.
-func (c OpClass) UsesALUSlot() bool { return c == OpALU || c == OpCopy }
-
 // Op is a single operation inside a VLIW instruction. The fields beyond
 // Class and Cluster are runtime behaviour hooks filled in by the compiler:
 // they do not affect merging, only simulation events.

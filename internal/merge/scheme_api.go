@@ -1,10 +1,9 @@
 package merge
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Scheme is a first-class merge scheme: a named merge tree, or one of
@@ -28,16 +27,14 @@ func FromTree(t *Tree) (Scheme, error) {
 // IsZero reports whether the Scheme is unset.
 func (s Scheme) IsZero() bool { return s.name == "" && s.tree == nil && s.baseline == "" }
 
-// Name returns the scheme's name: a paper name, a registered name, a
-// baseline name, or the canonical tree rendering for anonymous trees.
+// Name returns the scheme's name: a paper name, a baseline name, the
+// label given by WithName, or the canonical tree rendering for
+// anonymous trees.
 func (s Scheme) Name() string { return s.name }
 
 // Tree returns the merge tree, or nil for the baselines and the zero
 // Scheme.
 func (s Scheme) Tree() *Tree { return s.tree }
-
-// IsBaseline reports whether the scheme is the IMT or BMT baseline.
-func (s Scheme) IsBaseline() bool { return s.baseline != "" }
 
 // baselinePorts is the context count a baseline defaults to when the
 // caller does not fix one: the paper's 4-thread machine.
@@ -74,6 +71,61 @@ func (s Scheme) WithName(name string) Scheme {
 		return s
 	}
 	return Scheme{name: name, tree: &Tree{name: name, root: s.tree.root, ports: s.tree.ports}}
+}
+
+// schemeJSON is the JSON form of a Scheme. Tree is the canonical
+// grammar emitted by Tree.String (e.g. "C(S(T0,T1),T2,T3)"); it is
+// empty for the IMT/BMT baselines, which Name identifies. A document
+// with a tree is self-contained: the receiver rebuilds the exact
+// scheme from it, so a custom tree crosses the wire bit-identically.
+type schemeJSON struct {
+	Name string `json:"name,omitempty"`
+	Tree string `json:"tree,omitempty"`
+}
+
+// MarshalJSON encodes the scheme as {"name":...,"tree":...}, the tree
+// omitted for the baselines; the zero Scheme encodes as null.
+func (s Scheme) MarshalJSON() ([]byte, error) {
+	if s.IsZero() {
+		return []byte("null"), nil
+	}
+	w := schemeJSON{Name: s.name}
+	if s.tree != nil {
+		w.Tree = s.tree.String()
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON decodes the form MarshalJSON writes: a tree expression
+// labelled with the name when a tree is present, else the name
+// resolved like Resolve. null decodes to the zero Scheme; an empty
+// document or a malformed tree is an error.
+func (s *Scheme) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*s = Scheme{}
+		return nil
+	}
+	var w schemeJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	if w.Tree != "" {
+		t, err := ParseTreeExpr(w.Tree)
+		if err != nil {
+			return err
+		}
+		*s = Scheme{name: t.Name(), tree: t}.WithName(w.Name)
+		return nil
+	}
+	if w.Name == "" {
+		return fmt.Errorf("merge: scheme has neither a name nor a tree")
+	}
+	sch, err := Resolve(w.Name)
+	if err != nil {
+		return err
+	}
+	*s = sch
+	return nil
 }
 
 // Selector builds the scheme's compiled evaluator for ports hardware
@@ -216,82 +268,17 @@ func nodeDepth(n *Node) int {
 	return d + 1
 }
 
-// The process-wide scheme registry. Registered names resolve anywhere
-// a scheme-name string is accepted: Resolve, NewSelector, Ports,
-// sweep.Job.Validate, sim.Config and the CLIs.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Scheme{}
-)
-
-// Register makes a custom tree-backed scheme resolvable by name
-// process-wide. Names that collide with the built-in grammar — the
-// IMT/BMT baselines, anything that parses as a paper scheme name, or
-// tree expressions — are rejected so registration can never shadow a
-// built-in. Re-registering a name replaces the previous scheme.
-func Register(name string, s Scheme) error {
-	if name == "" {
-		return fmt.Errorf("merge: register: empty scheme name")
-	}
-	if s.Tree() == nil {
-		return fmt.Errorf("merge: register %q: only tree-backed schemes can be registered", name)
-	}
-	if name == "IMT" || name == "BMT" {
-		return fmt.Errorf("merge: register %q: name collides with a baseline", name)
-	}
-	if IsTreeExpr(name) {
-		return fmt.Errorf("merge: register %q: name must not be a tree expression", name)
-	}
-	if _, err := parseName(name); err == nil {
-		return fmt.Errorf("merge: register %q: name collides with a paper scheme name", name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = s.WithName(name)
-	return nil
-}
-
-// Unregister removes a registered scheme; unknown names are a no-op.
-func Unregister(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	delete(registry, name)
-}
-
-// Lookup returns the scheme registered under name.
-func Lookup(name string) (Scheme, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
-}
-
-// Registered returns every registered scheme, sorted by name.
-func Registered() []Scheme {
-	regMu.RLock()
-	out := make([]Scheme, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
-// Resolve turns a scheme-name string into a Scheme. It accepts, in
-// order: the IMT/BMT baselines, names registered with Register, tree
-// expressions in the canonical Tree.String grammar
-// ("C(S(T0,T1),T2,T3)"), and the paper's scheme names ("3SSS", "2SC3",
-// "C4", ...). Unknown names are an error — nothing defaults silently.
+// Resolve turns a scheme-name string into a Scheme. It accepts the
+// IMT/BMT baselines, tree expressions in the canonical Tree.String
+// grammar ("C(S(T0,T1),T2,T3)") and the paper's scheme names ("3SSS",
+// "2SC3", "C4", ...). Unknown names are an error — nothing defaults
+// silently.
 func Resolve(name string) (Scheme, error) {
 	if name == "" {
 		return Scheme{}, fmt.Errorf("merge: empty scheme name")
 	}
 	if name == "IMT" || name == "BMT" {
 		return Scheme{name: name, baseline: name}, nil
-	}
-	if s, ok := Lookup(name); ok {
-		return s, nil
 	}
 	if IsTreeExpr(name) {
 		t, err := ParseTreeExpr(name)
@@ -308,9 +295,9 @@ func Resolve(name string) (Scheme, error) {
 }
 
 // Ports returns the number of hardware thread ports the named scheme
-// merges, resolving the name exactly like Resolve (so registered names
-// and tree expressions work, and the baselines report the paper's
-// 4-thread default). Unknown names are an error.
+// merges, resolving the name exactly like Resolve (so tree expressions
+// work, and the baselines report the paper's 4-thread default).
+// Unknown names are an error.
 func Ports(name string) (int, error) {
 	s, err := Resolve(name)
 	if err != nil {

@@ -1,6 +1,8 @@
 package merge
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -24,14 +26,11 @@ func TestResolveRoundTripProperty(t *testing.T) {
 			t.Errorf("Ports(%s) = %d, %v", name, n, err)
 		}
 		tree := s.Tree()
-		if s.IsBaseline() {
-			if tree != nil {
-				t.Errorf("baseline %s has a tree", name)
+		if baseline := name == "IMT" || name == "BMT"; baseline || tree == nil {
+			if baseline != (tree == nil) {
+				t.Errorf("%s: baseline %v, tree %v", name, baseline, tree)
 			}
 			continue
-		}
-		if tree == nil {
-			t.Fatalf("scheme %s has no tree", name)
 		}
 		back, err := Resolve(tree.String())
 		if err != nil {
@@ -100,61 +99,54 @@ func TestSchemeSelector(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	tree, err := ParseTreeExpr("S(C(T0,T1,T2),T3)")
+// TestSchemeJSONRoundTrip checks the scheme's JSON form: paper,
+// named custom and baseline schemes survive encode/decode with their
+// names and exact merge trees, the bytes are {"name":...,"tree":...}
+// with no tree for a baseline, and the zero Scheme is null both ways.
+func TestSchemeJSONRoundTrip(t *testing.T) {
+	custom, err := Resolve("S(C(T0,T1,T2),T3)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := FromTree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Register("regtest4", sch); err != nil {
-		t.Fatal(err)
-	}
-	defer Unregister("regtest4")
-
-	got, err := Resolve("regtest4")
-	if err != nil {
-		t.Fatalf("registered name did not resolve: %v", err)
-	}
-	if got.Name() != "regtest4" || got.Tree() == nil || got.Tree().String() != tree.String() {
-		t.Errorf("resolved %q to %s (%s)", "regtest4", got.Name(), got.String())
-	}
-	if n, err := Ports("regtest4"); err != nil || n != 4 {
-		t.Errorf("Ports(regtest4) = %d, %v", n, err)
-	}
-	if sel, err := NewSelector("regtest4", 4); err != nil || sel.Name() != "regtest4" {
-		t.Errorf("NewSelector(regtest4) = %v, %v", sel, err)
-	}
-	found := false
-	for _, s := range Registered() {
-		if s.Name() == "regtest4" {
-			found = true
+	for _, c := range []struct {
+		s    Scheme
+		want string
+	}{
+		{mustResolve(t, "2SC3"), `{"name":"2SC3","tree":"C3(S(T0,T1),T2,T3)"}`},
+		{custom.WithName("asym4"), `{"name":"asym4","tree":"S(C(T0,T1,T2),T3)"}`},
+		{mustResolve(t, "IMT"), `{"name":"IMT"}`},
+		{Scheme{}, `null`},
+	} {
+		b, err := json.Marshal(c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != c.want {
+			t.Errorf("%s encodes to %s, want %s", c.s.Name(), b, c.want)
+		}
+		var back Scheme
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if !reflect.DeepEqual(back, c.s) {
+			t.Errorf("%s decodes to %s (%s), want %s (%s)", b, back.Name(), back.String(), c.s.Name(), c.s.String())
 		}
 	}
-	if !found {
-		t.Error("Registered() does not list regtest4")
-	}
-
-	// Names that collide with the built-in grammar are rejected.
-	for _, bad := range []string{"", "IMT", "BMT", "3SSS", "C4", "2CC", "S(T0,T1)"} {
-		if err := Register(bad, sch); err == nil {
-			t.Errorf("Register(%q) accepted a colliding name", bad)
-			Unregister(bad)
+	for _, doc := range []string{`{}`, `{"tree":"S(T0"}`, `{"name":"NOPE"}`, `"2SC3"`} {
+		var s Scheme
+		if err := json.Unmarshal([]byte(doc), &s); err == nil {
+			t.Errorf("%s decoded to %s", doc, s.Name())
 		}
 	}
-	// Baselines cannot be registered (no tree to register).
-	imt, _ := Resolve("IMT")
-	if err := Register("myimt", imt); err == nil {
-		t.Error("baseline registration accepted")
-		Unregister("myimt")
+}
+
+func mustResolve(t *testing.T, name string) Scheme {
+	t.Helper()
+	s, err := Resolve(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Unregistered names stop resolving.
-	Unregister("regtest4")
-	if _, err := Resolve("regtest4"); err == nil {
-		t.Error("unregistered name still resolves")
-	}
+	return s
 }
 
 func TestSchemeDescribe(t *testing.T) {

@@ -138,9 +138,8 @@ func (s *BMT) Select(m *isa.Machine, cands []isa.Occupancy, valid uint32) Select
 }
 
 // NewSelector builds the compiled evaluator for a scheme by name —
-// anything Resolve accepts: a paper scheme name, a registered custom
-// scheme, a canonical tree expression, or the baselines "IMT" and
-// "BMT". ports is the number of hardware thread ports; tree-backed
+// anything Resolve accepts: a paper scheme name, a canonical tree
+// expression, or the baselines "IMT" and "BMT". ports is the number of hardware thread ports; tree-backed
 // schemes must match it exactly.
 func NewSelector(name string, ports int) (*Compiled, error) {
 	s, err := Resolve(name)

@@ -34,18 +34,17 @@ func ParseTreeExpr(expr string) (*Tree, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("merge: tree expression %q: trailing input at offset %d", expr, p.pos)
 	}
-	t, err := TreeFromNode("", root)
+	t, err := treeFromNode(root)
 	if err != nil {
 		return nil, fmt.Errorf("merge: tree expression %q: %w", expr, err)
 	}
 	return t, nil
 }
 
-// TreeFromNode builds a scheme from an explicit node tree, deriving
-// the port count from the highest leaf port; NewTree then validates
-// that ports 0..max appear exactly once. An empty name selects the
-// canonical rendering of the tree.
-func TreeFromNode(name string, root *Node) (*Tree, error) {
+// treeFromNode builds a scheme from an explicit node tree, named by its
+// canonical rendering, deriving the port count from the highest leaf
+// port; NewTree then validates that ports 0..max appear exactly once.
+func treeFromNode(root *Node) (*Tree, error) {
 	max := -1
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
@@ -68,10 +67,7 @@ func TreeFromNode(name string, root *Node) (*Tree, error) {
 	if err := walk(root); err != nil {
 		return nil, err
 	}
-	if name == "" {
-		name = renderNode(root)
-	}
-	return NewTree(name, root, max+1)
+	return NewTree(renderNode(root), root, max+1)
 }
 
 // maxExprDepth bounds parser recursion. Every node needs at least two

@@ -83,7 +83,7 @@ func TestTreeFromNode(t *testing.T) {
 		Sub(&Node{Kind: CSMT, Inputs: []Input{Leaf(0), Leaf(1), Leaf(2)}}),
 		Leaf(3),
 	}}
-	tree, err := TreeFromNode("", root)
+	tree, err := treeFromNode(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,6 @@ func TestTreeFromNode(t *testing.T) {
 	}
 	if tree.Name() != "S(C(T0,T1,T2),T3)" {
 		t.Errorf("derived name = %q", tree.Name())
-	}
-	named, err := TreeFromNode("asym4", root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if named.Name() != "asym4" {
-		t.Errorf("explicit name = %q", named.Name())
 	}
 }
 

@@ -15,7 +15,7 @@
 // re-running the job. The keying contract (Key) says two jobs hash
 // equal exactly when that function's inputs are equal — spelling
 // differences that cannot change the result (a scheme referenced by
-// registered name versus an inlined tree, a job's display label) are
+// paper name versus its tree expression, a job's display label) are
 // canonicalised away, while anything that can (seed, machine, caches,
 // budget) is part of the hash. A third version, SchemaVersion, stamps
 // the simulator's result semantics: entries written by a simulator
@@ -65,10 +65,10 @@ type keyDoc struct {
 
 // canonicalScheme reduces a job's merge control to one spelling: the
 // canonical tree expression for tree-backed schemes (whether the job
-// named a paper scheme, a registered custom name, a tree expression or
-// carried a typed Merge value), the baseline name for IMT/BMT, and ""
-// for single-context multitasking. Labels and registered names do not
-// survive, so a scheme hashes the same however it was referenced.
+// named a paper scheme, a tree expression or carried a typed Merge
+// value), the baseline name for IMT/BMT, and "" for single-context
+// multitasking. Labels do not survive, so a scheme hashes the same
+// however it was referenced.
 func canonicalScheme(j sweep.Job) (string, error) {
 	var s merge.Scheme
 	if !j.Merge.IsZero() {

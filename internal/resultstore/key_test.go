@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"vliwmt/internal/api"
 	"vliwmt/internal/cache"
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
@@ -61,21 +60,6 @@ func TestKeyCanonicalisesSchemeSpelling(t *testing.T) {
 	typed.Merge = sch
 	if got := keyOf(t, typed); got != want {
 		t.Errorf("typed scheme keys differently from the name: %s vs %s", got, want)
-	}
-
-	// A registered custom name for the identical tree.
-	custom, err := merge.FromTree(sch.Tree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := merge.Register("keytest-2sc3", custom); err != nil {
-		t.Fatal(err)
-	}
-	defer merge.Unregister("keytest-2sc3")
-	registered := base
-	registered.Scheme = "keytest-2sc3"
-	if got := keyOf(t, registered); got != want {
-		t.Errorf("registered name keys differently from the paper name: %s vs %s", got, want)
 	}
 
 	// Labels are presentation, not configuration.
@@ -163,12 +147,8 @@ func TestKeyIgnoresDocumentKeyOrder(t *testing.T) {
 	}
 	var want string
 	for i, doc := range docs {
-		var wj api.Job
-		if err := json.Unmarshal([]byte(doc), &wj); err != nil {
-			t.Fatalf("doc %d: %v", i, err)
-		}
-		j, err := wj.Sweep()
-		if err != nil {
+		var j sweep.Job
+		if err := json.Unmarshal([]byte(doc), &j); err != nil {
 			t.Fatalf("doc %d: %v", i, err)
 		}
 		got := keyOf(t, j)

@@ -7,20 +7,19 @@ import (
 	"path/filepath"
 	"sort"
 
-	"vliwmt/internal/api"
 	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
 )
 
 // Entry is one job's deterministic outcome inside a Snapshot: its
-// content key, a human label, the job in wire form and the full
+// content key, a human label, the job and the full
 // simulation result. Wall-clock time is deliberately absent — a
 // snapshot is a statement about simulator behaviour, and committing
 // one (as a golden baseline) must be reproducible byte for byte.
 type Entry struct {
 	Key   string     `json:"key"`
 	Label string     `json:"label,omitempty"`
-	Job   api.Job    `json:"job"`
+	Job   sweep.Job  `json:"job"`
 	Sim   sim.Result `json:"sim"`
 }
 
@@ -51,20 +50,11 @@ func (s *Store) Snapshot() (Snapshot, error) {
 		if !ok {
 			return nil
 		}
-		snap.Entries = append(snap.Entries, Entry{Key: e.Key, Label: entryLabel(e.Job), Job: e.Job, Sim: e.Sim})
+		snap.Entries = append(snap.Entries, Entry{Key: e.Key, Label: e.Job.Describe(), Job: e.Job, Sim: e.Sim})
 		return nil
 	})
 	sortEntries(snap.Entries)
 	return snap, err
-}
-
-// entryLabel derives a display label from a wire job.
-func entryLabel(j api.Job) string {
-	sj, err := j.Sweep()
-	if err != nil {
-		return j.Label
-	}
-	return sj.Describe()
 }
 
 // SnapshotResults builds a Snapshot from a completed sweep, keyed like
@@ -86,7 +76,7 @@ func SnapshotResults(results []sweep.Result) (Snapshot, error) {
 		snap.Entries = append(snap.Entries, Entry{
 			Key:   key,
 			Label: r.Job.Describe(),
-			Job:   api.JobFrom(r.Job),
+			Job:   r.Job,
 			Sim:   *r.Res.Clone(),
 		})
 	}
@@ -94,18 +84,14 @@ func SnapshotResults(results []sweep.Result) (Snapshot, error) {
 	return snap, nil
 }
 
-// Jobs decodes the snapshot's jobs back to an executable job set, in
-// entry order — the replay path of the golden conformance harness.
-func (s Snapshot) Jobs() ([]sweep.Job, error) {
+// Jobs returns the snapshot's jobs as an executable job set, in entry
+// order — the replay path of the golden conformance harness.
+func (s Snapshot) Jobs() []sweep.Job {
 	jobs := make([]sweep.Job, len(s.Entries))
 	for i, e := range s.Entries {
-		j, err := e.Job.Sweep()
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: snapshot entry %s: %w", e.Key, err)
-		}
-		jobs[i] = j
+		jobs[i] = e.Job
 	}
-	return jobs, nil
+	return jobs
 }
 
 // WriteSnapshot writes the snapshot as deterministic, indented JSON.

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vliwmt/internal/api"
 	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
 )
@@ -112,12 +111,12 @@ func (h entryHeader) valid(wantKey string) bool {
 }
 
 // entryFile is the on-disk document of one stored job result. The job
-// is stored in wire form so an entry is self-describing (vliwdiff
+// is stored in its JSON form so an entry is self-describing (vliwdiff
 // labels deltas from it, and a golden corpus entry can be re-run
 // without the grid that produced it).
 type entryFile struct {
 	entryHeader
-	Job api.Job    `json:"job"`
+	Job sweep.Job  `json:"job"`
 	Sim sim.Result `json:"sim"`
 	// ElapsedNS is integer nanoseconds (not the wire format's float
 	// seconds) so the replayed duration is bit-exact: a warm sweep
@@ -276,7 +275,7 @@ func (s *Store) Put(j sweep.Job, res *sim.Result, elapsed time.Duration) error {
 	// The entry shares res's slices: it is encoded here and dropped.
 	e := entryFile{
 		entryHeader: entryHeader{Schema: SchemaVersion, Key: key},
-		Job:         api.JobFrom(j),
+		Job:         j,
 		Sim:         *res,
 		ElapsedNS:   elapsed.Nanoseconds(),
 	}

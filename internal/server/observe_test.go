@@ -18,6 +18,7 @@ import (
 
 	"vliwmt/internal/api"
 	"vliwmt/internal/resultstore"
+	"vliwmt/internal/sweep"
 )
 
 // scrapeMetric fetches /metrics and sums every series of the named
@@ -274,7 +275,7 @@ func TestJobErrorsSurfaced(t *testing.T) {
 	// throughput without bloating the race-detector run.
 	good.InstrLimit = 1_500_000
 	bad.Machine.MemUnits = 0
-	req := api.SweepRequest{Jobs: []api.Job{api.JobFrom(good), api.JobFrom(bad)}, Workers: 1}
+	req := api.SweepRequest{Jobs: []sweep.Job{good, bad}, Workers: 1}
 
 	_, ts := newTestServer(t, Options{})
 	st := submit(t, ts, req, "")

@@ -498,14 +498,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	for i, j := range req.Jobs {
-		sj, err := j.Sweep()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "job %d: %v", i, err)
-			return
-		}
-		jobs = append(jobs, sj)
-	}
+	jobs = append(jobs, req.Jobs...)
 	for i, j := range jobs {
 		if err := j.Validate(); err != nil {
 			httpError(w, http.StatusBadRequest, "job %d: %v", i, err)

@@ -151,10 +151,7 @@ func TestExplicitJobsAndWaitMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := api.SweepRequest{}
-	for _, j := range jobs[:2] {
-		req.Jobs = append(req.Jobs, api.JobFrom(j))
-	}
+	req := api.SweepRequest{Jobs: jobs[:2]}
 	_, ts := newTestServer(t, Options{})
 	st := submit(t, ts, req, "?wait=1")
 	if !st.State.Terminal() || st.State != api.StateDone {

@@ -37,9 +37,9 @@ type Config struct {
 	// Contexts is the number of hardware thread contexts (virtual CPUs).
 	Contexts int
 	// Scheme names the merge control: a paper name ("3SSS", "2SC3",
-	// "C4", ...), a baseline ("IMT", "BMT"), a name registered with
-	// merge.Register, or a canonical tree expression such as
-	// "C(S(T0,T1),T2,T3)". Ignored when Contexts == 1 or Merge is set.
+	// "C4", ...), a baseline ("IMT", "BMT") or a canonical tree
+	// expression such as "C(S(T0,T1),T2,T3)". Ignored when
+	// Contexts == 1 or Merge is set.
 	Scheme string
 	// Merge, when set, is the merge control as a first-class scheme and
 	// takes precedence over Scheme. Unknown names and port/context

@@ -21,9 +21,9 @@ func DefaultSchemes() []string { return merge.PaperSchemes4() }
 // seed 1. The json tags are the grid's wire form, so a sparse document
 // such as {} expands with exactly this defaulting.
 type Grid struct {
-	// Schemes are merge-control names — paper names, baselines,
-	// registered custom schemes or canonical tree expressions; empty
-	// selects the paper's sixteen Figure 9 schemes.
+	// Schemes are merge-control names — paper names, baselines or
+	// canonical tree expressions; empty selects the paper's sixteen
+	// Figure 9 schemes.
 	Schemes []string `json:"schemes,omitempty"`
 	// Mixes are Table 2 mix names; empty selects all nine.
 	Mixes []string `json:"mixes,omitempty"`

@@ -25,38 +25,40 @@ import (
 // Job is one independent simulation: a workload (a list of Table 1
 // benchmark names) run under one merge scheme on one machine/cache
 // configuration. Jobs are plain values; the engine never mutates them.
+// A Job is its own wire and store form: the json tags are the format
+// of the sweep service's explicit jobs and of result-store entries.
 type Job struct {
 	// Label identifies the job in progress reports and results,
 	// e.g. "LLHH/2SC3". Optional; Describe derives one when empty.
-	Label string
+	Label string `json:"label,omitempty"`
 	// Scheme names the merge control: a paper name ("3SSS", "2SC3",
-	// "C4", ...), a baseline ("IMT", "BMT"), a name registered via
-	// merge.Register, or a canonical tree expression such as
-	// "C(S(T0,T1),T2,T3)". Empty means no merging (single-context
-	// multitasking) unless Merge is set.
-	Scheme string
+	// "C4", ...), a baseline ("IMT", "BMT") or a canonical tree
+	// expression such as "C(S(T0,T1),T2,T3)". Empty means no merging
+	// (single-context multitasking) unless Merge is set.
+	Scheme string `json:"scheme,omitempty"`
 	// Merge, when set, is the merge control as a first-class scheme
-	// and takes precedence over Scheme. It lets jobs carry custom
-	// trees that have no resolvable name (e.g. across the wire).
-	Merge merge.Scheme
+	// and takes precedence over Scheme. It travels as the scheme's
+	// JSON form, {"name":...,"tree":...}, so a custom tree keeps its
+	// label across the wire.
+	Merge merge.Scheme `json:"merge,omitzero"`
 	// Benchmarks are the software threads, by Table 1 benchmark name.
-	Benchmarks []string
+	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Contexts is the hardware context count; 0 derives it from the
 	// resolved merge scheme, or 1 when no scheme is set.
-	Contexts int
+	Contexts int `json:"contexts,omitempty"`
 	// Machine, ICache and DCache describe the simulated processor.
-	Machine isa.Machine
-	ICache  cache.Config
-	DCache  cache.Config
+	Machine isa.Machine  `json:"machine,omitempty"`
+	ICache  cache.Config `json:"icache,omitempty"`
+	DCache  cache.Config `json:"dcache,omitempty"`
 	// PerfectMemory disables the caches (the paper's IPCp runs).
-	PerfectMemory bool
+	PerfectMemory bool `json:"perfect_memory,omitempty"`
 	// InstrLimit is the per-thread instruction budget.
-	InstrLimit int64
+	InstrLimit int64 `json:"instr_limit,omitempty"`
 	// TimesliceCycles is the OS scheduling quantum.
-	TimesliceCycles int64
+	TimesliceCycles int64 `json:"timeslice_cycles,omitempty"`
 	// Seed drives OS scheduling and per-thread behaviours. The engine
 	// uses it verbatim; Grid derives per-job seeds from the sweep seed.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // scheme resolves the job's merge control: the typed Merge field when

@@ -1,144 +1,17 @@
 package vliwmt
 
-import (
-	"fmt"
-
-	"vliwmt/internal/cost"
-	"vliwmt/internal/merge"
-)
+import "vliwmt/internal/merge"
 
 // Scheme is a first-class merge scheme: a merge-control tree (or one
 // of the IMT/BMT baselines) that can be passed anywhere a scheme-name
-// string is accepted today. Build one with ParseScheme, the
-// constructors (CascadeScheme, BalancedScheme, ParallelCSMT), or the
-// node-level builders (OpNode, ClusterNode, Thread, NewScheme), and
-// assign it to Config.Merge or SweepJob.Merge; the zero Scheme means
-// "unset" and defers to the name field.
+// string is accepted. Build one with ParseScheme and assign it to
+// Config.Merge or SweepJob.Merge; the zero Scheme means "unset" and
+// defers to the name field.
 type Scheme = merge.Scheme
-
-// MergeKind selects the merge type of a node or cascade level.
-type MergeKind = merge.Kind
-
-const (
-	// OpMerge merges at operation level (the paper's SMT): operations
-	// are rerouted between issue slots of the same cluster.
-	OpMerge MergeKind = merge.SMT
-	// ClusterMerge merges at cluster level (the paper's CSMT): inputs
-	// must occupy disjoint clusters.
-	ClusterMerge MergeKind = merge.CSMT
-)
-
-// MergeInput is one ordered input of a merge node under construction:
-// a hardware thread port (Thread) or a nested node (OpNode,
-// ClusterNode, ParallelClusterNode).
-type MergeInput = merge.Input
-
-// Thread returns a leaf input for hardware thread port p.
-func Thread(p int) MergeInput { return merge.Leaf(p) }
-
-// OpNode returns an operation-level (SMT) merge node over the inputs,
-// merged greedily in priority order.
-func OpNode(inputs ...MergeInput) MergeInput {
-	return merge.Sub(&merge.Node{Kind: merge.SMT, Inputs: inputs})
-}
-
-// ClusterNode returns a serial cluster-level (CSMT) merge node over
-// the inputs.
-func ClusterNode(inputs ...MergeInput) MergeInput {
-	return merge.Sub(&merge.Node{Kind: merge.CSMT, Inputs: inputs})
-}
-
-// ParallelClusterNode returns a parallel cluster-level (CSMT) merge
-// node: all candidate subsets are checked at once in hardware. The
-// selection is identical to the serial ClusterNode; only the hardware
-// cost differs.
-func ParallelClusterNode(inputs ...MergeInput) MergeInput {
-	return merge.Sub(&merge.Node{Kind: merge.CSMT, Parallel: true, Inputs: inputs})
-}
-
-// NewScheme builds a Scheme from an explicit node tree, mirroring
-// merge.NewTree: root must be a node whose leaves cover thread ports
-// 0..n-1 exactly once; the port count is derived from the leaves. An
-// empty name selects the canonical tree rendering.
-func NewScheme(name string, root MergeInput) (Scheme, error) {
-	if root.Node == nil {
-		return Scheme{}, fmt.Errorf("vliwmt: scheme root must be a merge node, not a thread leaf")
-	}
-	t, err := merge.TreeFromNode(name, root.Node)
-	if err != nil {
-		return Scheme{}, err
-	}
-	return merge.FromTree(t)
-}
 
 // ParseScheme resolves a scheme name into a first-class Scheme. It
 // accepts everything the name-based entry points do: the paper's
-// names ("3SSS", "2SC3", "C4", ...), the IMT/BMT baselines, names
-// registered with RegisterScheme, and canonical tree expressions such
-// as "C(S(T0,T1),T2,T3)". Unknown names are an error.
+// names ("3SSS", "2SC3", "C4", ...), the IMT/BMT baselines and
+// canonical tree expressions such as "C(S(T0,T1),T2,T3)". Unknown
+// names are an error.
 func ParseScheme(name string) (Scheme, error) { return merge.Resolve(name) }
-
-// CascadeScheme builds the serial left-deep cascade merging
-// len(kinds)+1 threads — the paper's 3XYZ family — named in the
-// paper's convention (e.g. "3SCC").
-func CascadeScheme(kinds ...MergeKind) (Scheme, error) {
-	name := fmt.Sprintf("%d", len(kinds))
-	for _, k := range kinds {
-		name += k.Letter()
-	}
-	t, err := merge.Cascade(name, kinds...)
-	if err != nil {
-		return Scheme{}, err
-	}
-	return merge.FromTree(t)
-}
-
-// BalancedScheme builds the paper's two-level balanced tree for four
-// threads: groups (T0,T1) and (T2,T3) merge with the group kind and
-// the two results merge with the root kind ("2CC".."2SS").
-func BalancedScheme(group, root MergeKind) (Scheme, error) {
-	t, err := merge.Balanced("2"+group.Letter()+root.Letter(), group, root)
-	if err != nil {
-		return Scheme{}, err
-	}
-	return merge.FromTree(t)
-}
-
-// ParallelCSMT builds the single-level parallel CSMT scheme merging n
-// threads at once (the paper's C4 for n = 4).
-func ParallelCSMT(n int) (Scheme, error) {
-	t, err := merge.ParallelCSMT(fmt.Sprintf("C%d", n), n)
-	if err != nil {
-		return Scheme{}, err
-	}
-	return merge.FromTree(t)
-}
-
-// RegisterScheme adds a custom scheme to the process-wide registry, so
-// name resolves anywhere a scheme-name string is accepted: Config,
-// SweepJob and Grid scheme fields, Cost, DescribeScheme, and the
-// vliwsim/vliwsweep CLIs. Names that collide with the built-in grammar
-// (paper names, baselines, tree expressions) are rejected;
-// re-registering a name replaces the previous scheme. Submitting a
-// registered scheme through Client inlines its tree, so the remote
-// server needs no matching registration.
-func RegisterScheme(name string, s Scheme) error { return merge.Register(name, s) }
-
-// UnregisterScheme removes a registered custom scheme; unknown names
-// are a no-op.
-func UnregisterScheme(name string) { merge.Unregister(name) }
-
-// RegisteredSchemes returns every registered custom scheme, sorted by
-// name.
-func RegisteredSchemes() []Scheme { return merge.Registered() }
-
-// SchemeCostFor computes the transistor count and gate-delay depth of
-// a first-class scheme's merge control on machine m. The IMT/BMT
-// baselines have no merge control and are an error.
-func SchemeCostFor(m Machine, s Scheme) (SchemeCost, error) {
-	t := s.Tree()
-	if t == nil {
-		return SchemeCost{}, fmt.Errorf("vliwmt: scheme %s has no merge control to cost", s.Name())
-	}
-	return cost.ForTree(m, t)
-}

@@ -43,58 +43,6 @@ func TestTypedAndNamedPathsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSchemeConstructors checks that the typed constructors build the
-// same trees the paper names denote.
-func TestSchemeConstructors(t *testing.T) {
-	cases := []struct {
-		name string
-		got  func() (vliwmt.Scheme, error)
-	}{
-		{"3SCC", func() (vliwmt.Scheme, error) {
-			return vliwmt.CascadeScheme(vliwmt.OpMerge, vliwmt.ClusterMerge, vliwmt.ClusterMerge)
-		}},
-		{"2CS", func() (vliwmt.Scheme, error) {
-			return vliwmt.BalancedScheme(vliwmt.ClusterMerge, vliwmt.OpMerge)
-		}},
-		{"C4", func() (vliwmt.Scheme, error) { return vliwmt.ParallelCSMT(4) }},
-	}
-	for _, tc := range cases {
-		built, err := tc.got()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		parsed, err := vliwmt.ParseScheme(tc.name)
-		if err != nil {
-			t.Fatalf("ParseScheme(%s): %v", tc.name, err)
-		}
-		if built.Name() != tc.name || built.String() != parsed.String() {
-			t.Errorf("%s: constructor built %s (%s), parse gives %s", tc.name, built.Name(), built, parsed)
-		}
-	}
-
-	// Node-level builder: ports derive from leaves, names default to
-	// the canonical rendering, and invalid trees fail eagerly.
-	sch, err := vliwmt.NewScheme("", vliwmt.ParallelClusterNode(
-		vliwmt.OpNode(vliwmt.Thread(0), vliwmt.Thread(1)),
-		vliwmt.OpNode(vliwmt.Thread(2), vliwmt.Thread(3)),
-		vliwmt.Thread(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sch.Ports() != 5 || sch.Name() != "C3(S(T0,T1),S(T2,T3),T4)" {
-		t.Errorf("built %s over %d ports", sch.Name(), sch.Ports())
-	}
-	if _, err := vliwmt.NewScheme("bad", vliwmt.Thread(0)); err == nil {
-		t.Error("leaf root accepted")
-	}
-	if _, err := vliwmt.NewScheme("bad", vliwmt.OpNode(vliwmt.Thread(0), vliwmt.Thread(2))); err == nil {
-		t.Error("port gap accepted")
-	}
-	if _, err := vliwmt.SchemeCostFor(vliwmt.DefaultMachine(), sch); err != nil {
-		t.Errorf("SchemeCostFor on a custom tree: %v", err)
-	}
-}
-
 // TestUnknownSchemesFailEagerly pins that unknown scheme names fail at
 // validation time with a clear error, not default to a 4-thread
 // machine.
@@ -109,24 +57,14 @@ func TestUnknownSchemesFailEagerly(t *testing.T) {
 }
 
 // TestCustomSchemeRemoteMatchesInProcess is the service acceptance
-// criterion: a custom registered tree submitted through Client to a
-// vliwserve instance returns results identical to the in-process run
-// modulo wall-clock fields.
+// criterion: a custom tree submitted through Client to a vliwserve
+// instance returns results identical to the in-process run modulo
+// wall-clock fields, whether it travels as a grid's tree expression or
+// as a job's typed Merge scheme.
 func TestCustomSchemeRemoteMatchesInProcess(t *testing.T) {
-	sch, err := vliwmt.NewScheme("e2ecustom",
-		vliwmt.OpNode(
-			vliwmt.ClusterNode(vliwmt.Thread(0), vliwmt.Thread(1), vliwmt.Thread(2)),
-			vliwmt.Thread(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vliwmt.RegisterScheme("e2ecustom", sch); err != nil {
-		t.Fatal(err)
-	}
-	defer vliwmt.UnregisterScheme("e2ecustom")
-
+	const custom = "S(C(T0,T1,T2),T3)"
 	grid := vliwmt.Grid{
-		Schemes:    []string{"e2ecustom", "2SC3"},
+		Schemes:    []string{custom, "2SC3"},
 		Mixes:      []string{"LLHH"},
 		InstrLimit: 20_000,
 		Seed:       3,
@@ -161,26 +99,27 @@ func TestCustomSchemeRemoteMatchesInProcess(t *testing.T) {
 		}
 	}
 
-	// Grid path: the client notices the registry-resolved name and
-	// expands the grid client-side, inlining the tree.
+	// Grid path: the expression is the scheme's name on both ends.
 	remote, err := vliwmt.NewClient(ts.URL).Sweep(context.Background(), grid, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compare(t, remote)
 
-	// Jobs path with nothing registered anywhere: the typed Merge
-	// field alone must carry the tree across the wire. The httptest
-	// server shares this process's registry, so unregistering first
-	// proves the spec is self-contained.
+	// Jobs path: the typed Merge field alone carries the tree and its
+	// label across the wire.
+	sch, err := vliwmt.ParseScheme(custom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch = sch.WithName("e2ecustom")
 	jobs, err := grid.Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vliwmt.UnregisterScheme("e2ecustom")
 	for i := range jobs {
-		if jobs[i].Scheme == "e2ecustom" {
-			jobs[i].Merge = sch
+		if jobs[i].Scheme == custom {
+			jobs[i].Scheme, jobs[i].Merge = "", sch
 		}
 	}
 	remote, err = vliwmt.NewClient(ts.URL).SweepJobs(context.Background(), jobs, nil)
@@ -188,4 +127,10 @@ func TestCustomSchemeRemoteMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	compare(t, remote)
+	for i, r := range remote {
+		if want := jobs[i].Merge; r.Job.Merge.Name() != want.Name() || r.Job.Merge.String() != want.String() {
+			t.Errorf("job %d: merge scheme %s (%s) came back as %s (%s)",
+				i, want.Name(), want, r.Job.Merge.Name(), r.Job.Merge)
+		}
+	}
 }

@@ -11,8 +11,8 @@
 //     (NewKernel, CompileKernel) standing in for the VEX C compiler,
 //   - the merge-control schemes — SMT, CSMT, and the paper's sixteen
 //     cascade/tree combinations such as 2SC3 — selectable by name or
-//     built as first-class typed merge trees (Scheme, ParseScheme,
-//     CascadeScheme, OpNode/ClusterNode, RegisterScheme),
+//     written as any merge tree in the canonical tree grammar, and
+//     parsed into a typed value (Scheme, ParseScheme),
 //   - a multithreaded cycle-level simulator with shared caches, taken
 //     branch squash and a multitasking OS model (Run, RunMix),
 //   - the twelve Table 1 benchmarks and nine Table 2 workload mixes
@@ -47,20 +47,19 @@
 //	cfg.Merge = sch
 //	res, err := vliwmt.RunMix(cfg, "LLHH")
 //
-// Beyond the paper's sixteen names, trees compose freely from
-// constructors (CascadeScheme, BalancedScheme, ParallelCSMT) or node
-// builders:
+// Beyond the paper's sixteen names, any merge tree is written as a
+// canonical tree expression — the grammar DescribeScheme emits:
+// S(...) and C(...) are SMT and CSMT nodes, Cn(...) a parallel CSMT
+// node over n inputs, Tk hardware thread port k:
 //
-//	sch, err := vliwmt.NewScheme("hybrid",
-//	    vliwmt.OpNode(vliwmt.ClusterNode(vliwmt.Thread(0), vliwmt.Thread(1), vliwmt.Thread(2)),
-//	        vliwmt.Thread(3)))
-//	vliwmt.RegisterScheme("hybrid", sch) // "hybrid" now works everywhere a name does
+//	sch, err := vliwmt.ParseScheme("S(C(T0,T1,T2),T3)")
+//	sch = sch.WithName("hybrid") // a label for reports; the tree is unchanged
 //
-// Registered names resolve process-wide — Config.Scheme, Grid.Schemes,
-// Cost, the CLIs — and Client inlines their trees on the wire, so a
-// remote vliwserve needs no matching registration. Canonical tree
-// expressions (the grammar DescribeScheme emits, e.g.
-// "C(S(T0,T1),T2,T3)") are accepted anywhere a name is.
+// A tree expression is accepted anywhere a name is — Config.Scheme,
+// Grid.Schemes, Cost, the CLIs — and means the same in every process,
+// so it crosses the wire to a remote vliwserve as written. A typed
+// Scheme in Config.Merge or SweepJob.Merge travels as its tree
+// expression and label.
 //
 // # Runners and the top-level functions
 //
@@ -195,9 +194,8 @@ func Schemes() []string { return merge.PaperSchemes4() }
 
 // DescribeScheme renders the merge tree of a scheme in the canonical
 // grammar ParseScheme accepts back, e.g. "C3(S(T0,T1),T2,T3)" for
-// 2SC3. Registered custom schemes and tree expressions resolve too;
-// the IMT/BMT baselines, which have no tree, yield a prose
-// description.
+// 2SC3. Tree expressions resolve too; the IMT/BMT baselines, which
+// have no tree, yield a prose description.
 func DescribeScheme(name string) (string, error) {
 	s, err := merge.Resolve(name)
 	if err != nil {
@@ -214,9 +212,8 @@ type SchemeCost = cost.SchemeCost
 
 // Cost computes the transistor count and gate-delay depth of the named
 // scheme's thread merge control on machine m (the paper's Figure 9).
-// The name resolves like ParseScheme, so registered custom schemes and
-// tree expressions are costed too; see SchemeCostFor for the typed
-// equivalent.
+// The name resolves like ParseScheme, so tree expressions are costed
+// too.
 func Cost(m Machine, scheme string) (SchemeCost, error) {
 	return cost.ForScheme(m, scheme)
 }
@@ -289,17 +286,12 @@ type SweepOptions struct {
 	// Progress, when set, is called after each job completes (done jobs,
 	// total jobs, the completed result). Calls are serialised.
 	Progress func(done, total int, r SweepResult)
-	// ResultDir, when set, roots a persistent result store there:
-	// previously completed jobs are served from disk (marked Cached)
-	// and fresh simulations are persisted. See WithResultStore.
-	ResultDir string
 }
 
 // runner builds a one-call Runner on the process-wide compile cache
 // from legacy SweepOptions.
 func (o SweepOptions) runner() *Runner {
-	return NewRunner(WithSharedCache(), WithWorkers(o.Workers), WithProgress(o.Progress),
-		WithResultStore(o.ResultDir))
+	return NewRunner(WithSharedCache(), WithWorkers(o.Workers), WithProgress(o.Progress))
 }
 
 // Sweep expands the grid into jobs and executes them on a bounded worker

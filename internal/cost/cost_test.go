@@ -8,7 +8,7 @@ import (
 
 func TestForSchemeKnownNames(t *testing.T) {
 	m := isa.Default()
-	for _, s := range []string{"1S", "3SSS", "C4", "2SC3"} {
+	for _, s := range []string{"1S", "3SSS", "C4", "2SC3", "C3(S(T0,T1),S(T2,T3),T4)"} {
 		sc, err := ForScheme(m, s)
 		if err != nil {
 			t.Fatalf("ForScheme(%s): %v", s, err)

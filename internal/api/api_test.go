@@ -145,6 +145,11 @@ func fixtureRequest() SweepRequest {
 	return SweepRequest{Version: Version, Grid: &g, Workers: 8, Tag: "nightly"}
 }
 
+func fixtureHealth() Health {
+	return Health{Version: Version, Service: "vliwserve", GoVersion: "go1.24.0", Revision: "0123abc",
+		ActiveSweeps: 2, UptimeSec: 12.5, Store: &StoreStats{Hits: 7, Misses: 3, Puts: 3}}
+}
+
 // TestRoundTrips checks decode(encode(x)) == x for every exported
 // config and result type of the wire format.
 func TestRoundTrips(t *testing.T) {
@@ -280,6 +285,10 @@ func TestGolden(t *testing.T) {
 		}},
 		{"request.golden.json", fixtureRequest(), func(b []byte) (any, error) {
 			var v SweepRequest
+			return v, json.Unmarshal(b, &v)
+		}},
+		{"health.golden.json", fixtureHealth(), func(b []byte) (any, error) {
+			var v Health
 			return v, json.Unmarshal(b, &v)
 		}},
 	}

@@ -9,7 +9,7 @@ SHELL := /bin/bash
 
 SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkCacheAccess$$|BenchmarkStoreColdSweep$$|BenchmarkStoreWarmSweep$$|BenchmarkStoreHotSweep$$|BenchmarkGeneratedSweepCold$$|BenchmarkGeneratedSweepWarm$$
 
-.PHONY: test lint check-allocs golden golden-check bench-simcore bench-simcore-ci
+.PHONY: test lint check-allocs golden bench-simcore bench-simcore-ci
 
 test:
 	go build ./... && go test ./...
@@ -45,19 +45,15 @@ lint:
 check-allocs:
 	go test -run 'ZeroAllocs$$|AllocFree$$' ./internal/sim ./internal/merge ./internal/telemetry
 
-# golden regenerates the committed golden conformance corpus
-# (testdata/golden/corpus.json) from the current simulator — the
-# "bless" step after an intentional behaviour change. Review the diff
-# before committing: every changed metric is a deliberate claim that
-# the new numbers are right. TestGoldenCorpus replays the committed
-# corpus on every `go test ./...`.
+# golden blesses every golden file in the repo: the conformance corpora
+# (testdata/golden, TestGoldenCorpora) and the wire fixtures
+# (internal/api/testdata, TestGolden). Run it after an intentional
+# behaviour or format change and review the diff before committing:
+# every changed metric is a deliberate claim that the new numbers are
+# right. It names the two packages rather than ./... because a test
+# binary without an -update flag rejects the flag.
 golden:
-	go run ./cmd/vliwgolden
-
-# golden-check re-runs the committed corpus and fails on any bit-level
-# divergence (the standalone spelling of TestGoldenCorpus).
-golden-check:
-	go run ./cmd/vliwgolden -check
+	go test . ./internal/api -run '^TestGolden' -update -count=1
 
 # bench-simcore runs the simulator-core benchmarks at measurement
 # quality and rewrites BENCH_simcore.json, the committed machine-readable

@@ -44,7 +44,7 @@ func SnapshotResults(results []SweepResult) (ResultSnapshot, error) {
 }
 
 // LoadSnapshot reads a snapshot from a result-store directory or a
-// snapshot JSON file (as written by WriteSnapshot or cmd/vliwgolden).
+// snapshot JSON file (as written by WriteSnapshot).
 func LoadSnapshot(path string) (ResultSnapshot, error) {
 	return resultstore.SnapshotFrom(path)
 }

@@ -259,7 +259,7 @@ func TestGridDefaultingMatchesInProcess(t *testing.T) {
 
 // TestGolden pins the wire format: encoding the fixtures must produce
 // the checked-in golden bytes, and decoding the golden bytes must
-// produce the fixtures. Run `go test ./internal/api -update` after an
+// produce the fixtures. Run `make golden` after an
 // intentional format change.
 func TestGolden(t *testing.T) {
 	cases := []struct {
@@ -310,7 +310,7 @@ func TestGolden(t *testing.T) {
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("%v (run `go test ./internal/api -update` to create golden files)", err)
+				t.Fatalf("%v (run `make golden` to create golden files)", err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("wire format drifted from golden file %s:\n got: %s\nwant: %s", tc.file, got, want)

@@ -84,16 +84,6 @@ func SnapshotResults(results []sweep.Result) (Snapshot, error) {
 	return snap, nil
 }
 
-// Jobs returns the snapshot's jobs as an executable job set, in entry
-// order — the replay path of the golden conformance harness.
-func (s Snapshot) Jobs() []sweep.Job {
-	jobs := make([]sweep.Job, len(s.Entries))
-	for i, e := range s.Entries {
-		jobs[i] = e.Job
-	}
-	return jobs
-}
-
 // WriteSnapshot writes the snapshot as deterministic, indented JSON.
 // The same simulator state always produces the same bytes, which is
 // what makes a committed baseline's `git diff` meaningful.

@@ -111,9 +111,8 @@ func (h entryHeader) valid(wantKey string) bool {
 }
 
 // entryFile is the on-disk document of one stored job result. The job
-// is stored in its JSON form so an entry is self-describing (vliwdiff
-// labels deltas from it, and a golden corpus entry can be re-run
-// without the grid that produced it).
+// is stored in its JSON form so an entry is self-describing: vliwdiff
+// labels deltas from it without the grid that produced it.
 type entryFile struct {
 	entryHeader
 	Job sweep.Job  `json:"job"`

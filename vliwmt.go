@@ -26,9 +26,9 @@
 //     submits the same grids to a remote vliwserve instance,
 //   - a persistent, content-addressed result store (WithResultStore)
 //     that serves repeated jobs from disk, and a golden conformance
-//     harness (JobKey, SnapshotResults, DiffSnapshots, cmd/vliwdiff,
-//     cmd/vliwgolden) that makes simulator regressions diffable across
-//     commits.
+//     harness (JobKey, SnapshotResults, DiffSnapshots, cmd/vliwdiff and
+//     the TestGoldenCorpora fixture) that makes simulator regressions
+//     diffable across commits.
 //
 // The quickest start, by scheme name:
 //

@@ -396,7 +396,6 @@ func (l *lane) step(cycle int64) {
 			continue
 		}
 		ti := l.running[l.ports[p]]
-		l.stats[ti].ScheduledCycles++
 		if mask&(1<<uint(p)) == 0 {
 			l.stats[ti].ConflictCycles++
 			continue
@@ -453,7 +452,6 @@ func (l *lane) burst(ti int, cycle int64) {
 	n := cycle - start
 	l.res.MergeHist[1] += n
 	l.res.EmptyCycles += empty
-	l.stats[ti].ScheduledCycles += n
 	l.issued(ti, n, ops)
 	l.burstCycles += n
 }
@@ -534,6 +532,9 @@ func (l *lane) finalize(cycles int64) *Result {
 		res.IPC = float64(res.Ops) / float64(res.Cycles)
 	}
 	for i := range l.stats {
+		// Every candidate cycle either issues one instruction or is a
+		// conflict, so the candidate cycles need no counter of their own.
+		l.stats[i].ScheduledCycles = l.stats[i].Instrs + l.stats[i].ConflictCycles
 		res.Threads = append(res.Threads, l.stats[i])
 	}
 	if l.ic != nil {

@@ -87,7 +87,10 @@ type ThreadStats struct {
 	// Instrs and Ops are retired VLIW instructions and operations.
 	Instrs int64 `json:"instrs,omitempty"`
 	Ops    int64 `json:"ops,omitempty"`
-	// ScheduledCycles counts cycles the thread held a hardware context.
+	// ScheduledCycles counts the thread's candidate cycles: cycles it
+	// held a hardware context with an instruction ready to issue. Each
+	// one either issued (Instrs) or lost the merge (ConflictCycles), so
+	// it equals Instrs + ConflictCycles; stalled cycles are not counted.
 	ScheduledCycles int64 `json:"scheduled_cycles,omitempty"`
 	// ConflictCycles counts cycles the thread had an instruction ready
 	// but the merge control did not select it.

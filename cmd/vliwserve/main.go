@@ -29,10 +29,12 @@
 // in-process run of the same grid and seed at any worker count.
 // SIGINT/SIGTERM drain the listener and cancel in-flight sweeps.
 //
-// Structured tracing goes to stderr via log/slog: every sweep logs
-// span-style start/finish events tagged with its ID (-log-level debug
-// adds a line per job; -log-json switches to JSON lines for log
-// shippers).
+// Structured tracing goes to stderr via log/slog: every sweep logs its
+// lifecycle (submitted, engine start and finish, finished with state
+// and counts, cancel requested) as records tagged with its ID in a
+// "sweep" attribute. -log-level debug adds a line per job, -log-level
+// warn silences the lifecycle records, and -log-json switches to JSON
+// lines for log shippers.
 package main
 
 import (
@@ -59,7 +61,6 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address (host:port; :0 picks a free port)")
 		workers  = flag.Int("workers", 0, "default per-sweep worker pool size (0: runtime.NumCPU())")
 		results  = flag.String("results", "", "directory for result persistence (empty: disabled)")
-		quiet    = flag.Bool("quiet", false, "suppress request and sweep lifecycle logging")
 		debug    = flag.Bool("debug", true, "serve GET /metrics (Prometheus text format) and /debug/pprof/")
 		logLevel = flag.String("log-level", "info", "structured-trace level: debug, info, warn or error (debug adds a line per job)")
 		logJSON  = flag.Bool("log-json", false, "emit structured traces as JSON lines instead of text")
@@ -72,9 +73,6 @@ func main() {
 	opts := server.Options{Workers: *workers, DisableDebug: !*debug}
 	if *results != "" {
 		opts.Store = vliwmt.OpenResultStore(*results)
-	}
-	if !*quiet {
-		opts.Log = log.Default()
 	}
 	srv := server.New(opts)
 	defer srv.Close()

@@ -6,9 +6,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -19,6 +21,7 @@ import (
 	"vliwmt/internal/api"
 	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sweep"
+	"vliwmt/internal/telemetry"
 )
 
 // scrapeMetric fetches /metrics and sums every series of the named
@@ -302,5 +305,72 @@ func TestJobErrorsSurfaced(t *testing.T) {
 	}
 	if final.Error == "" {
 		t.Error("terminal status carries no joined error string")
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the server's goroutines to
+// write while the test reads it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestLifecycleLogRecords checks the server's four lifecycle lines are
+// structured records on the trace logger, and that a sweep's records
+// carry the same "sweep" attribute as the engine's span records.
+func TestLifecycleLogRecords(t *testing.T) {
+	old := slog.Default()
+	defer slog.SetDefault(old)
+	var buf syncBuffer
+	if _, err := telemetry.ConfigureSlog(&buf, "info", true); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
+	g := testGrid()
+	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 2}, "?wait=1")
+	for _, path := range []string{"/v1/sweeps/" + st.ID, "/v1/store"} {
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	bySweep := map[string]map[string]any{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q is not a JSON record: %v", line, err)
+		}
+		if id, _ := rec["sweep"].(string); id == st.ID || rec["msg"] == "store cleared" {
+			bySweep[rec["msg"].(string)] = rec
+		}
+	}
+	for _, msg := range []string{"sweep submitted", "sweep start", "sweep finished", "sweep cancel requested", "store cleared"} {
+		if bySweep[msg] == nil {
+			t.Errorf("no %q record for sweep %s in:\n%s", msg, st.ID, buf.String())
+		}
+	}
+	if fin := bySweep["sweep finished"]; fin != nil {
+		if fin["state"] != string(api.StateDone) || fin["done"] != 4.0 || fin["total"] != 4.0 || fin["errors"] != 0.0 {
+			t.Errorf("finished record %v; want state done, 4/4 jobs, no errors", fin)
+		}
 	}
 }

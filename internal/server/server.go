@@ -24,12 +24,12 @@
 // the wire: results are index-ordered, seed-derived and bit-identical
 // to an in-process run at any worker count.
 //
-// With a result directory configured, every sweep also shares one
-// persistent result store: completed jobs are content-addressed on
-// disk, identical submitted jobs (in any grid, from any client) are
-// served from it without simulating, and — because the store outlives
-// the process — a restarted server keeps serving results computed by
-// its predecessor. Cache hits are visible per job (results carry
+// With Options.Store set, every sweep also shares one persistent
+// result store: completed jobs are content-addressed on disk,
+// identical submitted jobs (in any grid, from any client) are served
+// from it without simulating, and — because the store outlives the
+// process — a restarted server keeps serving results computed by its
+// predecessor. Cache hits are visible per job (results carry
 // "cached": true in /events and status documents) and per sweep (the
 // status's "cache_hits" count).
 package server
@@ -39,7 +39,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -78,8 +77,6 @@ type Options struct {
 	// Execute substitutes the sweep execution strategy; nil selects the
 	// in-process Runner. See Executor.
 	Execute Executor
-	// Log receives request and sweep lifecycle lines; nil disables.
-	Log *log.Logger
 	// DisableDebug removes the observability endpoints — GET /metrics
 	// (Prometheus text format) and /debug/pprof/ — from the handler.
 	// They are on by default: both are read-only, and a sweep server
@@ -157,12 +154,6 @@ func (s *Server) Handler() http.Handler {
 func handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = telemetry.Default().WritePrometheus(w)
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Log != nil {
-		s.opts.Log.Printf(format, args...)
-	}
 }
 
 // run is one submitted sweep: lifecycle state, a replayable event log,
@@ -361,7 +352,8 @@ func (s *Server) execute(ctx context.Context, ru *run, jobs []sweep.Job, workers
 	results, err := exec(ctx, jobs, workers, ru.progress)
 	ru.finish(results, err)
 	st := ru.status(false)
-	s.logf("sweep %s: %s (%d/%d jobs, %d from store, %d errors)", ru.id, st.State, st.Done, st.Total, st.CacheHits, st.Errors)
+	telemetry.TraceLogger().Info("sweep finished", "sweep", ru.id, "state", string(st.State),
+		"done", st.Done, "total", st.Total, "cache_hits", st.CacheHits, "errors", st.Errors)
 }
 
 // runnerExecute is the default Executor: an in-process vliwmt.Runner
@@ -418,11 +410,11 @@ func buildRevision() string {
 }
 
 // handleStoreStatus reports the shared result store: entries on disk
-// plus this server's lifetime hit/miss/put counters. Without a
-// configured result directory there is no store to report on.
+// plus this server's lifetime hit/miss/put counters. Without
+// Options.Store there is no store to report on.
 func (s *Server) handleStoreStatus(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
-		httpError(w, http.StatusNotFound, "no result store configured (start the server with a result directory)")
+		httpError(w, http.StatusNotFound, "no result store configured (set Options.Store; vliwserve -results)")
 		return
 	}
 	st := api.StoreStatus{Version: api.Version}
@@ -441,14 +433,14 @@ func (s *Server) handleStoreStatus(w http.ResponseWriter, r *http.Request) {
 // not reset.
 func (s *Server) handleStoreClear(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
-		httpError(w, http.StatusNotFound, "no result store configured (start the server with a result directory)")
+		httpError(w, http.StatusNotFound, "no result store configured (set Options.Store; vliwserve -results)")
 		return
 	}
 	if err := s.store.Clear(); err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.logf("store: cleared")
+	telemetry.TraceLogger().Info("store cleared")
 	writeJSON(w, http.StatusOK, api.StoreStatus{Version: api.Version})
 }
 
@@ -530,7 +522,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(base)
 	ru := s.register(len(jobs), cancel)
 	metSweepsSubmitted.Inc()
-	s.logf("sweep %s: submitted, %d jobs (workers=%d, wait=%v)", ru.id, len(jobs), workers, wait)
+	telemetry.TraceLogger().Info("sweep submitted", "sweep", ru.id, "jobs", len(jobs), "workers", workers, "wait", wait)
 
 	if wait {
 		// Server shutdown must still cancel a wait-mode sweep, whose
@@ -579,7 +571,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ru.cancel()
-	s.logf("sweep %s: cancel requested", ru.id)
+	telemetry.TraceLogger().Info("sweep cancel requested", "sweep", ru.id)
 	writeJSON(w, http.StatusAccepted, ru.status(false))
 }
 

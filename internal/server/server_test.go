@@ -500,7 +500,7 @@ func storeStatus(t *testing.T, ts *httptest.Server, method string) (api.StoreSta
 
 // TestStoreEndpoints checks GET /v1/store (entry count and traffic
 // counters) and DELETE /v1/store (clearing forces re-simulation), and
-// that both 404 without a configured result directory.
+// that both 404 without Options.Store.
 func TestStoreEndpoints(t *testing.T) {
 	g := testGrid()
 

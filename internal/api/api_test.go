@@ -16,6 +16,7 @@ import (
 	"vliwmt/internal/cache"
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
+	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
 )
@@ -147,7 +148,7 @@ func fixtureRequest() SweepRequest {
 
 func fixtureHealth() Health {
 	return Health{Version: Version, Service: "vliwserve", GoVersion: "go1.24.0", Revision: "0123abc",
-		ActiveSweeps: 2, UptimeSec: 12.5, Store: &StoreStats{Hits: 7, Misses: 3, Puts: 3}}
+		ActiveSweeps: 2, UptimeSec: 12.5, Store: &resultstore.Stats{Hits: 7, Misses: 3, Puts: 3}}
 }
 
 // TestRoundTrips checks decode(encode(x)) == x for every exported
@@ -403,8 +404,8 @@ func TestOldAttributionFieldsIgnored(t *testing.T) {
 
 	t.Run("status", func(t *testing.T) {
 		var plain bytes.Buffer
-		st := SweepStatus{ID: "s000001", State: StateDone, Done: 1, Total: 1, Results: []Result{fixtureResult()}}
-		if err := EncodeSweepStatus(&plain, st); err != nil {
+		st := SweepStatus{Version: Version, ID: "s000001", State: StateDone, Done: 1, Total: 1, Results: []Result{fixtureResult()}}
+		if err := json.NewEncoder(&plain).Encode(st); err != nil {
 			t.Fatal(err)
 		}
 		old := withAttribution(t, plain.Bytes(), 1)
@@ -416,7 +417,7 @@ func TestOldAttributionFieldsIgnored(t *testing.T) {
 			t.Errorf("old status decodes to %+v, want %+v", got.Results, want)
 		}
 		var again bytes.Buffer
-		if err := EncodeSweepStatus(&again, got); err != nil {
+		if err := json.NewEncoder(&again).Encode(got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again.Bytes(), plain.Bytes()) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sweep"
 )
 
@@ -96,18 +97,10 @@ type Health struct {
 	// server's age. Both answer "is this box alive and how loaded".
 	ActiveSweeps int     `json:"active_sweeps"`
 	UptimeSec    float64 `json:"uptime_sec,omitempty"`
-	// Store carries the result-store traffic counters when persistence
-	// is configured (entry counts are deliberately absent — counting
-	// walks the store; poll GET /v1/store for them).
-	Store *StoreStats `json:"store,omitempty"`
-}
-
-// StoreStats is the health document's store roll-up: the handle's
-// lifetime traffic counters without the on-disk entry walk.
-type StoreStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Puts   int64 `json:"puts"`
+	// Store carries the store handle's lifetime traffic counters when
+	// persistence is configured (entry counts are deliberately absent —
+	// counting walks the store; poll GET /v1/store for them).
+	Store *resultstore.Stats `json:"store,omitempty"`
 }
 
 // DecodeHealth reads and version-checks a health document.
@@ -190,12 +183,6 @@ func DecodeSweepRequest(r io.Reader) (SweepRequest, error) {
 		return req, fmt.Errorf("api: sweep request has neither a grid nor jobs")
 	}
 	return req, nil
-}
-
-// EncodeSweepStatus writes st as versioned JSON.
-func EncodeSweepStatus(w io.Writer, st SweepStatus) error {
-	st.Version = Version
-	return json.NewEncoder(w).Encode(st)
 }
 
 // DecodeSweepStatus reads and version-checks a sweep status.

@@ -382,7 +382,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.store != nil {
 		st := s.store.Stats()
-		h.Store = &api.StoreStats{Hits: st.Hits, Misses: st.Misses, Puts: st.Puts}
+		h.Store = &st
 	}
 	writeJSON(w, http.StatusOK, withVersion(h))
 }

@@ -32,6 +32,10 @@
 // predecessor. Cache hits are visible per job (results carry
 // "cached": true in /events and status documents) and per sweep (the
 // status's "cache_hits" count).
+//
+// Lifecycle lines (sweep submitted, finished, cancel requested; store
+// cleared) are structured records on telemetry.TraceLogger, and a
+// sweep's records carry the same "sweep" attribute as the engine's.
 package server
 
 import (

@@ -353,22 +353,22 @@ func TestLifecycleLogRecords(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	bySweep := map[string]map[string]any{}
+	records := map[string]map[string]any{}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var rec map[string]any
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("log line %q is not a JSON record: %v", line, err)
 		}
 		if id, _ := rec["sweep"].(string); id == st.ID || rec["msg"] == "store cleared" {
-			bySweep[rec["msg"].(string)] = rec
+			records[rec["msg"].(string)] = rec
 		}
 	}
 	for _, msg := range []string{"sweep submitted", "sweep start", "sweep finished", "sweep cancel requested", "store cleared"} {
-		if bySweep[msg] == nil {
+		if records[msg] == nil {
 			t.Errorf("no %q record for sweep %s in:\n%s", msg, st.ID, buf.String())
 		}
 	}
-	if fin := bySweep["sweep finished"]; fin != nil {
+	if fin := records["sweep finished"]; fin != nil {
 		if fin["state"] != string(api.StateDone) || fin["done"] != 4.0 || fin["total"] != 4.0 || fin["errors"] != 0.0 {
 			t.Errorf("finished record %v; want state done, 4/4 jobs, no errors", fin)
 		}

@@ -7,7 +7,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkCacheAccess$$|BenchmarkStoreColdSweep$$|BenchmarkStoreWarmSweep$$|BenchmarkStoreHotSweep$$|BenchmarkGeneratedSweepCold$$|BenchmarkGeneratedSweepWarm$$
+SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkCacheAccess$$|BenchmarkCompile$$|BenchmarkCircuitBuild$$
 
 .PHONY: test lint check-allocs golden bench-simcore bench-simcore-ci
 
@@ -55,11 +55,12 @@ check-allocs:
 golden:
 	go test . ./internal/api -run '^TestGolden' -update -count=1
 
-# bench-simcore runs the simulator-core benchmarks at measurement
-# quality and rewrites BENCH_simcore.json, the committed machine-readable
-# perf record (ns/op, allocs/op, cycles/s; see DESIGN.md). Each benchmark
-# runs five times and benchjson records the median with the min/max
-# spread, so a recorded number is never a single sample. Run it on a
+# bench-simcore runs the repository's micro-benchmarks (bench_test.go
+# defines exactly SIMCORE_BENCHES) at measurement quality and rewrites
+# BENCH_simcore.json, the committed machine-readable perf record (ns/op,
+# allocs/op, cycles/s; see DESIGN.md). Each benchmark runs five times
+# and benchjson records the median with the min/max spread, so a
+# recorded number is never a single sample. Run it on a
 # quiet machine when a PR touches the hot path, and commit the result so
 # the perf trajectory stays diffable.
 bench-simcore: check-allocs

@@ -11,6 +11,10 @@
 //	Figure 11 performance vs transistors
 //	Figure 12 performance vs gate delays
 //
+// -all adds the 8-thread extension (-ext8) and this repository's
+// ablations (priority rotation, the IMT/BMT baselines, compiler
+// unrolling), both marked as the repository's claims, not the paper's.
+//
 // Absolute values depend on this repository's synthetic kernels and gate
 // library; the relations between schemes are the reproduction target
 // (see the README's "Quickstart: paperfigs" section).
@@ -275,6 +279,28 @@ func main() {
 				fmt.Sprint(r.Transistors), fmt.Sprint(r.GateDelays)})
 		}
 		report.Table(w, []string{"scheme", "structure", "IPC", "transistors", "gate delays"}, tr)
+		done()
+	}
+
+	if *all {
+		done := timed("Ablations")
+		rows, err := experiments.Ablations(opts)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Fprintln(w, "== Ablations: IPC gain of each design choice (repo claims, not the paper's) ==")
+		var tr [][]string
+		for _, r := range rows {
+			for i, in := range r.Inputs {
+				name := ""
+				if i == 0 {
+					name = r.Name
+				}
+				tr = append(tr, []string{name, in, report.Percent(r.GainPc[i])})
+			}
+			tr = append(tr, []string{"", "Average", report.Percent(r.Average())})
+		}
+		report.Table(w, []string{"ablation", "input", "gain"}, tr)
 		done()
 	}
 

@@ -83,13 +83,9 @@ func rowsFrom(results []vliwmt.SweepResult, warn func(error)) []row {
 			continue
 		}
 		mix, _, _ := strings.Cut(r.Job.Label, "/")
-		scheme := r.Job.Scheme
-		if scheme == "" {
-			scheme = r.Job.Merge.Name() // a job with a typed scheme only
-		}
 		rows = append(rows, row{
 			Mix:        mix,
-			Scheme:     scheme,
+			Scheme:     r.Job.SchemeName(),
 			Contexts:   r.Job.EffectiveContexts(),
 			Seed:       r.Job.Seed,
 			IPC:        ipc,

@@ -1,7 +1,8 @@
 // Package experiments reproduces each table and figure of the paper's
-// evaluation: one driver per experiment, shared by cmd/paperfigs (full-size
-// runs), the root-level benchmark harness and the test suite (scaled-down
-// runs).
+// evaluation, plus this repository's own ablations (Ablations): one driver
+// per experiment, shared by cmd/paperfigs (full-size runs, the one place
+// the results print) and the test suite (scaled-down runs, the one place
+// they are asserted).
 //
 // Every simulation-based driver expands its measurements into a job set
 // and executes it on the internal/sweep worker pool, so independent runs

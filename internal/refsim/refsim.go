@@ -71,11 +71,9 @@ func Run(cfg sim.Config, tasks []sim.Task) (*sim.Result, error) {
 	if cfg.Contexts == 1 {
 		sel = &merge.IMT{NumPorts: 1} // trivial single-thread issue
 	} else {
-		sch := cfg.Merge
-		if sch.IsZero() {
-			if sch, err = merge.Resolve(cfg.Scheme); err != nil {
-				return nil, fmt.Errorf("refsim: %w", err)
-			}
+		var sch merge.Scheme
+		if sch, err = cfg.MergeScheme(); err != nil {
+			return nil, fmt.Errorf("refsim: %w", err)
 		}
 		if sel, err = sch.ReferenceSelector(cfg.Contexts); err != nil {
 			return nil, fmt.Errorf("refsim: %w", err)

@@ -30,7 +30,6 @@ import (
 
 	"vliwmt/internal/cache"
 	"vliwmt/internal/isa"
-	"vliwmt/internal/merge"
 	"vliwmt/internal/sweep"
 )
 
@@ -70,14 +69,9 @@ type keyDoc struct {
 // multitasking. Labels do not survive, so a scheme hashes the same
 // however it was referenced.
 func canonicalScheme(j sweep.Job) (string, error) {
-	var s merge.Scheme
-	if !j.Merge.IsZero() {
-		s = j.Merge
-	} else if j.Scheme != "" {
-		var err error
-		if s, err = merge.Resolve(j.Scheme); err != nil {
-			return "", err
-		}
+	s, err := j.MergeScheme()
+	if err != nil {
+		return "", err
 	}
 	if t := s.Tree(); t != nil {
 		return t.String(), nil

@@ -1,11 +1,12 @@
 package resultstore
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
@@ -23,19 +24,24 @@ type Entry struct {
 	Sim   sim.Result `json:"sim"`
 }
 
-// Snapshot is a diffable corpus of job results, sorted by key. It is
-// the unit vliwdiff compares and the format of the committed golden
-// baseline (testdata/golden): two snapshots of the same jobs taken at
-// different commits diff clean exactly when the simulator's output is
-// bit-identical across those commits.
+// Snapshot is a diffable corpus of job results, sorted by key and
+// label. It is the unit vliwdiff compares and the format of the
+// committed golden baseline (testdata/golden): two snapshots of the
+// same jobs taken at different commits diff clean exactly when the
+// simulator's output is bit-identical across those commits.
 type Snapshot struct {
 	Schema  int     `json:"schema"`
 	Entries []Entry `json:"entries"`
 }
 
-// sortEntries orders entries by key, the canonical snapshot order.
+// sortEntries orders entries by key, then label: the canonical
+// snapshot order. Jobs that share a key (3SSS and its tree expression
+// under a shared seed) differ only in label, so the label tie-break
+// keeps the bytes independent of the order the jobs were listed in.
 func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
+	slices.SortStableFunc(es, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Label, b.Label))
+	})
 }
 
 // Snapshot reads every stored entry into a Snapshot. Unreadable or

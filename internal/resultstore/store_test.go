@@ -293,3 +293,40 @@ func TestSnapshotAndDiff(t *testing.T) {
 		t.Errorf("rendered diff missing expectations:\n%s", out)
 	}
 }
+
+// TestWriteSnapshotIgnoresJobOrder: a snapshot's bytes depend on its
+// jobs, not on the order they were listed in, even when two jobs share
+// a key (3SSS and its own tree expression under a shared seed).
+func TestWriteSnapshotIgnoresJobOrder(t *testing.T) {
+	g := sweep.Grid{Schemes: []string{"3SSS", "S(S(S(T0,T1),T2),T3)"}, Mixes: []string{"LLHH"},
+		InstrLimit: 5_000, Seed: 3, SharedSeed: true}
+	jobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyOf(t, jobs[0]) != keyOf(t, jobs[1]) {
+		t.Fatal("the two spellings of 3SSS no longer share a key")
+	}
+	write := func(order ...int) []byte {
+		var results []sweep.Result
+		for _, i := range order {
+			results = append(results, sweep.Result{Job: jobs[i], Res: fakeResult(1)})
+		}
+		snap, err := SnapshotResults(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "snap.json")
+		if err := WriteSnapshot(path, snap); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if a, b := write(0, 1), write(1, 0); string(a) != string(b) {
+		t.Errorf("snapshot bytes depend on job order:\n%s\nvs\n%s", a, b)
+	}
+}

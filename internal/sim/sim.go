@@ -42,8 +42,9 @@ type Config struct {
 	// Contexts == 1 or Merge is set.
 	Scheme string
 	// Merge, when set, is the merge control as a first-class scheme and
-	// takes precedence over Scheme. Unknown names and port/context
-	// mismatches fail at Run entry, before any simulation work.
+	// takes precedence over Scheme (MergeScheme applies the rule).
+	// Unknown names and port/context mismatches fail at Run entry,
+	// before any simulation work.
 	Merge merge.Scheme
 	// TimesliceCycles is the OS scheduling quantum (default 1,000,000).
 	TimesliceCycles int64
@@ -192,6 +193,16 @@ func (cfg Config) Validate() error {
 	return err
 }
 
+// MergeScheme resolves the merge control the config names. It is the
+// one home of the rule for the two spellings: Merge when set, else
+// Scheme through merge.Resolve, else the zero Scheme (no merging).
+func (cfg Config) MergeScheme() (merge.Scheme, error) {
+	if !cfg.Merge.IsZero() || cfg.Scheme == "" {
+		return cfg.Merge, nil
+	}
+	return merge.Resolve(cfg.Scheme)
+}
+
 // selector applies the Validate rules and returns the merge selector
 // they resolved, so run set-up builds it once.
 func (cfg *Config) selector() (*merge.Compiled, error) {
@@ -215,12 +226,9 @@ func (cfg *Config) selector() (*merge.Compiled, error) {
 	if cfg.Contexts == 1 {
 		return merge.NewSelector("IMT", 1) // trivial single-thread issue
 	}
-	sch := cfg.Merge
-	if sch.IsZero() {
-		var err error
-		if sch, err = merge.Resolve(cfg.Scheme); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
+	sch, err := cfg.MergeScheme()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	sel, err := sch.Selector(cfg.Contexts)
 	if err != nil {

@@ -37,7 +37,8 @@ type Job struct {
 	// (single-context multitasking) unless Merge is set.
 	Scheme string `json:"scheme,omitempty"`
 	// Merge, when set, is the merge control as a first-class scheme
-	// and takes precedence over Scheme. It travels as the scheme's
+	// and takes precedence over Scheme (MergeScheme applies the rule,
+	// shared with sim.Config). It travels as the scheme's
 	// JSON form, {"name":...,"tree":...}, so a custom tree keeps its
 	// label across the wire.
 	Merge merge.Scheme `json:"merge,omitzero"`
@@ -61,17 +62,22 @@ type Job struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// scheme resolves the job's merge control: the typed Merge field when
-// set, else the Scheme name through merge.Resolve. A zero Scheme with
-// no error means single-context multitasking.
-func (j Job) scheme() (merge.Scheme, error) {
-	if !j.Merge.IsZero() {
-		return j.Merge, nil
+// MergeScheme resolves the job's merge control by sim.Config's rule:
+// the typed Merge field when set, else the Scheme name through
+// merge.Resolve. A zero Scheme with no error means single-context
+// multitasking.
+func (j Job) MergeScheme() (merge.Scheme, error) {
+	return sim.Config{Scheme: j.Scheme, Merge: j.Merge}.MergeScheme()
+}
+
+// SchemeName names the merge control the job runs: the resolved
+// scheme's name, or the Scheme field as written when it does not
+// resolve. It is "" when the job does not merge.
+func (j Job) SchemeName() string {
+	if s, err := j.MergeScheme(); err == nil {
+		return s.Name()
 	}
-	if j.Scheme == "" {
-		return merge.Scheme{}, nil
-	}
-	return merge.Resolve(j.Scheme)
+	return j.Scheme
 }
 
 // EffectiveContexts returns the hardware context count the job runs
@@ -81,7 +87,7 @@ func (j Job) EffectiveContexts() int {
 	if j.Contexts > 0 {
 		return j.Contexts
 	}
-	s, err := j.scheme()
+	s, err := j.MergeScheme()
 	if err != nil {
 		return 0
 	}
@@ -91,8 +97,8 @@ func (j Job) EffectiveContexts() int {
 	return s.Ports()
 }
 
-// Describe returns the job's label, deriving "bench+.../scheme" when no
-// explicit label was set.
+// Describe returns the job's label, deriving "bench+.../scheme" from
+// the scheme that runs (SchemeName) when no explicit label was set.
 func (j Job) Describe() string {
 	if j.Label != "" {
 		return j.Label
@@ -104,10 +110,7 @@ func (j Job) Describe() string {
 			w += fmt.Sprintf("+%d", len(j.Benchmarks)-1)
 		}
 	}
-	s := j.Scheme
-	if s == "" && !j.Merge.IsZero() {
-		s = j.Merge.Name()
-	}
+	s := j.SchemeName()
 	if s == "" {
 		s = "ST"
 	}
@@ -146,7 +149,7 @@ func (j Job) Validate() error {
 			return fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 		}
 	}
-	if _, err := j.scheme(); err != nil {
+	if _, err := j.MergeScheme(); err != nil {
 		return fmt.Errorf("sweep: job %s: scheme %q: %w", j.Describe(), j.Scheme, err)
 	}
 	if err := j.config().Validate(); err != nil {

@@ -325,6 +325,24 @@ func TestJobValidateScheme(t *testing.T) {
 	}
 }
 
+// TestDescribeNamesTheSchemeThatRuns: a label-less job that carries
+// both a Scheme name and a Merge tree runs the tree, so its derived
+// label names the tree, not the overridden name.
+func TestDescribeNamesTheSchemeThatRuns(t *testing.T) {
+	tree, err := merge.Resolve("S(C(T0,T1,T2),T3)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := Job{Scheme: "2SC3", Merge: tree, Benchmarks: []string{"mcf", "bzip2", "x264", "idct"}}
+	if got, want := j.Describe(), "mcf+3/S(C(T0,T1,T2),T3)"; got != want {
+		t.Errorf("Describe() = %q, want %q", got, want)
+	}
+	j.Merge = merge.Scheme{}
+	if got, want := j.Describe(), "mcf+3/2SC3"; got != want {
+		t.Errorf("without Merge: Describe() = %q, want %q", got, want)
+	}
+}
+
 func TestGridValidation(t *testing.T) {
 	if _, err := (Grid{Mixes: []string{"no-such-mix"}}).Jobs(); err == nil {
 		t.Error("unknown mix accepted")

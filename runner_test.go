@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,81 +119,92 @@ func TestRunnerSeedPolicy(t *testing.T) {
 // Runner lifetimes: a second Runner pointed at the same store serves
 // the identical sweep from disk — per job, without compiling or
 // simulating — with every result marked Cached and the original
-// elapsed times replayed.
+// elapsed times replayed. Generated ("genmix:") workloads cache
+// exactly like Table 2 mixes: their canonical names are in the key, so
+// a warm sweep over them regenerates and simulates nothing either.
 func TestRunnerResultStoreServesRepeats(t *testing.T) {
-	dir := t.TempDir()
-	g := runnerTestGrid()
+	genmix := runnerTestGrid()
+	genmix.Mixes = []string{"genmix:LLHH:s1", "genmix:HHHH:s3"}
+	for _, tc := range []struct {
+		name string
+		base vliwmt.Grid
+	}{{"table2", runnerTestGrid()}, {"genmix", genmix}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			g := tc.base
 
-	first := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
-	a, err := first.Sweep(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range a {
-		if r.Cached {
-			t.Errorf("cold job %s claims to be cached", r.Job.Describe())
-		}
-	}
-	if st := first.Store().Stats(); st.Puts != int64(len(a)) || st.Hits != 0 {
-		t.Errorf("cold sweep store stats: %+v, want %d puts, 0 hits", st, len(a))
-	}
+			first := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+			a, err := first.Sweep(context.Background(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range a {
+				if r.Cached {
+					t.Errorf("cold job %s claims to be cached", r.Job.Describe())
+				}
+			}
+			if st := first.Store().Stats(); st.Puts != int64(len(a)) || st.Hits != 0 {
+				t.Errorf("cold sweep store stats: %+v, want %d puts, 0 hits", st, len(a))
+			}
 
-	var replayed int
-	second := vliwmt.NewRunner(
-		vliwmt.WithResultStore(dir),
-		vliwmt.WithProgress(func(done, total int, r vliwmt.SweepResult) { replayed++ }),
-	)
-	b, err := second.Sweep(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compiles, _ := second.Cache().Stats(); compiles != 0 {
-		t.Errorf("disk-served sweep compiled %d kernels, want 0", compiles)
-	}
-	if st := second.Store().Stats(); st.Hits != int64(len(a)) || st.Misses != 0 {
-		t.Errorf("warm sweep store stats: %+v, want %d hits, 0 misses", st, len(a))
-	}
-	if replayed != len(a) {
-		t.Errorf("progress made %d calls, want %d", replayed, len(a))
-	}
-	if !reflect.DeepEqual(sweepKeys(t, a), sweepKeys(t, b)) {
-		t.Error("disk-served results differ from the original run")
-	}
-	for i, r := range b {
-		if !r.Cached {
-			t.Errorf("warm job %s not marked cached", r.Job.Describe())
-		}
-		if r.Elapsed != a[i].Elapsed {
-			t.Errorf("warm job %s elapsed %v, want the cold run's %v replayed", r.Job.Describe(), r.Elapsed, a[i].Elapsed)
-		}
-	}
+			var replayed int
+			second := vliwmt.NewRunner(
+				vliwmt.WithResultStore(dir),
+				vliwmt.WithProgress(func(done, total int, r vliwmt.SweepResult) { replayed++ }),
+			)
+			b, err := second.Sweep(context.Background(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if compiles, _ := second.Cache().Stats(); compiles != 0 {
+				t.Errorf("disk-served sweep compiled %d kernels, want 0", compiles)
+			}
+			if st := second.Store().Stats(); st.Hits != int64(len(a)) || st.Misses != 0 {
+				t.Errorf("warm sweep store stats: %+v, want %d hits, 0 misses", st, len(a))
+			}
+			if replayed != len(a) {
+				t.Errorf("progress made %d calls, want %d", replayed, len(a))
+			}
+			if !reflect.DeepEqual(sweepKeys(t, a), sweepKeys(t, b)) {
+				t.Error("disk-served results differ from the original run")
+			}
+			for i, r := range b {
+				if !r.Cached {
+					t.Errorf("warm job %s not marked cached", r.Job.Describe())
+				}
+				if r.Elapsed != a[i].Elapsed {
+					t.Errorf("warm job %s elapsed %v, want the cold run's %v replayed", r.Job.Describe(), r.Elapsed, a[i].Elapsed)
+				}
+			}
 
-	// A different seed is a different experiment and simulates afresh.
-	g.Seed = 8
-	if _, err := second.Sweep(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	if compiles, _ := second.Cache().Stats(); compiles == 0 {
-		t.Error("different-seed sweep was wrongly served from disk")
-	}
+			// A different seed is a different experiment and simulates afresh.
+			g.Seed = 8
+			if _, err := second.Sweep(context.Background(), g); err != nil {
+				t.Fatal(err)
+			}
+			if compiles, _ := second.Cache().Stats(); compiles == 0 {
+				t.Error("different-seed sweep was wrongly served from disk")
+			}
 
-	// A partial overlap re-simulates only the new jobs: the same grid
-	// with one extra mix serves the old jobs from disk.
-	g = runnerTestGrid()
-	g.Mixes = append(g.Mixes, "LLLL")
-	third := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
-	c, err := third.Sweep(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cached int
-	for _, r := range c {
-		if r.Cached {
-			cached++
-		}
-	}
-	if cached != len(a) {
-		t.Errorf("overlapping sweep reused %d jobs, want %d", cached, len(a))
+			// A partial overlap re-simulates only the new jobs: the same grid
+			// with one extra mix serves the old jobs from disk.
+			g = tc.base
+			g.Mixes = append(slices.Clone(tc.base.Mixes), "LLLL")
+			third := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+			c, err := third.Sweep(context.Background(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cached int
+			for _, r := range c {
+				if r.Cached {
+					cached++
+				}
+			}
+			if cached != len(a) {
+				t.Errorf("overlapping sweep reused %d jobs, want %d", cached, len(a))
+			}
+		})
 	}
 }
 

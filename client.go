@@ -36,31 +36,13 @@ func NewClient(baseURL string) *Client {
 	return &Client{baseURL: u, httpc: &http.Client{}}
 }
 
-// Ping checks that the server is up.
-func (c *Client) Ping(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("vliwmt: server health check: %s", resp.Status)
-	}
-	return nil
-}
-
 // ServerHealth is the structured liveness document served by
 // GET /v1/healthz on vliwserve: build identity, current load and (when
 // persistence is configured) result-store traffic.
 type ServerHealth = api.Health
 
-// Health fetches the server's structured health document — a richer
-// probe than Ping, exposing active sweeps and store counters.
+// Health fetches the server's structured health document: a liveness
+// probe that also reports active sweeps and store counters.
 func (c *Client) Health(ctx context.Context) (ServerHealth, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/healthz", nil)
 	if err != nil {
@@ -321,7 +303,7 @@ func (c *Client) postJSONOnce(ctx context.Context, path string, body []byte) (ap
 		return api.SweepStatus{}, &transientError{err}
 	}
 	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusAccepted {
 		err = fmt.Errorf("vliwmt: submit sweep: %s: %s", resp.Status, readError(resp.Body))
 		if transientStatus(resp.StatusCode) {
 			return api.SweepStatus{}, &transientError{err}

@@ -12,14 +12,13 @@
 //
 // Endpoints (versioned JSON wire format):
 //
-//	POST   /v1/sweeps             submit (202; ?wait=1 blocks, disconnect cancels)
-//	GET    /v1/sweeps             list sweeps
+//	POST   /v1/sweeps             submit (202 + sweep ID)
 //	GET    /v1/sweeps/{id}         status + results once finished
 //	GET    /v1/sweeps/{id}/events  NDJSON progress stream; the terminal
 //	                               event carries the final status
 //	                               (?results=false: no per-job results)
 //	DELETE /v1/sweeps/{id}         cancel
-//	GET    /healthz               liveness probe
+//	GET    /v1/healthz            liveness + load + store counters (JSON)
 //	GET    /metrics               Prometheus text format (disable with -debug=false)
 //	GET    /debug/pprof/          net/http/pprof      (disable with -debug=false)
 //
@@ -91,8 +90,8 @@ func main() {
 		defer close(drained)
 		<-ctx.Done()
 		stop()
-		// Cancel in-flight sweeps first so wait-mode handlers return,
-		// then drain the listener.
+		// Cancel in-flight sweeps first so their event streams reach
+		// the terminal event and return, then drain the listener.
 		srv.Close()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

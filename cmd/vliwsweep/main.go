@@ -82,7 +82,7 @@ func rowsFrom(results []vliwmt.SweepResult, warn func(error)) []row {
 			warn(ierr)
 			continue
 		}
-		mix, _, _ := strings.Cut(r.Job.Label, "/")
+		mix, _, _ := strings.Cut(r.Job.Describe(), "/")
 		rows = append(rows, row{
 			Mix:        mix,
 			Scheme:     r.Job.SchemeName(),
@@ -110,12 +110,32 @@ func writeCSV(w io.Writer, rows []row) error {
 	return report.CSV(w, headers, tr)
 }
 
+// readJobs decodes the sweep-request document named by -jobs (- for
+// stdin) into its job set: the grid's jobs, then the explicit ones, as
+// the server runs them.
+func readJobs(name string) ([]vliwmt.SweepJob, error) {
+	in := os.Stdin
+	if name != "-" {
+		f, err := os.Open(name)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		in = f
+	}
+	req, err := api.DecodeSweepRequest(in)
+	if err != nil {
+		return nil, err
+	}
+	return req.Expand()
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vliwsweep: ")
 	var (
 		addr       = flag.String("addr", "", "submit the grid to a remote vliwserve at this address instead of running in-process")
-		jobsFile   = flag.String("jobs", "", "read a sweep-request JSON document (a declarative grid or an explicit job set) from this file, - for stdin; replaces -schemes/-mixes")
+		jobsFile   = flag.String("jobs", "", "read a sweep-request JSON document (a declarative grid, an explicit job set, or both: grid jobs run first) from this file, - for stdin; replaces -schemes/-mixes")
 		schemes    = flag.String("schemes", "", "comma-separated merge schemes — names or tree expressions like C(S(T0,T1),T2,T3) (default: the paper's sixteen)")
 		mixes      = flag.String("mixes", "", "comma-separated Table 2 mixes or genmix:<LMH combo>:s<seed> names (default: all nine)")
 		workers    = flag.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
@@ -180,33 +200,16 @@ func main() {
 		Seed:            *seed,
 		SharedSeed:      *sharedSeed,
 	}
-	// -jobs replaces the flag-built grid with a decoded request: a
-	// declarative grid, or an explicit job set executed verbatim.
+	// -jobs replaces the flag-built grid with a decoded request's job
+	// set.
 	var jobs []vliwmt.SweepJob
 	if *jobsFile != "" {
 		if *schemes != "" || *mixes != "" {
 			fatal("-jobs carries its own grid or job set; drop -schemes/-mixes")
 		}
-		in := os.Stdin
-		if *jobsFile != "-" {
-			f, err := os.Open(*jobsFile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			in = f
-		}
-		req, err := api.DecodeSweepRequest(in)
-		if err != nil {
+		var err error
+		if jobs, err = readJobs(*jobsFile); err != nil {
 			fatal(err)
-		}
-		switch {
-		case len(req.Jobs) > 0:
-			jobs = req.Jobs
-		case req.Grid != nil:
-			grid = *req.Grid
-		default:
-			fatal("-jobs document carries neither a grid nor a job set")
 		}
 	}
 	opts := &vliwmt.SweepOptions{Workers: *workers}

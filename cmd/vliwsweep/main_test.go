@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"vliwmt"
@@ -89,5 +91,47 @@ func TestWarmStoreZeroSimulations(t *testing.T) {
 	}
 	if warmCSV := csvOf(t, b); !bytes.Equal(coldCSV, warmCSV) {
 		t.Errorf("warm CSV differs from cold CSV:\ncold:\n%s\nwarm:\n%s", coldCSV, warmCSV)
+	}
+}
+
+// TestUnlabelledJobMix: a job without a label prints the mix part of
+// its description (first benchmark plus the count of the others), not
+// an empty cell.
+func TestUnlabelledJobMix(t *testing.T) {
+	job := vliwmt.SweepJob{
+		Scheme:     "1S",
+		Benchmarks: []string{"mcf", "bzip2"},
+		Machine:    vliwmt.DefaultMachine(),
+		ICache:     vliwmt.DefaultCache(),
+		DCache:     vliwmt.DefaultCache(),
+		InstrLimit: 5_000,
+		Seed:       1,
+	}
+	results, err := vliwmt.NewRunner().SweepJobs(context.Background(), []vliwmt.SweepJob{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rowsFrom(results, func(err error) { t.Fatal(err) })
+	if len(rows) != 1 || rows[0].Mix != "mcf+1" || rows[0].Scheme != "1S" {
+		t.Errorf("rows %+v, want one row with mix mcf+1 and scheme 1S", rows)
+	}
+}
+
+// TestReadJobsGridThenJobs: a -jobs document carrying both a grid and
+// explicit jobs yields the grid's jobs first, then the explicit ones,
+// which is what the server runs for the same document.
+func TestReadJobsGridThenJobs(t *testing.T) {
+	doc := `{"version":3,"grid":{"schemes":["2SC3"],"mixes":["LLHH"],"instr_limit":5000,"seed":7},
+		"jobs":[{"label":"solo/mcf","benchmarks":["mcf"],"contexts":1,"instr_limit":5000,"seed":3}]}`
+	name := filepath.Join(t.TempDir(), "req.json")
+	if err := os.WriteFile(name, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := readJobs(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].Label != "LLHH/2SC3" || jobs[1].Label != "solo/mcf" {
+		t.Errorf("jobs %+v, want LLHH/2SC3 then solo/mcf", jobs)
 	}
 }

@@ -35,7 +35,7 @@ import (
 //	   now merge.Scheme's JSON form, with the same bytes
 //	3: results may carry a "cached" flag (served from the persistent
 //	   result store), sweep statuses a "cache_hits" count, and the
-//	   server a /v1/store document (StoreStatus). Later additions
+//	   server a /v1/store document. Later additions
 //	   within 3 (all optional, omitted when empty, version-1-semantics
 //	   when absent, so no bump): sweep statuses may carry an "errors"
 //	   count and a terminal "summary" roll-up (SweepSummary), NDJSON
@@ -43,7 +43,9 @@ import (
 //	   /v1/healthz document (Health), and the terminal NDJSON event a
 //	   "status" carrying the final SweepStatus. Results from older
 //	   servers may carry "worker" and "shard" attribution; decoders
-//	   ignore both fields
+//	   ignore both fields. Removed within 3: the request's "tag"
+//	   (decoded, never read; decoders ignore it) and the /v1/store
+//	   document
 const Version = 3
 
 // Job is sweep.Job, which is its own wire form. The alias and the

@@ -143,7 +143,7 @@ func zeroLeaves(path string, v reflect.Value) []string {
 
 func fixtureRequest() SweepRequest {
 	g := fixtureGrid()
-	return SweepRequest{Version: Version, Grid: &g, Workers: 8, Tag: "nightly"}
+	return SweepRequest{Version: Version, Grid: &g, Workers: 8}
 }
 
 func fixtureHealth() Health {
@@ -358,11 +358,15 @@ func TestJobMergeDecode(t *testing.T) {
 
 // TestV1BackCompat pins backwards compatibility: a checked-in wire
 // version 1 document (written by the previous release) must still
-// decode, expanding to the same jobs as its version-2 equivalent.
+// decode, expanding to the same jobs as its version-2 equivalent. The
+// document carries the retired "tag" member, which decoding ignores.
 func TestV1BackCompat(t *testing.T) {
 	b, err := os.ReadFile(filepath.Join("testdata", "request.v1.golden.json"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Contains(b, []byte(`"tag"`)) {
+		t.Fatal("the version 1 document no longer carries the retired \"tag\" member")
 	}
 	req, err := DecodeSweepRequest(bytes.NewReader(b))
 	if err != nil {
@@ -381,6 +385,33 @@ func TestV1BackCompat(t *testing.T) {
 	}
 	if !reflect.DeepEqual(v1Jobs, v2Jobs) {
 		t.Error("version 1 document expands differently from its version 2 equivalent")
+	}
+}
+
+// TestExpandOrder pins the one rule for a request carrying both a grid
+// and explicit jobs: the grid's jobs run first, then the explicit ones
+// in document order. A grid that does not expand is an error.
+func TestExpandOrder(t *testing.T) {
+	g := fixtureGrid()
+	gridJobs, err := g.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := []sweep.Job{fixtureJob(), fixtureJob()}
+	extra[1].Label = "second/explicit"
+	got, err := SweepRequest{Grid: &g, Jobs: extra}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append([]sweep.Job(nil), gridJobs...), extra...); !reflect.DeepEqual(got, want) {
+		t.Errorf("Expand gave %d jobs, want the %d grid jobs then the %d explicit ones:\n%+v",
+			len(got), len(gridJobs), len(extra), got)
+	}
+	if got, err := (SweepRequest{Jobs: extra}).Expand(); err != nil || !reflect.DeepEqual(got, extra) {
+		t.Errorf("jobs-only Expand = %+v, %v; want the jobs verbatim", got, err)
+	}
+	if _, err := (SweepRequest{Grid: &sweep.Grid{Schemes: []string{"bogus!"}}}).Expand(); err == nil {
+		t.Error("a grid with an unknown scheme expanded")
 	}
 }
 

@@ -31,7 +31,7 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"version":2,"jobs":[{"scheme":"mine","merge":{"name":"mine","tree":"C(S(T0,T1),T2,T3)"},` +
 		`"benchmarks":["mcf","fft","dijkstra","colorspace"],"instr_limit":5000,"seed":3}]}`))
 	var jobs bytes.Buffer
-	if err := EncodeSweepRequest(&jobs, SweepRequest{Jobs: []sweep.Job{fixtureJob()}, Workers: 2, Tag: "t"}); err != nil {
+	if err := EncodeSweepRequest(&jobs, SweepRequest{Jobs: []sweep.Job{fixtureJob()}, Workers: 2}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(jobs.Bytes())
@@ -42,9 +42,7 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if req.Grid != nil {
-			req.Grid.Jobs() // a bad name or an over-cap grid is an error
-		}
+		req.Expand() // a bad name or an over-cap grid is an error
 		var first bytes.Buffer
 		if err := EncodeSweepRequest(&first, req); err != nil {
 			t.Fatalf("accepted request does not encode: %v", err)

@@ -19,8 +19,8 @@ const (
 	StateDone State = "done"
 	// StateFailed means the sweep finished but at least one job failed.
 	StateFailed State = "failed"
-	// StateCanceled means the sweep was canceled (DELETE, client
-	// disconnect in wait mode, or server shutdown) before completing.
+	// StateCanceled means the sweep was canceled (DELETE or server
+	// shutdown) before completing.
 	StateCanceled State = "canceled"
 )
 
@@ -29,17 +29,31 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// SweepRequest is the body of POST /v1/sweeps: either a declarative
-// Grid (expanded server-side with the same defaulting as in-process
-// Grid.Jobs) or an explicit job set. Workers is a hint for the server's
-// pool size; because sweep results are deterministic at any worker
-// count it never changes the results, only the wall-clock time.
+// SweepRequest is the body of POST /v1/sweeps: a declarative Grid
+// (expanded with the same defaulting as in-process Grid.Jobs), an
+// explicit job set, or both; Expand gives the jobs either way. Workers
+// is a hint for the server's pool size; because sweep results are
+// deterministic at any worker count it never changes the results, only
+// the wall-clock time.
 type SweepRequest struct {
 	Version int         `json:"version"`
 	Grid    *sweep.Grid `json:"grid,omitempty"`
 	Jobs    []sweep.Job `json:"jobs,omitempty"`
 	Workers int         `json:"workers,omitempty"`
-	Tag     string      `json:"tag,omitempty"`
+}
+
+// Expand returns the request's job set: the grid's jobs first, then
+// the explicit ones, in document order. The server and vliwsweep -jobs
+// both run exactly this list.
+func (req SweepRequest) Expand() ([]sweep.Job, error) {
+	var jobs []sweep.Job
+	if req.Grid != nil {
+		var err error
+		if jobs, err = req.Grid.Jobs(); err != nil {
+			return nil, err
+		}
+	}
+	return append(jobs, req.Jobs...), nil
 }
 
 // SweepStatus is the body of sweep submission and status responses.
@@ -84,8 +98,7 @@ type SweepSummary struct {
 // Health is the body of GET /v1/healthz (additive within wire
 // version 3): a structured liveness document for load balancers and
 // monitors — build identity, current load and (when persistence is
-// configured) result-store stats — cheap enough to poll, unlike
-// GET /v1/store whose entry count walks the disk.
+// configured) result-store stats — cheap enough to poll.
 type Health struct {
 	Version int    `json:"version"`
 	Service string `json:"service"`
@@ -98,8 +111,9 @@ type Health struct {
 	ActiveSweeps int     `json:"active_sweeps"`
 	UptimeSec    float64 `json:"uptime_sec,omitempty"`
 	// Store carries the store handle's lifetime traffic counters when
-	// persistence is configured (entry counts are deliberately absent —
-	// counting walks the store; poll GET /v1/store for them).
+	// persistence is configured. Entry counts are deliberately absent:
+	// counting walks the store (the entries are the files under
+	// DIR/jobs).
 	Store *resultstore.Stats `json:"store,omitempty"`
 }
 
@@ -113,18 +127,6 @@ func DecodeHealth(r io.Reader) (Health, error) {
 		return h, err
 	}
 	return h, nil
-}
-
-// StoreStatus is the body of GET /v1/store (wire version 3): the
-// server's persistent result store — entry count on disk plus the
-// server handle's lifetime traffic counters.
-type StoreStatus struct {
-	Version int    `json:"version"`
-	Entries int    `json:"entries"`
-	Hits    int64  `json:"hits"`
-	Misses  int64  `json:"misses"`
-	Puts    int64  `json:"puts"`
-	Error   string `json:"error,omitempty"`
 }
 
 // Event is one line of the NDJSON progress stream

@@ -3,6 +3,7 @@ package resultstore
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -87,8 +88,8 @@ func TestStoreMemoryCopyIsPrivate(t *testing.T) {
 
 // TestStoreMemoryRevalidates: every change to an entry's file after it
 // was decoded — an in-place rewrite, a Put of new content, a deletion,
-// a Clear — makes the next Get a miss or the new content, never the
-// decoded copy.
+// removing the whole shard tree (how a store is cleared) — makes the
+// next Get a miss or the new content, never the decoded copy.
 func TestStoreMemoryRevalidates(t *testing.T) {
 	rewritten := fakeResult(1)
 	rewritten.Cycles = 1009
@@ -139,9 +140,9 @@ func TestStoreMemoryRevalidates(t *testing.T) {
 				}
 			},
 		},
-		"cleared": {
+		"shard tree removed": {
 			change: func(t *testing.T, s *Store, path string) {
-				if err := s.Clear(); err != nil {
+				if err := os.RemoveAll(filepath.Join(s.Dir(), "jobs")); err != nil {
 					t.Fatal(err)
 				}
 			},

@@ -7,7 +7,7 @@ import (
 )
 
 // Process-wide store instruments. Unlike Stats (per-handle counters,
-// used by GET /v1/store), these aggregate every handle in the process
+// reported by GET /v1/healthz), these aggregate every handle in the process
 // — which is what a scrape wants: "is the disk cache working", not
 // "whose handle is it".
 var (

@@ -2,7 +2,6 @@ package resultstore
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -29,7 +28,10 @@ import (
 // document, a SchemaVersion mismatch, a key that does not match the
 // filename. The store can therefore only ever cost a re-simulation,
 // never return a wrong answer. A Store handle is safe for concurrent
-// use; the zero Store (empty Dir) stores nothing and never hits.
+// use; the zero Store (empty Dir) stores nothing and never hits. The
+// entries are the files under jobs/, and removing that tree clears the
+// store, also under a live handle: every recall re-stats its file, and
+// the next Put recreates the tree.
 //
 // A handle also keeps the entries its Gets have decoded, each with the
 // identity of the file it was decoded from. A later Get of the same
@@ -64,8 +66,9 @@ type memEntry struct {
 
 // current reports whether fi still describes the file the entry was
 // decoded from. Put replaces an entry by renaming a new file over it
-// and Clear unlinks it, so both change the file's identity; an
-// in-place rewrite changes its size or its modification time.
+// and removing the shard tree unlinks it, so both change the file's
+// identity; an in-place rewrite changes its size or its modification
+// time.
 func (m memEntry) current(fi os.FileInfo) bool {
 	return os.SameFile(m.file, fi) && fi.Size() == m.file.Size() && fi.ModTime().Equal(m.file.ModTime())
 }
@@ -283,15 +286,7 @@ func (s *Store) Put(j sweep.Job, res *sim.Result, elapsed time.Duration) error {
 		return fmt.Errorf("resultstore: encode %s: %w", key, err)
 	}
 	b = append(b, '\n')
-	// A Clear racing this Put can move the shard directory away
-	// between its creation and the rename; the entry is then written
-	// once more into a fresh tree.
-	path := s.path(key)
-	err = writeEntry(path, key, b)
-	if errors.Is(err, fs.ErrNotExist) {
-		err = writeEntry(path, key, b)
-	}
-	if err != nil {
+	if err := writeEntry(s.path(key), key, b); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	s.puts.Add(1)
@@ -323,63 +318,6 @@ func writeEntry(path, key string, b []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return err
-	}
-	return nil
-}
-
-// Len counts the entries on disk — a plain walk, with none of
-// Snapshot's path collection and sorting, so polling it (the server's
-// GET /v1/store) stays cheap even at millions of entries. A store that
-// was never written has zero entries.
-func (s *Store) Len() (int, error) {
-	if s == nil || s.dir == "" {
-		return 0, nil
-	}
-	n := 0
-	err := filepath.WalkDir(filepath.Join(s.dir, "jobs"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil
-			}
-			return err
-		}
-		if entryFileName(d) {
-			n++
-		}
-		return nil
-	})
-	if err != nil {
-		return n, fmt.Errorf("resultstore: len: %w", err)
-	}
-	return n, nil
-}
-
-// Clear removes every stored entry, and the handle's decoded copies
-// with them. The shard tree is first renamed to a unique hidden
-// sibling and then deleted there, so a Put racing the Clear never
-// creates files inside a tree being deleted: it writes into the old
-// tree before the rename or into a fresh one after it. The root
-// directory itself is kept so handles stay valid.
-func (s *Store) Clear() error {
-	if s == nil || s.dir == "" {
-		return nil
-	}
-	s.memMu.Lock()
-	s.mem = nil
-	s.memMu.Unlock()
-	trash, err := os.MkdirTemp(s.dir, ".cleared-")
-	if os.IsNotExist(err) {
-		return nil // nothing was ever stored
-	}
-	if err != nil {
-		return fmt.Errorf("resultstore: clear: %w", err)
-	}
-	if err := os.Rename(filepath.Join(s.dir, "jobs"), filepath.Join(trash, "jobs")); err != nil && !os.IsNotExist(err) {
-		os.Remove(trash)
-		return fmt.Errorf("resultstore: clear: %w", err)
-	}
-	if err := os.RemoveAll(trash); err != nil {
-		return fmt.Errorf("resultstore: clear: %w", err)
 	}
 	return nil
 }

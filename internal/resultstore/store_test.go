@@ -70,15 +70,18 @@ func TestStoreRoundTrip(t *testing.T) {
 	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
 		t.Errorf("stats %+v, want 1 hit, 1 miss, 1 put", st)
 	}
-	if n, err := s.Len(); err != nil || n != 1 {
-		t.Errorf("Len = %d, %v; want 1", n, err)
-	}
 
-	if err := s.Clear(); err != nil {
+	// Removing the shard tree clears the store; the next Put recreates
+	// it.
+	if err := os.RemoveAll(filepath.Join(s.Dir(), "jobs")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := s.Get(j); ok {
 		t.Error("cleared store still serves entries")
+	}
+	mustPut(t, s, j, want, elapsed)
+	if _, _, ok := s.Get(j); !ok {
+		t.Error("Put after clearing does not serve again")
 	}
 }
 
@@ -159,8 +162,8 @@ func TestStoreCorruptionIsAMiss(t *testing.T) {
 }
 
 // TestStoreConcurrentWriters hammers one directory from many
-// goroutines — repeated writers of the same keys racing readers and a
-// Clear — asserting (under -race in CI) that nothing tears: every Get
+// goroutines — repeated writers of the same keys racing readers —
+// asserting (under -race in CI) that nothing tears: every Get
 // either misses or returns a complete, correct entry.
 func TestStoreConcurrentWriters(t *testing.T) {
 	s := Open(t.TempDir())
@@ -190,13 +193,6 @@ func TestStoreConcurrentWriters(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := s.Clear(); err != nil {
-			t.Errorf("clear: %v", err)
-		}
-	}()
 	wg.Wait()
 
 	// After the dust settles every job can be stored and served.
@@ -217,12 +213,6 @@ func TestZeroStore(t *testing.T) {
 	}
 	if _, _, ok := s.Get(j); ok {
 		t.Error("disabled store claims a hit")
-	}
-	if err := s.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.Len(); err != nil || n != 0 {
-		t.Errorf("disabled store Len = %d, %v", n, err)
 	}
 }
 

@@ -24,9 +24,9 @@ var (
 // instrumented wraps a route handler with its per-route request
 // counter and latency histogram. The ResponseWriter is passed through
 // untouched so streaming handlers keep their http.Flusher. The
-// duration covers the full handler — for ?wait=1 submits and /events
-// streams that is the life of the sweep or stream, which is exactly
-// what "where did the server's time go" should report.
+// duration covers the full handler — for /events streams that is the
+// life of the stream, which is exactly what "where did the server's
+// time go" should report.
 func instrumented(route string, h http.HandlerFunc) http.HandlerFunc {
 	labels := `route="` + route + `"`
 	requests := telemetry.NewLabeledCounter("server_requests_total", labels,

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vliwmt/internal/api"
 	"vliwmt/internal/resultstore"
@@ -83,7 +84,7 @@ func TestMetricsScrapeColdWarm(t *testing.T) {
 	}
 	delta := func(name string) float64 { return scrapeMetric(t, ts, name) - base[name] }
 
-	cold := submit(t, ts, api.SweepRequest{Grid: &g}, "?wait=1")
+	cold := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
 	if cold.State != api.StateDone || cold.CacheHits != 0 || cold.Errors != 0 {
 		t.Fatalf("cold sweep: %+v", cold)
 	}
@@ -103,7 +104,7 @@ func TestMetricsScrapeColdWarm(t *testing.T) {
 		t.Errorf("cold summary: %+v", cold.Summary)
 	}
 
-	warm := submit(t, ts, api.SweepRequest{Grid: &g}, "?wait=1")
+	warm := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
 	if warm.State != api.StateDone || warm.CacheHits != 4 {
 		t.Fatalf("warm sweep not fully served from the store: %+v", warm)
 	}
@@ -150,13 +151,13 @@ func TestDebugEndpointsOptOut(t *testing.T) {
 			t.Errorf("GET %s with DisableDebug: %s, want 404", path, resp.Status)
 		}
 	}
-	resp, err := http.Get(off.URL + "/healthz")
+	resp, err := http.Get(off.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz with DisableDebug: %s", resp.Status)
+		t.Errorf("GET /v1/healthz with DisableDebug: %s", resp.Status)
 	}
 }
 
@@ -210,7 +211,7 @@ func TestConcurrentEventSubscribers(t *testing.T) {
 	g := testGrid()
 	g.InstrLimit = 100_000 // keep the sweep in flight while subscribers attach
 	_, ts := newTestServer(t, Options{})
-	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1}, "")
+	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1})
 
 	type stream struct {
 		dones []int
@@ -281,7 +282,7 @@ func TestJobErrorsSurfaced(t *testing.T) {
 	req := api.SweepRequest{Jobs: []sweep.Job{good, bad}, Workers: 1}
 
 	_, ts := newTestServer(t, Options{})
-	st := submit(t, ts, req, "")
+	st := submit(t, ts, req)
 	dones, errStrings, state, err := streamEvents(context.Background(), ts, st.ID, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +328,7 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// TestLifecycleLogRecords checks the server's four lifecycle lines are
+// TestLifecycleLogRecords checks the server's three lifecycle lines are
 // structured records on the trace logger, and that a sweep's records
 // carry the same "sweep" attribute as the engine's span records.
 func TestLifecycleLogRecords(t *testing.T) {
@@ -340,17 +341,19 @@ func TestLifecycleLogRecords(t *testing.T) {
 
 	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
 	g := testGrid()
-	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 2}, "?wait=1")
-	for _, path := range []string{"/v1/sweeps/" + st.ID, "/v1/store"} {
-		req, err := http.NewRequest(http.MethodDelete, ts.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	st := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g, Workers: 2}).ID)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	// The finished record is written just after the run turns terminal.
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(buf.String(), `"msg":"sweep finished"`) && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	records := map[string]map[string]any{}
@@ -359,11 +362,11 @@ func TestLifecycleLogRecords(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("log line %q is not a JSON record: %v", line, err)
 		}
-		if id, _ := rec["sweep"].(string); id == st.ID || rec["msg"] == "store cleared" {
+		if id, _ := rec["sweep"].(string); id == st.ID {
 			records[rec["msg"].(string)] = rec
 		}
 	}
-	for _, msg := range []string{"sweep submitted", "sweep start", "sweep finished", "sweep cancel requested", "store cleared"} {
+	for _, msg := range []string{"sweep submitted", "sweep start", "sweep finished", "sweep cancel requested"} {
 		if records[msg] == nil {
 			t.Errorf("no %q record for sweep %s in:\n%s", msg, st.ID, buf.String())
 		}

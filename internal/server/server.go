@@ -1,28 +1,24 @@
 // Package server is the HTTP transport of the sweep engine: a thin,
 // stateless-protocol front-end over the vliwmt.Runner session API.
 //
-//	POST   /v1/sweeps            submit a grid or job set (202; ?wait=1 blocks)
-//	GET    /v1/sweeps            list sweeps
+//	POST   /v1/sweeps            submit a grid or job set (202 + sweep ID)
 //	GET    /v1/sweeps/{id}        status, plus ordered results once terminal
 //	GET    /v1/sweeps/{id}/events NDJSON progress stream (replay + live); the
 //	                             terminal event carries the final status;
 //	                             ?results=false leaves per-job results off
 //	                             the progress events
 //	DELETE /v1/sweeps/{id}        cancel a running sweep
-//	GET    /v1/store             result-store stats (entries, hits, misses)
-//	DELETE /v1/store             clear the result store
 //	GET    /v1/healthz           structured health (build, load, store stats)
-//	GET    /healthz              plain-text liveness probe
 //
 // Bodies are the versioned wire documents of internal/api, written as
 // compact (unindented) JSON. A client needs two exchanges per sweep:
 // POST to submit, then the event stream, whose terminal event carries
 // the same status document GET /v1/sweeps/{id} returns. Every sweep
 // shares one compile cache for the life of the server; each runs under
-// a context cancelled by DELETE, by client disconnect (in wait mode),
-// or by server Close. The engine's determinism contract holds across
-// the wire: results are index-ordered, seed-derived and bit-identical
-// to an in-process run at any worker count.
+// a context cancelled by DELETE or by server Close. The engine's
+// determinism contract holds across the wire: results are
+// index-ordered, seed-derived and bit-identical to an in-process run
+// at any worker count.
 //
 // With Options.Store set, every sweep also shares one persistent
 // result store: completed jobs are content-addressed on disk,
@@ -33,9 +29,9 @@
 // "cached": true in /events and status documents) and per sweep (the
 // status's "cache_hits" count).
 //
-// Lifecycle lines (sweep submitted, finished, cancel requested; store
-// cleared) are structured records on telemetry.TraceLogger, and a
-// sweep's records carry the same "sweep" attribute as the engine's.
+// Lifecycle lines (sweep submitted, finished, cancel requested) are
+// structured records on telemetry.TraceLogger, and a sweep's records
+// carry the same "sweep" attribute as the engine's.
 package server
 
 import (
@@ -74,9 +70,8 @@ type Options struct {
 	// Store, when set, is the persistent result store (see
 	// vliwmt.OpenResultStore): completed jobs are content-addressed on
 	// disk, identical submitted jobs are served without simulating, and
-	// the cache survives server restarts. A caller that also reads the
-	// store directly shares this one handle with the server's /v1/store
-	// endpoints. Nil disables persistence and /v1/store answers 404.
+	// the cache survives server restarts; its traffic counters are on
+	// GET /v1/healthz and /metrics. Nil disables persistence.
 	Store *vliwmt.ResultStore
 	// Execute substitutes the sweep execution strategy; nil selects the
 	// in-process Runner. See Executor.
@@ -100,7 +95,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	runs   map[string]*run
-	order  []string // submission order, for listing
+	order  []string // submission order, for eviction
 	nextID int
 }
 
@@ -129,18 +124,11 @@ func (s *Server) Close() { s.cancel() }
 // the standard net/http/pprof handlers under /debug/pprof/.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", instrumented("healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	}))
 	mux.HandleFunc("GET /v1/healthz", instrumented("healthz_v1", s.handleHealth))
 	mux.HandleFunc("POST /v1/sweeps", instrumented("submit", s.handleSubmit))
-	mux.HandleFunc("GET /v1/sweeps", instrumented("list", s.handleList))
 	mux.HandleFunc("GET /v1/sweeps/{id}", instrumented("status", s.handleStatus))
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", instrumented("events", s.handleEvents))
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", instrumented("cancel", s.handleCancel))
-	mux.HandleFunc("GET /v1/store", instrumented("store_status", s.handleStoreStatus))
-	mux.HandleFunc("DELETE /v1/store", instrumented("store_clear", s.handleStoreClear))
 	if !s.opts.DisableDebug {
 		mux.HandleFunc("GET /metrics", instrumented("metrics", handleMetrics))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -277,8 +265,9 @@ func (r *run) unsubscribe(ch chan api.Event) {
 }
 
 // status snapshots the run as a wire document. With withResults, a
-// terminal run's results are attached, ordered by job index; listing
-// and logging pass false to skip that conversion.
+// terminal run's results are attached, ordered by job index; the
+// submit and cancel replies and logging pass false to skip that
+// conversion.
 func (r *run) status(withResults bool) api.SweepStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -374,8 +363,7 @@ func (s *Server) runnerExecute(ctx context.Context, jobs []sweep.Job, workers in
 
 // handleHealth serves the structured liveness document: build
 // identity, active-sweep load and store traffic counters — everything
-// a load balancer or monitor needs, without the disk walk of
-// GET /v1/store.
+// a load balancer or monitor needs.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := api.Health{
 		Service:      "vliwserve",
@@ -413,41 +401,6 @@ func buildRevision() string {
 	return ""
 }
 
-// handleStoreStatus reports the shared result store: entries on disk
-// plus this server's lifetime hit/miss/put counters. Without
-// Options.Store there is no store to report on.
-func (s *Server) handleStoreStatus(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		httpError(w, http.StatusNotFound, "no result store configured (set Options.Store; vliwserve -results)")
-		return
-	}
-	st := api.StoreStatus{Version: api.Version}
-	stats := s.store.Stats()
-	st.Hits, st.Misses, st.Puts = stats.Hits, stats.Misses, stats.Puts
-	n, err := s.store.Len()
-	st.Entries = n
-	if err != nil {
-		st.Error = err.Error()
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleStoreClear empties the result store: every later job misses
-// and re-simulates. The traffic counters are lifetime counters and are
-// not reset.
-func (s *Server) handleStoreClear(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		httpError(w, http.StatusNotFound, "no result store configured (set Options.Store; vliwserve -results)")
-		return
-	}
-	if err := s.store.Clear(); err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	telemetry.TraceLogger().Info("store cleared")
-	writeJSON(w, http.StatusOK, api.StoreStatus{Version: api.Version})
-}
-
 // queryBool interprets a boolean query parameter: absent means def,
 // anything else must parse as a boolean ("1", "true", "0", "false",
 // ...).
@@ -475,26 +428,22 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// handleSubmit accepts a sweep request: a grid (expanded server-side
-// with the same defaulting as in-process Grid.Jobs) or explicit jobs.
-// By default the sweep runs asynchronously and a 202 with the run ID
-// comes back immediately; with ?wait=1 the handler blocks until the
-// sweep finishes and the client disconnecting cancels it (the request
-// context propagates into the engine).
+// handleSubmit accepts a sweep request — a grid (expanded server-side
+// with the same defaulting as in-process Grid.Jobs), explicit jobs, or
+// both — starts it and answers 202 with the run ID. The sweep context
+// descends from the server's, so Close cancels every run; the client
+// cancels one with DELETE.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, 32<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var jobs []sweep.Job
-	if req.Grid != nil {
-		if jobs, err = req.Grid.Jobs(); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+	jobs, err := req.Expand()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	jobs = append(jobs, req.Jobs...)
 	for i, j := range jobs {
 		if err := j.Validate(); err != nil {
 			httpError(w, http.StatusBadRequest, "job %d: %v", i, err)
@@ -510,53 +459,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		workers = s.opts.Workers
 	}
 
-	// Absent or an explicit false value ("0", "false") stays async.
-	wait, err := queryBool("wait", r.URL.Query().Get("wait"), false)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The sweep context descends from the server (so Close cancels every
-	// run); in wait mode it also descends from the request, so a client
-	// disconnect cancels the sweep mid-flight.
-	base := s.ctx
-	if wait {
-		base = r.Context()
-	}
-	ctx, cancel := context.WithCancel(base)
+	ctx, cancel := context.WithCancel(s.ctx)
 	ru := s.register(len(jobs), cancel)
 	metSweepsSubmitted.Inc()
-	telemetry.TraceLogger().Info("sweep submitted", "sweep", ru.id, "jobs", len(jobs), "workers", workers, "wait", wait)
-
-	if wait {
-		// Server shutdown must still cancel a wait-mode sweep, whose
-		// context descends from the request rather than the server.
-		stop := context.AfterFunc(s.ctx, cancel)
-		defer stop()
-		s.execute(ctx, ru, jobs, workers)
-		writeJSON(w, http.StatusOK, ru.status(true))
-		return
-	}
+	telemetry.TraceLogger().Info("sweep submitted", "sweep", ru.id, "jobs", len(jobs), "workers", workers)
 	go s.execute(ctx, ru, jobs, workers)
 	writeJSON(w, http.StatusAccepted, ru.status(false))
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	runs := make([]*run, 0, len(s.order))
-	for _, id := range s.order {
-		runs = append(runs, s.runs[id])
-	}
-	s.mu.Unlock()
-	list := struct {
-		Version int               `json:"version"`
-		Sweeps  []api.SweepStatus `json:"sweeps"`
-	}{Version: api.Version}
-	for _, ru := range runs {
-		// Listing is a summary; fetch one sweep for its results.
-		list.Sweeps = append(list.Sweeps, ru.status(false))
-	}
-	writeJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -589,7 +497,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // error but leave out the result: a client that takes every result
 // from the terminal status need not receive (and decode) each twice.
 // Disconnecting from the event stream does not cancel the sweep (use
-// DELETE, or submit with ?wait=1, for that).
+// DELETE for that).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ru := s.get(r.PathValue("id"))
 	if ru == nil {

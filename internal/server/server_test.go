@@ -41,18 +41,18 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, req api.SweepRequest, query string) api.SweepStatus {
+func submit(t *testing.T, ts *httptest.Server, req api.SweepRequest) api.SweepStatus {
 	t.Helper()
 	var body bytes.Buffer
 	if err := api.EncodeSweepRequest(&body, req); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/sweeps"+query, "application/json", &body)
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s", resp.Status)
 	}
 	st, err := api.DecodeSweepStatus(resp.Body)
@@ -126,7 +126,7 @@ func TestSubmitStatusMatchesInProcess(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		g := testGrid()
 		_, ts := newTestServer(t, Options{})
-		st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: workers}, "")
+		st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: workers})
 		if st.Total != 4 || st.ID == "" {
 			t.Fatalf("submit status: %+v", st)
 		}
@@ -144,28 +144,32 @@ func TestSubmitStatusMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestExplicitJobsAndWaitMode submits explicit jobs with ?wait=1 and
-// checks the synchronous response carries the finished results.
-func TestExplicitJobsAndWaitMode(t *testing.T) {
+// TestGridAndExplicitJobs submits a request carrying both a grid and
+// explicit jobs and checks the server runs exactly what
+// SweepRequest.Expand lists — the grid's jobs, then the explicit ones —
+// with the same results as an in-process run of that list.
+func TestGridAndExplicitJobs(t *testing.T) {
 	jobs, err := testGrid().Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := api.SweepRequest{Jobs: jobs[:2]}
+	g := sweep.Grid{Schemes: []string{"2SC3"}, Mixes: []string{"HHHH"}, InstrLimit: 5_000, Seed: 3}
+	req := api.SweepRequest{Grid: &g, Jobs: jobs[:2]}
+	want, err := req.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, ts := newTestServer(t, Options{})
-	st := submit(t, ts, req, "?wait=1")
-	if !st.State.Terminal() || st.State != api.StateDone {
-		t.Fatalf("wait-mode response not terminal: %+v", st)
+	st := waitTerminal(t, ts, submit(t, ts, req).ID)
+	if st.State != api.StateDone || len(st.Results) != 3 {
+		t.Fatalf("final status %s with %d results, want done with 3", st.State, len(st.Results))
 	}
-	if len(st.Results) != 2 {
-		t.Fatalf("wait-mode response has %d results, want 2", len(st.Results))
-	}
-	local, err := sweep.New(2).Run(context.Background(), jobs[:2])
+	local, err := sweep.New(2).Run(context.Background(), want)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fingerprint(t, api.SweepResults(st.Results)), fingerprint(t, local); got != want {
-		t.Errorf("wait-mode results differ:\n%s\nvs\n%s", got, want)
+		t.Errorf("grid-plus-jobs results differ:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -178,7 +182,7 @@ func TestEventsStream(t *testing.T) {
 	g := testGrid()
 	g.InstrLimit = 100_000
 	_, ts := newTestServer(t, Options{})
-	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1}, "")
+	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1})
 
 	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/events")
 	if err != nil {
@@ -236,7 +240,7 @@ func TestEventsWithoutResults(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Options{Execute: exec})
 	g := testGrid()
-	st := submit(t, ts, api.SweepRequest{Grid: &g}, "")
+	st := submit(t, ts, api.SweepRequest{Grid: &g})
 
 	resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID + "/events?results=bogus")
 	if err != nil {
@@ -315,7 +319,7 @@ func TestTerminalEventCarriesStatus(t *testing.T) {
 	g := testGrid()
 	g.InstrLimit = 100_000
 	_, ts := newTestServer(t, Options{})
-	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1}, "")
+	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1})
 
 	live, jobEvents := readEvents(t, ts, st.ID)
 	if jobEvents != 4 {
@@ -345,7 +349,7 @@ func TestCancel(t *testing.T) {
 	// a single worker.
 	g := sweep.Grid{InstrLimit: 50_000, Seed: 1}
 	_, ts := newTestServer(t, Options{})
-	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1}, "")
+	st := submit(t, ts, api.SweepRequest{Grid: &g, Workers: 1})
 	if st.Total != 16*9 {
 		t.Fatalf("total %d, want 144", st.Total)
 	}
@@ -371,61 +375,6 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-// TestWaitModeClientDisconnectCancels checks the context propagation
-// path: a client that disconnects from a ?wait=1 submission cancels
-// the sweep server-side.
-func TestWaitModeClientDisconnectCancels(t *testing.T) {
-	g := sweep.Grid{InstrLimit: 50_000, Seed: 1}
-	_, ts := newTestServer(t, Options{})
-	var body bytes.Buffer
-	if err := api.EncodeSweepRequest(&body, api.SweepRequest{Grid: &g, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweeps?wait=1", &body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	done := make(chan error, 1)
-	go func() {
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
-		}
-		done <- err
-	}()
-	// Give the sweep a moment to start, then drop the connection.
-	time.Sleep(200 * time.Millisecond)
-	cancel()
-	if err := <-done; err == nil {
-		t.Fatal("request unexpectedly succeeded after cancel")
-	}
-
-	// The run was registered; find it via the listing and wait for the
-	// canceled state to propagate.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/v1/sweeps")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var list struct {
-			Sweeps []api.SweepStatus `json:"sweeps"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&list)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(list.Sweeps) == 1 && list.Sweeps[0].State == api.StateCanceled {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("wait-mode sweep was not canceled by client disconnect")
-}
-
 // TestResultPersistenceServesRepeats checks that with a result
 // directory configured, an identical repeat sweep is served from disk:
 // same results, no additional compilation.
@@ -433,13 +382,13 @@ func TestResultPersistenceServesRepeats(t *testing.T) {
 	dir := t.TempDir()
 	g := testGrid()
 	srv, ts := newTestServer(t, Options{Store: resultstore.Open(dir)})
-	first := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}, "").ID)
+	first := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
 	if first.State != api.StateDone {
 		t.Fatalf("first sweep: %+v", first)
 	}
 	compiles, _ := srv.cache.Stats()
 
-	second := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}, "").ID)
+	second := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
 	if second.State != api.StateDone {
 		t.Fatalf("second sweep: %+v", second)
 	}
@@ -468,80 +417,13 @@ func TestResultPersistenceServesRepeats(t *testing.T) {
 	// The store outlives the server: a fresh server on the same
 	// directory — a restart — serves the same sweep without simulating.
 	srv2, ts2 := newTestServer(t, Options{Store: resultstore.Open(dir)})
-	third := waitTerminal(t, ts2, submit(t, ts2, api.SweepRequest{Grid: &g}, "").ID)
+	third := waitTerminal(t, ts2, submit(t, ts2, api.SweepRequest{Grid: &g}).ID)
 	if third.State != api.StateDone || third.CacheHits != third.Total {
 		t.Errorf("restarted server: state %s, %d/%d cache hits; want done and all hits",
 			third.State, third.CacheHits, third.Total)
 	}
 	if compiles, _ := srv2.cache.Stats(); compiles != 0 {
 		t.Errorf("restarted server compiled %d kernels for a stored sweep, want 0", compiles)
-	}
-}
-
-func storeStatus(t *testing.T, ts *httptest.Server, method string) (api.StoreStatus, int) {
-	t.Helper()
-	req, err := http.NewRequest(method, ts.URL+"/v1/store", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st api.StoreStatus
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return st, resp.StatusCode
-}
-
-// TestStoreEndpoints checks GET /v1/store (entry count and traffic
-// counters) and DELETE /v1/store (clearing forces re-simulation), and
-// that both 404 without Options.Store.
-func TestStoreEndpoints(t *testing.T) {
-	g := testGrid()
-
-	_, ts := newTestServer(t, Options{})
-	if _, code := storeStatus(t, ts, http.MethodGet); code != http.StatusNotFound {
-		t.Errorf("GET /v1/store without a store: %d, want 404", code)
-	}
-	if _, code := storeStatus(t, ts, http.MethodDelete); code != http.StatusNotFound {
-		t.Errorf("DELETE /v1/store without a store: %d, want 404", code)
-	}
-
-	_, ts = newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
-	first := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}, "").ID)
-	if first.State != api.StateDone {
-		t.Fatalf("first sweep: %+v", first)
-	}
-	st, code := storeStatus(t, ts, http.MethodGet)
-	if code != http.StatusOK {
-		t.Fatalf("GET /v1/store: %d", code)
-	}
-	if st.Entries != first.Total || st.Puts != int64(first.Total) {
-		t.Errorf("store after cold sweep: %+v, want %d entries and puts", st, first.Total)
-	}
-
-	if _, code := storeStatus(t, ts, http.MethodDelete); code != http.StatusOK {
-		t.Fatalf("DELETE /v1/store: %d", code)
-	}
-	st, _ = storeStatus(t, ts, http.MethodGet)
-	if st.Entries != 0 {
-		t.Errorf("store not empty after clear: %+v", st)
-	}
-
-	// With the store cleared, the same grid simulates afresh (no hits),
-	// repopulating the store.
-	second := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}, "").ID)
-	if second.CacheHits != 0 {
-		t.Errorf("post-clear sweep reports %d cache hits, want 0", second.CacheHits)
-	}
-	st, _ = storeStatus(t, ts, http.MethodGet)
-	if st.Entries != second.Total {
-		t.Errorf("store not repopulated after clear: %+v", st)
 	}
 }
 
@@ -575,23 +457,17 @@ func TestRunRetentionBounded(t *testing.T) {
 	}
 }
 
-// TestWaitParam checks explicit false values stay asynchronous, and
-// that the same parser defaults an absent ?results to true.
-func TestWaitParam(t *testing.T) {
-	for v, want := range map[string]bool{"": false, "0": false, "false": false, "1": true, "true": true} {
-		got, err := queryBool("wait", v, false)
-		if err != nil || got != want {
-			t.Errorf("queryBool(wait=%q) = %v, %v; want %v", v, got, err, want)
-		}
-	}
-	if _, err := queryBool("wait", "yes-please", false); err == nil {
-		t.Error("garbage wait value accepted")
-	}
-	for v, want := range map[string]bool{"": true, "0": false, "false": false, "1": true} {
+// TestQueryBool checks the boolean query parser: an absent ?results
+// takes the default, explicit values parse, and garbage is an error.
+func TestQueryBool(t *testing.T) {
+	for v, want := range map[string]bool{"": true, "0": false, "false": false, "1": true, "true": true} {
 		got, err := queryBool("results", v, true)
 		if err != nil || got != want {
 			t.Errorf("queryBool(results=%q) = %v, %v; want %v", v, got, err, want)
 		}
+	}
+	if _, err := queryBool("results", "yes-please", true); err == nil {
+		t.Error("garbage results value accepted")
 	}
 }
 
@@ -635,13 +511,40 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("GET %s: %d, want 404", path, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("healthz: %d", resp.StatusCode)
+}
+
+// TestServedRoutes pins the handler's surface: the sweep routes the
+// client uses and GET /v1/healthz answer, while the sweep list, the
+// plain-text probe and the store endpoints do not exist.
+func TestServedRoutes(t *testing.T) {
+	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
+	g := testGrid()
+	st := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/v1/healthz", http.StatusOK},
+		{http.MethodGet, "/v1/sweeps/" + st.ID, http.StatusOK},
+		{http.MethodGet, "/v1/sweeps/" + st.ID + "/events", http.StatusOK},
+		{http.MethodDelete, "/v1/sweeps/" + st.ID, http.StatusAccepted},
+		{http.MethodGet, "/v1/sweeps", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/healthz", http.StatusNotFound},
+		{http.MethodGet, "/v1/store", http.StatusNotFound},
+		{http.MethodDelete, "/v1/store", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s: %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
 	}
 }
 
@@ -723,7 +626,7 @@ func TestHealthzV1(t *testing.T) {
 
 	// A finished sweep moves the store counters the document reports.
 	g := testGrid()
-	st := submit(t, ts, api.SweepRequest{Grid: &g}, "?wait=1")
+	st := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
 	if st.State != api.StateDone {
 		t.Fatalf("sweep state %s", st.State)
 	}

@@ -227,7 +227,7 @@ func TestClientSweepMatchesInProcess(t *testing.T) {
 	defer ts.Close()
 
 	client := vliwmt.NewClient(ts.URL)
-	if err := client.Ping(context.Background()); err != nil {
+	if _, err := client.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {

@@ -22,6 +22,7 @@ import (
 
 	"vliwmt"
 	"vliwmt/internal/report"
+	"vliwmt/internal/sim"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 		scheme   = flag.String("scheme", "2SC3", "merging scheme: a name (see -list), IMT/BMT, or a tree expression like 'C(S(T0,T1),T2,T3)'")
 		contexts = flag.Int("contexts", 4, "hardware thread contexts")
 		instrs   = flag.Int64("instrs", 1_000_000, "per-thread instruction budget")
-		slice    = flag.Int64("timeslice", 0, "OS timeslice in cycles (default instrs/100)")
+		slice    = flag.Int64("timeslice", 0, "OS timeslice in cycles (default instrs/100, at least 1000)")
 		perfect  = flag.Bool("perfect", false, "perfect memory (no caches)")
 		fixed    = flag.Bool("fixed-priority", false, "disable round-robin priority rotation")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
@@ -63,10 +64,9 @@ func main() {
 	cfg.PerfectMemory = *perfect
 	cfg.FixedPriority = *fixed
 	cfg.Seed = *seed
-	if *slice > 0 {
-		cfg.TimesliceCycles = *slice
-	} else {
-		cfg.TimesliceCycles = max64(*instrs/100, 1000)
+	cfg.TimesliceCycles = *slice
+	if *slice <= 0 {
+		cfg.TimesliceCycles = sim.ScaledTimeslice(*instrs)
 	}
 
 	var res *vliwmt.Result
@@ -77,14 +77,13 @@ func main() {
 	case *mixName != "":
 		res, err = vliwmt.RunMix(cfg, *mixName)
 	case *benches != "":
-		var tasks []vliwmt.Task
-		for _, name := range strings.Split(*benches, ",") {
-			name = strings.TrimSpace(name)
-			p, cerr := vliwmt.CompileBenchmark(name, cfg.Machine)
-			if cerr != nil {
-				log.Fatal(cerr)
-			}
-			tasks = append(tasks, vliwmt.Task{Name: name, Prog: p})
+		names := strings.Split(*benches, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+		}
+		tasks, cerr := vliwmt.NewCompileCache().Tasks(names, cfg.Machine)
+		if cerr != nil {
+			log.Fatal(cerr)
 		}
 		res, err = vliwmt.Run(cfg, tasks)
 	default:
@@ -94,13 +93,6 @@ func main() {
 		log.Fatal(err)
 	}
 	printResult(cfg, res)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func printLists() {

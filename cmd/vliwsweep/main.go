@@ -141,7 +141,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool size (0: runtime.NumCPU())")
 		seed       = flag.Uint64("seed", 1, "sweep seed; per-job seeds derive from it")
 		instr      = flag.Int64("instr", 300_000, "per-thread instruction budget")
-		timeslice  = flag.Int64("timeslice", 0, "OS quantum in cycles (0: budget/100)")
+		timeslice  = flag.Int64("timeslice", 0, "OS quantum in cycles (0: budget/100, at least 1000)")
 		sharedSeed = flag.Bool("sharedseed", false, "give every job the sweep seed verbatim")
 		store      = flag.String("store", "", "persistent result store directory: serve repeated jobs from disk, persist fresh ones")
 		format     = flag.String("format", "text", "output format: text, json or csv")

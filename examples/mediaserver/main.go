@@ -23,13 +23,9 @@ func main() {
 	// The server's steady-state job mix: one imaging job, one codec job,
 	// and two bursts of control-dominated work.
 	jobs := []string{"imgpipe", "colorspace", "bzip2", "gsmencode"}
-	var tasks []vliwmt.Task
-	for _, j := range jobs {
-		p, err := vliwmt.CompileBenchmark(j, machine)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tasks = append(tasks, vliwmt.Task{Name: j, Prog: p})
+	tasks, err := vliwmt.NewCompileCache().Tasks(jobs, machine)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	type design struct {

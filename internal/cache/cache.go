@@ -28,6 +28,16 @@ type Config struct {
 	MissPenalty int `json:"miss_penalty,omitempty"`
 }
 
+// MaxMissPenalty bounds the miss stall, which the cycle loop adds to a
+// cycle once per memory operation (at most 64 per instruction); 2^20
+// keeps that sum far from overflow and far beyond any memory (the
+// paper's penalty is 20).
+const MaxMissPenalty = 1 << 20
+
+// MaxLines bounds the line count, since New allocates 17 bytes per line
+// up front: 17 MB at the bound, a 64 MB cache of 64-byte lines.
+const MaxLines = 1 << 20
+
 // DefaultConfig returns the paper's cache configuration: 64KB, 4-way,
 // 64-byte lines, 20-cycle miss penalty.
 func DefaultConfig() Config {
@@ -41,10 +51,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: size, line size and ways must be positive: %+v", c)
 	case c.LineSize&(c.LineSize-1) != 0:
 		return fmt.Errorf("cache: line size %d is not a power of two", c.LineSize)
-	case c.Size%(c.LineSize*c.Ways) != 0:
-		return fmt.Errorf("cache: size %d is not divisible by ways*line (%d)", c.Size, c.LineSize*c.Ways)
-	case c.MissPenalty < 0:
-		return fmt.Errorf("cache: negative miss penalty")
+	case c.Size/c.LineSize > MaxLines:
+		return fmt.Errorf("cache: %d lines exceed MaxLines (%d)", c.Size/c.LineSize, MaxLines)
+	// Ways beyond the line count cannot divide the size; checking it
+	// first keeps LineSize*Ways from overflowing.
+	case c.Ways > c.Size/c.LineSize || c.Size%(c.LineSize*c.Ways) != 0:
+		return fmt.Errorf("cache: size %d is not divisible by %d ways of %d-byte lines", c.Size, c.Ways, c.LineSize)
+	case c.MissPenalty < 0 || c.MissPenalty > MaxMissPenalty:
+		return fmt.Errorf("cache: miss penalty must be in [0,%d], got %d", MaxMissPenalty, c.MissPenalty)
 	}
 	sets := c.Size / (c.LineSize * c.Ways)
 	if sets&(sets-1) != 0 {

@@ -27,10 +27,21 @@ func TestConfigValidate(t *testing.T) {
 		{Size: 100, LineSize: 64, Ways: 4},        // not divisible
 		{Size: 3 * 64 * 4, LineSize: 64, Ways: 4}, // sets not power of two
 		{Size: 64 << 10, LineSize: 64, Ways: 4, MissPenalty: -1},
+		{Size: 64 << 10, LineSize: 64, Ways: 4, MissPenalty: MaxMissPenalty + 1},
+		{Size: 2 * MaxLines * 64, LineSize: 64, Ways: 4},  // too many lines
+		{Size: 1 << 40, LineSize: 1 << 32, Ways: 1 << 32}, // LineSize*Ways overflows
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", cfg)
+		}
+	}
+	for _, cfg := range []Config{
+		{Size: MaxLines * 64, LineSize: 64, Ways: 4, MissPenalty: MaxMissPenalty},
+		{Size: 64 << 10, LineSize: 64, Ways: 1024}, // fully associative
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate rejected %+v, which is within every bound: %v", cfg, err)
 		}
 	}
 	if _, err := New(Config{}); err == nil {

@@ -60,16 +60,12 @@ func Ablations(opts Options) ([]AblationRow, error) {
 	fixed := sim.Config{
 		Machine: opts.Machine, ICache: opts.ICache, DCache: opts.DCache,
 		Contexts: 4, Scheme: "3CCC", FixedPriority: true,
-		TimesliceCycles: opts.Timeslice, InstrLimit: opts.InstrLimit, Seed: opts.Seed,
+		TimesliceCycles: sim.ScaledTimeslice(opts.InstrLimit), InstrLimit: opts.InstrLimit, Seed: opts.Seed,
 	}
 	for i, mix := range mixes {
-		var tasks []sim.Task
-		for _, name := range mix.Members {
-			p, err := sweep.SharedCache().Get(name, opts.Machine)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %w", err)
-			}
-			tasks = append(tasks, sim.Task{Name: name, Prog: p})
+		tasks, err := sweep.SharedCache().Tasks(mix.Members[:], opts.Machine)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
 		fixedIPC, err := runIPC(fixed, tasks)
 		if err != nil {
@@ -84,7 +80,7 @@ func Ablations(opts Options) ([]AblationRow, error) {
 	unroll := AblationRow{Name: "unroll 4 vs 1 (IPCp)"}
 	single := sim.Config{
 		Machine: opts.Machine, Contexts: 1, PerfectMemory: true,
-		TimesliceCycles: opts.Timeslice, InstrLimit: opts.InstrLimit, Seed: opts.Seed,
+		TimesliceCycles: sim.ScaledTimeslice(opts.InstrLimit), InstrLimit: opts.InstrLimit, Seed: opts.Seed,
 	}
 	for _, b := range workload.Benchmarks() {
 		var ipc [2]float64

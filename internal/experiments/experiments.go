@@ -19,6 +19,7 @@ import (
 	"vliwmt/internal/cost"
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
+	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
 	"vliwmt/internal/workload"
 )
@@ -30,11 +31,12 @@ type Options struct {
 	DCache  cache.Config
 	// InstrLimit is the per-thread instruction budget (the paper runs
 	// 100M; scaled-down runs converge long before that because the
-	// kernels are loops).
+	// kernels are loops). The OS quantum keeps the paper's proportion,
+	// sim.ScaledTimeslice of the budget: Fig4's single-context
+	// configuration must rotate through all four threads many times per
+	// run, exactly as the paper's multitasking setup does.
 	InstrLimit int64
-	// Timeslice is the OS scheduling quantum in cycles.
-	Timeslice int64
-	Seed      uint64
+	Seed       uint64
 	// Workers bounds the sweep-engine worker pool; 0 selects
 	// runtime.NumCPU(). Results are identical at any worker count.
 	Workers int
@@ -43,32 +45,20 @@ type Options struct {
 }
 
 // DefaultOptions returns the paper's machine with a 300k-instruction
-// budget (adequate for stable IPC on the synthetic kernels). The OS
-// quantum keeps the paper's proportions: the paper slices 1M cycles
-// against a 100M-instruction budget, so scaled-down runs slice
-// InstrLimit/100 cycles (Fig4's single-context configuration must rotate
-// through all four threads many times per run, exactly as the paper's
-// multitasking setup does).
+// budget (adequate for stable IPC on the synthetic kernels).
 func DefaultOptions() Options {
-	o := Options{
+	return Options{
 		Machine:    isa.Default(),
 		ICache:     cache.DefaultConfig(),
 		DCache:     cache.DefaultConfig(),
 		InstrLimit: 300_000,
 		Seed:       1,
 	}
-	o.Timeslice = o.InstrLimit / 100
-	return o
 }
 
-// Scale adjusts the instruction budget, keeping the timeslice proportional
-// (1% of the budget, as in the paper).
+// Scale adjusts the instruction budget.
 func (o Options) Scale(instrLimit int64) Options {
 	o.InstrLimit = instrLimit
-	o.Timeslice = instrLimit / 100
-	if o.Timeslice < 1000 {
-		o.Timeslice = 1000
-	}
 	return o
 }
 
@@ -96,7 +86,7 @@ func (o Options) job(label, scheme string, contexts int, perfect bool, benches .
 		DCache:          o.DCache,
 		PerfectMemory:   perfect,
 		InstrLimit:      o.InstrLimit,
-		TimesliceCycles: o.Timeslice,
+		TimesliceCycles: sim.ScaledTimeslice(o.InstrLimit),
 		Seed:            o.Seed,
 	}
 }

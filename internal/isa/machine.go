@@ -10,10 +10,7 @@
 // have a latency of two cycles; everything else completes in one.
 package isa
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // MaxClusters is the maximum number of clusters supported by the fixed-size
 // occupancy summaries. Eight clusters is double the paper's largest
@@ -22,6 +19,17 @@ const MaxClusters = 8
 
 // MaxIssueWidth is the maximum number of issue slots per cluster.
 const MaxIssueWidth = 8
+
+// MaxLatency bounds each operation latency: the compiler keeps a
+// schedule row per cycle of latency (about 4.6 KB per cycle for mcf),
+// so an unbounded latency is an unbounded allocation. Real latencies
+// are a few cycles (1–2 here).
+const MaxLatency = 256
+
+// MaxBranchPenalty bounds the taken-branch squash, which the cycle loop
+// adds to a cycle; 2^20 keeps that sum far from overflow and far beyond
+// any pipeline (the paper's penalty is 2).
+const MaxBranchPenalty = 1 << 20
 
 // Machine describes a clustered VLIW processor configuration. Its json
 // tags are the wire and store form of a machine.
@@ -88,10 +96,11 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("isa: memory units per cluster must be in [0,%d], got %d", m.IssueWidth, m.MemUnits)
 	case m.BranchClusters < 0 || m.BranchClusters > m.Clusters:
 		return fmt.Errorf("isa: branch clusters must be in [0,%d], got %d", m.Clusters, m.BranchClusters)
-	case m.LatencyALU < 1 || m.LatencyMul < 1 || m.LatencyMem < 1 || m.LatencyCopy < 1:
-		return errors.New("isa: operation latencies must be at least one cycle")
-	case m.BranchPenalty < 0:
-		return errors.New("isa: branch penalty must be non-negative")
+	case min(m.LatencyALU, m.LatencyMul, m.LatencyMem, m.LatencyCopy) < 1,
+		max(m.LatencyALU, m.LatencyMul, m.LatencyMem, m.LatencyCopy) > MaxLatency:
+		return fmt.Errorf("isa: operation latencies must be in [1,%d] cycles", MaxLatency)
+	case m.BranchPenalty < 0 || m.BranchPenalty > MaxBranchPenalty:
+		return fmt.Errorf("isa: branch penalty must be in [0,%d], got %d", MaxBranchPenalty, m.BranchPenalty)
 	}
 	return nil
 }

@@ -10,6 +10,12 @@ func TestDefaultMachineValid(t *testing.T) {
 	if got := m.TotalIssueWidth(); got != 16 {
 		t.Errorf("TotalIssueWidth = %d, want 16", got)
 	}
+	// Each upper bound is itself valid.
+	m.LatencyALU, m.LatencyMul, m.LatencyMem, m.LatencyCopy = MaxLatency, MaxLatency, MaxLatency, MaxLatency
+	m.BranchPenalty = MaxBranchPenalty
+	if err := m.Validate(); err != nil {
+		t.Errorf("Validate rejected the upper bounds: %v", err)
+	}
 }
 
 func TestMachineValidateRejects(t *testing.T) {
@@ -32,6 +38,11 @@ func TestMachineValidateRejects(t *testing.T) {
 		{"zero mem latency", func(m *Machine) { m.LatencyMem = 0 }},
 		{"zero copy latency", func(m *Machine) { m.LatencyCopy = 0 }},
 		{"negative branch penalty", func(m *Machine) { m.BranchPenalty = -1 }},
+		{"alu latency too large", func(m *Machine) { m.LatencyALU = MaxLatency + 1 }},
+		{"mul latency too large", func(m *Machine) { m.LatencyMul = MaxLatency + 1 }},
+		{"mem latency too large", func(m *Machine) { m.LatencyMem = 10_000_000 }},
+		{"copy latency too large", func(m *Machine) { m.LatencyCopy = MaxLatency + 1 }},
+		{"branch penalty too large", func(m *Machine) { m.BranchPenalty = MaxBranchPenalty + 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

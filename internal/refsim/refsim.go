@@ -2,7 +2,10 @@
 // per-cycle loop of internal/sim, kept verbatim in spirit — one full
 // iteration per cycle with no stall fast-forward, selection through the
 // recursive merge-tree walk (Scheme.ReferenceSelector) instead of the
-// compiled evaluator, and no hot-path shortcuts.
+// compiled evaluator, and no hot-path shortcuts. It shares sim's run
+// set-up (sim.Prepare: defaults, validation, walker seeds, the OS
+// random source) and nothing else: its loop, its selector and its
+// per-thread state are its own.
 //
 // It exists so the optimized sim.Run can be proven bit-identical: the
 // differential tests in internal/sim run both loops across the full
@@ -15,9 +18,7 @@ package refsim
 import (
 	"fmt"
 
-	"vliwmt/internal/cache"
 	"vliwmt/internal/isa"
-	"vliwmt/internal/merge"
 	"vliwmt/internal/program"
 	"vliwmt/internal/sim"
 )
@@ -30,87 +31,27 @@ type taskState struct {
 	stats   sim.ThreadStats
 }
 
-// xorshift64 for OS scheduling decisions; must match sim exactly.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	x := r.s
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.s = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // Run simulates tasks on the configured processor with the naive loop.
-// It accepts exactly the configurations sim.Run accepts and must return
-// exactly the Result sim.Run returns.
+// Its set-up is sim.Prepare, so it accepts exactly the configurations
+// sim.Run accepts, and it must return exactly the Result sim.Run
+// returns.
 func Run(cfg sim.Config, tasks []sim.Task) (*sim.Result, error) {
-	if err := cfg.Machine.Validate(); err != nil {
+	s, err := sim.Prepare(cfg, tasks)
+	if err != nil {
 		return nil, err
 	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("refsim: no tasks")
+	cfg = s.Config
+	sel, err := s.Scheme.ReferenceSelector(cfg.Contexts)
+	if err != nil {
+		return nil, fmt.Errorf("refsim: %w", err)
 	}
-	if cfg.Contexts < 1 {
-		return nil, fmt.Errorf("refsim: %d contexts", cfg.Contexts)
-	}
-	if cfg.InstrLimit < 1 {
-		return nil, fmt.Errorf("refsim: instruction limit %d", cfg.InstrLimit)
-	}
-	if cfg.TimesliceCycles <= 0 {
-		cfg.TimesliceCycles = 1_000_000
-	}
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 400 * cfg.InstrLimit
-	}
-	var sel merge.Selector
-	var err error
-	if cfg.Contexts == 1 {
-		sel = &merge.IMT{NumPorts: 1} // trivial single-thread issue
-	} else {
-		var sch merge.Scheme
-		if sch, err = cfg.MergeScheme(); err != nil {
-			return nil, fmt.Errorf("refsim: %w", err)
-		}
-		if sel, err = sch.ReferenceSelector(cfg.Contexts); err != nil {
-			return nil, fmt.Errorf("refsim: %w", err)
-		}
-		if sel.Ports() != cfg.Contexts {
-			return nil, fmt.Errorf("refsim: scheme %s has %d ports, machine has %d contexts", sch.Name(), sel.Ports(), cfg.Contexts)
-		}
-	}
-	var ic, dc *cache.Cache
-	if !cfg.PerfectMemory {
-		if ic, err = cache.New(cfg.ICache); err != nil {
-			return nil, fmt.Errorf("refsim: icache: %w", err)
-		}
-		if dc, err = cache.New(cfg.DCache); err != nil {
-			return nil, fmt.Errorf("refsim: dcache: %w", err)
-		}
-	}
+	ic, dc := s.Caches()
+	osRng := s.OS
 
 	m := cfg.Machine
 	states := make([]*taskState, len(tasks))
 	for i, t := range tasks {
-		if t.Prog == nil {
-			return nil, fmt.Errorf("refsim: task %d (%s) has no program", i, t.Name)
-		}
-		if err := t.Prog.Validate(&m); err != nil {
-			return nil, fmt.Errorf("refsim: task %s: %w", t.Name, err)
-		}
-		seed := cfg.Seed*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
-		states[i] = &taskState{
-			walker: program.NewWalker(t.Prog, seed, uint64(i+1)<<32, uint64(i+1)<<33),
-			stats:  sim.ThreadStats{Name: t.Name},
-		}
-	}
-
-	osRng := rng{s: cfg.Seed ^ 0xd1b54a32d192ed03}
-	if osRng.s == 0 {
-		osRng.s = 1
+		states[i] = &taskState{walker: s.Walker(i), stats: sim.ThreadStats{Name: t.Name}}
 	}
 
 	// running maps hardware contexts to task indices (-1 = idle).
@@ -132,7 +73,7 @@ func Run(cfg sim.Config, tasks []sim.Task) (*sim.Result, error) {
 			running[c] = -1
 		}
 		for c := 0; c < cfg.Contexts && len(pool) > 0; c++ {
-			k := osRng.intn(len(pool))
+			k := osRng.Intn(len(pool))
 			running[c] = pool[k]
 			pool = append(pool[:k], pool[k+1:]...)
 		}

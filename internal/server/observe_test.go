@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -278,10 +279,19 @@ func TestJobErrorsSurfaced(t *testing.T) {
 	// the terminal event). Sized well above the simulator's current
 	// throughput without bloating the race-detector run.
 	good.InstrLimit = 1_500_000
-	bad.Machine.MemUnits = 0
 	req := api.SweepRequest{Jobs: []sweep.Job{good, bad}, Workers: 1}
+	// Submit rejects a job that fails Job.Validate, so a job error can
+	// only arise in the executor. This one runs the second job on a
+	// machine without memory units, which its kernels cannot compile for.
+	exec := func(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error) {
+		jobs = slices.Clone(jobs)
+		jobs[1].Machine.MemUnits = 0
+		e := sweep.New(workers)
+		e.SetProgress(progress)
+		return e.Run(ctx, jobs)
+	}
 
-	_, ts := newTestServer(t, Options{})
+	_, ts := newTestServer(t, Options{Execute: exec})
 	st := submit(t, ts, req)
 	dones, errStrings, state, err := streamEvents(context.Background(), ts, st.ID, 0)
 	if err != nil {

@@ -432,7 +432,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // with the same defaulting as in-process Grid.Jobs), explicit jobs, or
 // both — starts it and answers 202 with the run ID. The sweep context
 // descends from the server's, so Close cancels every run; the client
-// cancels one with DELETE.
+// cancels one with DELETE. Every job must pass Job.Validate on the
+// server's compile cache first, so a job whose kernels do not compile
+// for its machine is a 400, not a failed job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, 32<<20))
 	if err != nil {
@@ -445,7 +447,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, j := range jobs {
-		if err := j.Validate(); err != nil {
+		if err := j.Validate(s.cache); err != nil {
 			httpError(w, http.StatusBadRequest, "job %d: %v", i, err)
 			return
 		}

@@ -48,9 +48,8 @@ func genTasks(t testing.TB, m isa.Machine, members [4]string) []sim.Task {
 }
 
 // TestGenerativeConformance sweeps random generated 4-thread mixes
-// through the full scheme x memory-model matrix two ways — one
-// sim.RunBatch over all configurations, and refsim.Run per
-// configuration — and requires them to agree exactly lane by lane.
+// through the full scheme x memory-model matrix with sim.Run and
+// refsim.Run, and requires them to agree exactly config by config.
 // The full run covers 56 random
 // profiles (14 mixes x 4 members), satisfying the >=50-profile
 // acceptance bar; -short keeps a 16-profile smoke.
@@ -80,8 +79,8 @@ func TestGenerativeConformance(t *testing.T) {
 		profiles += len(mix.Members)
 		simSeed := rng.Uint64()
 
-		// The full scheme x memory matrix as batch lanes on one task
-		// list: scheme, contexts and memory model vary per lane.
+		// The full scheme x memory matrix on one task list: scheme,
+		// contexts and memory model vary per config.
 		var cfgs []sim.Config
 		var labels []string
 		for _, scheme := range schemes {
@@ -99,21 +98,18 @@ func TestGenerativeConformance(t *testing.T) {
 		}
 
 		t.Run(fmt.Sprintf("%02d_%s", iter, mixName), func(t *testing.T) {
-			batched, err := sim.RunBatch(cfgs, tasks)
-			if err != nil {
-				t.Fatalf("RunBatch: %v", err)
-			}
-			if len(batched) != len(cfgs) {
-				t.Fatalf("RunBatch returned %d lanes for %d configs", len(batched), len(cfgs))
-			}
-			for lane, cfg := range cfgs {
+			for i, cfg := range cfgs {
+				fast, err := sim.Run(cfg, tasks)
+				if err != nil {
+					t.Fatalf("%s: sim.Run: %v", labels[i], err)
+				}
 				ref, err := refsim.Run(cfg, tasks)
 				if err != nil {
-					t.Fatalf("%s: refsim.Run: %v", labels[lane], err)
+					t.Fatalf("%s: refsim.Run: %v", labels[i], err)
 				}
-				if !reflect.DeepEqual(batched[lane], ref) {
-					t.Fatalf("%s: RunBatch lane %d diverges from refsim:\n batched: %+v\n reference: %+v",
-						labels[lane], lane, batched[lane], ref)
+				if !reflect.DeepEqual(fast, ref) {
+					t.Fatalf("%s: sim.Run diverges from refsim:\n optimized: %+v\n reference: %+v",
+						labels[i], fast, ref)
 				}
 			}
 		})

@@ -1,8 +1,9 @@
 // The cycle loop: Run advances one job through its cycles, one
-// iteration of refsim's cycle loop per step. The job's compiled
-// programs are flattened once into program.Plan tables, and the job
-// keeps its own selector, caches, walkers and OS scheduler. The
-// differential tests in batch_test.go, diff_test.go and
+// iteration of refsim's cycle loop per step. Prepare (sim.go) builds
+// the run's set-up, the step refsim shares; the job's compiled
+// programs are then flattened once into program.Plan tables, and the
+// job keeps its own compiled selector and per-thread state. The
+// differential tests in diff_test.go, burst_test.go and
 // conformance_test.go enforce bit-identity against refsim.
 //
 // Scheduling: the lane carries a wake cycle. An active lane wakes at
@@ -59,7 +60,7 @@ type lane struct {
 	// indices (-1 = idle); pool holds descheduled tasks not yet done.
 	running []int
 	pool    []int
-	osRng   rng
+	osRng   OSRand
 	slicing bool
 	nCtx    int
 	// nextSlice is the next timeslice boundary. The stall fast-forward
@@ -101,17 +102,22 @@ type lane struct {
 // any simulation work. The naive loop in internal/refsim is the oracle
 // Run must match bit for bit.
 func Run(cfg Config, tasks []Task) (*Result, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("sim: no tasks")
+	s, err := Prepare(cfg, tasks)
+	if err != nil {
+		return nil, err
+	}
+	cfg = s.Config
+	// Prepare built the scheme's reference selector, so this is a
+	// guard, not a path.
+	sel, err := s.Scheme.Selector(cfg.Contexts)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	nt := len(tasks)
 	plans := make([]*program.Plan, nt)
 	plis := make([][]program.PlannedInstr, nt)
 	totalOccs := 0
 	for i, t := range tasks {
-		if t.Prog == nil {
-			return nil, fmt.Errorf("sim: task %d (%s) has no program", i, t.Name)
-		}
 		plans[i] = program.NewPlan(t.Prog)
 		// Bake the per-task constants into the fresh plan's records: the
 		// fetch address gets the task's code-segment offset (matching
@@ -126,28 +132,7 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		plis[i] = instrs
 		totalOccs += plans[i].NumOccs
 	}
-
-	sel, err := cfg.selector()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.TimesliceCycles <= 0 {
-		cfg.TimesliceCycles = 1_000_000
-	}
-	if cfg.MaxCycles <= 0 {
-		cfg.MaxCycles = 400 * cfg.InstrLimit
-	}
-	var ic, dc *cache.Cache
-	if !cfg.PerfectMemory {
-		// Validate checked both geometries, so New cannot fail here.
-		ic, _ = cache.New(cfg.ICache)
-		dc, _ = cache.New(cfg.DCache)
-	}
-	for _, t := range tasks {
-		if err := t.Prog.Validate(&cfg.Machine); err != nil {
-			return nil, fmt.Errorf("sim: task %s: %w", t.Name, err)
-		}
-	}
+	ic, dc := s.Caches()
 	// Every valid machine packs; the error is a guard, not a path.
 	plim, ok := merge.PackLimits(&cfg.Machine)
 	if !ok {
@@ -185,7 +170,7 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		stats:     make([]ThreadStats, nt),
 		running:   make([]int, cfg.Contexts),
 		pool:      make([]int, 0, nt),
-		osRng:     rng{s: osSeed(&cfg)},
+		osRng:     s.OS,
 		slicing:   nt > cfg.Contexts,
 		nCtx:      cfg.Contexts,
 		nextSlice: cfg.TimesliceCycles,
@@ -204,7 +189,7 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		l.rotMask = int64(cfg.Contexts - 1)
 	}
 	for i, t := range tasks {
-		l.walkers[i] = newTaskWalker(&cfg, i, t)
+		l.walkers[i] = s.Walker(i)
 		l.stats[i].Name = t.Name
 		l.pool = append(l.pool, i)
 	}
@@ -274,7 +259,7 @@ func (l *lane) schedule() {
 		l.running[ctx] = -1
 	}
 	for ctx := 0; ctx < l.cfg.Contexts && len(l.pool) > 0; ctx++ {
-		k := l.osRng.intn(len(l.pool))
+		k := l.osRng.Intn(len(l.pool))
 		l.running[ctx] = l.pool[k]
 		l.pool = append(l.pool[:k], l.pool[k+1:]...)
 	}

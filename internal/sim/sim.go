@@ -49,7 +49,8 @@ type Config struct {
 	// TimesliceCycles is the OS scheduling quantum (default 1,000,000).
 	TimesliceCycles int64
 	// InstrLimit ends the run when any thread retires this many VLIW
-	// instructions (the paper uses 100M; tests use much less).
+	// instructions (the paper uses 100M; tests use much less). It is at
+	// most MaxInstrLimit, so the default MaxCycles cannot overflow.
 	InstrLimit int64
 	// MaxCycles is a safety bound (default 400 * InstrLimit).
 	MaxCycles int64
@@ -69,7 +70,7 @@ func DefaultConfig() Config {
 		DCache:          cache.DefaultConfig(),
 		Contexts:        4,
 		Scheme:          "3SSS",
-		TimesliceCycles: 1_000_000,
+		TimesliceCycles: defaultTimeslice,
 		InstrLimit:      1_000_000,
 		Seed:            1,
 	}
@@ -168,28 +169,31 @@ func (r *Result) Utilisation() float64 {
 	return float64(r.Ops) / float64(slots)
 }
 
-// xorshift64 for OS scheduling decisions.
-type rng struct{ s uint64 }
+// MaxInstrLimit is the largest instruction budget a run accepts. Its
+// default cycle bound, 400 × InstrLimit, stays below 2^62, so no cycle
+// count a run derives from it overflows an int64.
+const MaxInstrLimit = (1 << 62) / 400
 
-func (r *rng) next() uint64 {
-	x := r.s
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.s = x
-	return x * 0x2545f4914f6cdd1d
+// defaultTimeslice is the paper's OS quantum, the TimesliceCycles an
+// unset config runs with.
+const defaultTimeslice = 1_000_000
+
+// ScaledTimeslice is the OS quantum of a scaled-down run with the given
+// per-thread budget. The paper slices 1M cycles against a 100M
+// instruction budget, so a scaled run slices 1% of its budget, and at
+// least 1,000 cycles.
+func ScaledTimeslice(instrLimit int64) int64 {
+	return max(instrLimit/100, 1000)
 }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // Validate reports whether cfg describes a processor Run can simulate:
-// a valid machine, at least one context, a positive instruction
-// budget, valid cache geometries (unless PerfectMemory is set) and, for
-// more than one context, a merge scheme that resolves to exactly
-// Contexts ports. Run rejects an invalid config with the same error,
-// before any simulation work.
+// a valid machine, at least one context, an instruction budget in
+// [1, MaxInstrLimit], valid cache geometries (unless PerfectMemory is set)
+// and, for more than one context, a merge scheme that resolves to
+// exactly Contexts ports. Run rejects an invalid config with the same
+// error, before any simulation work.
 func (cfg Config) Validate() error {
-	_, err := cfg.selector()
+	_, err := cfg.scheme()
 	return err
 }
 
@@ -203,56 +207,118 @@ func (cfg Config) MergeScheme() (merge.Scheme, error) {
 	return merge.Resolve(cfg.Scheme)
 }
 
-// selector applies the Validate rules and returns the merge selector
-// they resolved, so run set-up builds it once.
-func (cfg *Config) selector() (*merge.Compiled, error) {
+// scheme applies the Validate rules and returns the merge control the
+// run builds its selector from.
+func (cfg *Config) scheme() (merge.Scheme, error) {
 	if err := cfg.Machine.Validate(); err != nil {
-		return nil, err
+		return merge.Scheme{}, err
 	}
-	if cfg.Contexts < 1 {
-		return nil, fmt.Errorf("sim: %d contexts", cfg.Contexts)
-	}
-	if cfg.InstrLimit < 1 {
-		return nil, fmt.Errorf("sim: instruction limit %d", cfg.InstrLimit)
+	switch {
+	case cfg.Contexts < 1:
+		return merge.Scheme{}, fmt.Errorf("sim: %d contexts", cfg.Contexts)
+	case cfg.InstrLimit < 1:
+		return merge.Scheme{}, fmt.Errorf("sim: instruction limit %d", cfg.InstrLimit)
+	case cfg.InstrLimit > MaxInstrLimit:
+		return merge.Scheme{}, fmt.Errorf("sim: instruction limit %d exceeds MaxInstrLimit (%d), beyond which the default cycle bound of 400 × the limit overflows", cfg.InstrLimit, MaxInstrLimit)
 	}
 	if !cfg.PerfectMemory {
 		if err := cfg.ICache.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: icache: %w", err)
+			return merge.Scheme{}, fmt.Errorf("sim: icache: %w", err)
 		}
 		if err := cfg.DCache.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: dcache: %w", err)
+			return merge.Scheme{}, fmt.Errorf("sim: dcache: %w", err)
 		}
 	}
 	if cfg.Contexts == 1 {
-		return merge.NewSelector("IMT", 1) // trivial single-thread issue
+		return merge.Resolve("IMT") // trivial single-thread issue
 	}
 	sch, err := cfg.MergeScheme()
+	if err == nil {
+		// Checks the scheme's ports against the contexts, uncompiled.
+		_, err = sch.ReferenceSelector(cfg.Contexts)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+		return merge.Scheme{}, fmt.Errorf("sim: %w", err)
 	}
-	sel, err := sch.Selector(cfg.Contexts)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if sel.Ports() != cfg.Contexts {
-		return nil, fmt.Errorf("sim: scheme %s has %d ports, machine has %d contexts", sch.Name(), sel.Ports(), cfg.Contexts)
-	}
-	return sel, nil
+	return sch, nil
 }
 
-// newTaskWalker builds task i's walker: the seed derivation and the
-// per-task code/data relocation are part of the determinism contract
-// and must match refsim's.
-func newTaskWalker(cfg *Config, i int, t Task) *program.Walker {
-	seed := cfg.Seed*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
-	return program.NewWalker(t.Prog, seed, uint64(i+1)<<32, uint64(i+1)<<33)
+// Setup is a validated run, ready for a cycle loop. Prepare is the one
+// set-up step Run and the refsim oracle share, so the multitasking
+// model's rules have one home; each loop keeps its own cycle loop,
+// selector (built from Scheme) and per-thread state.
+type Setup struct {
+	// Config is the run's config with its defaults applied: a
+	// TimesliceCycles of 1,000,000 and a MaxCycles of 400 × InstrLimit
+	// when unset.
+	Config Config
+	// Scheme is the merge control: the config's resolved scheme, or IMT
+	// on one port for one context.
+	Scheme merge.Scheme
+	// OS draws the OS scheduler's replacement threads.
+	OS    OSRand
+	tasks []Task
 }
 
-// osSeed derives the OS-scheduling RNG state from the run seed.
-func osSeed(cfg *Config) uint64 {
-	s := cfg.Seed ^ 0xd1b54a32d192ed03
-	if s == 0 {
-		s = 1
+// Prepare validates cfg (see Validate) and tasks, and returns the run's
+// set-up. Every task needs a program that fits the machine.
+func Prepare(cfg Config, tasks []Task) (*Setup, error) {
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("sim: no tasks")
 	}
-	return s
+	sch, err := cfg.scheme()
+	if err != nil {
+		return nil, err
+	}
+	for i, t := range tasks {
+		if t.Prog == nil {
+			return nil, fmt.Errorf("sim: task %d (%s) has no program", i, t.Name)
+		}
+		if err := t.Prog.Validate(&cfg.Machine); err != nil {
+			return nil, fmt.Errorf("sim: task %s: %w", t.Name, err)
+		}
+	}
+	if cfg.TimesliceCycles <= 0 {
+		cfg.TimesliceCycles = defaultTimeslice
+	}
+	if cfg.MaxCycles <= 0 {
+		cfg.MaxCycles = 400 * cfg.InstrLimit
+	}
+	s := &Setup{Config: cfg, Scheme: sch, OS: OSRand{cfg.Seed ^ 0xd1b54a32d192ed03}, tasks: tasks}
+	if s.OS.s == 0 {
+		s.OS.s = 1
+	}
+	return s, nil
+}
+
+// Caches returns the run's fresh caches, both nil under PerfectMemory.
+func (s *Setup) Caches() (ic, dc *cache.Cache) {
+	if !s.Config.PerfectMemory {
+		// Prepare checked both geometries, so New cannot fail here.
+		ic, _ = cache.New(s.Config.ICache)
+		dc, _ = cache.New(s.Config.DCache)
+	}
+	return ic, dc
+}
+
+// Walker returns a fresh walker over task i's program, with a seed and
+// a code and data relocation derived from the run seed and i.
+func (s *Setup) Walker(i int) *program.Walker {
+	seed := s.Config.Seed*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
+	return program.NewWalker(s.tasks[i].Prog, seed, uint64(i+1)<<32, uint64(i+1)<<33)
+}
+
+// OSRand is the OS scheduler's random source, an xorshift64* generator.
+// Its draws pick replacement threads, so its sequence is part of the
+// determinism contract.
+type OSRand struct{ s uint64 }
+
+// Intn returns the next draw in [0, n).
+func (r *OSRand) Intn(n int) int {
+	x := r.s
+	x ^= x >> 12
+	x ^= x << 25
+	x ^= x >> 27
+	r.s = x
+	return int(x * 0x2545f4914f6cdd1d % uint64(n))
 }

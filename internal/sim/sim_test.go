@@ -351,6 +351,7 @@ func TestRunValidation(t *testing.T) {
 		{"bad scheme", testConfig(4, "XYZ"), []Task{good, good, good, good}},
 		{"port mismatch", testConfig(4, "1S"), []Task{good, good, good, good}},
 		{"zero instr limit", func() Config { c := testConfig(1, ""); c.InstrLimit = 0; return c }(), []Task{good}},
+		{"instr limit overflows the cycle bound", func() Config { c := testConfig(1, ""); c.InstrLimit = MaxInstrLimit + 1; return c }(), []Task{good}},
 		{"nil program", testConfig(1, ""), []Task{{Name: "nil"}}},
 		{"bad machine", func() Config { c := testConfig(1, ""); c.Machine.Clusters = 0; return c }(), []Task{good}},
 		{"bad icache", func() Config {
@@ -364,6 +365,16 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(tc.cfg, tc.ts); err == nil {
 			t.Errorf("%s: Run succeeded", tc.name)
 		}
+	}
+	// The bound itself is valid, and its default cycle bound fits.
+	cfg := testConfig(1, "")
+	cfg.InstrLimit = MaxInstrLimit
+	s, err := Prepare(cfg, []Task{good})
+	if err != nil {
+		t.Fatalf("Prepare rejected MaxInstrLimit: %v", err)
+	}
+	if s.Config.MaxCycles != 400*MaxInstrLimit || s.Config.MaxCycles <= 0 {
+		t.Errorf("default MaxCycles = %d, want 400 × MaxInstrLimit", s.Config.MaxCycles)
 	}
 }
 

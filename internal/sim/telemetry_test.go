@@ -66,39 +66,3 @@ func TestRunTelemetry(t *testing.T) {
 		t.Errorf("sim_merges_total moved by %d, want %d per the merge histogram", d, merges)
 	}
 }
-
-// TestBatchTelemetry checks that RunBatch, a loop over Run, flushes
-// the per-run instruments once per config: sim_runs_total moves by the
-// config count and sim_cycles_total by the summed cycles.
-func TestBatchTelemetry(t *testing.T) {
-	m := isa.Default()
-	tasks := diffTasks(t, m)[:4]
-	cfgs := make([]sim.Config, 5)
-	for i := range cfgs {
-		cfg := sim.DefaultConfig()
-		cfg.Scheme = []string{"2SC3", "3SSS"}[i%2]
-		cfg.InstrLimit = int64(300 + 150*i)
-		cfg.Seed = uint64(i + 1)
-		cfg.DCache = cache.Config{Size: 2 << 10, LineSize: 64, Ways: 2, MissPenalty: 10_000}
-		cfgs[i] = cfg
-	}
-
-	before := telemetry.Default().Snapshot()
-	ress, err := sim.RunBatch(cfgs, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := telemetry.Default().Snapshot()
-	delta := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
-
-	if d := delta("sim_runs_total"); d != int64(len(cfgs)) {
-		t.Errorf("sim_runs_total moved by %d, want one per config (%d)", d, len(cfgs))
-	}
-	var cycles int64
-	for _, r := range ress {
-		cycles += r.Cycles
-	}
-	if d := delta("sim_cycles_total"); d != cycles {
-		t.Errorf("sim_cycles_total moved by %d, want the summed %d", d, cycles)
-	}
-}

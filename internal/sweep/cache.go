@@ -1,11 +1,13 @@
 package sweep
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"vliwmt/internal/isa"
 	"vliwmt/internal/program"
+	"vliwmt/internal/sim"
 	"vliwmt/internal/workload"
 )
 
@@ -79,6 +81,21 @@ func (c *CompileCache) Get(bench string, m isa.Machine) (*program.Program, error
 		e.prog, e.err = b.Compile(m)
 	})
 	return e.prog, e.err
+}
+
+// Tasks compiles the named benchmarks for machine m through the cache
+// and returns them, in order, as the simulator's software threads. It
+// is the one path from a benchmark list to []sim.Task.
+func (c *CompileCache) Tasks(benches []string, m isa.Machine) ([]sim.Task, error) {
+	tasks := make([]sim.Task, len(benches))
+	for i, name := range benches {
+		p, err := c.Get(name, m)
+		if err != nil {
+			return nil, fmt.Errorf("compile %s: %w", name, err)
+		}
+		tasks[i] = sim.Task{Name: name, Prog: p}
+	}
+	return tasks, nil
 }
 
 // Stats reports how many compilations the cache performed and how many

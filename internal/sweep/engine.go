@@ -199,10 +199,9 @@ type sweepState struct {
 }
 
 // runJob processes one job: a store probe (a hit skips the rest),
-// validation, compilation through the shared cache, one sim.Run and
-// the store write-back, then the completion tail. Job.Validate applies
-// sim.Config.Validate, so a job that validates is never rejected by
-// sim.Run.
+// validation and compilation through the engine's cache (Job.Validate's
+// steps, so a job that validates is never rejected by sim.Run), one
+// sim.Run and the store write-back, then the completion tail.
 func (e *Engine) runJob(st *sweepState, i int) {
 	//vliwvet:allow detpure job wall time feeds the duration histogram only
 	start := time.Now()
@@ -216,11 +215,7 @@ func (e *Engine) runJob(st *sweepState, i int) {
 			return
 		}
 	}
-	if err := j.Validate(); err != nil {
-		r.Err = err
-		return
-	}
-	tasks, err := e.compileTasks(j)
+	tasks, err := j.tasks(e.cache)
 	if err != nil {
 		r.Err = err
 		return
@@ -266,17 +261,4 @@ func (e *Engine) finishJob(st *sweepState, i int, took time.Duration) {
 		e.progress(st.done, len(st.jobs), st.results[i])
 		st.mu.Unlock()
 	}
-}
-
-// compileTasks compiles the job's benchmarks through the shared cache.
-func (e *Engine) compileTasks(j Job) ([]sim.Task, error) {
-	tasks := make([]sim.Task, 0, len(j.Benchmarks))
-	for _, name := range j.Benchmarks {
-		p, err := e.cache.Get(name, j.Machine)
-		if err != nil {
-			return nil, fmt.Errorf("compile %s: %w", name, err)
-		}
-		tasks = append(tasks, sim.Task{Name: name, Prog: p})
-	}
-	return tasks, nil
 }

@@ -6,6 +6,7 @@ import (
 	"vliwmt/internal/cache"
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
+	"vliwmt/internal/sim"
 	"vliwmt/internal/workload"
 )
 
@@ -34,8 +35,8 @@ type Grid struct {
 	// InstrLimit is the per-thread budget (zero: 300k, the scaled-down
 	// default that converges on the synthetic kernels).
 	InstrLimit int64 `json:"instr_limit,omitempty"`
-	// TimesliceCycles is the OS quantum (zero: InstrLimit/100, floored
-	// at 1000, the paper's proportion).
+	// TimesliceCycles is the OS quantum (zero: sim.ScaledTimeslice of
+	// the budget, the paper's proportion).
 	TimesliceCycles int64 `json:"timeslice_cycles,omitempty"`
 	// Seed seeds the sweep. Each job derives its own seed from it and
 	// the job index (splitmix64), so results are deterministic at any
@@ -109,10 +110,7 @@ func (g Grid) Jobs() ([]Job, error) {
 	}
 	slice := g.TimesliceCycles
 	if slice <= 0 {
-		slice = instr / 100
-		if slice < 1000 {
-			slice = 1000
-		}
+		slice = sim.ScaledTimeslice(instr)
 	}
 	base := g.Seed
 	if base == 0 {

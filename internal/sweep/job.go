@@ -135,27 +135,40 @@ func (j Job) config() sim.Config {
 
 // Validate rejects jobs the engine cannot run, up front and with a
 // descriptive error instead of a failure deep inside the simulator:
-// unknown benchmarks, unresolvable merge scheme names, and every
-// config defect sim.Config.Validate reports (invalid machine or cache
-// geometry, non-positive instruction budget, scheme/context mismatch),
-// with the simulator's own message. A job that validates is never
-// rejected by sim.Run.
-func (j Job) Validate() error {
+// unknown benchmarks, unresolvable merge scheme names, every config
+// defect sim.Config.Validate reports (invalid machine or cache
+// geometry, an instruction budget outside [1, sim.MaxInstrLimit],
+// scheme/context mismatch) with the simulator's own message, and
+// kernels that do not compile for the machine. It compiles through cc,
+// the cache the job runs on, so the engine's later lookups are hits.
+// A job that validates is never rejected by sim.Run.
+func (j Job) Validate(cc *CompileCache) error {
+	_, err := j.tasks(cc)
+	return err
+}
+
+// tasks applies the Validate rules and returns the job's compiled
+// tasks, compiling only once the config is valid.
+func (j Job) tasks(cc *CompileCache) ([]sim.Task, error) {
 	if len(j.Benchmarks) == 0 {
-		return fmt.Errorf("sweep: job %s has no benchmarks", j.Describe())
+		return nil, fmt.Errorf("sweep: job %s has no benchmarks", j.Describe())
 	}
 	for _, name := range j.Benchmarks {
 		if _, err := workload.ByName(name); err != nil {
-			return fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
+			return nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 		}
 	}
 	if _, err := j.MergeScheme(); err != nil {
-		return fmt.Errorf("sweep: job %s: scheme %q: %w", j.Describe(), j.Scheme, err)
+		return nil, fmt.Errorf("sweep: job %s: scheme %q: %w", j.Describe(), j.Scheme, err)
 	}
 	if err := j.config().Validate(); err != nil {
-		return fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
+		return nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 	}
-	return nil
+	tasks, err := cc.Tasks(j.Benchmarks, j.Machine)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
+	}
+	return tasks, nil
 }
 
 // Result is one job's outcome, delivered at the job's submission index.

@@ -298,10 +298,11 @@ func TestJobErrorsCollected(t *testing.T) {
 // with a descriptive error instead of failing deep in the simulator.
 func TestJobValidateScheme(t *testing.T) {
 	base := Job{Benchmarks: []string{"mcf"}, Machine: isa.Default(), PerfectMemory: true, InstrLimit: 1000}
+	cc := NewCompileCache()
 
 	bad := base
 	bad.Scheme = "bogus!"
-	err := bad.Validate()
+	err := bad.Validate(cc)
 	if err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
@@ -312,14 +313,14 @@ func TestJobValidateScheme(t *testing.T) {
 	mismatch := base
 	mismatch.Scheme = "2SC3" // merges 4 threads
 	mismatch.Contexts = 3
-	if err := mismatch.Validate(); err == nil {
+	if err := mismatch.Validate(cc); err == nil {
 		t.Error("scheme/context mismatch accepted")
 	}
 
 	for _, scheme := range []string{"", "1S", "2SC3", "C4", "IMT", "BMT"} {
 		ok := base
 		ok.Scheme = scheme
-		if err := ok.Validate(); err != nil {
+		if err := ok.Validate(cc); err != nil {
 			t.Errorf("valid scheme %q rejected: %v", scheme, err)
 		}
 	}

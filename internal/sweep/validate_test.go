@@ -13,9 +13,9 @@ import (
 
 // TestJobValidateMatchesSim pins the one-validation-function contract:
 // every config defect the simulator rejects is rejected up front by
-// Job.Validate with the simulator's own message, so a job that
-// validates never fails in sim.Run, and the engine reports the defect
-// on the job without simulating it.
+// Job.Validate with the simulator's own message and before any
+// compile, so a job that validates never fails in sim.Run, and the
+// engine reports the defect on the job without simulating it.
 func TestJobValidateMatchesSim(t *testing.T) {
 	jobs, err := testGrid().Jobs()
 	if err != nil {
@@ -27,16 +27,18 @@ func TestJobValidateMatchesSim(t *testing.T) {
 		mutate func(j *Job)
 	}{
 		{"instr-limit-0", func(j *Job) { j.InstrLimit = 0 }},
+		{"instr-limit-overflows-cycle-bound", func(j *Job) { j.InstrLimit = 1 << 55 }},
 		{"non-power-of-two-cache", func(j *Job) { j.DCache.Size = 3 * j.DCache.LineSize * j.DCache.Ways }},
+		{"miss-penalty-too-long", func(j *Job) { j.DCache.MissPenalty = 1 << 40 }},
 		{"invalid-machine", func(j *Job) { j.Machine.BranchPenalty = -1 }},
+		{"mem-latency-too-long", func(j *Job) { j.Machine.LatencyMem = 10_000_000 }},
 		{"contexts-scheme-mismatch", func(j *Job) { j.Scheme, j.Contexts = "2SC3", 3 }},
 	}
-	cc := NewCompileCache()
 	var tasks []sim.Task
 	for _, name := range base.Benchmarks {
 		// Compiled for the valid machine: config validation runs
 		// before any task is inspected.
-		p, err := cc.Get(name, isa.Default())
+		p, err := NewCompileCache().Get(name, isa.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,9 +48,13 @@ func TestJobValidateMatchesSim(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			j := base
 			tc.mutate(&j)
-			verr := j.Validate()
+			cc := NewCompileCache()
+			verr := j.Validate(cc)
 			if verr == nil {
 				t.Fatal("Job.Validate accepted the job")
+			}
+			if compiles, _ := cc.Stats(); compiles != 0 {
+				t.Errorf("Job.Validate compiled %d kernels before rejecting the config", compiles)
 			}
 			_, rerr := sim.Run(j.config(), tasks)
 			if rerr == nil {
@@ -62,6 +68,63 @@ func TestJobValidateMatchesSim(t *testing.T) {
 				t.Errorf("engine result = (%v, %v), want the validation error %q", r.Res, r.Err, verr)
 			}
 		})
+	}
+}
+
+// TestJobValidateCompiles: a machine that validates but cannot host a
+// kernel (no memory unit, multiplier or branch unit) fails Job.Validate
+// with the compiler's error, and the engine reports that same error
+// with no result. Validation compiles through the cache the job runs
+// on, so validating and then running compiles each kernel once.
+func TestJobValidateCompiles(t *testing.T) {
+	jobs, err := testGrid().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := jobs[len(jobs)-1]
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *isa.Machine)
+	}{
+		{"no-mem-units", func(m *isa.Machine) { m.MemUnits = 0 }},
+		{"no-muls", func(m *isa.Machine) { m.Muls = 0 }},
+		{"no-branch-clusters", func(m *isa.Machine) { m.BranchClusters = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := base
+			tc.mutate(&j.Machine)
+			if err := j.Machine.Validate(); err != nil {
+				t.Fatalf("the machine must pass isa validation: %v", err)
+			}
+			cc := NewCompileCache()
+			verr := j.Validate(cc)
+			if verr == nil || !strings.Contains(verr.Error(), "compile ") {
+				t.Fatalf("Job.Validate = %v, want a compile error", verr)
+			}
+			e := New(1)
+			e.SetCache(cc)
+			results, _ := e.Run(context.Background(), []Job{j})
+			if r := results[0]; r.Res != nil || r.Err == nil || r.Err.Error() != verr.Error() {
+				t.Errorf("engine result = (%v, %v), want the validation error %q", r.Res, r.Err, verr)
+			}
+		})
+	}
+
+	cc := NewCompileCache()
+	if err := base.Validate(cc); err != nil {
+		t.Fatal(err)
+	}
+	e := New(1)
+	e.SetCache(cc)
+	if _, err := e.Run(context.Background(), []Job{base}); err != nil {
+		t.Fatal(err)
+	}
+	kernels := map[string]bool{}
+	for _, b := range base.Benchmarks {
+		kernels[b] = true
+	}
+	if compiles, _ := cc.Stats(); compiles != int64(len(kernels)) {
+		t.Errorf("validate + run compiled %d times for %d kernels", compiles, len(kernels))
 	}
 }
 

@@ -160,13 +160,9 @@ func (r *Runner) RunMix(cfg Config, mixName string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tasks []Task
-	for _, name := range mix.Members {
-		p, err := r.cache.Get(name, cfg.Machine)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, Task{Name: name, Prog: p})
+	tasks, err := r.cache.Tasks(mix.Members[:], cfg.Machine)
+	if err != nil {
+		return nil, err
 	}
 	return sim.Run(cfg, tasks)
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strings"
 	"time"
@@ -77,8 +76,11 @@ func (c *Client) SweepJobs(ctx context.Context, jobs []SweepJob, opts *SweepOpti
 	return c.submit(ctx, api.SweepRequest{Jobs: jobs}, opts)
 }
 
-// submit posts the request and follows it to completion. Of opts it
-// reads Workers, sent as the server's pool-size hint, and Progress.
+// submit posts the request once and follows its event stream to the
+// terminal event, whose status carries the results. Of opts it reads
+// Workers, sent as the server's pool-size hint, and Progress. The POST
+// is never retried: it is not idempotent, and a retry after a lost
+// reply would run the sweep twice.
 func (c *Client) submit(ctx context.Context, sreq api.SweepRequest, opts *SweepOptions) ([]SweepResult, error) {
 	var o SweepOptions
 	if opts != nil {
@@ -90,27 +92,26 @@ func (c *Client) submit(ctx context.Context, sreq api.SweepRequest, opts *SweepO
 	if err := api.EncodeSweepRequest(&body, sreq); err != nil {
 		return nil, err
 	}
-	st, err := c.postJSON(ctx, "/v1/sweeps", body.Bytes())
+	st, err := c.post(ctx, &body)
 	if err != nil {
 		return nil, err
 	}
 
-	// Follow the event stream for progress and the final status; if
-	// the stream breaks while the context is still live, fall back to
-	// polling the status endpoint.
-	delivered := map[int]bool{}
-	progress := o.Progress
-	if progress != nil {
-		inner := progress
-		progress = func(done, total int, r SweepResult) {
-			delivered[r.Index] = true
-			inner(done, total, r)
+	// A re-attached stream replays the events an earlier one already
+	// delivered, and a sweep that finished before the stream attached
+	// replays only its terminal event; the delivered set keeps the
+	// sink's callbacks exactly-once with monotonic done counts.
+	var progress func(done, total int, r SweepResult)
+	if o.Progress != nil {
+		delivered := map[int]bool{}
+		progress = func(_, total int, r SweepResult) {
+			if !delivered[r.Index] {
+				delivered[r.Index] = true
+				o.Progress(len(delivered), total, r)
+			}
 		}
 	}
 	final, err := c.follow(ctx, st.ID, progress)
-	if err != nil && ctx.Err() == nil {
-		final, err = c.waitTerminal(ctx, st.ID)
-	}
 	if err != nil {
 		if ctx.Err() != nil {
 			return c.abandon(st.ID, ctx.Err())
@@ -118,17 +119,9 @@ func (c *Client) submit(ctx context.Context, sreq api.SweepRequest, opts *SweepO
 		return nil, err
 	}
 	results := api.SweepResults(final.Results)
-	// A sweep that finished before the event stream attached replays
-	// only its terminal event, and a stream that broke mid-sweep
-	// delivered only a prefix; synthesize callbacks for the jobs the
-	// stream missed so the sink always sees every job exactly once.
-	if o.Progress != nil {
-		done := len(delivered)
+	if progress != nil {
 		for _, r := range results {
-			if !delivered[r.Index] {
-				done++
-				o.Progress(done, len(results), r)
-			}
+			progress(0, len(results), r)
 		}
 	}
 	if final.State == api.StateCanceled {
@@ -142,8 +135,27 @@ func (c *Client) submit(ctx context.Context, sreq api.SweepRequest, opts *SweepO
 	return results, nil
 }
 
+// post submits the encoded request with one POST.
+func (c *Client) post(ctx context.Context, body *bytes.Buffer) (api.SweepStatus, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/sweeps", body)
+	if err != nil {
+		return api.SweepStatus{}, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.httpc.Do(req)
+	if err != nil {
+		return api.SweepStatus{}, err
+	}
+	defer drainClose(resp.Body)
+	if resp.StatusCode != http.StatusAccepted {
+		return api.SweepStatus{}, fmt.Errorf("vliwmt: submit sweep: %s: %s", resp.Status, readError(resp.Body))
+	}
+	return api.DecodeSweepStatus(resp.Body)
+}
+
 // abandon cancels the remote sweep and returns whatever the server had
-// aggregated, mirroring the in-process partial-results contract.
+// aggregated, read from the stream's terminal event, mirroring the
+// in-process partial-results contract.
 func (c *Client) abandon(id string, cause error) ([]SweepResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -154,47 +166,62 @@ func (c *Client) abandon(id string, cause error) ([]SweepResult, error) {
 		}
 	}
 	var results []SweepResult
-	if st, serr := c.waitTerminal(ctx, id); serr == nil {
+	if st, serr := c.follow(ctx, id, nil); serr == nil {
 		results = api.SweepResults(st.Results)
 	}
 	return results, cause
 }
 
-// follow consumes the NDJSON event stream until the terminal event and
-// returns the final status that event carries. A terminal event
-// without one (from a server that predates the field) costs one status
-// request instead. The stream is read by a single json.Decoder, so no
-// line-length cap applies: a terminal event carries every result of
-// the sweep and grows with it. Without a progress callback the stream
-// is requested with ?results=false: the per-job events then carry no
-// results, which the terminal status delivers anyway. A server that
-// predates the parameter ignores it; the per-job results it then sends
-// are decoded and dropped.
+// maxReattaches caps how often one call re-attaches to a sweep's event
+// stream after the stream answered 200 and then broke.
+const maxReattaches = 3
+
+// follow reads the sweep's event stream to the terminal event and
+// returns the final status that event carries. A stream that answered
+// 200 and then broke while ctx is live is re-attached, up to
+// maxReattaches times; the server replays the sweep's history to each
+// attach. Any other failure, a non-200 answer included, ends the call.
 func (c *Client) follow(ctx context.Context, id string, progress func(done, total int, r SweepResult)) (api.SweepStatus, error) {
+	for n := 0; ; n++ {
+		st, broke, err := c.stream(ctx, id, progress)
+		if !broke || n == maxReattaches || ctx.Err() != nil {
+			return st, err
+		}
+	}
+}
+
+// stream makes one attach to the event stream; broke reports that it
+// answered 200 and then ended or failed before the terminal event. The
+// stream is read by a single json.Decoder, so no line-length cap
+// applies: a terminal event carries every result of the sweep and
+// grows with it. Without a progress callback the stream is requested
+// with ?results=false: the per-job events then carry no results, which
+// the terminal status delivers anyway.
+func (c *Client) stream(ctx context.Context, id string, progress func(done, total int, r SweepResult)) (st api.SweepStatus, broke bool, err error) {
 	url := c.baseURL + "/v1/sweeps/" + id + "/events"
 	if progress == nil {
 		url += "?results=false"
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return api.SweepStatus{}, err
+		return st, false, err
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return api.SweepStatus{}, err
+		return st, false, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return api.SweepStatus{}, fmt.Errorf("vliwmt: event stream: %s: %s", resp.Status, readError(resp.Body))
+		return st, false, fmt.Errorf("vliwmt: event stream for sweep %s: %s: %s", id, resp.Status, readError(resp.Body))
 	}
 	dec := json.NewDecoder(resp.Body)
 	var ev api.Event
 	for !ev.Terminal() {
 		ev = api.Event{}
 		if err := dec.Decode(&ev); err == io.EOF {
-			return api.SweepStatus{}, fmt.Errorf("vliwmt: event stream for sweep %s ended before the terminal event", id)
+			return st, true, fmt.Errorf("vliwmt: event stream for sweep %s ended before the terminal event", id)
 		} else if err != nil {
-			return api.SweepStatus{}, fmt.Errorf("vliwmt: event stream for sweep %s: %w", id, err)
+			return st, true, fmt.Errorf("vliwmt: event stream for sweep %s: %w", id, err)
 		}
 		if ev.Result != nil && progress != nil {
 			progress(ev.Done, ev.Total, ev.Result.Sweep())
@@ -202,143 +229,9 @@ func (c *Client) follow(ctx context.Context, id string, progress func(done, tota
 	}
 	drainClose(resp.Body)
 	if ev.Status == nil {
-		return c.status(ctx, id)
+		return st, false, fmt.Errorf("vliwmt: event stream for sweep %s: terminal event carries no status", id)
 	}
-	return *ev.Status, api.CheckVersion(ev.Status.Version)
-}
-
-// pollFailureBudget bounds the consecutive transient status failures
-// the polling loop rides out — at pollInterval apart, about five
-// seconds of server restart or network flap — before giving up.
-const (
-	pollInterval      = 100 * time.Millisecond
-	pollFailureBudget = 50
-)
-
-func (c *Client) waitTerminal(ctx context.Context, id string) (api.SweepStatus, error) {
-	failures := 0
-	for {
-		st, err := c.status(ctx, id)
-		switch {
-		case err == nil:
-			failures = 0
-			if st.State.Terminal() {
-				return st, nil
-			}
-		case isTransient(err) && ctx.Err() == nil:
-			// A flaky or restarting server answers again shortly; the
-			// sweep itself is unaffected (runs survive on the server,
-			// results are re-fetchable). Keep polling for a while.
-			if failures++; failures > pollFailureBudget {
-				return st, err
-			}
-		default:
-			return st, err
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(pollInterval):
-		}
-	}
-}
-
-func (c *Client) status(ctx context.Context, id string) (api.SweepStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/sweeps/"+id, nil)
-	if err != nil {
-		return api.SweepStatus{}, err
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return api.SweepStatus{}, &transientError{err}
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		err = fmt.Errorf("vliwmt: sweep %s status: %s: %s", id, resp.Status, readError(resp.Body))
-		if transientStatus(resp.StatusCode) {
-			return api.SweepStatus{}, &transientError{err}
-		}
-		return api.SweepStatus{}, err
-	}
-	return api.DecodeSweepStatus(resp.Body)
-}
-
-// submitAttempts bounds postJSON's tries: the first submission plus
-// three retries of transient failures.
-const submitAttempts = 4
-
-// postJSON submits the request body, retrying transient failures —
-// transport errors and 502/503/504 responses from a worker mid-restart
-// or an overloaded proxy — with exponential backoff and jitter. The
-// body is a byte slice precisely so every attempt can resend it from
-// the start. Non-transient rejections (e.g. a 400 for a malformed
-// grid) fail immediately.
-func (c *Client) postJSON(ctx context.Context, path string, body []byte) (api.SweepStatus, error) {
-	var lastErr error
-	for attempt := 0; attempt < submitAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return api.SweepStatus{}, ctx.Err()
-			case <-time.After(retryDelay(attempt)):
-			}
-		}
-		st, err := c.postJSONOnce(ctx, path, body)
-		if err == nil || !isTransient(err) || ctx.Err() != nil {
-			return st, err
-		}
-		lastErr = err
-	}
-	return api.SweepStatus{}, fmt.Errorf("vliwmt: submit failed after %d attempts: %w", submitAttempts, lastErr)
-}
-
-func (c *Client) postJSONOnce(ctx context.Context, path string, body []byte) (api.SweepStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return api.SweepStatus{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return api.SweepStatus{}, &transientError{err}
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusAccepted {
-		err = fmt.Errorf("vliwmt: submit sweep: %s: %s", resp.Status, readError(resp.Body))
-		if transientStatus(resp.StatusCode) {
-			return api.SweepStatus{}, &transientError{err}
-		}
-		return api.SweepStatus{}, err
-	}
-	return api.DecodeSweepStatus(resp.Body)
-}
-
-// retryDelay is the backoff before the attempt-th retry: 100ms
-// doubling per attempt, jittered to half-to-full so a burst of
-// clients doesn't re-submit in lockstep.
-func retryDelay(attempt int) time.Duration {
-	d := 100 * time.Millisecond << (attempt - 1)
-	return d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
-}
-
-// transientError marks a failure worth retrying: the request may never
-// have reached the server, or the server signalled a temporary
-// condition.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-func isTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
-
-// transientStatus reports whether an HTTP status signals a temporary
-// server-side condition rather than a rejected request.
-func transientStatus(code int) bool {
-	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout
+	return *ev.Status, false, api.CheckVersion(ev.Status.Version)
 }
 
 // drainClose reads what is left of a response body (up to a small

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vliwmt"
 	"vliwmt/internal/api"
@@ -40,27 +41,70 @@ func (c *cutter) Flush() {
 	}
 }
 
-// TestClientFollowDisconnectFallsBackToPolling cuts the NDJSON event
-// stream after two lines: the client must fall back to polling and
-// still deliver ordered, complete results with exactly one progress
-// callback per job.
-func TestClientFollowDisconnectFallsBackToPolling(t *testing.T) {
+// heldExecutor runs the jobs in-process, reporting progress, then
+// holds the sweep open until release is closed or the sweep is
+// cancelled, so an event stream attached meanwhile sees every per-job
+// event before the terminal one.
+func heldExecutor(release <-chan struct{}) server.Executor {
+	return func(ctx context.Context, jobs []vliwmt.SweepJob, workers int, progress sweep.ProgressFunc) ([]vliwmt.SweepResult, error) {
+		res, err := vliwmt.NewRunner(vliwmt.WithWorkers(workers), vliwmt.WithProgress(progress)).SweepJobs(ctx, jobs)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return res, err
+	}
+}
+
+// waitIdle closes srv and waits until no sweep is active in the
+// process, asking through the health document at url: the
+// active-sweeps gauge is process-wide, and a sweep a test leaves to its
+// server's Close ends asynchronously.
+func waitIdle(t *testing.T, srv *server.Server, url string) {
+	t.Helper()
+	srv.Close()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		h, err := vliwmt.NewClient(url).Health(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.ActiveSweeps == 0 {
+			return
+		}
+	}
+	t.Fatal("sweeps still active 10s after their server closed")
+}
+
+// TestClientReattachesAfterStreamBreak cuts the first event stream
+// after two lines: the client must attach to the same stream again and
+// still deliver complete, ordered results with exactly one progress
+// callback per job, from one POST and no status request. The sweep is
+// held open until the client's next request, so the cut lands
+// mid-sweep.
+func TestClientReattachesAfterStreamBreak(t *testing.T) {
 	g := runnerTestGrid()
 	local, err := vliwmt.Sweep(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	srv := server.New(server.Options{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	srv := server.New(server.Options{Execute: heldExecutor(release)})
 	defer srv.Close()
 	inner := srv.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/events") {
-			inner.ServeHTTP(&cutter{ResponseWriter: w, limit: 2}, r)
-			return
+	var streams atomic.Int64
+	rc := &routeCounter{next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/sweeps/") {
+			if strings.HasSuffix(r.URL.Path, "/events") && streams.Add(1) == 1 {
+				inner.ServeHTTP(&cutter{ResponseWriter: w, limit: 2}, r)
+				return
+			}
+			releaseOnce.Do(func() { close(release) })
 		}
 		inner.ServeHTTP(w, r)
-	}))
+	})}
+	ts := httptest.NewServer(rc)
 	defer ts.Close()
 
 	var calls atomic.Int64
@@ -83,82 +127,87 @@ func TestClientFollowDisconnectFallsBackToPolling(t *testing.T) {
 	if got := sweepKeys(t, remote); !reflect.DeepEqual(got, sweepKeys(t, local)) {
 		t.Error("results after stream cut differ from in-process run")
 	}
+	if p, e, s := rc.posts.Load(), rc.events.Load(), rc.status.Load(); p != 1 || e != 2 || s != 0 {
+		t.Errorf("sweep made %d POSTs, %d event streams, %d status GETs; want 1, 2, 0", p, e, s)
+	}
 }
 
-// TestClientServerRestartFallsBackToPolling simulates a server restart
-// window: the event stream dies instantly and the status endpoint
-// answers 503 for a while before recovering. The polling fallback must
-// ride the 503s out and return complete, ordered results.
-func TestClientServerRestartFallsBackToPolling(t *testing.T) {
-	g := runnerTestGrid()
-	local, err := vliwmt.Sweep(context.Background(), g, nil)
-	if err != nil {
+// TestClientReattachToRestartedServerFails: the event stream breaks and
+// the server restarts before the client attaches again, after another
+// client has submitted a different sweep to the new process. The
+// re-attach must end in an error, never in the other sweep's results.
+func TestClientReattachToRestartedServerFails(t *testing.T) {
+	first := server.New(server.Options{Execute: heldExecutor(nil)})
+	defer first.Close()
+	second := server.New(server.Options{})
+	defer second.Close()
+	secondTS := httptest.NewServer(second.Handler())
+	defer secondTS.Close()
+	other := vliwmt.Grid{Schemes: []string{"3CCC"}, Mixes: []string{"HHHH"}, InstrLimit: 5_000, Seed: 3}
+	if _, err := vliwmt.NewClient(secondTS.URL).Sweep(context.Background(), other, nil); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	inner := srv.Handler()
-	var unavailable atomic.Int64
-	unavailable.Store(5) // status calls rejected before "the restart finishes"
+	firstH, secondH := first.Handler(), second.Handler()
+	var restarted atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case strings.HasSuffix(r.URL.Path, "/events"):
-			panic(http.ErrAbortHandler)
-		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/sweeps/"):
-			if unavailable.Add(-1) >= 0 {
-				http.Error(w, "restarting", http.StatusServiceUnavailable)
-				return
-			}
-			inner.ServeHTTP(w, r)
-		default:
-			inner.ServeHTTP(w, r)
-		}
-	}))
-	defer ts.Close()
-
-	var calls int
-	remote, err := vliwmt.NewClient(ts.URL).Sweep(context.Background(), g, &vliwmt.SweepOptions{
-		Progress: func(done, total int, r vliwmt.SweepResult) { calls++ },
-	})
-	if err != nil {
-		t.Fatalf("sweep failed across restart window: %v", err)
-	}
-	if calls != len(local) {
-		t.Errorf("progress called %d times for %d jobs", calls, len(local))
-	}
-	if got := sweepKeys(t, remote); !reflect.DeepEqual(got, sweepKeys(t, local)) {
-		t.Error("results across restart window differ from in-process run")
-	}
-}
-
-// TestClientSubmitRetriesTransientFailures: the submission POST rides
-// out transient 503s with backoff instead of failing the sweep.
-func TestClientSubmitRetriesTransientFailures(t *testing.T) {
-	g := runnerTestGrid()
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	inner := srv.Handler()
-	var posts atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && posts.Add(1) <= 2 {
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
+		if restarted.Load() {
+			secondH.ServeHTTP(w, r)
 			return
 		}
-		inner.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			defer restarted.Store(true)
+			firstH.ServeHTTP(&cutter{ResponseWriter: w, limit: 1}, r)
+			return
+		}
+		firstH.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
 
-	remote, err := vliwmt.NewClient(ts.URL).Sweep(context.Background(), g, nil)
-	if err != nil {
-		t.Fatalf("submission did not survive transient 503s: %v", err)
+	res, err := vliwmt.NewClient(ts.URL).Sweep(context.Background(), runnerTestGrid(), nil)
+	if err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("re-attach to a restarted server: err %v, want a 404", err)
 	}
-	if n := posts.Load(); n != 3 {
-		t.Errorf("submission POSTed %d times, want 3 (two 503s then success)", n)
+	if len(res) != 0 {
+		t.Errorf("re-attach to a restarted server returned %d results of another sweep", len(res))
 	}
-	if len(remote) == 0 {
-		t.Fatal("no results")
+	waitIdle(t, first, secondTS.URL)
+}
+
+// TestClientSubmitsOnce: the server accepts the POST but its reply is
+// lost. A POST is not idempotent, so the client must report the error
+// rather than submit the sweep a second time.
+func TestClientSubmitsOnce(t *testing.T) {
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	inner := srv.Handler()
+	var accepted atomic.Int64
+	var lost atomic.Bool
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		if rec.Code == http.StatusAccepted {
+			accepted.Add(1)
+		}
+		if lost.CompareAndSwap(false, true) {
+			panic(http.ErrAbortHandler) // the reply never reaches the client
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer ts.Close()
+
+	if _, err := vliwmt.NewClient(ts.URL).Sweep(context.Background(), runnerTestGrid(), nil); err == nil {
+		t.Error("sweep whose submit reply was lost reported success")
 	}
+	if n := accepted.Load(); n != 1 {
+		t.Errorf("server accepted %d sweeps for one call, want 1", n)
+	}
+	waitIdle(t, srv, ts.URL)
 }
 
 // TestClientSubmitRejectsPermanentFailure: a 400 is not retried.
@@ -280,85 +329,40 @@ func TestClientTwoExchangesOneConnection(t *testing.T) {
 	}
 }
 
-// statusStripper drops the status from the terminal event, rewriting
-// the stream as a server that predates the field writes it. The server
-// encodes each event with one Write.
-type statusStripper struct{ http.ResponseWriter }
-
-func (s statusStripper) Write(b []byte) (int, error) {
-	var ev api.Event
-	if json.Unmarshal(b, &ev) != nil || ev.Status == nil {
-		return s.ResponseWriter.Write(b)
-	}
-	ev.Status = nil
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := s.ResponseWriter.Write(append(line, '\n')); err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}
-
-func (s statusStripper) Flush() {
-	if fl, ok := s.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// TestClientOlderServerFetchesStatusOnce: against a server whose
-// terminal event has no status, the client makes exactly one status
-// GET and still returns complete, ordered results with one progress
-// callback per job.
-func TestClientOlderServerFetchesStatusOnce(t *testing.T) {
-	g := runnerTestGrid()
-	local, err := vliwmt.Sweep(context.Background(), g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	inner := srv.Handler()
-	rc := &routeCounter{next: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/events") {
-			w = statusStripper{w}
+// fakeSweepServer accepts every POST as sweep "s1" of total jobs and
+// answers each event-stream request with events. It counts the
+// event-stream attaches and every other request, which it fails.
+func fakeSweepServer(t *testing.T, total int, events http.HandlerFunc) (url string, attaches, others *atomic.Int64) {
+	t.Helper()
+	attaches, others = new(atomic.Int64), new(atomic.Int64)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost:
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(api.SweepStatus{Version: api.Version, ID: "s1", State: api.StateRunning, Total: total})
+		case strings.HasSuffix(r.URL.Path, "/events"):
+			attaches.Add(1)
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			events(w, r)
+		default:
+			others.Add(1)
+			http.Error(w, "the client needs only the POST and the event stream", http.StatusInternalServerError)
 		}
-		inner.ServeHTTP(w, r)
-	})}
-	ts := httptest.NewServer(rc)
-	defer ts.Close()
-
-	calls := 0
-	remote, err := vliwmt.NewClient(ts.URL).Sweep(context.Background(), g, &vliwmt.SweepOptions{
-		Progress: func(done, total int, r vliwmt.SweepResult) { calls++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := rc.status.Load(); n != 1 {
-		t.Errorf("%d status GETs, want exactly 1", n)
-	}
-	if calls != len(local) {
-		t.Errorf("progress called %d times for %d jobs", calls, len(local))
-	}
-	if got := sweepKeys(t, remote); !reflect.DeepEqual(got, sweepKeys(t, local)) {
-		t.Error("results from an older server differ from in-process run")
-	}
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, attaches, others
 }
 
 // TestClientFollowsOversizedTerminalEvent feeds the client a terminal
 // event bigger than any sane line cap (16 MB, the old scanner's): it
-// must be decoded from the stream, not dropped into polling — the fake
-// server fails every status GET.
+// must be decoded from the stream in one attach.
 func TestClientFollowsOversizedTerminalEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 16 MB+ event")
 	}
 	const n = 12_000
 	label := strings.Repeat("x", 1500)
-	st := api.SweepStatus{Version: api.Version, ID: "s000001", State: api.StateDone, Done: n, Total: n,
+	st := api.SweepStatus{Version: api.Version, ID: "s1", State: api.StateDone, Done: n, Total: n,
 		Results: make([]api.Result, n)}
 	for i := range st.Results {
 		st.Results[i] = api.Result{Index: i, Job: vliwmt.SweepJob{Label: label, Scheme: "2SC3"},
@@ -371,28 +375,16 @@ func TestClientFollowsOversizedTerminalEvent(t *testing.T) {
 	if len(line) <= 16<<20 {
 		t.Fatalf("terminal event is %d bytes, want more than 16 MB", len(line))
 	}
-	var statusGets atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.Method == http.MethodPost:
-			w.WriteHeader(http.StatusAccepted)
-			json.NewEncoder(w).Encode(api.SweepStatus{Version: api.Version, ID: st.ID, State: api.StateRunning, Total: n})
-		case strings.HasSuffix(r.URL.Path, "/events"):
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Write(append(line, '\n'))
-		default:
-			statusGets.Add(1)
-			http.Error(w, "status must come from the terminal event", http.StatusInternalServerError)
-		}
-	}))
-	defer ts.Close()
+	url, attaches, others := fakeSweepServer(t, n, func(w http.ResponseWriter, r *http.Request) {
+		w.Write(append(line, '\n'))
+	})
 
-	res, err := vliwmt.NewClient(ts.URL).SweepJobs(context.Background(), []vliwmt.SweepJob{{Scheme: "2SC3"}}, nil)
+	res, err := vliwmt.NewClient(url).SweepJobs(context.Background(), []vliwmt.SweepJob{{Scheme: "2SC3"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := statusGets.Load(); g != 0 {
-		t.Errorf("client fell back to %d status GETs", g)
+	if a, o := attaches.Load(), others.Load(); a != 1 || o != 0 {
+		t.Errorf("client made %d event-stream attaches and %d other requests, want 1 and 0", a, o)
 	}
 	if len(res) != n {
 		t.Fatalf("got %d results, want %d", len(res), n)
@@ -401,6 +393,40 @@ func TestClientFollowsOversizedTerminalEvent(t *testing.T) {
 		if r.Index != i || r.Res == nil || r.Res.Cycles != int64(i+1) {
 			t.Fatalf("result %d out of order or incomplete: %+v", i, r)
 		}
+	}
+}
+
+// TestClientTerminalEventWithoutStatusFails: a terminal event must
+// carry the final status; one without it is a protocol error, not a
+// cue for another request.
+func TestClientTerminalEventWithoutStatusFails(t *testing.T) {
+	url, attaches, others := fakeSweepServer(t, 1, func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"done":1,"total":1,"state":"done"}` + "\n"))
+	})
+	_, err := vliwmt.NewClient(url).SweepJobs(context.Background(), []vliwmt.SweepJob{{Scheme: "2SC3"}}, nil)
+	if err == nil || !strings.Contains(err.Error(), "no status") {
+		t.Errorf("terminal event without a status: err %v, want a protocol error", err)
+	}
+	if a, o := attaches.Load(), others.Load(); a != 1 || o != 0 {
+		t.Errorf("client made %d event-stream attaches and %d other requests, want 1 and 0", a, o)
+	}
+}
+
+// TestClientReattachesAtMostThreeTimes: against a stream that always
+// answers 200 and breaks after one event, the client gives up with an
+// error after the first attach and three re-attaches.
+func TestClientReattachesAtMostThreeTimes(t *testing.T) {
+	url, attaches, others := fakeSweepServer(t, 2, func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"done":1,"total":2}` + "\n"))
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	})
+	_, err := vliwmt.NewClient(url).SweepJobs(context.Background(), []vliwmt.SweepJob{{Scheme: "2SC3"}}, nil)
+	if err == nil {
+		t.Error("a stream that always breaks reported success")
+	}
+	if a, o := attaches.Load(), others.Load(); a != 4 || o != 0 {
+		t.Errorf("client made %d event-stream attaches and %d other requests, want 4 and 0", a, o)
 	}
 }
 
@@ -458,29 +484,16 @@ func (tap *streamTap) jobEvents() (n, withResult int) {
 
 // heldServer serves the sweep API with each sweep held open after its
 // last job until its event stream has started, and taps the streams.
-// With ignoreResultsParam it drops ?results from event-stream requests,
-// as a server that predates the parameter ignores it.
-func heldServer(t *testing.T, ignoreResultsParam bool) (*httptest.Server, *streamTap) {
+func heldServer(t *testing.T) (*httptest.Server, *streamTap) {
 	t.Helper()
 	tap := &streamTap{started: make(chan struct{})}
-	exec := func(ctx context.Context, jobs []vliwmt.SweepJob, workers int, progress sweep.ProgressFunc) ([]vliwmt.SweepResult, error) {
-		res, err := vliwmt.NewRunner(vliwmt.WithWorkers(workers), vliwmt.WithProgress(progress)).SweepJobs(ctx, jobs)
-		select {
-		case <-tap.started:
-		case <-ctx.Done():
-		}
-		return res, err
-	}
-	srv := server.New(server.Options{Execute: exec})
+	srv := server.New(server.Options{Execute: heldExecutor(tap.started)})
 	inner := srv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/events") {
 			tap.mu.Lock()
 			tap.queries = append(tap.queries, r.URL.RawQuery)
 			tap.mu.Unlock()
-			if ignoreResultsParam {
-				r.URL.RawQuery = ""
-			}
 			w = tapWriter{w, tap}
 		}
 		inner.ServeHTTP(w, r)
@@ -506,7 +519,7 @@ func TestClientWithoutProgressSkipsEventResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, withProgress := range []bool{false, true} {
-		ts, tap := heldServer(t, false)
+		ts, tap := heldServer(t)
 		var opts *vliwmt.SweepOptions
 		calls := 0
 		if withProgress {
@@ -534,31 +547,6 @@ func TestClientWithoutProgressSkipsEventResults(t *testing.T) {
 		if withProgress && calls != len(jobs) {
 			t.Errorf("progress called %d times for %d jobs", calls, len(jobs))
 		}
-	}
-}
-
-// TestClientOlderServerIgnoresResultsParam: against a server that
-// ignores ?results=false and streams every per-job result, a client
-// without a callback still returns identical results.
-func TestClientOlderServerIgnoresResultsParam(t *testing.T) {
-	jobs, err := runnerTestGrid().Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := vliwmt.SweepJobs(context.Background(), jobs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, tap := heldServer(t, true)
-	remote, err := vliwmt.NewClient(ts.URL).SweepJobs(context.Background(), jobs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, withResult := tap.jobEvents(); n != len(jobs) || withResult != len(jobs) {
-		t.Fatalf("stub streamed %d job events, %d with a result; want every result", n, withResult)
-	}
-	if !reflect.DeepEqual(withoutElapsed(remote), withoutElapsed(local)) {
-		t.Error("results from a server ignoring ?results differ from in-process")
 	}
 }
 

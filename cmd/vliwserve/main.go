@@ -12,10 +12,11 @@
 //
 // Endpoints (versioned JSON wire format):
 //
-//	POST   /v1/sweeps             submit (202 + sweep ID)
-//	GET    /v1/sweeps/{id}         status + results once finished
+//	POST   /v1/sweeps             submit (202 + sweep ID; 413 past
+//	                               server.MaxRequestInstrs)
 //	GET    /v1/sweeps/{id}/events  NDJSON progress stream; the terminal
-//	                               event carries the final status
+//	                               event carries the final status and
+//	                               results
 //	                               (?results=false: no per-job results)
 //	DELETE /v1/sweeps/{id}         cancel
 //	GET    /v1/healthz            liveness + load + store counters (JSON)
@@ -23,7 +24,8 @@
 //	GET    /debug/pprof/          net/http/pprof      (disable with -debug=false)
 //
 // Responses are compact JSON. A client needs two requests per sweep:
-// the POST, then the event stream. All sweeps share one compile cache
+// the POST, then the event stream. Sweep IDs are opaque and unique
+// across restarts. All sweeps share one compile cache
 // for the life of the process, and results are bit-identical to an
 // in-process run of the same grid and seed at any worker count.
 // SIGINT/SIGTERM drain the listener and cancel in-flight sweeps.

@@ -44,8 +44,9 @@ import (
 //	   "status" carrying the final SweepStatus. Results from older
 //	   servers may carry "worker" and "shard" attribution; decoders
 //	   ignore both fields. Removed within 3: the request's "tag"
-//	   (decoded, never read; decoders ignore it) and the /v1/store
-//	   document
+//	   (decoded, never read; decoders ignore it), the /v1/store
+//	   document and the GET /v1/sweeps/{id} status route (the
+//	   terminal event's "status", now required, replaces it)
 const Version = 3
 
 // Job is sweep.Job, which is its own wire form. The alias and the

@@ -56,9 +56,9 @@ func (req SweepRequest) Expand() ([]sweep.Job, error) {
 	return append(jobs, req.Jobs...), nil
 }
 
-// SweepStatus is the body of sweep submission and status responses.
-// Results are included once the sweep reaches a terminal state, ordered
-// by job index. CacheHits (wire version 3) counts the jobs served from
+// SweepStatus is the body of the submit and cancel replies, without
+// results, and the status of the terminal NDJSON event, with the
+// results ordered by job index. CacheHits (wire version 3) counts the jobs served from
 // the persistent result store instead of being simulated; Errors
 // counts jobs that finished with an error, so a client can see
 // failures without fetching the full result blob. Summary is the
@@ -137,11 +137,10 @@ func DecodeHealth(r io.Reader) (Health, error) {
 // surfaces a failed job's error string at the event's top level, so a
 // stream consumer spots failures without digging into the result
 // document (it duplicates Result.Err; additive within version 3).
-// Status rides on the terminal event only: the same document
-// GET /v1/sweeps/{id} would return, ordered results included, so a
-// client learns the outcome without a further request (additive
-// within version 3; a server predating it omits the field and the
-// client fetches the status instead).
+// Status rides on the terminal event only, and is required there: the
+// final SweepStatus, ordered results included, so the stream alone
+// tells a client the outcome (added within version 3; a terminal event
+// without it is a protocol error to vliwmt.Client).
 type Event struct {
 	Done   int          `json:"done"`
 	Total  int          `json:"total"`

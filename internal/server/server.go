@@ -2,9 +2,9 @@
 // stateless-protocol front-end over the vliwmt.Runner session API.
 //
 //	POST   /v1/sweeps            submit a grid or job set (202 + sweep ID)
-//	GET    /v1/sweeps/{id}        status, plus ordered results once terminal
 //	GET    /v1/sweeps/{id}/events NDJSON progress stream (replay + live); the
-//	                             terminal event carries the final status;
+//	                             terminal event carries the final status
+//	                             and ordered results;
 //	                             ?results=false leaves per-job results off
 //	                             the progress events
 //	DELETE /v1/sweeps/{id}        cancel a running sweep
@@ -13,12 +13,16 @@
 // Bodies are the versioned wire documents of internal/api, written as
 // compact (unindented) JSON. A client needs two exchanges per sweep:
 // POST to submit, then the event stream, whose terminal event carries
-// the same status document GET /v1/sweeps/{id} returns. Every sweep
-// shares one compile cache for the life of the server; each runs under
-// a context cancelled by DELETE or by server Close. The engine's
-// determinism contract holds across the wire: results are
-// index-ordered, seed-derived and bit-identical to an in-process run
-// at any worker count.
+// the final status with the ordered results; a client whose stream
+// breaks attaches again and is replayed the sweep's history. Sweep IDs
+// are opaque and unique across server processes, so a client that
+// re-attaches to a restarted server gets a 404, never another sweep.
+// A request whose jobs together claim more than MaxRequestInstrs
+// instructions is a 413. Every sweep shares one compile cache for the
+// life of the server; each runs under a context cancelled by DELETE or
+// by server Close. The engine's determinism contract holds across the
+// wire: results are index-ordered, seed-derived and bit-identical to an
+// in-process run at any worker count.
 //
 // With Options.Store set, every sweep also shares one persistent
 // result store: completed jobs are content-addressed on disk,
@@ -26,8 +30,8 @@
 // from it without simulating, and — because the store outlives the
 // process — a restarted server keeps serving results computed by its
 // predecessor. Cache hits are visible per job (results carry
-// "cached": true in /events and status documents) and per sweep (the
-// status's "cache_hits" count).
+// "cached": true in /events) and per sweep (the status's "cache_hits"
+// count).
 //
 // Lifecycle lines (sweep submitted, finished, cancel requested) are
 // structured records on telemetry.TraceLogger, and a sweep's records
@@ -39,6 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -90,8 +95,11 @@ type Server struct {
 	cache   *vliwmt.CompileCache
 	store   *vliwmt.ResultStore // nil when persistence is disabled
 	started time.Time
-	ctx     context.Context
-	cancel  context.CancelFunc
+	// idPrefix starts every sweep ID: 64 random bits per Server, so
+	// IDs do not repeat across restarts.
+	idPrefix string
+	ctx      context.Context
+	cancel   context.CancelFunc
 
 	mu     sync.Mutex
 	runs   map[string]*run
@@ -103,16 +111,16 @@ type Server struct {
 // shutdown (cancelling any in-flight sweeps).
 func New(opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		opts:    opts,
-		cache:   vliwmt.NewCompileCache(),
-		started: time.Now(),
-		ctx:     ctx,
-		cancel:  cancel,
-		runs:    map[string]*run{},
-		store:   opts.Store,
+	return &Server{
+		opts:     opts,
+		cache:    vliwmt.NewCompileCache(),
+		started:  time.Now(),
+		ctx:      ctx,
+		cancel:   cancel,
+		runs:     map[string]*run{},
+		store:    opts.Store,
+		idPrefix: fmt.Sprintf("%016x", rand.Uint64()),
 	}
-	return s
 }
 
 // Close cancels every in-flight sweep.
@@ -126,7 +134,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", instrumented("healthz_v1", s.handleHealth))
 	mux.HandleFunc("POST /v1/sweeps", instrumented("submit", s.handleSubmit))
-	mux.HandleFunc("GET /v1/sweeps/{id}", instrumented("status", s.handleStatus))
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", instrumented("events", s.handleEvents))
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", instrumented("cancel", s.handleCancel))
 	if !s.opts.DisableDebug {
@@ -319,7 +326,7 @@ func (s *Server) register(total int, cancel context.CancelFunc) *run {
 		s.order = kept
 	}
 	s.nextID++
-	id := fmt.Sprintf("s%06d", s.nextID)
+	id := fmt.Sprintf("%s-%06d", s.idPrefix, s.nextID)
 	ru := newRun(id, total, cancel)
 	s.runs[id] = ru
 	s.order = append(s.order, id)
@@ -428,13 +435,37 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// MaxRequestInstrs bounds the work one sweep request may claim: the
+// sum of its jobs' per-thread instruction budgets. It admits about
+// seven of the paper's full-budget Figure 10 grids (144 jobs × 100M
+// instructions each) and rejects, say, sweep.MaxGridJobs jobs of 10^9
+// instructions before any of them compiles or runs.
+const MaxRequestInstrs = 100_000_000_000
+
+// admit checks a request's summed instruction budget against
+// MaxRequestInstrs. Each budget is compared with the room left before
+// it is added, so the sum cannot overflow; a non-positive budget adds
+// nothing here and fails Job.Validate.
+func admit(jobs []sweep.Job) error {
+	var sum int64
+	for _, j := range jobs {
+		if j.InstrLimit > MaxRequestInstrs-sum {
+			return fmt.Errorf("sweep request of %d jobs exceeds the admission limit of %d instructions, summed over the jobs' instr_limit", len(jobs), int64(MaxRequestInstrs))
+		}
+		sum += max(j.InstrLimit, 0)
+	}
+	return nil
+}
+
 // handleSubmit accepts a sweep request — a grid (expanded server-side
 // with the same defaulting as in-process Grid.Jobs), explicit jobs, or
 // both — starts it and answers 202 with the run ID. The sweep context
 // descends from the server's, so Close cancels every run; the client
-// cancels one with DELETE. Every job must pass Job.Validate on the
-// server's compile cache first, so a job whose kernels do not compile
-// for its machine is a 400, not a failed job.
+// cancels one with DELETE. A request whose jobs together claim more
+// than MaxRequestInstrs is a 413, decided before anything compiles.
+// Every job must then pass Job.Validate on the server's compile cache,
+// so a job whose kernels do not compile for its machine is a 400, not
+// a failed job.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeSweepRequest(http.MaxBytesReader(w, r.Body, 32<<20))
 	if err != nil {
@@ -444,6 +475,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	jobs, err := req.Expand()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if err := admit(jobs); err != nil {
+		httpError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
 	for i, j := range jobs {
@@ -467,15 +502,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	telemetry.TraceLogger().Info("sweep submitted", "sweep", ru.id, "jobs", len(jobs), "workers", workers)
 	go s.execute(ctx, ru, jobs, workers)
 	writeJSON(w, http.StatusAccepted, ru.status(false))
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	ru := s.get(r.PathValue("id"))
-	if ru == nil {
-		httpError(w, http.StatusNotFound, "no such sweep %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, ru.status(true))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -11,8 +11,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"vliwmt"
 	"vliwmt/internal/api"
@@ -62,35 +62,15 @@ func submit(t *testing.T, ts *httptest.Server, req api.SweepRequest) api.SweepSt
 	return st
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) api.SweepStatus {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status: %s", resp.Status)
-	}
-	st, err := api.DecodeSweepStatus(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
+// waitTerminal follows the sweep's event stream to its terminal event
+// and returns the final status that event carries.
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) api.SweepStatus {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		st := getStatus(t, ts, id)
-		if st.State.Terminal() {
-			return st
-		}
-		time.Sleep(20 * time.Millisecond)
+	ev, _ := readEvents(t, ts, id)
+	if ev.Status == nil {
+		t.Fatalf("sweep %s: terminal event carries no status", id)
 	}
-	t.Fatalf("sweep %s never reached a terminal state", id)
-	return api.SweepStatus{}
+	return *ev.Status
 }
 
 // fingerprint renders every deterministic field of a result set.
@@ -313,8 +293,8 @@ func readEvents(t *testing.T, ts *httptest.Server, id string) (api.Event, int) {
 }
 
 // TestTerminalEventCarriesStatus: the terminal event of a live stream
-// and of a late subscriber's replay both carry exactly the document
-// GET /v1/sweeps/{id} returns, ordered results included.
+// carries the final status with every result in job order, and a late
+// subscriber's replay carries the same document.
 func TestTerminalEventCarriesStatus(t *testing.T) {
 	g := testGrid()
 	g.InstrLimit = 100_000
@@ -325,20 +305,21 @@ func TestTerminalEventCarriesStatus(t *testing.T) {
 	if jobEvents != 4 {
 		t.Errorf("live stream saw %d job events, want 4", jobEvents)
 	}
-	want := getStatus(t, ts, st.ID)
-	if want.State != api.StateDone || len(want.Results) != 4 {
-		t.Fatalf("final status: %s with %d results", want.State, len(want.Results))
+	if live.Status == nil || live.Status.State != api.StateDone || len(live.Status.Results) != 4 {
+		t.Fatalf("live terminal event status: %+v", live.Status)
 	}
-	if live.Status == nil || !reflect.DeepEqual(*live.Status, want) {
-		t.Errorf("live terminal event status differs from GET:\n%+v\nvs\n%+v", live.Status, want)
+	for i, r := range live.Status.Results {
+		if r.Index != i || r.Sim == nil {
+			t.Errorf("terminal status result %d: index %d, sim %v", i, r.Index, r.Sim)
+		}
 	}
 
 	late, jobEvents := readEvents(t, ts, st.ID)
 	if jobEvents != 0 {
 		t.Errorf("late subscriber replayed %d job events, want only the terminal event", jobEvents)
 	}
-	if late.Status == nil || !reflect.DeepEqual(*late.Status, want) {
-		t.Errorf("replayed terminal event status differs from GET:\n%+v\nvs\n%+v", late.Status, want)
+	if late.Status == nil || !reflect.DeepEqual(*late.Status, *live.Status) {
+		t.Errorf("replayed terminal event status differs from the live one:\n%+v\nvs\n%+v", late.Status, live.Status)
 	}
 }
 
@@ -504,35 +485,48 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("job with merge spec %s: %d", spec, code)
 		}
 	}
-	// Jobs that fail Job.Validate: a budget whose cycle bound overflows,
-	// a machine that cannot host the kernels, and a latency beyond the
-	// compiler's bound.
+	// Jobs that fail Job.Validate: a machine that cannot host the
+	// kernels and a latency beyond the compiler's bound. A budget whose
+	// cycle bound overflows also fails it, but exceeds MaxRequestInstrs
+	// first, so it is a 413.
 	const machine = `"clusters":4,"issue_width":4,"muls":2,"branch_clusters":1,"latency_alu":1,"latency_mul":2,"latency_copy":1,"branch_penalty":2`
-	for _, job := range []string{
-		`"instr_limit":36028797018963968,"machine":{"mem_units":1,"latency_mem":2,` + machine + `}`,
-		`"instr_limit":1000,"machine":{"mem_units":0,"latency_mem":2,` + machine + `}`,
-		`"instr_limit":1000,"machine":{"mem_units":1,"latency_mem":10000000,` + machine + `}`,
+	for _, c := range []struct {
+		job  string
+		want int
+	}{
+		{`"instr_limit":36028797018963968,"machine":{"mem_units":1,"latency_mem":2,` + machine + `}`, http.StatusRequestEntityTooLarge},
+		{`"instr_limit":1000,"machine":{"mem_units":0,"latency_mem":2,` + machine + `}`, http.StatusBadRequest},
+		{`"instr_limit":1000,"machine":{"mem_units":1,"latency_mem":10000000,` + machine + `}`, http.StatusBadRequest},
 	} {
-		body := `{"version":3,"jobs":[{"scheme":"2SC3","benchmarks":["mcf","blowfish","x264","idct"],"perfect_memory":true,` + job + `}]}`
-		if code := post(body); code != http.StatusBadRequest {
-			t.Errorf("invalid job %s: %d, want 400", job, code)
+		body := `{"version":3,"jobs":[{"scheme":"2SC3","benchmarks":["mcf","blowfish","x264","idct"],"perfect_memory":true,` + c.job + `}]}`
+		if code := post(body); code != c.want {
+			t.Errorf("invalid job %s: %d, want %d", c.job, code, c.want)
 		}
 	}
-	for _, path := range []string{"/v1/sweeps/nope", "/v1/sweeps/nope/events"} {
-		resp, err := http.Get(ts.URL + path)
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		path := "/v1/sweeps/nope"
+		if method == http.MethodGet {
+			path += "/events"
+		}
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s: %d, want 404", path, resp.StatusCode)
+			t.Errorf("%s %s: %d, want 404", method, path, resp.StatusCode)
 		}
 	}
 }
 
 // TestServedRoutes pins the handler's surface: the sweep routes the
-// client uses and GET /v1/healthz answer, while the sweep list, the
-// plain-text probe and the store endpoints do not exist.
+// client uses and GET /v1/healthz answer, while the status route, the
+// sweep list, the plain-text probe and the store endpoints do not
+// exist.
 func TestServedRoutes(t *testing.T) {
 	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
 	g := testGrid()
@@ -542,7 +536,7 @@ func TestServedRoutes(t *testing.T) {
 		want         int
 	}{
 		{http.MethodGet, "/v1/healthz", http.StatusOK},
-		{http.MethodGet, "/v1/sweeps/" + st.ID, http.StatusOK},
+		{http.MethodGet, "/v1/sweeps/" + st.ID, http.StatusMethodNotAllowed},
 		{http.MethodGet, "/v1/sweeps/" + st.ID + "/events", http.StatusOK},
 		{http.MethodDelete, "/v1/sweeps/" + st.ID, http.StatusAccepted},
 		{http.MethodGet, "/v1/sweeps", http.StatusMethodNotAllowed},
@@ -562,6 +556,82 @@ func TestServedRoutes(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("%s %s: %d, want %d", c.method, c.path, resp.StatusCode, c.want)
 		}
+	}
+}
+
+// TestSweepIDsUniqueAcrossServers: two servers, as a server and its
+// restart, hand out different first IDs, so a client that attaches by
+// ID after a restart cannot follow another client's sweep.
+func TestSweepIDsUniqueAcrossServers(t *testing.T) {
+	a, b := New(Options{}), New(Options{})
+	defer a.Close()
+	defer b.Close()
+	if ida, idb := a.register(1, func() {}).id, b.register(1, func() {}).id; ida == idb {
+		t.Errorf("two servers' first sweep IDs are both %q", ida)
+	}
+}
+
+// TestAdmissionLimit: a request whose jobs together claim more than
+// MaxRequestInstrs instructions is a 413 naming the bound, decided
+// before any kernel compiles or any job runs. The paper's full-budget
+// Figure 10 grid is admitted, and the sum cannot overflow.
+func TestAdmissionLimit(t *testing.T) {
+	paper, err := sweep.Grid{InstrLimit: 100_000_000}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := admit(paper); err != nil {
+		t.Errorf("full-budget Figure 10 grid (%d jobs) rejected: %v", len(paper), err)
+	}
+	exact := []sweep.Job{{InstrLimit: MaxRequestInstrs - 1}, {InstrLimit: 1}}
+	if err := admit(exact); err != nil {
+		t.Errorf("request of exactly MaxRequestInstrs rejected: %v", err)
+	}
+	exact[1].InstrLimit = 2
+	if admit(exact) == nil {
+		t.Error("request of MaxRequestInstrs+1 admitted")
+	}
+	if admit([]sweep.Job{{InstrLimit: -1 << 62}, {InstrLimit: -1 << 62}, {InstrLimit: MaxRequestInstrs + 1}}) == nil {
+		t.Error("negative budgets offset an over-bound one")
+	}
+
+	var ran atomic.Bool
+	exec := func(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error) {
+		ran.Store(true)
+		return nil, nil
+	}
+	srv, ts := newTestServer(t, Options{Execute: exec})
+	g := sweep.Grid{Mixes: make([]string, 256), Schemes: make([]string, sweep.MaxGridJobs/256), InstrLimit: 1_000_000_000}
+	for i := range g.Mixes {
+		g.Mixes[i] = "LLHH"
+	}
+	for i := range g.Schemes {
+		g.Schemes[i] = "3SSS"
+	}
+	var body bytes.Buffer
+	if err := api.EncodeSweepRequest(&body, api.SweepRequest{Grid: &g}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d jobs x 10^9 instructions: %s, want 413", sweep.MaxGridJobs, resp.Status)
+	}
+	if !strings.Contains(string(msg), fmt.Sprint(int64(MaxRequestInstrs))) {
+		t.Errorf("error %q does not name the bound", msg)
+	}
+	if compiles, hits := srv.cache.Stats(); compiles != 0 || hits != 0 {
+		t.Errorf("rejected request compiled %d kernels (%d cache hits), want none", compiles, hits)
+	}
+	srv.mu.Lock()
+	registered := len(srv.runs)
+	srv.mu.Unlock()
+	if registered != 0 || ran.Load() {
+		t.Errorf("rejected request registered %d sweeps (executor ran: %v)", registered, ran.Load())
 	}
 }
 

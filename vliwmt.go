@@ -82,7 +82,7 @@
 // (WithResultStore).
 //
 // Sweeps can also run remotely: cmd/vliwserve serves the sweep engine
-// over HTTP (POST /v1/sweeps, status, NDJSON progress events), and
+// over HTTP (POST /v1/sweeps, then NDJSON progress events), and
 // Client submits a Grid to it, returning the same deterministic
 // SweepResults as an in-process call — bit-identical modulo wall-clock
 // fields, at any worker count on either side of the wire.

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"vliwmt"
 	"vliwmt/internal/api"
@@ -54,25 +53,6 @@ func heldExecutor(release <-chan struct{}) server.Executor {
 		}
 		return res, err
 	}
-}
-
-// waitIdle closes srv and waits until no sweep is active in the
-// process, asking through the health document at url: the
-// active-sweeps gauge is process-wide, and a sweep a test leaves to its
-// server's Close ends asynchronously.
-func waitIdle(t *testing.T, srv *server.Server, url string) {
-	t.Helper()
-	srv.Close()
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		h, err := vliwmt.NewClient(url).Health(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.ActiveSweeps == 0 {
-			return
-		}
-	}
-	t.Fatal("sweeps still active 10s after their server closed")
 }
 
 // TestClientReattachesAfterStreamBreak cuts the first event stream
@@ -171,7 +151,6 @@ func TestClientReattachToRestartedServerFails(t *testing.T) {
 	if len(res) != 0 {
 		t.Errorf("re-attach to a restarted server returned %d results of another sweep", len(res))
 	}
-	waitIdle(t, first, secondTS.URL)
 }
 
 // TestClientSubmitsOnce: the server accepts the POST but its reply is
@@ -207,16 +186,10 @@ func TestClientSubmitsOnce(t *testing.T) {
 	if n := accepted.Load(); n != 1 {
 		t.Errorf("server accepted %d sweeps for one call, want 1", n)
 	}
-	waitIdle(t, srv, ts.URL)
 }
 
 // TestClientSubmitRejectsPermanentFailure: a 400 is not retried.
 func TestClientSubmitRejectsPermanentFailure(t *testing.T) {
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
 	var posted atomic.Int64
 	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		posted.Add(1)

@@ -237,7 +237,7 @@ func main() {
 
 	// In-process sweeps run on a Runner over the process-wide compile
 	// cache; -store roots its result store.
-	local := vliwmt.NewRunner(vliwmt.WithSharedCache(), vliwmt.WithWorkers(*workers),
+	local := vliwmt.NewRunner(vliwmt.WithCache(vliwmt.SharedCompileCache()), vliwmt.WithWorkers(*workers),
 		vliwmt.WithProgress(opts.Progress), vliwmt.WithResultStore(*store))
 	start := time.Now()
 	var results []vliwmt.SweepResult

@@ -106,8 +106,9 @@ type Health struct {
 	// commit when the binary embeds one, else empty).
 	GoVersion string `json:"go_version,omitempty"`
 	Revision  string `json:"revision,omitempty"`
-	// ActiveSweeps counts sweeps currently executing; UptimeSec is the
-	// server's age. Both answer "is this box alive and how loaded".
+	// ActiveSweeps counts the server's sweeps that have not reached a
+	// terminal state; UptimeSec is the server's age. Both answer "is
+	// this box alive and how loaded".
 	ActiveSweeps int     `json:"active_sweeps"`
 	UptimeSec    float64 `json:"uptime_sec,omitempty"`
 	// Store carries the store handle's lifetime traffic counters when

@@ -35,15 +35,6 @@ func ForScheme(m isa.Machine, name string) (SchemeCost, error) {
 	return forTree(m, tree)
 }
 
-// ForTree builds and costs the merge control of an arbitrary merge
-// tree on machine m.
-func ForTree(m isa.Machine, tree *merge.Tree) (SchemeCost, error) {
-	if tree == nil {
-		return SchemeCost{}, fmt.Errorf("cost: nil merge tree")
-	}
-	return forTree(m, tree)
-}
-
 func forTree(m isa.Machine, tree *merge.Tree) (SchemeCost, error) {
 	c, err := logic.BuildScheme(&m, tree)
 	if err != nil {

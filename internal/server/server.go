@@ -1,5 +1,6 @@
-// Package server is the HTTP transport of the sweep engine: a thin,
-// stateless-protocol front-end over the vliwmt.Runner session API.
+// Package server is the HTTP transport of the sweep engine: each
+// submitted sweep runs on a sweep.Engine that the server configures
+// with its shared compile cache and result store.
 //
 //	POST   /v1/sweeps            submit a grid or job set (202 + sweep ID)
 //	GET    /v1/sweeps/{id}/events NDJSON progress stream (replay + live); the
@@ -52,8 +53,8 @@ import (
 	"sync"
 	"time"
 
-	"vliwmt"
 	"vliwmt/internal/api"
+	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sweep"
 	"vliwmt/internal/telemetry"
 )
@@ -62,7 +63,7 @@ import (
 // returns index-ordered results under the engine's determinism
 // contract. workers is the request's pool-size hint; progress must be
 // called with monotonic done counts as jobs complete. The default
-// executor is a vliwmt.Runner on the server's shared compile cache
+// executor is a sweep.Engine on the server's shared compile cache
 // and store; perfbench's traced run (perfbench/trace.go) substitutes a
 // sweep engine with a timed store to split each job into spans.
 type Executor func(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error)
@@ -73,13 +74,13 @@ type Options struct {
 	// does not ask for one; 0 selects runtime.NumCPU().
 	Workers int
 	// Store, when set, is the persistent result store (see
-	// vliwmt.OpenResultStore): completed jobs are content-addressed on
+	// resultstore.Open): completed jobs are content-addressed on
 	// disk, identical submitted jobs are served without simulating, and
 	// the cache survives server restarts; its traffic counters are on
 	// GET /v1/healthz and /metrics. Nil disables persistence.
-	Store *vliwmt.ResultStore
+	Store *resultstore.Store
 	// Execute substitutes the sweep execution strategy; nil selects the
-	// in-process Runner. See Executor.
+	// in-process engine. See Executor.
 	Execute Executor
 	// DisableDebug removes the observability endpoints — GET /metrics
 	// (Prometheus text format) and /debug/pprof/ — from the handler.
@@ -92,8 +93,8 @@ type Options struct {
 // result store.
 type Server struct {
 	opts    Options
-	cache   *vliwmt.CompileCache
-	store   *vliwmt.ResultStore // nil when persistence is disabled
+	cache   *sweep.CompileCache
+	store   *resultstore.Store // nil when persistence is disabled
 	started time.Time
 	// idPrefix starts every sweep ID: 64 random bits per Server, so
 	// IDs do not repeat across restarts.
@@ -113,7 +114,7 @@ func New(opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		opts:     opts,
-		cache:    vliwmt.NewCompileCache(),
+		cache:    sweep.NewCompileCache(),
 		started:  time.Now(),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -203,7 +204,7 @@ func (r *run) broadcast(ev api.Event) {
 	}
 }
 
-// progress is the Runner's progress sink. Cache hits and errors are
+// progress is the engine's progress sink. Cache hits and errors are
 // counted here so the accounting covers every job, streamed or not:
 // the event's result carries the per-job "cached" flag and error
 // string (also lifted to the event's top-level "err" so stream
@@ -333,7 +334,7 @@ func (s *Server) register(total int, cancel context.CancelFunc) *run {
 	return ru
 }
 
-// execute runs the job set — on a per-sweep Runner sharing the
+// execute runs the job set — on a per-sweep engine sharing the
 // server's compile cache, or on the configured Executor — then records
 // the terminal state. It releases the run's context on return so
 // finished sweeps don't stay registered as children of the server
@@ -347,7 +348,7 @@ func (s *Server) execute(ctx context.Context, ru *run, jobs []sweep.Job, workers
 	ctx = telemetry.WithSweepID(ctx, ru.id)
 	exec := s.opts.Execute
 	if exec == nil {
-		exec = s.runnerExecute
+		exec = s.engineExecute
 	}
 	results, err := exec(ctx, jobs, workers, ru.progress)
 	ru.finish(results, err)
@@ -356,27 +357,42 @@ func (s *Server) execute(ctx context.Context, ru *run, jobs []sweep.Job, workers
 		"done", st.Done, "total", st.Total, "cache_hits", st.CacheHits, "errors", st.Errors)
 }
 
-// runnerExecute is the default Executor: an in-process vliwmt.Runner
-// on the server's shared compile cache and result store.
-func (s *Server) runnerExecute(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error) {
-	runner := vliwmt.NewRunner(
-		vliwmt.WithWorkers(workers),
-		vliwmt.WithCache(s.cache),
-		vliwmt.WithProgress(progress),
-		vliwmt.WithStore(s.store),
-	)
-	return runner.SweepJobs(ctx, jobs)
+// engineExecute is the default Executor: a sweep.Engine on the
+// server's shared compile cache and result store.
+func (s *Server) engineExecute(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error) {
+	e := sweep.New(workers)
+	e.SetCache(s.cache)
+	e.SetProgress(progress)
+	if s.store != nil {
+		e.SetStore(s.store)
+	}
+	return e.Run(ctx, jobs)
+}
+
+// activeSweeps counts this server's runs that have not reached a
+// terminal state. A run turns terminal before its terminal event is
+// broadcast, so a client that has read that event counts it no more.
+func (s *Server) activeSweeps() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, ru := range s.runs {
+		if !ru.terminal() {
+			n++
+		}
+	}
+	return n
 }
 
 // handleHealth serves the structured liveness document: build
-// identity, active-sweep load and store traffic counters — everything
-// a load balancer or monitor needs.
+// identity, this server's active sweeps and store traffic counters —
+// everything a load balancer or monitor needs.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := api.Health{
 		Service:      "vliwserve",
 		GoVersion:    runtime.Version(),
 		Revision:     buildRevision(),
-		ActiveSweeps: int(metActiveSweeps.Value()),
+		ActiveSweeps: s.activeSweeps(),
 		UptimeSec:    time.Since(s.started).Seconds(),
 	}
 	if s.store != nil {

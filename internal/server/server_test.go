@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"vliwmt"
 	"vliwmt/internal/api"
 	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sweep"
@@ -210,15 +209,7 @@ func TestEventsStream(t *testing.T) {
 // in the stream before the terminal one.
 func TestEventsWithoutResults(t *testing.T) {
 	release := make(chan struct{})
-	exec := func(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error) {
-		res, err := vliwmt.NewRunner(vliwmt.WithWorkers(1), vliwmt.WithProgress(progress)).SweepJobs(ctx, jobs)
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return res, err
-	}
-	_, ts := newTestServer(t, Options{Execute: exec})
+	_, ts := newTestServer(t, Options{Execute: heldExecutor(release)})
 	g := testGrid()
 	st := submit(t, ts, api.SweepRequest{Grid: &g})
 
@@ -261,6 +252,22 @@ func TestEventsWithoutResults(t *testing.T) {
 		if r.Sim == nil {
 			t.Errorf("terminal status result %d has no simulation result", r.Index)
 		}
+	}
+}
+
+// heldExecutor runs the jobs on one worker, reporting progress, then
+// holds the sweep open until release is closed or the sweep is
+// cancelled.
+func heldExecutor(release <-chan struct{}) Executor {
+	return func(ctx context.Context, jobs []sweep.Job, workers int, progress sweep.ProgressFunc) ([]sweep.Result, error) {
+		e := sweep.New(1)
+		e.SetProgress(progress)
+		res, err := e.Run(ctx, jobs)
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return res, err
 	}
 }
 
@@ -671,30 +678,31 @@ func TestOverCapGridRejected(t *testing.T) {
 	}
 }
 
+// health fetches and decodes the server's GET /v1/healthz document.
+func health(t *testing.T, ts *httptest.Server) api.Health {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %s", resp.Status)
+	}
+	h, err := api.DecodeHealth(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestHealthzV1 exercises the structured health document: service
 // identity, load and store stats, cheap enough for a periodic ping.
 func TestHealthzV1(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Options{Store: resultstore.Open(dir)})
 
-	fetch := func() api.Health {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("healthz: %s", resp.Status)
-		}
-		h, err := api.DecodeHealth(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-
-	h := fetch()
+	h := health(t, ts)
 	if h.Service != "vliwserve" {
 		t.Errorf("service %q, want vliwserve", h.Service)
 	}
@@ -717,7 +725,7 @@ func TestHealthzV1(t *testing.T) {
 	if st.State != api.StateDone {
 		t.Fatalf("sweep state %s", st.State)
 	}
-	h = fetch()
+	h = health(t, ts)
 	if h.Store.Puts == 0 {
 		t.Error("store puts not visible in health after a sweep")
 	}
@@ -725,19 +733,50 @@ func TestHealthzV1(t *testing.T) {
 	// A storeless server still names itself vliwserve and omits the
 	// store block.
 	_, plain := newTestServer(t, Options{})
-	resp, err := http.Get(plain.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	ph, err := api.DecodeHealth(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ph := health(t, plain)
 	if ph.Service != "vliwserve" {
 		t.Errorf("storeless service %q, want vliwserve", ph.Service)
 	}
 	if ph.Store != nil {
 		t.Error("storeless server reports store stats")
+	}
+}
+
+// TestActiveSweepsPerServer: a health document counts its own server's
+// sweeps that have not finished. A sweep held open on one server does
+// not show on another server in the same process, and once a client
+// has read a sweep's terminal event, its server no longer counts it.
+func TestActiveSweepsPerServer(t *testing.T) {
+	release := make(chan struct{})
+	_, held := newTestServer(t, Options{Execute: heldExecutor(release)})
+	_, other := newTestServer(t, Options{})
+	g := testGrid()
+	st := submit(t, held, api.SweepRequest{Grid: &g})
+
+	resp, err := http.Get(held.URL + "/v1/sweeps/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var ev api.Event
+	if err := dec.Decode(&ev); err != nil { // a job event: the sweep is executing
+		t.Fatal(err)
+	}
+	if n := health(t, held).ActiveSweeps; n != 1 {
+		t.Errorf("server holding a sweep reports %d active sweeps, want 1", n)
+	}
+	if n := health(t, other).ActiveSweeps; n != 0 {
+		t.Errorf("idle server reports %d active sweeps while another server runs one", n)
+	}
+
+	close(release)
+	for !ev.Terminal() {
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("event stream ended before the terminal event: %v", err)
+		}
+	}
+	if n := health(t, held).ActiveSweeps; n != 0 {
+		t.Errorf("server reports %d active sweeps after the terminal event was read", n)
 	}
 }

@@ -118,33 +118,26 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		results[i] = Result{Index: i, Job: jobs[i]}
 	}
 
-	// Dispatch one job at a time: every job is one sim.Run.
-	jobCh := make(chan int)
-	go func() {
-		defer close(jobCh)
-		for i := range jobs {
-			select {
-			case jobCh <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
+	// Workers claim job indices in order from a shared counter: every
+	// job is one sim.Run.
 	st := &sweepState{jobs: jobs, results: results, perJob: perJob, logger: logger}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < e.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobCh {
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
 				if err := ctx.Err(); err != nil {
 					// Cancellation is job-granular: a job already
 					// running finishes, later jobs are skipped.
 					results[i].Err = err
 					metJobsErrored.Inc()
 					metQueueDepth.Add(-1)
-					st.processed.Add(1)
 					continue
 				}
 				e.runJob(st, i)
@@ -152,18 +145,9 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 		}()
 	}
 	wg.Wait()
-	// Jobs the producer never handed to a worker (context cancelled
-	// before dispatch) still occupy the queue gauge; release them.
-	metQueueDepth.Add(st.processed.Load() - int64(len(jobs)))
 
 	var errs []error
 	if err := ctx.Err(); err != nil {
-		// Jobs never handed to a worker keep the context error too.
-		for i := range results {
-			if results[i].Res == nil && results[i].Err == nil {
-				results[i].Err = err
-			}
-		}
 		errs = append(errs, err)
 	}
 	for i := range results {
@@ -189,13 +173,12 @@ func errString(err error) string {
 
 // sweepState is the per-Run bookkeeping the workers share.
 type sweepState struct {
-	jobs      []Job
-	results   []Result
-	mu        sync.Mutex // serialises progress callbacks and the done count
-	done      int
-	processed atomic.Int64 // jobs a worker finished, for queue-depth accounting
-	perJob    bool
-	logger    *slog.Logger
+	jobs    []Job
+	results []Result
+	mu      sync.Mutex // serialises progress callbacks and the done count
+	done    int
+	perJob  bool
+	logger  *slog.Logger
 }
 
 // runJob processes one job: a store probe (a hit skips the rest),
@@ -247,7 +230,6 @@ func (e *Engine) finishJob(st *sweepState, i int, took time.Duration) {
 		metJobsCompleted.Inc()
 	}
 	metQueueDepth.Add(-1)
-	st.processed.Add(1)
 	if st.perJob {
 		st.logger.Debug("job done",
 			"index", i, "job", st.jobs[i].Describe(),

@@ -107,10 +107,12 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 }
 
-// TestQueueDepthReleasedOnCancel checks the gauge accounting under
-// cancellation: jobs the producer never handed to a worker must still
-// be released, or every cancelled sweep would leak queue depth
-// forever.
+// TestQueueDepthReleasedOnCancel checks the accounting under
+// cancellation: jobs skipped after the cancel must still be released
+// from the queue gauge, or every cancelled sweep would leak queue depth
+// forever, and each skipped job counts as errored. With one worker the
+// cancel lands in the first job's progress callback, so every other
+// job is skipped.
 func TestQueueDepthReleasedOnCancel(t *testing.T) {
 	g := testGrid()
 	g.InstrLimit = 2_000
@@ -133,5 +135,9 @@ func TestQueueDepthReleasedOnCancel(t *testing.T) {
 	after := telemetry.Default().Snapshot()
 	if b, a := before.Gauge("sweep_queue_depth"), after.Gauge("sweep_queue_depth"); a != b {
 		t.Errorf("cancelled sweep leaked queue depth: %d -> %d", b, a)
+	}
+	errored := after.Counter("sweep_jobs_errored_total") - before.Counter("sweep_jobs_errored_total")
+	if want := int64(len(jobs) - 1); errored != want {
+		t.Errorf("sweep_jobs_errored_total moved by %d, want %d skipped jobs", errored, want)
 	}
 }

@@ -31,8 +31,8 @@ var sweepSeq atomic.Int64
 // EnsureSweepID returns the context's sweep ID, generating and
 // attaching a process-unique local one ("local-<n>") when the caller
 // did not provide any — so engine span events always carry an ID,
-// whether the sweep came over HTTP (server-assigned "s000042") or from
-// an in-process call.
+// whether the sweep came over HTTP (server-assigned "<prefix>-<n>") or
+// from an in-process call.
 func EnsureSweepID(ctx context.Context) (context.Context, string) {
 	if id := SweepIDFrom(ctx); id != "" {
 		return ctx, id

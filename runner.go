@@ -19,7 +19,7 @@ import (
 // run's elapsed time, so warm output is byte-identical to cold output.
 //
 // A ResultStore is safe for concurrent use and for sharing between
-// Runners (the server shares one across every sweep it executes).
+// sweeps (the server shares one across every sweep it executes).
 // Corrupt, truncated or schema-mismatched entries are treated as cache
 // misses, never served.
 type ResultStore = resultstore.Store
@@ -42,10 +42,11 @@ type CompileCache = sweep.CompileCache
 func NewCompileCache() *CompileCache { return sweep.NewCompileCache() }
 
 // SharedCompileCache returns the process-wide compile cache used by the
-// package-level Run/RunMix/Sweep functions.
+// package-level RunMix, Sweep and SweepJobs functions; attach it to a
+// Runner with WithCache(SharedCompileCache()).
 func SharedCompileCache() *CompileCache { return sweep.SharedCache() }
 
-// Runner is a long-lived experiment session. All of its methods — Run,
+// Runner is a long-lived experiment session. All of its methods —
 // RunMix, Sweep, SweepJobs — share one compile cache, so a Runner that
 // serves many calls (a REPL, a service handler, a benchmark harness)
 // compiles each (benchmark, machine) kernel exactly once. A Runner is
@@ -54,13 +55,13 @@ func SharedCompileCache() *CompileCache { return sweep.SharedCache() }
 // worker count).
 //
 // The zero configuration — NewRunner() — uses a private compile cache
-// and one worker per core. The package-level functions are thin
-// wrappers over a default Runner attached to the process-wide cache.
+// and one worker per core. The package-level RunMix, Sweep and
+// SweepJobs functions are thin wrappers over a default Runner attached
+// to the process-wide cache.
 type Runner struct {
 	workers  int
 	cache    *CompileCache
 	progress func(done, total int, r SweepResult)
-	seed     uint64
 	store    *ResultStore
 }
 
@@ -83,25 +84,11 @@ func WithCache(c *CompileCache) RunnerOption {
 	}
 }
 
-// WithSharedCache attaches the process-wide compile cache, sharing
-// compiled kernels with the package-level functions and every other
-// Runner constructed with this option.
-func WithSharedCache() RunnerOption {
-	return func(r *Runner) { r.cache = sweep.SharedCache() }
-}
-
 // WithProgress installs a progress sink called after each sweep job
 // completes (done jobs, total jobs, the completed result). Calls are
 // serialised by the engine.
 func WithProgress(fn func(done, total int, r SweepResult)) RunnerOption {
 	return func(r *Runner) { r.progress = fn }
-}
-
-// WithSeed sets the Runner's default sweep seed: a Grid submitted with
-// Seed zero inherits it before expansion. Explicit Grid or Job seeds
-// always win.
-func WithSeed(seed uint64) RunnerOption {
-	return func(r *Runner) { r.seed = seed }
 }
 
 // WithResultStore enables result persistence rooted at dir: every
@@ -120,17 +107,6 @@ func WithResultStore(dir string) RunnerOption {
 	}
 }
 
-// WithStore attaches an existing result store handle, typically to
-// share one store (and its hit/miss counters) between Runners, as the
-// sweep server does. A nil store is ignored.
-func WithStore(s *ResultStore) RunnerOption {
-	return func(r *Runner) {
-		if s != nil {
-			r.store = s
-		}
-	}
-}
-
 // NewRunner returns a session configured by opts.
 func NewRunner(opts ...RunnerOption) *Runner {
 	r := &Runner{cache: sweep.NewCompileCache()}
@@ -144,13 +120,8 @@ func NewRunner(opts ...RunnerOption) *Runner {
 func (r *Runner) Cache() *CompileCache { return r.cache }
 
 // Store exposes the Runner's result store (nil when persistence is
-// disabled), for stats, snapshots and sharing.
+// disabled), for stats and snapshots.
 func (r *Runner) Store() *ResultStore { return r.store }
-
-// Run simulates the given software threads under cfg.
-func (r *Runner) Run(cfg Config, tasks []Task) (*Result, error) {
-	return sim.Run(cfg, tasks)
-}
 
 // RunMix compiles the named Table 2 mix through the Runner's compile
 // cache and simulates it under cfg. Repeated calls on one Runner reuse
@@ -167,12 +138,8 @@ func (r *Runner) RunMix(cfg Config, mixName string) (*Result, error) {
 	return sim.Run(cfg, tasks)
 }
 
-// Sweep expands the grid (applying the Runner's default seed when the
-// grid leaves Seed zero) and executes it; see SweepJobs.
+// Sweep expands the grid and executes it; see SweepJobs.
 func (r *Runner) Sweep(ctx context.Context, g Grid) ([]SweepResult, error) {
-	if g.Seed == 0 && r.seed != 0 {
-		g.Seed = r.seed
-	}
 	jobs, err := g.Jobs()
 	if err != nil {
 		return nil, err

@@ -93,28 +93,6 @@ func TestRunnerSharesCompileCacheAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestRunnerSeedPolicy checks WithSeed fills only grids that left Seed
-// zero.
-func TestRunnerSeedPolicy(t *testing.T) {
-	r := vliwmt.NewRunner(vliwmt.WithSeed(99))
-	g := vliwmt.Grid{Schemes: []string{"1S"}, Mixes: []string{"LLHH"}, InstrLimit: 1_000, SharedSeed: true}
-	results, err := r.Sweep(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Job.Seed != 99 {
-		t.Errorf("default seed not applied: %d", results[0].Job.Seed)
-	}
-	g.Seed = 3
-	results, err = r.Sweep(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Job.Seed != 3 {
-		t.Errorf("explicit seed overridden: %d", results[0].Job.Seed)
-	}
-}
-
 // TestRunnerResultStoreServesRepeats checks result persistence across
 // Runner lifetimes: a second Runner pointed at the same store serves
 // the identical sweep from disk — per job, without compiling or

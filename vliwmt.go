@@ -63,23 +63,24 @@
 //
 // # Runners and the top-level functions
 //
-// A Runner is a long-lived experiment session whose methods (Run,
-// RunMix, Sweep, SweepJobs) share one compile cache, configured with
-// functional options — workers, cache, seed policy, progress sink,
-// result persistence:
+// A Runner is a long-lived experiment session whose methods (RunMix,
+// Sweep, SweepJobs) share one compile cache, configured with
+// functional options — workers, cache, progress sink, result
+// persistence:
 //
-//	r := vliwmt.NewRunner(vliwmt.WithWorkers(8), vliwmt.WithSeed(7))
+//	r := vliwmt.NewRunner(vliwmt.WithWorkers(8))
 //	res, err := r.RunMix(cfg, "LLHH")          // compiles LLHH once
 //	res, err = r.RunMix(cfg, "LLHH")           // served from the cache
-//	results, err := r.Sweep(ctx, vliwmt.Grid{})
+//	results, err := r.Sweep(ctx, vliwmt.Grid{Seed: 7})
 //
-// The package-level Run, RunMix, Sweep and SweepJobs functions are thin
+// The package-level RunMix, Sweep and SweepJobs functions are thin
 // wrappers over a default Runner attached to the process-wide compile
-// cache; they remain the simplest entry point and their behaviour is
-// unchanged. Construct your own Runner when you want an isolated or
-// explicitly shared cache, a fixed worker budget, a default seed, a
-// progress sink that outlives one call, or on-disk result persistence
-// (WithResultStore).
+// cache, and Run simulates prepared tasks directly; they remain the
+// simplest entry point. Construct your own Runner when you want an
+// isolated or explicitly shared cache (WithCache, SharedCompileCache),
+// a fixed worker budget, a progress sink that outlives one call, or
+// on-disk result persistence (WithResultStore). A grid's seed is the
+// Grid's own field.
 //
 // Sweeps can also run remotely: cmd/vliwserve serves the sweep engine
 // over HTTP (POST /v1/sweeps, then NDJSON progress events), and
@@ -136,13 +137,14 @@ type Result = sim.Result
 // Program is compiled clustered-VLIW code ready for simulation.
 type Program = program.Program
 
-// defaultRunner backs the package-level Run/RunMix/Sweep functions: a
-// session on the process-wide compile cache, so top-level calls and
-// Runners constructed with WithSharedCache reuse each other's kernels.
-var defaultRunner = NewRunner(WithSharedCache())
+// defaultRunner backs the package-level RunMix function: a session on
+// the process-wide compile cache, so top-level calls and Runners
+// constructed with WithCache(SharedCompileCache()) reuse each other's
+// kernels.
+var defaultRunner = NewRunner(WithCache(SharedCompileCache()))
 
 // Run simulates the given software threads under cfg.
-func Run(cfg Config, tasks []Task) (*Result, error) { return defaultRunner.Run(cfg, tasks) }
+func Run(cfg Config, tasks []Task) (*Result, error) { return sim.Run(cfg, tasks) }
 
 // Benchmark describes one of the paper's Table 1 benchmarks.
 type Benchmark = workload.Benchmark
@@ -288,10 +290,11 @@ type SweepOptions struct {
 	Progress func(done, total int, r SweepResult)
 }
 
-// runner builds a one-call Runner on the process-wide compile cache
-// from legacy SweepOptions.
+// runner builds the one-call Runner behind the package-level Sweep and
+// SweepJobs: the process-wide compile cache with o's workers and
+// progress sink.
 func (o SweepOptions) runner() *Runner {
-	return NewRunner(WithSharedCache(), WithWorkers(o.Workers), WithProgress(o.Progress))
+	return NewRunner(WithCache(SharedCompileCache()), WithWorkers(o.Workers), WithProgress(o.Progress))
 }
 
 // Sweep expands the grid into jobs and executes them on a bounded worker

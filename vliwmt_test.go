@@ -2,11 +2,45 @@ package vliwmt_test
 
 import (
 	"context"
+	"errors"
+	"go/build"
+	"io/fs"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"vliwmt"
 )
+
+// TestInternalPackagesDoNotImportRoot: the public façade is built on
+// the internal packages, never the other way round, so no non-test
+// file under internal/ imports the root package.
+func TestInternalPackagesDoNotImportRoot(t *testing.T) {
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		pkg, err := build.ImportDir(path, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if slices.Contains(pkg.Imports, "vliwmt") {
+			t.Errorf("%s imports the root package vliwmt", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 func fastConfig(contexts int, scheme string) vliwmt.Config {
 	cfg := vliwmt.DefaultConfig()

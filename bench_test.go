@@ -71,7 +71,11 @@ func mergeSelectSets() ([][]isa.Occupancy, []uint32) {
 // it once per run.
 func BenchmarkMergeSelect(b *testing.B) {
 	m := isa.Default()
-	sel, err := merge.NewSelector("2SC3", 4)
+	scheme, err := merge.Resolve("2SC3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sel, err := scheme.Selector(4)
 	if err != nil {
 		b.Fatal(err)
 	}

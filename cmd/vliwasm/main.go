@@ -1,31 +1,29 @@
 // Command vliwasm compiles a Table 1 benchmark kernel and prints its
-// scheduled clustered-VLIW code, static statistics, or binary encoding —
-// the repository's equivalent of a compiler's -S output.
+// scheduled clustered-VLIW code or its static statistics — the
+// repository's equivalent of a compiler's -S output. The code size it
+// reports lays instructions out at Instruction.EncodedSize bytes each;
+// no binary encoding is produced.
 //
 // Usage:
 //
 //	vliwasm -bench idct
 //	vliwasm -bench mcf -stats
-//	vliwasm -bench x264 -encode | xxd | head
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"vliwmt"
-	"vliwmt/internal/isa"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vliwasm: ")
 	var (
-		bench  = flag.String("bench", "", "benchmark to compile (see vliwsim -list)")
-		stats  = flag.Bool("stats", false, "print static statistics only")
-		encode = flag.Bool("encode", false, "write the binary encoding to stdout")
+		bench = flag.String("bench", "", "benchmark to compile (see vliwsim -list)")
+		stats = flag.Bool("stats", false, "print static statistics only")
 	)
 	flag.Parse()
 	if *bench == "" {
@@ -36,8 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch {
-	case *stats:
+	if *stats {
 		ni, no := p.NumInstructions(), p.NumOps()
 		fmt.Printf("program:       %s\n", p.Name)
 		fmt.Printf("blocks:        %d\n", len(p.Blocks))
@@ -46,17 +43,7 @@ func main() {
 		fmt.Printf("ops/instr:     %.2f (static issue density)\n", p.StaticOpsPerInstr())
 		fmt.Printf("code size:     %d bytes\n", p.CodeSize)
 		fmt.Printf("branch sites:  %d\n", p.NumBranchSites)
-	case *encode:
-		var buf []byte
-		for bi := range p.Blocks {
-			for _, in := range p.Blocks[bi].Instrs {
-				buf = isa.AppendEncoded(buf, in)
-			}
-		}
-		if _, err := os.Stdout.Write(buf); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		fmt.Print(p.Disassemble())
+		return
 	}
+	fmt.Print(p.Disassemble())
 }

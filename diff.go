@@ -18,7 +18,7 @@ type SnapshotEntry = resultstore.Entry
 
 // ResultDiff is the comparison of two ResultSnapshots: how many jobs
 // are bit-identical, and every divergence (changed metrics, or jobs
-// present on one side only) in key order. See DiffSnapshots.
+// present on one side only) in key, then label, order. See DiffSnapshots.
 type ResultDiff = resultstore.Diff
 
 // ResultEntryDiff is one diverging job of a ResultDiff.
@@ -55,9 +55,10 @@ func WriteSnapshot(path string, s ResultSnapshot) error {
 	return resultstore.WriteSnapshot(path, s)
 }
 
-// DiffSnapshots compares two snapshots by job content key and reports
-// every divergence: per-metric deltas for jobs whose results changed,
-// plus jobs present in only one snapshot. A Clean diff is the
+// DiffSnapshots compares two snapshots by job content key (jobs that
+// share a key pair by label first) and reports every divergence:
+// per-metric deltas for jobs whose results changed, plus jobs present
+// in only one snapshot. A Clean diff is the
 // conformance harness's "this commit did not change simulator output".
 func DiffSnapshots(old, new ResultSnapshot) ResultDiff {
 	return resultstore.DiffSnapshots(old, new)

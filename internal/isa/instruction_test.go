@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -261,7 +262,10 @@ func TestInstructionStringAndSize(t *testing.T) {
 		t.Errorf("2-op instruction size = %d, want 12", in.EncodedSize())
 	}
 	// NewInstruction sorts by cluster.
-	if in.Ops[0].Cluster != 0 {
-		t.Errorf("ops not sorted by cluster: %v", in)
+	if got := in.String(); got != "alu.c0 ; mem.c1" {
+		t.Errorf("2-op instruction String = %q, want ops sorted by cluster", got)
+	}
+	if got := fmt.Sprint([]OpClass{OpALU, OpMul, OpMem, OpBranch, OpCopy, NumOpClasses}); got != "[alu mpy mem br copy opclass(5)]" {
+		t.Errorf("op class mnemonics = %s", got)
 	}
 }

@@ -92,18 +92,3 @@ func TestMachineUnitsFor(t *testing.T) {
 		t.Errorf("Branch units on cluster 1 = %d, want 0", got)
 	}
 }
-
-func TestOpClassStringParseRoundTrip(t *testing.T) {
-	for c := OpClass(0); c < NumOpClasses; c++ {
-		got, err := ParseOpClass(c.String())
-		if err != nil {
-			t.Fatalf("ParseOpClass(%q): %v", c.String(), err)
-		}
-		if got != c {
-			t.Errorf("round trip %v -> %v", c, got)
-		}
-	}
-	if _, err := ParseOpClass("bogus"); err == nil {
-		t.Error("ParseOpClass accepted bogus mnemonic")
-	}
-}

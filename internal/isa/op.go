@@ -30,17 +30,6 @@ func (c OpClass) String() string {
 	return fmt.Sprintf("opclass(%d)", uint8(c))
 }
 
-// ParseOpClass converts a mnemonic produced by OpClass.String back into the
-// class value.
-func ParseOpClass(s string) (OpClass, error) {
-	for i, n := range opClassNames {
-		if n == s {
-			return OpClass(i), nil
-		}
-	}
-	return 0, fmt.Errorf("isa: unknown operation class %q", s)
-}
-
 // Op is a single operation inside a VLIW instruction. The fields beyond
 // Class and Cluster are runtime behaviour hooks filled in by the compiler:
 // they do not affect merging, only simulation events.

@@ -116,24 +116,40 @@ func sortedCuts(r *rand.Rand, n, groups int) []int {
 	return append(out, n)
 }
 
-// TestCompiledMatchesReferenceRandomTrees is the core differential: on
-// random trees of 2..8 ports and random candidate sets, the packed
-// evaluator must reproduce the recursive reference selection's mask and
-// merged operation count exactly.
+// TestCompiledMatchesReferenceRandomTrees is the packed-path
+// differential beyond the four ports internal/logic's
+// TestMergeTreesExhaustive enumerates: on C8 and random trees of 5-8
+// ports, on the default machine and random geometries, SelectPacked
+// must reproduce the reference Tree.Select's mask and merged operation
+// count, the two facts the simulator consumes.
 func TestCompiledMatchesReferenceRandomTrees(t *testing.T) {
-	m := isa.Default()
 	r := rand.New(rand.NewSource(2026))
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + r.Intn(7)
-		tree := randomTree(r, n)
+	machines := []isa.Machine{isa.Default()}
+	for i := 0; i < 4; i++ {
+		m := isa.Default()
+		m.Clusters = 1 + r.Intn(isa.MaxClusters)
+		m.IssueWidth = 1 + r.Intn(8)
+		m.Muls = 1 + r.Intn(4)
+		m.MemUnits = 1 + r.Intn(4)
+		m.BranchClusters = r.Intn(m.Clusters + 1)
+		machines = append(machines, m)
+	}
+	trees := []*Tree{mustParse(t, "C8", 8)}
+	for i := 0; i < 200; i++ {
+		trees = append(trees, randomTree(r, 5+r.Intn(4)))
+	}
+	for _, tree := range trees {
 		c := Compile(tree)
-		for i := 0; i < 50; i++ {
-			vals, valid := pack(randomCands(r, &m, n))
-			ref := tree.Select(&m, vals, valid)
-			mask, ops := selectPacked(t, c, &m, vals, valid)
-			if mask != ref.Mask || ops != ref.Occ.Ops {
-				t.Fatalf("tree %s: packed (mask %0*b, ops %d) != reference (mask %0*b, ops %d), valid %0*b",
-					tree, n, mask, ops, n, ref.Mask, ref.Occ.Ops, n, valid)
+		for mi := range machines {
+			m := &machines[mi]
+			for i := 0; i < 20; i++ {
+				vals, valid := pack(randomCands(r, m, tree.Ports()))
+				ref := tree.Select(m, vals, valid)
+				mask, ops := selectPacked(t, c, m, vals, valid)
+				if mask != ref.Mask || ops != ref.Occ.Ops {
+					t.Fatalf("tree %s on %+v: packed (mask %b, ops %d) != reference (mask %b, ops %d), valid %b",
+						tree, *m, mask, ops, ref.Mask, ref.Occ.Ops, valid)
+				}
 			}
 		}
 	}

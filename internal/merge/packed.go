@@ -27,9 +27,10 @@ import (
 // or clusters not used by both packets) are masked out of the overflow
 // word, which reproduces Occupancy.CompatSMT's skip rules exactly. Every
 // valid machine and every occupancy that fits one alone lies inside the
-// headroom (TestPackingTotalForValidInput). The differential tests in
-// packed_test.go and the simulator's batch-vs-refsim suite enforce
-// bit-identity with the reference Selectors.
+// headroom (TestPackingTotalForValidInput). The exhaustive proof in
+// internal/logic, the differential tests in this package and the
+// simulator's sim-vs-refsim suite enforce bit-identity with the
+// reference Selectors.
 
 const (
 	// packMax bounds every packed per-cluster count and machine limit;

@@ -38,65 +38,6 @@ func selectPacked(t testing.TB, c *Compiled, m *isa.Machine, vals []isa.Occupanc
 	return c.SelectPacked(d, &lim, ids, valid)
 }
 
-// TestSelectPackedMatchesSelect is the packed-path differential: on the
-// paper's schemes plus random trees, random machines and random
-// candidate sets, SelectPacked must agree with the reference Tree.Select
-// on the selected mask and the merged packet's operation count — the
-// two facts the simulator consumes.
-func TestSelectPackedMatchesSelect(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	machines := []isa.Machine{isa.Default()}
-	for i := 0; i < 4; i++ {
-		m := isa.Default()
-		m.Clusters = 1 + r.Intn(isa.MaxClusters)
-		m.IssueWidth = 1 + r.Intn(8)
-		m.Muls = 1 + r.Intn(4)
-		m.MemUnits = 1 + r.Intn(4)
-		m.BranchClusters = r.Intn(m.Clusters + 1)
-		machines = append(machines, m)
-	}
-	check := func(c *Compiled, m *isa.Machine, vals []isa.Occupancy, valid uint32) {
-		t.Helper()
-		ref := c.Tree().Select(m, vals, valid)
-		mask, ops := selectPacked(t, c, m, vals, valid)
-		if mask != ref.Mask || ops != ref.Occ.Ops {
-			t.Fatalf("%s on %+v: packed (mask %04b, ops %d) != reference (mask %04b, ops %d), valid %04b",
-				c.Name(), *m, mask, ops, ref.Mask, ref.Occ.Ops, valid)
-		}
-	}
-
-	for _, name := range []string{"3SSS", "3CCC", "C4", "C8", "2SC3", "3SCC", "2C3S", "2SS", "2CC", "2CS", "2SC", "1S"} {
-		ports := 4
-		if name == "C8" {
-			ports = 8
-		}
-		if name == "1S" {
-			ports = 2
-		}
-		c := Compile(mustParse(t, name, ports))
-		for _, m := range machines {
-			mm := m
-			for i := 0; i < 60; i++ {
-				vals, valid := pack(randomCands(r, &mm, ports))
-				check(c, &mm, vals, valid)
-			}
-		}
-	}
-
-	// Random trees exercise the stack evaluator's nested merges.
-	for trial := 0; trial < 120; trial++ {
-		n := 2 + r.Intn(7)
-		c := Compile(randomTree(r, n))
-		for _, m := range machines {
-			mm := m
-			for i := 0; i < 15; i++ {
-				vals, valid := pack(randomCands(r, &mm, n))
-				check(c, &mm, vals, valid)
-			}
-		}
-	}
-}
-
 // TestPackOccRoundTrip pins the packed encoding: per-cluster counts land
 // in the right bytes, the cluster mask matches ClusterMask, and
 // over-limit counts are rejected.
@@ -154,7 +95,11 @@ func TestSelectPackedZeroAllocs(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(13))
 	for _, name := range []string{"3SSS", "3CCC", "2SC3", "2SS", "C4", "IMT", "BMT"} {
-		c, err := NewSelector(name, 4)
+		s, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.Selector(4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,15 +136,3 @@ func (s *BMT) Select(m *isa.Machine, cands []isa.Occupancy, valid uint32) Select
 	}
 	return Selection{}
 }
-
-// NewSelector builds the compiled evaluator for a scheme by name —
-// anything Resolve accepts: a paper scheme name, a canonical tree
-// expression, or the baselines "IMT" and "BMT". ports is the number of hardware thread ports; tree-backed
-// schemes must match it exactly.
-func NewSelector(name string, ports int) (*Compiled, error) {
-	s, err := Resolve(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.Selector(ports)
-}

@@ -181,36 +181,6 @@ func TestEmptyAndSingleCandidate(t *testing.T) {
 	}
 }
 
-// TestHighestPriorityAlwaysIssues: in every paper scheme, the first
-// runnable port in leaf order is always part of the selection.
-func TestHighestPriorityAlwaysIssues(t *testing.T) {
-	m := isa.Default()
-	r := rand.New(rand.NewSource(7))
-	for _, name := range PaperSchemes4() {
-		tree := mustParse(t, name, mustPorts(t, name))
-		for trial := 0; trial < 200; trial++ {
-			cands := randomCands(r, &m, tree.Ports())
-			first := -1
-			for p, c := range cands {
-				if c != nil {
-					first = p
-					break
-				}
-			}
-			s := treeSelect(t, tree, &m, cands)
-			if first == -1 {
-				if !s.Empty() {
-					t.Fatalf("%s: selected from empty candidates", name)
-				}
-				continue
-			}
-			if !s.Has(first) {
-				t.Fatalf("%s: highest-priority runnable port %d not selected (mask %04b)", name, first, s.Mask)
-			}
-		}
-	}
-}
-
 func randomCands(r *rand.Rand, m *isa.Machine, ports int) []*isa.Occupancy {
 	cands := make([]*isa.Occupancy, ports)
 	for p := range cands {
@@ -237,61 +207,6 @@ func randomCands(r *rand.Rand, m *isa.Machine, ports int) []*isa.Occupancy {
 		cands[p] = &occ
 	}
 	return cands
-}
-
-// TestFunctionalEquivalences verifies the identities the paper reports:
-// the parallel implementations select exactly like their serial cascades
-// (C4 = 3CCC, 2SC3 = 3SCC, 2C3S = 3CCS) for every candidate combination.
-func TestFunctionalEquivalences(t *testing.T) {
-	m := isa.Default()
-	pairs := [][2]string{{"C4", "3CCC"}, {"2SC3", "3SCC"}, {"2C3S", "3CCS"}}
-	r := rand.New(rand.NewSource(42))
-	for _, pair := range pairs {
-		a := mustParse(t, pair[0], 4)
-		b := mustParse(t, pair[1], 4)
-		for trial := 0; trial < 2000; trial++ {
-			cands := randomCands(r, &m, 4)
-			sa := treeSelect(t, a, &m, cands)
-			sb := treeSelect(t, b, &m, cands)
-			if sa.Mask != sb.Mask {
-				t.Fatalf("%s vs %s: mask %04b != %04b for %v", pair[0], pair[1], sa.Mask, sb.Mask, cands)
-			}
-			if sa.Occ != sb.Occ {
-				t.Fatalf("%s vs %s: merged occupancy differs", pair[0], pair[1])
-			}
-		}
-	}
-}
-
-// TestSelectionInvariants: selected ports always had candidates, and the
-// merged occupancy is exactly the union of the selected candidates and
-// still fits the machine.
-func TestSelectionInvariants(t *testing.T) {
-	m := isa.Default()
-	r := rand.New(rand.NewSource(99))
-	for _, name := range PaperSchemes4() {
-		tree := mustParse(t, name, mustPorts(t, name))
-		for trial := 0; trial < 500; trial++ {
-			cands := randomCands(r, &m, tree.Ports())
-			s := treeSelect(t, tree, &m, cands)
-			var union isa.Occupancy
-			for p := 0; p < tree.Ports(); p++ {
-				if !s.Has(p) {
-					continue
-				}
-				if cands[p] == nil {
-					t.Fatalf("%s: selected stalled port %d", name, p)
-				}
-				union = union.Union(*cands[p])
-			}
-			if union != s.Occ {
-				t.Fatalf("%s: merged occupancy is not the union of selected candidates", name)
-			}
-			if !s.Empty() && !s.Occ.FitsAlone(&m) {
-				t.Fatalf("%s: merged packet oversubscribes the machine: %v", name, s.Occ)
-			}
-		}
-	}
 }
 
 // TestSMTSupersetOfCSMTPairwise: for the two-thread schemes the SMT
@@ -355,21 +270,5 @@ func TestBMTSticksUntilBlocked(t *testing.T) {
 	cands[1] = nil
 	if s := sel(); s.Mask != 0b100 {
 		t.Errorf("BMT wrap-around pick = wrong; want thread 2")
-	}
-}
-
-func TestNewSelector(t *testing.T) {
-	for _, name := range []string{"IMT", "BMT", "3SSS", "C4"} {
-		sel, err := NewSelector(name, 4)
-		if err != nil {
-			t.Errorf("NewSelector(%q): %v", name, err)
-			continue
-		}
-		if sel.Name() != name {
-			t.Errorf("selector name = %q, want %q", sel.Name(), name)
-		}
-	}
-	if _, err := NewSelector("bogus", 4); err == nil {
-		t.Error("NewSelector accepted bogus name")
 	}
 }

@@ -1,10 +1,11 @@
 package resultstore
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,7 +43,7 @@ type EntryDiff struct {
 
 // Diff is the comparison of two snapshots, keyed by job content hash.
 // Identical is the count of jobs whose results are bit-identical;
-// Entries lists every divergence in key order.
+// Entries lists every divergence in key, then label, order.
 type Diff struct {
 	Identical int         `json:"identical"`
 	Entries   []EntryDiff `json:"entries,omitempty"`
@@ -71,36 +72,60 @@ func (d Diff) Counts() (changed, onlyOld, onlyNew int) {
 // DiffSnapshots compares two snapshots entry by entry. Jobs are
 // matched by content key — which already encodes the whole
 // configuration — so only results are compared; a changed entry lists
-// every diverging metric. Entries present on one side only are
+// every diverging metric. Jobs that share a key (a paper name and its
+// own tree expression under one seed) are paired by (key, label) first;
+// entries left over are then paired by key alone, so a relabelled job
+// still matches its old self. Entries present on one side only are
 // reported too: a baseline that silently lost coverage is as much a
 // regression as one that changed numbers.
 func DiffSnapshots(old, new Snapshot) Diff {
-	oldByKey := make(map[string]Entry, len(old.Entries))
-	for _, e := range old.Entries {
-		oldByKey[e.Key] = e
+	byLabel := make(map[[2]string][]int, len(old.Entries))
+	byKey := make(map[string][]int, len(old.Entries))
+	for i, e := range old.Entries {
+		id := [2]string{e.Key, e.Label}
+		byLabel[id] = append(byLabel[id], i)
+		byKey[e.Key] = append(byKey[e.Key], i)
 	}
-	newKeys := make(map[string]bool, len(new.Entries))
+	used := make([]bool, len(old.Entries))
+	take := func(candidates []int) int {
+		for _, i := range candidates {
+			if !used[i] {
+				used[i] = true
+				return i
+			}
+		}
+		return -1
+	}
+	pair := make([]int, len(new.Entries))
+	for j, ne := range new.Entries {
+		pair[j] = take(byLabel[[2]string{ne.Key, ne.Label}])
+	}
+	for j, ne := range new.Entries {
+		if pair[j] < 0 {
+			pair[j] = take(byKey[ne.Key])
+		}
+	}
 
 	var d Diff
-	for _, ne := range new.Entries {
-		newKeys[ne.Key] = true
-		oe, ok := oldByKey[ne.Key]
-		if !ok {
+	for j, ne := range new.Entries {
+		if pair[j] < 0 {
 			d.Entries = append(d.Entries, EntryDiff{Key: ne.Key, Label: ne.Label, Status: StatusOnlyNew})
 			continue
 		}
-		if fields := simDeltas(oe.Sim, ne.Sim); len(fields) > 0 {
+		if fields := simDeltas(old.Entries[pair[j]].Sim, ne.Sim); len(fields) > 0 {
 			d.Entries = append(d.Entries, EntryDiff{Key: ne.Key, Label: ne.Label, Status: StatusChanged, Fields: fields})
 		} else {
 			d.Identical++
 		}
 	}
-	for _, oe := range old.Entries {
-		if !newKeys[oe.Key] {
+	for i, oe := range old.Entries {
+		if !used[i] {
 			d.Entries = append(d.Entries, EntryDiff{Key: oe.Key, Label: oe.Label, Status: StatusOnlyOld})
 		}
 	}
-	sort.Slice(d.Entries, func(i, j int) bool { return d.Entries[i].Key < d.Entries[j].Key })
+	slices.SortStableFunc(d.Entries, func(a, b EntryDiff) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Label, b.Label))
+	})
 	return d
 }
 

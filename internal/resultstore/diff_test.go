@@ -106,6 +106,30 @@ func perturbLeaf(v reflect.Value, path string, k *int) (string, bool) {
 	return path, true
 }
 
+// TestDiffPairsSharedKeysByLabel: two jobs that share a key (a paper
+// name and its own tree expression under one seed) pair by label, so
+// dropping one of them reports it only-old, and two such entries with
+// different results diff clean against themselves. A job whose label
+// alone changed still pairs by key.
+func TestDiffPairsSharedKeysByLabel(t *testing.T) {
+	name := Entry{Key: "k", Label: "LLHH/3SSS", Sim: *fakeResult(1)}
+	expr := Entry{Key: "k", Label: "LLHH/S(S(S(T0,T1),T2),T3)", Sim: *fakeResult(2)}
+	both := Snapshot{Entries: []Entry{name, expr}}
+
+	d := DiffSnapshots(both, Snapshot{Entries: []Entry{name}})
+	if d.Identical != 1 || len(d.Entries) != 1 || d.Entries[0].Status != StatusOnlyOld || d.Entries[0].Label != expr.Label {
+		t.Errorf("dropping %s diffs as %+v, want 1 identical and it only-old", expr.Label, d)
+	}
+	if d := DiffSnapshots(both, both); !d.Clean() || d.Identical != 2 {
+		t.Errorf("a snapshot with a shared key diffs against itself as %+v, want 2 identical", d)
+	}
+	relabelled := name
+	relabelled.Label = "renamed"
+	if d := DiffSnapshots(Snapshot{Entries: []Entry{name}}, Snapshot{Entries: []Entry{relabelled}}); !d.Clean() || d.Identical != 1 {
+		t.Errorf("a relabelled job diffs as %+v, want 1 identical", d)
+	}
+}
+
 // TestSnapshotResultsCopies: a snapshot shares no slice with the live
 // results it was taken from.
 func TestSnapshotResultsCopies(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
+	"vliwmt/internal/merge/mergetest"
 )
 
 // schemeTree resolves a scheme name to its merge tree, failing the
@@ -30,43 +31,6 @@ func buildCircuit(t *testing.T, scheme string) (*Circuit, *merge.Tree) {
 	return c, tree
 }
 
-// randomOcc builds a random occupancy that fits the machine.
-func randomOcc(r *rand.Rand, m *isa.Machine) *isa.Occupancy {
-	var ops []isa.Op
-	if m.BranchClusters > 0 && r.Intn(8) == 0 {
-		ops = append(ops, isa.Op{Class: isa.OpBranch, Cluster: 0})
-	}
-	for c := 0; c < m.Clusters; c++ {
-		n := r.Intn(m.IssueWidth + 1)
-		if c == 0 {
-			n = min(n, m.IssueWidth-len(ops)) // a branch takes one slot
-		}
-		if r.Intn(2) == 0 {
-			n = 0 // bias towards sparse packets
-		}
-		muls, mems := 0, 0
-		for i := 0; i < n; i++ {
-			switch r.Intn(5) {
-			case 0:
-				if muls < m.Muls {
-					ops = append(ops, isa.Op{Class: isa.OpMul, Cluster: uint8(c)})
-					muls++
-					continue
-				}
-			case 1:
-				if mems < m.MemUnits {
-					ops = append(ops, isa.Op{Class: isa.OpMem, Cluster: uint8(c)})
-					mems++
-					continue
-				}
-			}
-			ops = append(ops, isa.Op{Class: isa.OpALU, Cluster: uint8(c)})
-		}
-	}
-	occ := isa.OccupancyOf(ops)
-	return &occ
-}
-
 func randomCandSet(r *rand.Rand, m *isa.Machine, ports int) ([]isa.Occupancy, uint32) {
 	cands := make([]isa.Occupancy, ports)
 	var valid uint32
@@ -74,7 +38,7 @@ func randomCandSet(r *rand.Rand, m *isa.Machine, ports int) ([]isa.Occupancy, ui
 		if r.Intn(5) == 0 {
 			continue
 		}
-		cands[p] = *randomOcc(r, m)
+		cands[p] = mergetest.RandomOcc(r, m)
 		valid |= 1 << uint(p)
 	}
 	return cands, valid

@@ -2,246 +2,104 @@ package logic
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"regexp"
 	"slices"
-	"strings"
 	"testing"
 
 	"vliwmt/internal/isa"
-	"vliwmt/internal/merge"
+	"vliwmt/internal/merge/mergetest"
 )
-
-// proofMachines are the geometries the exhaustive proof runs on: the
-// default machine, the paper's Figure 1 example (4 clusters x 2 issue,
-// 1 multiplier) and a 2-cluster, 8-issue machine whose SMT capacity
-// checks are wide.
-func proofMachines() []isa.Machine {
-	fig1 := isa.Default()
-	fig1.IssueWidth = 2
-	fig1.Muls = 1
-	wide := isa.Default()
-	wide.Clusters = 2
-	wide.IssueWidth = 8
-	wide.Muls = 3
-	wide.MemUnits = 2
-	return []isa.Machine{isa.Default(), fig1, wide}
-}
-
-// subtrees returns every merge input over exactly the ports in set: the
-// leaf for one port, otherwise a node in each implementation (SMT,
-// serial CSMT and parallel CSMT, whose circuits differ) over every
-// ordered split of set into two or more non-empty parts.
-func subtrees(set uint32) []merge.Input {
-	if bits.OnesCount32(set) == 1 {
-		return []merge.Input{merge.Leaf(bits.TrailingZeros32(set))}
-	}
-	var out []merge.Input
-	var split func(rest uint32, inputs []merge.Input)
-	split = func(rest uint32, inputs []merge.Input) {
-		if rest == 0 {
-			for _, n := range []merge.Node{{Kind: merge.SMT}, {Kind: merge.CSMT}, {Kind: merge.CSMT, Parallel: true}} {
-				n.Inputs = inputs
-				out = append(out, merge.Sub(&n))
-			}
-			return
-		}
-		for part := rest; part != 0; part = (part - 1) & rest {
-			if part == set {
-				continue // a node has at least two inputs
-			}
-			for _, in := range subtrees(part) {
-				split(rest&^part, append(inputs[:len(inputs):len(inputs)], in))
-			}
-		}
-	}
-	split(set, nil)
-	return out
-}
-
-// normalForm splices every first input that is a node of its parent's
-// kind into the parent, X(X(a,b),c) -> X(a,b,c), and drops the
-// serial/parallel flag. The greedy merge visits the spliced leaves in
-// the same order under the same kind, so a tree and its normal form
-// select identically; a later input cannot be spliced, because its
-// sub-packet merges all-or-nothing.
-func normalForm(n *merge.Node) *merge.Node {
-	out := &merge.Node{Kind: n.Kind}
-	for i, in := range n.Inputs {
-		if in.Node == nil {
-			out.Inputs = append(out.Inputs, in)
-			continue
-		}
-		sub := normalForm(in.Node)
-		if i == 0 && sub.Kind == n.Kind {
-			out.Inputs = append(out.Inputs, sub.Inputs...)
-		} else {
-			out.Inputs = append(out.Inputs, merge.Sub(sub))
-		}
-	}
-	return out
-}
-
-func normalTree(t *testing.T, tree *merge.Tree) *merge.Tree {
-	t.Helper()
-	nf, err := merge.NewTree(tree.Name()+"/normal", normalForm(tree.Root()), tree.Ports())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nf
-}
-
-// leafOrder lists the tree's ports in priority (depth-first) order.
-func leafOrder(n *merge.Node, out []int) []int {
-	for _, in := range n.Inputs {
-		if in.Node != nil {
-			out = leafOrder(in.Node, out)
-		} else {
-			out = append(out, in.Port)
-		}
-	}
-	return out
-}
 
 // parallelArity matches the arity a parallel CSMT node renders with.
 var parallelArity = regexp.MustCompile(`C[0-9]+\(`)
 
-// TestMergeTreesExhaustive is the merge evaluators' proof obligation,
-// exhaustive over every tree of 2-4 ports, both CSMT implementations
-// and every valid-port mask, on three machines. For each tree and
-// sampled candidate set (every candidate fits the machine alone), the
-// reference walk Tree.Select, the packed evaluator
-// merge.Compile(t).SelectPacked and the gate-level circuit
-// BuildScheme(t).Evaluate select the same ports (and the packed
-// evaluator the same op count); the tree selects exactly like its
-// normal form; and the selection keeps the merge invariants: selected
-// ports are valid, the merged occupancy is the union of the selected
-// candidates and fits the machine, and the first valid leaf in tree
-// order always issues. Trees over 5-8 ports are sampled by
-// merge.TestCompiledMatchesReferenceRandomTrees and
-// merge.FuzzCompiledSelect. -short draws fewer candidate sets and builds
-// circuits only on the default machine, for the trees whose leaves are
-// in port order: every shape and variant, the paper's sixteen among them.
+// TestMergeTreesExhaustive pins the tree set of the merge evaluators'
+// exhaustive proof: mergetest.Trees yields every labelled merge tree
+// over 2-4 ports with each CSMT node in both implementations, all
+// distinct. Each leg of the proof runs on every one of these trees, on
+// the three mergetest machines, for every valid-port mask of sampled
+// candidate sets:
+//   - the gate-level circuit selects like Tree.Select:
+//     TestCircuitMatchesBehaviouralMerge (default machine) and
+//     TestCircuitEquivalenceOtherMachines (the other two);
+//   - the packed evaluator does: merge.TestSelectPackedMatchesSelect;
+//   - the tree selects like its normal form: merge.TestFunctionalEquivalences;
+//   - the merge invariants hold: merge.TestSelectionInvariants and
+//     merge.TestHighestPriorityAlwaysIssues.
 func TestMergeTreesExhaustive(t *testing.T) {
-	samples := 8
-	if testing.Short() {
-		samples = 2
-	}
-	machines := proofMachines()
-	r := rand.New(rand.NewSource(2009))
 	var counts []int
 	for ports := 2; ports <= 4; ports++ {
+		trees := mergetest.Trees(t, ports)
 		exprs, serial := map[string]bool{}, map[string]bool{}
-		all := subtrees(1<<ports - 1)
-		for _, in := range all {
-			tree, err := merge.NewTree("enum", in.Node, ports)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, tree := range trees {
 			exprs[tree.String()] = true
 			serial[parallelArity.ReplaceAllString(tree.String(), "C(")] = true
-			nf, c := normalTree(t, tree), merge.Compile(tree)
-			inOrder := slices.IsSorted(leafOrder(tree.Root(), nil))
-			for mi := range machines {
-				m := &machines[mi]
-				var circuit *Circuit
-				if !testing.Short() || (mi == 0 && inOrder) {
-					if circuit, err = BuildScheme(m, tree); err != nil {
-						t.Fatalf("BuildScheme(%s): %v", tree, err)
-					}
-				}
-				for s := 0; s < samples; s++ {
-					cands := make([]isa.Occupancy, ports)
-					for p := range cands {
-						if cands[p] = *randomOcc(r, m); !cands[p].FitsAlone(m) {
-							t.Fatalf("candidate %v does not fit %+v", cands[p], *m)
-						}
-					}
-					checkSelections(t, tree, nf, c, circuit, m, cands)
-				}
-			}
 		}
-		if len(exprs) != len(all) {
-			t.Fatalf("%d ports: %d trees enumerated, %d distinct", ports, len(all), len(exprs))
+		if len(exprs) != len(trees) {
+			t.Fatalf("%d ports: %d trees enumerated, %d distinct", ports, len(trees), len(exprs))
 		}
-		counts = append(counts, len(all), len(serial))
+		counts = append(counts, len(trees), len(serial))
 	}
 	// 4,524 trees in all; 1,552 when a CSMT node's two implementations
 	// count once.
 	if got := fmt.Sprint(counts); got != "[6 4 126 60 4392 1488]" {
 		t.Fatalf("trees per port count (all, CSMT implementations counted once) = %s, want [6 4 126 60 4392 1488]", got)
 	}
+}
 
-	// Among the paper's sixteen schemes exactly the three parallel or
-	// serial pairs the paper equates share a normal form; the balanced
-	// 2CC and 2SS keep their own, because their second group merges whole.
-	classes := map[string][]string{}
-	for _, name := range merge.PaperSchemes4() {
-		nf := normalTree(t, schemeTree(t, name)).String()
-		classes[nf] = append(classes[nf], name)
+// circuitsMatch requires BuildScheme(m, tree).Evaluate to select the
+// mask Tree.Select does, for every merge tree of 2-4 ports on each
+// machine and every valid-port mask of sampled candidate sets. -short
+// draws two candidate sets instead of eight and builds circuits only
+// for the trees whose leaves are in port order: every shape and
+// variant, the paper's sixteen among them.
+func circuitsMatch(t *testing.T, machines []isa.Machine, seed int64) {
+	samples := 8
+	if testing.Short() {
+		samples = 2
 	}
-	var shared []string
-	for _, names := range classes {
-		if len(names) > 1 {
-			shared = append(shared, strings.Join(names, "="))
+	r := rand.New(rand.NewSource(seed))
+	for ports := 2; ports <= 4; ports++ {
+		cands := make([]isa.Occupancy, ports)
+		for _, tree := range mergetest.Trees(t, ports) {
+			if testing.Short() && !slices.IsSorted(mergetest.LeafOrder(tree.Root(), nil)) {
+				continue
+			}
+			for mi := range machines {
+				m := &machines[mi]
+				circuit, err := BuildScheme(m, tree)
+				if err != nil {
+					t.Fatalf("BuildScheme(%s): %v", tree, err)
+				}
+				for s := 0; s < samples; s++ {
+					for p := range cands {
+						cands[p] = mergetest.RandomOcc(r, m)
+					}
+					for valid := uint32(0); valid < 1<<ports; valid++ {
+						want := tree.Select(m, cands, valid).Mask
+						if mask, err := circuit.Evaluate(cands, valid); err != nil || mask != want {
+							t.Fatalf("%s on %+v, valid %0*b, candidates %q: circuit mask %0*b (err %v) != reference %0*b",
+								tree, *m, ports, valid, cands, ports, mask, err, ports, want)
+						}
+					}
+				}
+			}
 		}
-	}
-	slices.Sort(shared)
-	if len(classes) != 13 || fmt.Sprint(shared) != "[2C3S=3CCS 2SC3=3SCC C4=3CCC]" {
-		t.Errorf("paper schemes by normal form = %v, want 13 classes sharing only C4=3CCC, 2SC3=3SCC and 2C3S=3CCS", classes)
 	}
 }
 
-// checkSelections runs one candidate set under every valid-port mask:
-// the packed evaluator, the circuit (when not nil) and the normal form
-// nf must select like tree, and the selection must keep the merge
-// invariants.
-func checkSelections(t *testing.T, tree, nf *merge.Tree, c *merge.Compiled, circuit *Circuit, m *isa.Machine, cands []isa.Occupancy) {
-	t.Helper()
-	ports := tree.Ports()
-	lim, _ := merge.PackLimits(m)
-	dict := make([]merge.PackedOcc, ports)
-	ids := make([]int32, ports)
-	for p := range cands {
-		dict[p], _ = merge.PackOcc(&cands[p])
-		ids[p] = int32(p)
-	}
-	order := leafOrder(tree.Root(), nil)
-	for valid := uint32(0); valid < 1<<ports; valid++ {
-		want := tree.Select(m, cands, valid)
-		fail := func(format string, args ...any) {
-			t.Helper()
-			t.Fatalf("%s on %+v, valid %0*b, candidates %q: "+format,
-				append([]any{tree, *m, ports, valid, cands}, args...)...)
-		}
-		if mask, ops := c.SelectPacked(dict, &lim, ids, valid); mask != want.Mask || ops != want.Occ.Ops {
-			fail("packed (mask %0*b, ops %d) != reference (mask %0*b, ops %d)", ports, mask, ops, ports, want.Mask, want.Occ.Ops)
-		}
-		if circuit != nil {
-			if mask, err := circuit.Evaluate(cands, valid); err != nil || mask != want.Mask {
-				fail("circuit mask %0*b (err %v) != reference %0*b", ports, mask, err, ports, want.Mask)
-			}
-		}
-		if got := nf.Select(m, cands, valid); got != want {
-			fail("normal form %s selects %0*b (%v), tree %0*b (%v)", nf, ports, got.Mask, got.Occ, ports, want.Mask, want.Occ)
-		}
-		var union isa.Occupancy
-		for p := range cands {
-			if want.Has(p) {
-				union = union.Union(cands[p])
-			}
-		}
-		if want.Mask&^valid != 0 || union != want.Occ || !want.Occ.FitsAlone(m) {
-			fail("selection %0*b is not valid ports whose fitting union is the merged %v", ports, want.Mask, want.Occ)
-		}
-		for _, p := range order {
-			if valid&(1<<uint(p)) != 0 {
-				if !want.Has(p) {
-					fail("first valid leaf T%d not selected (mask %0*b)", p, ports, want.Mask)
-				}
-				break
-			}
-		}
-	}
+// TestCircuitMatchesBehaviouralMerge is the central equivalence
+// property: on the default machine, the gate-level merge control of
+// every tree of 2-4 ports selects exactly the thread set the
+// behavioural model does.
+func TestCircuitMatchesBehaviouralMerge(t *testing.T) {
+	circuitsMatch(t, mergetest.Machines()[:1], 17)
+}
+
+// TestCircuitEquivalenceOtherMachines re-runs the central equivalence
+// property on the paper's Figure 1 example machine (4 clusters x 2
+// issue, 1 multiplier) and a 2-cluster, 8-issue configuration.
+func TestCircuitEquivalenceOtherMachines(t *testing.T) {
+	circuitsMatch(t, mergetest.Machines()[1:], 100)
 }

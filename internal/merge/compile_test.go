@@ -117,8 +117,8 @@ func sortedCuts(r *rand.Rand, n, groups int) []int {
 }
 
 // TestCompiledMatchesReferenceRandomTrees is the packed-path
-// differential beyond the four ports internal/logic's
-// TestMergeTreesExhaustive enumerates: on C8 and random trees of 5-8
+// differential beyond the four ports TestSelectPackedMatchesSelect
+// enumerates: on C8 and random trees of 5-8
 // ports, on the default machine and random geometries, SelectPacked
 // must reproduce the reference Tree.Select's mask and merged operation
 // count, the two facts the simulator consumes.

@@ -55,15 +55,6 @@ func TestResolveRejectsUnknownNames(t *testing.T) {
 }
 
 func TestSchemeSelector(t *testing.T) {
-	for _, name := range []string{"IMT", "BMT", "3SSS", "C4"} {
-		s, err := Resolve(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sel, err := s.Selector(4); err != nil || sel.Name() != name {
-			t.Errorf("%s.Selector(4) = %v, %v; want a selector with its name", name, sel, err)
-		}
-	}
 	s, err := Resolve("2SC3")
 	if err != nil {
 		t.Fatal(err)

@@ -272,3 +272,21 @@ func TestBMTSticksUntilBlocked(t *testing.T) {
 		t.Errorf("BMT wrap-around pick = wrong; want thread 2")
 	}
 }
+
+// TestNewSelector builds selectors by name the way sim.Run does,
+// Resolve then Scheme.Selector: each carries its scheme's name, and an
+// unknown name is rejected.
+func TestNewSelector(t *testing.T) {
+	for _, name := range []string{"IMT", "BMT", "3SSS", "C4"} {
+		s, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel, err := s.Selector(4); err != nil || sel.Name() != name {
+			t.Errorf("%s.Selector(4) = %v, %v; want a selector with its name", name, sel, err)
+		}
+	}
+	if _, err := Resolve("bogus"); err == nil {
+		t.Error("Resolve accepted bogus name")
+	}
+}

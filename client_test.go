@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vliwmt"
 	"vliwmt/internal/api"
@@ -591,5 +592,86 @@ func assertSameResults(t *testing.T, what string, local, remote []vliwmt.SweepRe
 	}
 	if !reflect.DeepEqual(withoutElapsed(remote), withoutElapsed(local)) {
 		t.Fatalf("%s: remote results differ from in-process:\n%+v\nvs\n%+v", what, remote, local)
+	}
+}
+
+// TestClientSummaryMatchesInProcess: on a warm store shared by a
+// Runner and a server, the roll-up of a remote sweep's results equals
+// the roll-up of the same sweep in-process. Cached results replay the
+// stored elapsed times on both sides, so even the latency percentiles
+// agree.
+func TestClientSummaryMatchesInProcess(t *testing.T) {
+	dir := t.TempDir()
+	jobs, err := runnerTestGrid().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
+	if _, err := r.SweepJobs(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	local, err := r.SweepJobs(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := server.New(server.Options{Store: vliwmt.OpenResultStore(dir)})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	remote, err := vliwmt.NewClient(ts.URL).SweepJobs(context.Background(), jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ls, rs := vliwmt.SummarizeSweep(local, time.Second), vliwmt.SummarizeSweep(remote, time.Second)
+	if ls.Jobs != len(jobs) || ls.CacheHits != len(jobs) || ls.Errors != 0 {
+		t.Fatalf("in-process warm sweep: %v; want %d jobs, all store hits", ls, len(jobs))
+	}
+	if rs.Jobs != ls.Jobs || rs.Errors != ls.Errors || rs.CacheHits != ls.CacheHits || rs.P50 != ls.P50 || rs.P99 != ls.P99 {
+		t.Errorf("remote roll-up differs from in-process:\nremote     %v\nin-process %v", rs, ls)
+	}
+}
+
+// TestClientFollowsOldCountMembers: a server that still attaches the
+// count members removed within wire version 3 ("cache_hits", "errors"
+// and "summary") to its terminal status is followed as before, and
+// the client returns the same results as from a status without them.
+func TestClientFollowsOldCountMembers(t *testing.T) {
+	res := []api.Result{
+		{Index: 0, Job: vliwmt.SweepJob{Label: "a", Scheme: "2SC3"}, Sim: &vliwmt.Result{Cycles: 11}, ElapsedSec: 0.25, Cached: true},
+		{Index: 1, Job: vliwmt.SweepJob{Label: "b", Scheme: "3SSS"}, Sim: &vliwmt.Result{Cycles: 22}, ElapsedSec: 0.5},
+	}
+	st := api.SweepStatus{Version: api.Version, ID: "s1", State: api.StateDone, Done: 2, Total: 2, Results: res}
+	plain, err := json.Marshal(api.Event{Done: 2, Total: 2, State: api.StateDone, Status: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := `"total":2,"cache_hits":1,"summary":{"jobs":2,"cache_hits":1,"cache_hit_ratio":0.5,` +
+		`"wall_sec":1,"p50_sec":0.25,"p99_sec":0.5,"jobs_per_sec":2},`
+	// The event's own "total" comes first; the status's is the second.
+	i := strings.LastIndex(string(plain), `"total":2,`)
+	old := string(plain[:i]) + counts + string(plain[i+len(`"total":2,`):])
+	if !strings.Contains(old, `"state":"done","done":2,"total":2,"cache_hits":1`) {
+		t.Fatalf("counts not spliced into the status:\n%s", old)
+	}
+
+	follow := func(line string) []vliwmt.SweepResult {
+		t.Helper()
+		url, attaches, others := fakeSweepServer(t, 2, func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte(line + "\n"))
+		})
+		got, err := vliwmt.NewClient(url).SweepJobs(context.Background(), []vliwmt.SweepJob{{Scheme: "2SC3"}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, o := attaches.Load(), others.Load(); a != 1 || o != 0 {
+			t.Errorf("client made %d event-stream attaches and %d other requests, want 1 and 0", a, o)
+		}
+		return got
+	}
+	want, got := follow(string(plain)), follow(old)
+	if len(want) != 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("old terminal status gives\n%+v\nwant\n%+v", got, want)
 	}
 }

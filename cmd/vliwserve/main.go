@@ -19,8 +19,9 @@
 //	                               results
 //	                               (?results=false: no per-job results)
 //	DELETE /v1/sweeps/{id}         cancel
-//	GET    /v1/healthz            liveness + load + store counters (JSON)
-//	GET    /metrics               Prometheus text format (disable with -debug=false)
+//	GET    /v1/healthz            liveness + load (JSON)
+//	GET    /metrics               Prometheus text format, store counters included
+//	                               (disable with -debug=false)
 //	GET    /debug/pprof/          net/http/pprof      (disable with -debug=false)
 //
 // Responses are compact JSON. A client needs two requests per sweep:

@@ -51,6 +51,17 @@ func csvOf(t *testing.T, results []vliwmt.SweepResult) []byte {
 	return buf.Bytes()
 }
 
+// storeDelta returns a function reporting how far the process-wide
+// store hit, miss and put counters have moved since the call.
+func storeDelta() func() (hits, misses, puts int64) {
+	before := vliwmt.Metrics()
+	return func() (hits, misses, puts int64) {
+		after := vliwmt.Metrics()
+		d := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
+		return d("store_hits_total"), d("store_misses_total"), d("store_puts_total")
+	}
+}
+
 // TestWarmStoreZeroSimulations is the acceptance criterion of the
 // persistent result store: repeating the Table 1 grid against a warm
 // store performs zero simulations — every job is a store hit, nothing
@@ -61,25 +72,27 @@ func TestWarmStoreZeroSimulations(t *testing.T) {
 	dir := t.TempDir()
 	jobs := table1Jobs(10_000)
 
+	store := storeDelta()
 	cold := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
 	a, err := cold.SweepJobs(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cold.Store().Stats(); st.Hits != 0 || st.Misses != int64(len(jobs)) || st.Puts != int64(len(jobs)) {
-		t.Fatalf("cold run store stats %+v, want %d misses and puts", st, len(jobs))
+	if hits, misses, puts := store(); hits != 0 || misses != int64(len(jobs)) || puts != int64(len(jobs)) {
+		t.Fatalf("cold run: %d store hits, %d misses, %d puts; want 0 and %d misses and puts", hits, misses, puts, len(jobs))
 	}
 	coldCSV := csvOf(t, a)
 
 	// A fresh Runner with a fresh compile cache: any simulation would
 	// have to compile first, so zero compiles proves zero simulations.
+	store = storeDelta()
 	warm := vliwmt.NewRunner(vliwmt.WithResultStore(dir))
 	b, err := warm.SweepJobs(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := warm.Store().Stats(); st.Hits != int64(len(jobs)) || st.Misses != 0 || st.Puts != 0 {
-		t.Errorf("warm run store stats %+v, want %d hits and nothing else", st, len(jobs))
+	if hits, misses, puts := store(); hits != int64(len(jobs)) || misses != 0 || puts != 0 {
+		t.Errorf("warm run: %d store hits, %d misses, %d puts; want %d hits and nothing else", hits, misses, puts, len(jobs))
 	}
 	if compiles, _ := warm.Cache().Stats(); compiles != 0 {
 		t.Errorf("warm run compiled %d kernels, want 0 (zero simulations)", compiles)

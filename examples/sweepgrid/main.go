@@ -21,6 +21,9 @@ func main() {
 		// nine mixes; a modest budget keeps the example interactive.
 		InstrLimit: 50_000,
 		Seed:       1,
+		// One seed for every job: the ranking compares schemes, and
+		// per-job derived seeds would swap 3SCS and 3SSC in it.
+		SharedSeed: true,
 	}
 	opts := &vliwmt.SweepOptions{
 		Progress: func(done, total int, r vliwmt.SweepResult) {
@@ -52,7 +55,12 @@ func main() {
 	for s := range sum {
 		avgs = append(avgs, avg{s, sum[s] / float64(n[s])})
 	}
-	sort.Slice(avgs, func(i, j int) bool { return avgs[i].ipc > avgs[j].ipc })
+	sort.Slice(avgs, func(i, j int) bool {
+		if avgs[i].ipc != avgs[j].ipc {
+			return avgs[i].ipc > avgs[j].ipc
+		}
+		return avgs[i].scheme < avgs[j].scheme
+	})
 	fmt.Println("scheme   avg IPC over the nine mixes")
 	for _, a := range avgs {
 		fmt.Printf("%-8s %.3f\n", a.scheme, a.ipc)

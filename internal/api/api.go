@@ -8,13 +8,14 @@
 // sweep.Grid, sim.Result), whose json tags are the wire format; a
 // job's merge control travels in merge.Scheme's JSON form. The wiretag
 // analyzer requires every exported field of a tagged struct to carry a
-// tag, so a new field cannot ship under its Go name. Sweep results and
-// summaries keep wire forms of their own, which flatten their errors
-// and durations.
+// tag, so a new field cannot ship under its Go name. Sweep results
+// keep a wire form of their own, which flattens the error and the
+// duration.
 package api
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"vliwmt/internal/sim"
@@ -38,15 +39,19 @@ import (
 //	   server a /v1/store document. Later additions
 //	   within 3 (all optional, omitted when empty, version-1-semantics
 //	   when absent, so no bump): sweep statuses may carry an "errors"
-//	   count and a terminal "summary" roll-up (SweepSummary), NDJSON
+//	   count and a terminal "summary" roll-up, NDJSON
 //	   events an "err" string for failed jobs, the server a
 //	   /v1/healthz document (Health), and the terminal NDJSON event a
 //	   "status" carrying the final SweepStatus. Results from older
 //	   servers may carry "worker" and "shard" attribution; decoders
 //	   ignore both fields. Removed within 3: the request's "tag"
 //	   (decoded, never read; decoders ignore it), the /v1/store
-//	   document and the GET /v1/sweeps/{id} status route (the
-//	   terminal event's "status", now required, replaces it)
+//	   document, the GET /v1/sweeps/{id} status route (the
+//	   terminal event's "status", now required, replaces it), the
+//	   status's "cache_hits", "errors" and "summary" (sweep.Summarize
+//	   over the results replaces them) and the health document's
+//	   "store" block (the store_* counters on /metrics replace it);
+//	   decoders ignore all four members
 const Version = 3
 
 // Job is sweep.Job, which is its own wire form. The alias and the
@@ -89,12 +94,15 @@ func ResultFrom(r sweep.Result) Result {
 func SimResultFrom(r sim.Result) sim.Result { return r }
 
 // Sweep converts the wire form back to an internal sweep result, which
-// takes over r.Sim.
+// takes over r.Sim. The elapsed time is rounded to the nearest
+// nanosecond, which recovers the sender's exact duration (truncating
+// loses a nanosecond on some values), so a result served from a store
+// replays the same time on both sides of the wire.
 func (r Result) Sweep() sweep.Result {
 	out := sweep.Result{
 		Index:   r.Index,
 		Job:     r.Job,
-		Elapsed: time.Duration(r.ElapsedSec * float64(time.Second)),
+		Elapsed: time.Duration(math.Round(r.ElapsedSec * float64(time.Second))),
 		Cached:  r.Cached,
 		Res:     r.Sim,
 	}
@@ -102,38 +110,6 @@ func (r Result) Sweep() sweep.Result {
 		out.Err = errors.New(r.Err)
 	}
 	return out
-}
-
-// SummaryFrom converts a sweep lifecycle summary to its wire form; a
-// zero summary (no jobs) converts to nil so it is omitted from status
-// documents of empty or never-run sweeps.
-func SummaryFrom(s sweep.Summary) *SweepSummary {
-	if s.Jobs == 0 {
-		return nil
-	}
-	return &SweepSummary{
-		Jobs:          s.Jobs,
-		Errors:        s.Errors,
-		CacheHits:     s.CacheHits,
-		CacheHitRatio: s.CacheHitRatio(),
-		WallSec:       s.Wall.Seconds(),
-		P50Sec:        s.P50.Seconds(),
-		P99Sec:        s.P99.Seconds(),
-		JobsPerSec:    s.JobsPerSec,
-	}
-}
-
-// Summary converts the wire form back to an internal sweep summary.
-func (s SweepSummary) Summary() sweep.Summary {
-	return sweep.Summary{
-		Jobs:       s.Jobs,
-		Errors:     s.Errors,
-		CacheHits:  s.CacheHits,
-		Wall:       time.Duration(s.WallSec * float64(time.Second)),
-		P50:        time.Duration(s.P50Sec * float64(time.Second)),
-		P99:        time.Duration(s.P99Sec * float64(time.Second)),
-		JobsPerSec: s.JobsPerSec,
-	}
 }
 
 // ResultsFrom converts a result slice to its wire form.

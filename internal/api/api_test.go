@@ -16,7 +16,6 @@ import (
 	"vliwmt/internal/cache"
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
-	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sim"
 	"vliwmt/internal/sweep"
 )
@@ -148,7 +147,7 @@ func fixtureRequest() SweepRequest {
 
 func fixtureHealth() Health {
 	return Health{Version: Version, Service: "vliwserve", GoVersion: "go1.24.0", Revision: "0123abc",
-		ActiveSweeps: 2, UptimeSec: 12.5, Store: &resultstore.Stats{Hits: 7, Misses: 3, Puts: 3}}
+		ActiveSweeps: 2, UptimeSec: 12.5}
 }
 
 // TestRoundTrips checks decode(encode(x)) == x for every exported
@@ -220,6 +219,13 @@ func TestConversionsAreLossless(t *testing.T) {
 	}
 	if got.Index != sr.Index || !reflect.DeepEqual(got.Job, sr.Job) || got.Elapsed != sr.Elapsed {
 		t.Errorf("envelope fields drifted: %+v", got)
+	}
+	// Elapsed times cross the wire as float seconds; these are times
+	// that truncating the seconds back to nanoseconds loses one of.
+	for _, d := range []time.Duration{15_839, 126_705, 1_013_633} {
+		if got := ResultFrom(sweep.Result{Elapsed: d}).Sweep().Elapsed; got != d {
+			t.Errorf("elapsed %d ns crosses the wire as %d ns", d, got)
+		}
 	}
 }
 
@@ -479,6 +485,74 @@ func TestOldAttributionFieldsIgnored(t *testing.T) {
 		}
 	})
 }
+
+// TestRemovedCountMembersIgnored pins decoding of version 3 documents
+// from servers that still sent the count members removed within
+// version 3: a status with "cache_hits", "errors" and "summary", and a
+// health document with a "store" block. Each decodes to what the same
+// document without them decodes to, and re-encodes to the bytes
+// without them.
+func TestRemovedCountMembersIgnored(t *testing.T) {
+	t.Run("status", func(t *testing.T) {
+		cached := fixtureResult()
+		cached.Cached = true
+		failed := fixtureResult()
+		failed.Index, failed.Sim, failed.Err = 4, nil, "job 4 failed"
+		st := SweepStatus{Version: Version, ID: "s000001", State: StateFailed, Done: 2, Total: 2,
+			Results: []Result{cached, failed}, Error: "job 4 failed"}
+		plain, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := bytes.Replace(plain, []byte(`"total":2,`), []byte(oldStatusCounts), 1)
+		if bytes.Equal(old, plain) {
+			t.Fatalf("no total member to splice the counts after:\n%s", plain)
+		}
+		got, err := DecodeSweepStatus(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("old status rejected: %v", err)
+		}
+		if !reflect.DeepEqual(got, st) {
+			t.Errorf("old status decodes to\n%+v\nwant\n%+v", got, st)
+		}
+		again, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, plain) {
+			t.Errorf("old status re-encodes to\n%s\nwant\n%s", again, plain)
+		}
+	})
+
+	t.Run("health", func(t *testing.T) {
+		old := `{"version":3,"service":"vliwserve","go_version":"go1.24.0","revision":"0123abc",` +
+			`"active_sweeps":2,"uptime_sec":12.5,"store":{"hits":7,"misses":3,"puts":3}}`
+		got, err := DecodeHealth(strings.NewReader(old))
+		if err != nil {
+			t.Fatalf("old health document rejected: %v", err)
+		}
+		if want := fixtureHealth(); got != want {
+			t.Errorf("old health document decodes to %+v, want %+v", got, want)
+		}
+		again, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := os.ReadFile(filepath.Join("testdata", "health.golden.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(again, '\n'), golden) {
+			t.Errorf("old health document re-encodes to\n%s\nwant the golden\n%s", again, golden)
+		}
+	})
+}
+
+// oldStatusCounts is the "total" member of a two-job status followed
+// by the count members a server wrote before they were removed within
+// version 3, spelled as that server spelled them.
+const oldStatusCounts = `"total":2,"cache_hits":1,"errors":1,"summary":{"jobs":2,"errors":1,"cache_hits":1,` +
+	`"cache_hit_ratio":0.5,"wall_sec":1.5,"p50_sec":1.25,"p99_sec":1.25,"jobs_per_sec":1.3333333333333333},`
 
 func TestVersionChecking(t *testing.T) {
 	if err := CheckVersion(0); err != nil {

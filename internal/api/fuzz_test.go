@@ -70,8 +70,7 @@ func FuzzEventUnmarshal(f *testing.F) {
 	r := fixtureResult()
 	failed := fixtureResult()
 	failed.Sim, failed.Err = nil, "unknown scheme"
-	st := SweepStatus{Version: Version, ID: "s000001", State: StateDone, Done: 1, Total: 1, CacheHits: 1,
-		Summary: &SweepSummary{Jobs: 1, CacheHits: 1, CacheHitRatio: 1, WallSec: 0.5}, Results: []Result{r}}
+	st := SweepStatus{Version: Version, ID: "s000001", State: StateDone, Done: 1, Total: 1, Results: []Result{r}}
 	for _, ev := range []Event{
 		{Done: 1, Total: 2, Result: &r},
 		{Done: 2, Total: 2, Result: &failed, Err: failed.Err},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"vliwmt/internal/resultstore"
 	"vliwmt/internal/sweep"
 )
 
@@ -58,47 +57,23 @@ func (req SweepRequest) Expand() ([]sweep.Job, error) {
 
 // SweepStatus is the body of the submit and cancel replies, without
 // results, and the status of the terminal NDJSON event, with the
-// results ordered by job index. CacheHits (wire version 3) counts the jobs served from
-// the persistent result store instead of being simulated; Errors
-// counts jobs that finished with an error, so a client can see
-// failures without fetching the full result blob. Summary is the
-// lifecycle roll-up, attached once the sweep is terminal. Errors and
-// Summary are additive, omitted-when-empty fields within version 3: a
-// version-3 peer that predates them decodes documents carrying them
-// unchanged (unknown JSON fields are ignored) and emits documents
-// without them (absent means zero/none).
+// results ordered by job index. A sweep's roll-up (jobs, errors, store
+// hits, latency percentiles) is not part of the document: it is
+// sweep.Summarize over the results, on either side of the wire.
 type SweepStatus struct {
-	Version   int           `json:"version"`
-	ID        string        `json:"id"`
-	State     State         `json:"state"`
-	Done      int           `json:"done"`
-	Total     int           `json:"total"`
-	CacheHits int           `json:"cache_hits,omitempty"`
-	Errors    int           `json:"errors,omitempty"`
-	Summary   *SweepSummary `json:"summary,omitempty"`
-	Results   []Result      `json:"results,omitempty"`
-	Error     string        `json:"error,omitempty"`
-}
-
-// SweepSummary is the wire form of sweep.Summary: the one-line
-// lifecycle roll-up of a finished sweep (job/error/store-hit counts,
-// per-job latency percentiles, throughput). Attached to terminal
-// SweepStatus documents and printed by vliwsweep -stats.
-type SweepSummary struct {
-	Jobs          int     `json:"jobs"`
-	Errors        int     `json:"errors,omitempty"`
-	CacheHits     int     `json:"cache_hits,omitempty"`
-	CacheHitRatio float64 `json:"cache_hit_ratio,omitempty"`
-	WallSec       float64 `json:"wall_sec,omitempty"`
-	P50Sec        float64 `json:"p50_sec,omitempty"`
-	P99Sec        float64 `json:"p99_sec,omitempty"`
-	JobsPerSec    float64 `json:"jobs_per_sec,omitempty"`
+	Version int      `json:"version"`
+	ID      string   `json:"id"`
+	State   State    `json:"state"`
+	Done    int      `json:"done"`
+	Total   int      `json:"total"`
+	Results []Result `json:"results,omitempty"`
+	Error   string   `json:"error,omitempty"`
 }
 
 // Health is the body of GET /v1/healthz (additive within wire
 // version 3): a structured liveness document for load balancers and
-// monitors — build identity, current load and (when persistence is
-// configured) result-store stats — cheap enough to poll.
+// monitors — build identity and current load — cheap enough to poll.
+// Store traffic is on /metrics (the store_* counters).
 type Health struct {
 	Version int    `json:"version"`
 	Service string `json:"service"`
@@ -111,11 +86,6 @@ type Health struct {
 	// this box alive and how loaded".
 	ActiveSweeps int     `json:"active_sweeps"`
 	UptimeSec    float64 `json:"uptime_sec,omitempty"`
-	// Store carries the store handle's lifetime traffic counters when
-	// persistence is configured. Entry counts are deliberately absent:
-	// counting walks the store (the entries are the files under
-	// DIR/jobs).
-	Store *resultstore.Stats `json:"store,omitempty"`
 }
 
 // DecodeHealth reads and version-checks a health document.

@@ -40,8 +40,6 @@ type Options struct {
 	// Workers bounds the sweep-engine worker pool; 0 selects
 	// runtime.NumCPU(). Results are identical at any worker count.
 	Workers int
-	// Progress, when set, observes every completed simulation job.
-	Progress sweep.ProgressFunc
 }
 
 // DefaultOptions returns the paper's machine with a 300k-instruction
@@ -68,7 +66,6 @@ func (o Options) Scale(instrLimit int64) Options {
 func (o Options) engine() *sweep.Engine {
 	e := sweep.New(o.Workers)
 	e.SetCache(sweep.SharedCache())
-	e.SetProgress(o.Progress)
 	return e
 }
 

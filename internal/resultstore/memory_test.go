@@ -59,8 +59,8 @@ func TestStoreMemoryHitReadsNothing(t *testing.T) {
 	if elapsed != 42*time.Millisecond {
 		t.Errorf("memory hit replayed elapsed %v, want 42ms", elapsed)
 	}
-	if st := s.Stats(); st.Hits != 2 || st.Misses != 0 {
-		t.Errorf("stats %+v, want 2 hits and no miss", st)
+	if d := delta("store_misses_total"); d != 0 {
+		t.Errorf("store_misses_total moved by %d, want 0", d)
 	}
 }
 

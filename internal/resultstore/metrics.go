@@ -6,10 +6,9 @@ import (
 	"vliwmt/internal/telemetry"
 )
 
-// Process-wide store instruments. Unlike Stats (per-handle counters,
-// reported by GET /v1/healthz), these aggregate every handle in the process
-// — which is what a scrape wants: "is the disk cache working", not
-// "whose handle is it".
+// Process-wide store instruments, the one count of store traffic. They
+// aggregate every handle in the process, which is what a scrape wants:
+// "is the disk cache working", not "whose handle is it".
 var (
 	metHits = telemetry.NewCounter("store_hits_total",
 		"Store probes served from the store, from disk or from memory.")

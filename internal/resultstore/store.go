@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vliwmt/internal/sim"
@@ -40,10 +39,6 @@ import (
 // file sends the probe back to disk. See recall.
 type Store struct {
 	dir string
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	puts   atomic.Int64
 
 	memMu sync.Mutex
 	mem   map[string]memEntry // by store key; nil until the first hit
@@ -80,24 +75,6 @@ func Open(dir string) *Store { return &Store{dir: dir} }
 
 // Dir returns the store's root directory ("" for a disabled store).
 func (s *Store) Dir() string { return s.dir }
-
-// Stats is a point-in-time snapshot of a Store handle's traffic
-// counters. Counters are per-handle, not per-directory: two handles on
-// one directory count their own traffic.
-type Stats struct {
-	// Hits counts Gets served from the store, whether read from disk
-	// or from the handle's validated in-memory copy of the entry.
-	Hits int64 `json:"hits"`
-	// Misses counts Gets that fell through to simulation.
-	Misses int64 `json:"misses"`
-	// Puts counts entries written.
-	Puts int64 `json:"puts"`
-}
-
-// Stats returns the handle's traffic counters.
-func (s *Store) Stats() Stats {
-	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load()}
-}
 
 // entryHeader opens every entry document: the schema version and the
 // key, stored redundantly with the filename so a renamed or
@@ -191,13 +168,11 @@ func (s *Store) Get(j sweep.Job) (*sim.Result, time.Duration, bool) {
 	defer observeProbe(start)
 	key, err := Key(j)
 	if err != nil {
-		s.misses.Add(1)
 		metMisses.Inc()
 		return nil, 0, false
 	}
 	path := s.path(key)
 	if res, elapsed, ok := s.recall(key, path); ok {
-		s.hits.Add(1)
 		metHits.Inc()
 		metMemoryHits.Inc()
 		return res, elapsed, true
@@ -208,14 +183,12 @@ func (s *Store) Get(j sweep.Job) (*sim.Result, time.Duration, bool) {
 		if failed {
 			metReadFailures.Inc()
 		}
-		s.misses.Add(1)
 		metMisses.Inc()
 		return nil, 0, false
 	}
 	res := &e.Sim
 	elapsed := time.Duration(e.ElapsedNS)
 	s.remember(key, res, elapsed, info)
-	s.hits.Add(1)
 	metHits.Inc()
 	return res, elapsed, true
 }
@@ -289,7 +262,6 @@ func (s *Store) Put(j sweep.Job, res *sim.Result, elapsed time.Duration) error {
 	if err := writeEntry(s.path(key), key, b); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	s.puts.Add(1)
 	metPuts.Inc()
 	metBytesWritten.Add(int64(len(b)))
 	metEntryBytes.Observe(float64(len(b)))

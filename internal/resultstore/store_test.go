@@ -67,9 +67,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if gotElapsed != elapsed {
 		t.Errorf("elapsed replayed as %v, want bit-exact %v", gotElapsed, elapsed)
 	}
-	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
-		t.Errorf("stats %+v, want 1 hit, 1 miss, 1 put", st)
-	}
 
 	// Removing the shard tree clears the store; the next Put recreates
 	// it.

@@ -70,9 +70,8 @@ func scrapeMetric(t *testing.T, ts *httptest.Server, name string) float64 {
 
 // TestMetricsScrapeColdWarm runs the same grid twice against one
 // result store and checks the scrape tells the story: the cold sweep
-// moves completions, misses and puts with zero hits; the warm sweep
-// moves hits by every job; and the wire summary's cache-hit ratio
-// goes from 0 to 1.
+// moves completions, misses and puts with zero hits, and the warm
+// sweep moves hits by every job.
 func TestMetricsScrapeColdWarm(t *testing.T) {
 	g := testGrid()
 	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
@@ -86,7 +85,7 @@ func TestMetricsScrapeColdWarm(t *testing.T) {
 	delta := func(name string) float64 { return scrapeMetric(t, ts, name) - base[name] }
 
 	cold := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
-	if cold.State != api.StateDone || cold.CacheHits != 0 || cold.Errors != 0 {
+	if cold.State != api.StateDone || cacheHits(cold) != 0 {
 		t.Fatalf("cold sweep: %+v", cold)
 	}
 	if d := delta("sweep_jobs_completed_total"); d != 4 {
@@ -101,12 +100,9 @@ func TestMetricsScrapeColdWarm(t *testing.T) {
 	if d := delta("store_puts_total"); d != 4 {
 		t.Errorf("cold sweep moved store_puts_total by %v, want 4", d)
 	}
-	if cold.Summary == nil || cold.Summary.Jobs != 4 || cold.Summary.CacheHitRatio != 0 {
-		t.Errorf("cold summary: %+v", cold.Summary)
-	}
 
 	warm := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
-	if warm.State != api.StateDone || warm.CacheHits != 4 {
+	if warm.State != api.StateDone || cacheHits(warm) != 4 {
 		t.Fatalf("warm sweep not fully served from the store: %+v", warm)
 	}
 	if d := delta("store_hits_total"); d != 4 {
@@ -114,12 +110,6 @@ func TestMetricsScrapeColdWarm(t *testing.T) {
 	}
 	if d := delta("sweep_jobs_completed_total"); d != 8 {
 		t.Errorf("two sweeps moved sweep_jobs_completed_total by %v, want 8", d)
-	}
-	if warm.Summary == nil || warm.Summary.CacheHitRatio != 1 || warm.Summary.Jobs != 4 {
-		t.Errorf("warm summary: %+v", warm.Summary)
-	}
-	if warm.Summary != nil && !(warm.Summary.JobsPerSec > 0) {
-		t.Errorf("warm summary throughput %v, want > 0", warm.Summary.JobsPerSec)
 	}
 	if d := delta("server_sweeps_submitted_total"); d != 2 {
 		t.Errorf("server_sweeps_submitted_total moved by %v, want 2", d)
@@ -265,8 +255,8 @@ func TestConcurrentEventSubscribers(t *testing.T) {
 // runtime (a valid machine without memory units passes submit-time
 // validation but cannot compile a kernel with loads) and checks the
 // failure is visible everywhere the API reports job outcomes: the
-// event's top-level err string, the status's errors count and the
-// terminal summary.
+// event's top-level err string, the failed result in the terminal
+// status and the status's joined error string.
 func TestJobErrorsSurfaced(t *testing.T) {
 	jobs, err := testGrid().Jobs()
 	if err != nil {
@@ -308,11 +298,8 @@ func TestJobErrorsSurfaced(t *testing.T) {
 	}
 
 	final := waitTerminal(t, ts, st.ID)
-	if final.Errors != 1 {
-		t.Errorf("status errors = %d, want 1", final.Errors)
-	}
-	if final.Summary == nil || final.Summary.Errors != 1 || final.Summary.Jobs != 2 {
-		t.Errorf("terminal summary %+v, want 2 jobs with 1 error", final.Summary)
+	if len(final.Results) != 2 || final.Results[0].Err != "" || final.Results[1].Err == "" {
+		t.Errorf("terminal results %+v, want the second of 2 jobs failed", final.Results)
 	}
 	if final.Error == "" {
 		t.Error("terminal status carries no joined error string")
@@ -382,8 +369,15 @@ func TestLifecycleLogRecords(t *testing.T) {
 		}
 	}
 	if fin := records["sweep finished"]; fin != nil {
-		if fin["state"] != string(api.StateDone) || fin["done"] != 4.0 || fin["total"] != 4.0 || fin["errors"] != 0.0 {
-			t.Errorf("finished record %v; want state done, 4/4 jobs, no errors", fin)
+		if fin["state"] != string(api.StateDone) || fin["done"] != 4.0 || fin["total"] != 4.0 {
+			t.Errorf("finished record %v; want state done, 4/4 jobs", fin)
 		}
+	}
+	// The sweep's counts are the engine's: its finish record, under
+	// the same sweep attribute, carries the roll-up of the results.
+	if fin := records["sweep finish"]; fin == nil {
+		t.Errorf("no engine \"sweep finish\" record for sweep %s", st.ID)
+	} else if fin["jobs"] != 4.0 || fin["errors"] != 0.0 || fin["store_hits"] != 0.0 {
+		t.Errorf("engine finish record %v; want 4 jobs, no errors, no store hits", fin)
 	}
 }

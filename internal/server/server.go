@@ -9,7 +9,7 @@
 //	                             ?results=false leaves per-job results off
 //	                             the progress events
 //	DELETE /v1/sweeps/{id}        cancel a running sweep
-//	GET    /v1/healthz           structured health (build, load, store stats)
+//	GET    /v1/healthz           structured health (build, load)
 //
 // Bodies are the versioned wire documents of internal/api, written as
 // compact (unindented) JSON. A client needs two exchanges per sweep:
@@ -31,8 +31,8 @@
 // from it without simulating, and — because the store outlives the
 // process — a restarted server keeps serving results computed by its
 // predecessor. Cache hits are visible per job (results carry
-// "cached": true in /events) and per sweep (the status's "cache_hits"
-// count).
+// "cached": true); a sweep's roll-up is sweep.Summarize over its
+// results, and the process's store traffic is on /metrics.
 //
 // Lifecycle lines (sweep submitted, finished, cancel requested) are
 // structured records on telemetry.TraceLogger, and a sweep's records
@@ -77,7 +77,7 @@ type Options struct {
 	// resultstore.Open): completed jobs are content-addressed on
 	// disk, identical submitted jobs are served without simulating, and
 	// the cache survives server restarts; its traffic counters are on
-	// GET /v1/healthz and /metrics. Nil disables persistence.
+	// /metrics. Nil disables persistence.
 	Store *resultstore.Store
 	// Execute substitutes the sweep execution strategy; nil selects the
 	// in-process engine. See Executor.
@@ -160,31 +160,26 @@ func handleMetrics(w http.ResponseWriter, r *http.Request) {
 // and live event subscribers. Progress callbacks are serialised by the
 // engine; everything shared is guarded by mu.
 type run struct {
-	id      string
-	total   int
-	started time.Time
-	cancel  context.CancelFunc
+	id     string
+	total  int
+	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	state     api.State
-	done      int
-	cacheHits int
-	errs      int
-	summary   *api.SweepSummary // set once terminal
-	events    []api.Event
-	subs      map[chan api.Event]struct{}
-	results   []sweep.Result
-	err       error
+	mu      sync.Mutex
+	state   api.State
+	done    int
+	events  []api.Event
+	subs    map[chan api.Event]struct{}
+	results []sweep.Result
+	err     error
 }
 
 func newRun(id string, total int, cancel context.CancelFunc) *run {
 	return &run{
-		id:      id,
-		total:   total,
-		started: time.Now(),
-		cancel:  cancel,
-		state:   api.StateRunning,
-		subs:    map[chan api.Event]struct{}{},
+		id:     id,
+		total:  total,
+		cancel: cancel,
+		state:  api.StateRunning,
+		subs:   map[chan api.Event]struct{}{},
 	}
 }
 
@@ -204,37 +199,27 @@ func (r *run) broadcast(ev api.Event) {
 	}
 }
 
-// progress is the engine's progress sink. Cache hits and errors are
-// counted here so the accounting covers every job, streamed or not:
-// the event's result carries the per-job "cached" flag and error
-// string (also lifted to the event's top-level "err" so stream
-// consumers need not dig), and the status document aggregates both.
+// progress is the engine's progress sink: the event's result carries
+// the per-job "cached" flag and error string (also lifted to the
+// event's top-level "err" so stream consumers need not dig).
 func (r *run) progress(done, total int, res sweep.Result) {
 	ar := api.ResultFrom(res)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.done = done
-	if res.Cached {
-		r.cacheHits++
-	}
-	if res.Err != nil {
-		r.errs++
-	}
 	r.broadcast(api.Event{Done: done, Total: total, Result: &ar, Err: ar.Err})
 }
 
-// finish records the terminal state, computes the lifecycle summary
-// and emits the final event. The per-job replay log is dropped at that
-// point — the terminal event carries the full status document when it
-// is written to a stream, so a subscriber arriving after completion
-// gets every result from that one event.
+// finish records the terminal state and emits the final event. The
+// per-job replay log is dropped at that point — the terminal event
+// carries the full status document when it is written to a stream, so
+// a subscriber arriving after completion gets every result from that
+// one event.
 func (r *run) finish(results []sweep.Result, err error) {
-	summary := api.SummaryFrom(sweep.Summarize(results, time.Since(r.started)))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.results = results
 	r.err = err
-	r.summary = summary
 	switch {
 	case err == nil:
 		r.state = api.StateDone
@@ -280,16 +265,13 @@ func (r *run) status(withResults bool) api.SweepStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := api.SweepStatus{
-		Version:   api.Version,
-		ID:        r.id,
-		State:     r.state,
-		Done:      r.done,
-		Total:     r.total,
-		CacheHits: r.cacheHits,
-		Errors:    r.errs,
+		Version: api.Version,
+		ID:      r.id,
+		State:   r.state,
+		Done:    r.done,
+		Total:   r.total,
 	}
 	if r.state.Terminal() {
-		st.Summary = r.summary
 		if withResults {
 			st.Results = api.ResultsFrom(r.results)
 		}
@@ -354,7 +336,7 @@ func (s *Server) execute(ctx context.Context, ru *run, jobs []sweep.Job, workers
 	ru.finish(results, err)
 	st := ru.status(false)
 	telemetry.TraceLogger().Info("sweep finished", "sweep", ru.id, "state", string(st.State),
-		"done", st.Done, "total", st.Total, "cache_hits", st.CacheHits, "errors", st.Errors)
+		"done", st.Done, "total", st.Total)
 }
 
 // engineExecute is the default Executor: a sweep.Engine on the
@@ -385,8 +367,8 @@ func (s *Server) activeSweeps() int {
 }
 
 // handleHealth serves the structured liveness document: build
-// identity, this server's active sweeps and store traffic counters —
-// everything a load balancer or monitor needs.
+// identity and this server's active sweeps — everything a load
+// balancer or monitor needs.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := api.Health{
 		Service:      "vliwserve",
@@ -394,10 +376,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Revision:     buildRevision(),
 		ActiveSweeps: s.activeSweeps(),
 		UptimeSec:    time.Since(s.started).Seconds(),
-	}
-	if s.store != nil {
-		st := s.store.Stats()
-		h.Store = &st
 	}
 	writeJSON(w, http.StatusOK, withVersion(h))
 }

@@ -363,6 +363,17 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// cacheHits counts a terminal status's results served from the store.
+func cacheHits(st api.SweepStatus) int {
+	n := 0
+	for _, r := range st.Results {
+		if r.Cached {
+			n++
+		}
+	}
+	return n
+}
+
 // TestResultPersistenceServesRepeats checks that with a result
 // directory configured, an identical repeat sweep is served from disk:
 // same results, no additional compilation.
@@ -387,28 +398,22 @@ func TestResultPersistenceServesRepeats(t *testing.T) {
 		t.Errorf("disk-served results differ:\n%s\nvs\n%s", got, want)
 	}
 
-	// The cache-hit accounting: the cold sweep hit nothing, the warm
-	// sweep was served entirely from the store, per-result and in the
-	// status aggregate.
-	if first.CacheHits != 0 {
-		t.Errorf("cold sweep reports %d cache hits, want 0", first.CacheHits)
+	// The cache-hit accounting, per result: the cold sweep hit nothing,
+	// the warm sweep was served entirely from the store.
+	if n := cacheHits(first); n != 0 {
+		t.Errorf("cold sweep reports %d cache hits, want 0", n)
 	}
-	if second.CacheHits != second.Total {
-		t.Errorf("warm sweep reports %d cache hits, want %d", second.CacheHits, second.Total)
-	}
-	for _, r := range second.Results {
-		if !r.Cached {
-			t.Errorf("warm result %s not marked cached", r.Job.Label)
-		}
+	if n := cacheHits(second); n != second.Total {
+		t.Errorf("warm sweep reports %d cache hits, want %d", n, second.Total)
 	}
 
 	// The store outlives the server: a fresh server on the same
 	// directory — a restart — serves the same sweep without simulating.
 	srv2, ts2 := newTestServer(t, Options{Store: resultstore.Open(dir)})
 	third := waitTerminal(t, ts2, submit(t, ts2, api.SweepRequest{Grid: &g}).ID)
-	if third.State != api.StateDone || third.CacheHits != third.Total {
+	if n := cacheHits(third); third.State != api.StateDone || n != third.Total {
 		t.Errorf("restarted server: state %s, %d/%d cache hits; want done and all hits",
-			third.State, third.CacheHits, third.Total)
+			third.State, n, third.Total)
 	}
 	// Submit validates every job by compiling its kernels, so the
 	// restarted server compiles each kernel once, as the first one did,
@@ -697,48 +702,25 @@ func health(t *testing.T, ts *httptest.Server) api.Health {
 }
 
 // TestHealthzV1 exercises the structured health document: service
-// identity, load and store stats, cheap enough for a periodic ping.
+// identity and load, cheap enough for a periodic ping, from a
+// store-backed and a storeless server alike.
 func TestHealthzV1(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTestServer(t, Options{Store: resultstore.Open(dir)})
-
-	h := health(t, ts)
-	if h.Service != "vliwserve" {
-		t.Errorf("service %q, want vliwserve", h.Service)
-	}
-	if h.Version != api.Version {
-		t.Errorf("version %d, want %d", h.Version, api.Version)
-	}
-	if h.GoVersion == "" {
-		t.Error("health lacks the Go version")
-	}
-	if h.ActiveSweeps != 0 {
-		t.Errorf("idle server reports %d active sweeps", h.ActiveSweeps)
-	}
-	if h.Store == nil {
-		t.Fatal("store-backed server reports no store stats")
-	}
-
-	// A finished sweep moves the store counters the document reports.
-	g := testGrid()
-	st := waitTerminal(t, ts, submit(t, ts, api.SweepRequest{Grid: &g}).ID)
-	if st.State != api.StateDone {
-		t.Fatalf("sweep state %s", st.State)
-	}
-	h = health(t, ts)
-	if h.Store.Puts == 0 {
-		t.Error("store puts not visible in health after a sweep")
-	}
-
-	// A storeless server still names itself vliwserve and omits the
-	// store block.
+	_, ts := newTestServer(t, Options{Store: resultstore.Open(t.TempDir())})
 	_, plain := newTestServer(t, Options{})
-	ph := health(t, plain)
-	if ph.Service != "vliwserve" {
-		t.Errorf("storeless service %q, want vliwserve", ph.Service)
-	}
-	if ph.Store != nil {
-		t.Error("storeless server reports store stats")
+	for name, ts := range map[string]*httptest.Server{"store": ts, "storeless": plain} {
+		h := health(t, ts)
+		if h.Service != "vliwserve" {
+			t.Errorf("%s: service %q, want vliwserve", name, h.Service)
+		}
+		if h.Version != api.Version {
+			t.Errorf("%s: version %d, want %d", name, h.Version, api.Version)
+		}
+		if h.GoVersion == "" {
+			t.Errorf("%s: health lacks the Go version", name)
+		}
+		if h.ActiveSweeps != 0 {
+			t.Errorf("%s: idle server reports %d active sweeps", name, h.ActiveSweeps)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // Summary is the lifecycle roll-up of one finished sweep: job and
 // error counts, store cache traffic, the per-job latency distribution
 // and aggregate throughput. It is computed from the result slice after
-// the fact (Summarize), so it works identically for in-process sweeps,
-// the server's status documents and results fetched over the wire.
+// the fact (Summarize), so it works identically for in-process sweeps
+// and results fetched over the wire.
 type Summary struct {
 	// Jobs is the number of submitted jobs; Errors of them failed (or
 	// were skipped by cancellation) and CacheHits were served from the

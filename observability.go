@@ -31,8 +31,8 @@ func Metrics() MetricsSnapshot { return telemetry.Default().Snapshot() }
 // SweepSummary is the lifecycle roll-up of one finished sweep: job,
 // error and store-hit counts, per-job latency percentiles (p50/p99)
 // and throughput. Its String method renders the one-line form
-// `vliwsweep -stats` prints; the server attaches the wire form to
-// terminal sweep statuses.
+// `vliwsweep -stats` prints. It is the one sweep roll-up: neither the
+// server nor the wire carries one of its own.
 type SweepSummary = sweep.Summary
 
 // SummarizeSweep rolls a result slice up into a SweepSummary. wall is

@@ -21,12 +21,10 @@ import (
 // A ResultStore is safe for concurrent use and for sharing between
 // sweeps (the server shares one across every sweep it executes).
 // Corrupt, truncated or schema-mismatched entries are treated as cache
-// misses, never served.
+// misses, never served. Store traffic is counted process-wide, by the
+// store_* counters of Metrics; a sweep's own hits are its results
+// marked Cached.
 type ResultStore = resultstore.Store
-
-// StoreStats is a snapshot of a ResultStore handle's traffic counters
-// (hits, misses, puts).
-type StoreStats = resultstore.Stats
 
 // OpenResultStore returns a result store rooted at dir. The directory
 // is created on first write; opening a nonexistent or empty directory

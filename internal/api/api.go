@@ -14,6 +14,7 @@
 package api
 
 import (
+	"context"
 	"errors"
 	"math"
 	"time"
@@ -106,7 +107,16 @@ func (r Result) Sweep() sweep.Result {
 		Cached:  r.Cached,
 		Res:     r.Sim,
 	}
-	if r.Err != "" {
+	switch r.Err {
+	case "":
+	case context.Canceled.Error():
+		// A job the sweep skipped on cancellation carries the context's
+		// error; restore the sentinel so errors.Is (and Summarize) sees
+		// the skip on this side of the wire too.
+		out.Err = context.Canceled
+	case context.DeadlineExceeded.Error():
+		out.Err = context.DeadlineExceeded
+	default:
 		out.Err = errors.New(r.Err)
 	}
 	return out

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -219,6 +220,13 @@ func TestConversionsAreLossless(t *testing.T) {
 	}
 	if got.Index != sr.Index || !reflect.DeepEqual(got.Job, sr.Job) || got.Elapsed != sr.Elapsed {
 		t.Errorf("envelope fields drifted: %+v", got)
+	}
+	// A job skipped by the sweep's cancellation keeps its context
+	// sentinel, so Summarize counts it as skipped on both sides.
+	for _, cerr := range []error{context.Canceled, context.DeadlineExceeded} {
+		if got := ResultFrom(sweep.Result{Err: cerr}).Sweep().Err; !errors.Is(got, cerr) {
+			t.Errorf("skipped job's %v crosses the wire as %v", cerr, got)
+		}
 	}
 	// Elapsed times cross the wire as float seconds; these are times
 	// that truncating the seconds back to nanoseconds loses one of.

@@ -126,28 +126,36 @@ func NewPlan(p *Program) *Plan {
 	return pl
 }
 
-// RetirePlan is Retire driven by a Plan: it retires the planned
-// instruction at flat index f (which must be the walker's current
-// position) and returns the successor flat index, the instruction's
-// memory accesses (valid until the next retire) and whether a taken
-// branch ended the block. The RNG draw order is exactly Retire's —
-// one streamAddr draw per memory op in program order, then at most one
-// branch draw at a block end — so a Walker driven through RetirePlan
-// stays bit-identical to one driven through Retire. The walker's own
-// block/idx position is kept coherent, so the two APIs may be mixed.
+// MemAddr draws the address of memory operation m of the instruction
+// being retired through RetirePlan, advancing m's address stream. A
+// plan-driven retire of planned instruction pi is one MemAddr call per
+// entry of pi.Mem, in order, and then RetirePlan: the caller can act on
+// each address as it is drawn (the cycle loop performs the D-cache
+// access), and nothing is buffered.
 //
 //vliw:hotpath
-func (w *Walker) RetirePlan(pl *Plan, f int32) (next int32, mem []MemAccess, taken bool) {
+func (w *Walker) MemAddr(m *PlannedMem) uint64 {
+	return w.streamAddr(int(m.Stream))
+}
+
+// RetirePlan is Retire driven by a Plan: it retires the planned
+// instruction at flat index f (which must be the walker's current
+// position, and whose memory addresses the caller has already drawn
+// through MemAddr) and returns the successor flat index and whether a
+// taken branch ended the block. The RNG draw order is exactly Retire's
+// — one stream draw per memory op in program order, then at most one
+// branch draw at a block end — so a Walker driven through MemAddr and
+// RetirePlan stays bit-identical to one driven through Retire. The
+// walker's own block/idx position is kept coherent, so the two APIs may
+// be mixed.
+//
+//vliw:hotpath
+func (w *Walker) RetirePlan(pl *Plan, f int32) (next int32, taken bool) {
 	pi := &pl.Instrs[f]
-	w.memBuf = w.memBuf[:0]
-	for i := range pi.Mem {
-		m := &pi.Mem[i]
-		w.memBuf = append(w.memBuf, MemAccess{Addr: w.streamAddr(int(m.Stream)), Store: m.Store})
-	}
 	w.Retired++
 	if !pi.Last {
 		w.idx++
-		return pi.Next, w.memBuf, false
+		return pi.Next, false
 	}
 	next = pi.Next
 	if pi.Branch && w.takeBranch(&w.P.Blocks[pi.Block]) {
@@ -156,5 +164,5 @@ func (w *Walker) RetirePlan(pl *Plan, f int32) (next int32, mem []MemAccess, tak
 	}
 	w.block = int(pl.Instrs[next].Block)
 	w.idx = 0
-	return next, w.memBuf, taken
+	return next, taken
 }

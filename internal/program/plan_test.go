@@ -97,11 +97,11 @@ func TestPlanShape(t *testing.T) {
 }
 
 // TestRetirePlanMatchesRetire drives two same-seeded walkers over each
-// program — one through Retire, one through RetirePlan — and requires
-// identical memory accesses, branch outcomes, retire counts and fetch
-// addresses at every step. This is the equivalence the batched
-// simulation core rests on: RetirePlan must consume the walker RNG in
-// exactly Retire's draw order.
+// program — one through Retire, one through MemAddr and RetirePlan —
+// and requires identical memory accesses, branch outcomes, retire
+// counts and fetch addresses at every step. This is the equivalence
+// the simulation core rests on: the plan-driven retire must consume the
+// walker RNG in exactly Retire's draw order.
 func TestRetirePlanMatchesRetire(t *testing.T) {
 	for _, p := range planPrograms(t) {
 		pl := program.NewPlan(p)
@@ -116,15 +116,20 @@ func TestRetirePlanMatchesRetire(t *testing.T) {
 					t.Fatalf("%s seed %d step %d: plan position diverged", p.Name, seed, step)
 				}
 				info := wr.Retire()
-				next, mem, taken := wp.RetirePlan(pl, f)
-				if taken != info.Taken || len(mem) != len(info.Mem) || int(pi.Ops) != info.Ops {
-					t.Fatalf("%s seed %d step %d: retire diverged (taken %v/%v, mem %d/%d)",
-						p.Name, seed, step, taken, info.Taken, len(mem), len(info.Mem))
+				if len(pi.Mem) != len(info.Mem) {
+					t.Fatalf("%s seed %d step %d: %d planned memory ops, Retire made %d accesses",
+						p.Name, seed, step, len(pi.Mem), len(info.Mem))
 				}
-				for i := range mem {
-					if mem[i] != info.Mem[i] {
+				for i := range pi.Mem {
+					acc := program.MemAccess{Addr: wp.MemAddr(&pi.Mem[i]), Store: pi.Mem[i].Store}
+					if acc != info.Mem[i] {
 						t.Fatalf("%s seed %d step %d: access %d diverged", p.Name, seed, step, i)
 					}
+				}
+				next, taken := wp.RetirePlan(pl, f)
+				if taken != info.Taken || int(pi.Ops) != info.Ops {
+					t.Fatalf("%s seed %d step %d: retire diverged (taken %v/%v)",
+						p.Name, seed, step, taken, info.Taken)
 				}
 				if wp.Retired != wr.Retired {
 					t.Fatalf("%s seed %d step %d: retired counters diverged", p.Name, seed, step)

@@ -2,25 +2,31 @@
 // iteration of refsim's cycle loop per step. Prepare (sim.go) builds
 // the run's set-up, the step refsim shares; the job's compiled
 // programs are then flattened once into program.Plan tables, and the
-// job keeps its own compiled selector and per-thread state. The
-// differential tests in diff_test.go, burst_test.go and
-// conformance_test.go enforce bit-identity against refsim.
+// job keeps its own compiled selector and one record of hot state per
+// thread. The differential tests in diff_test.go, burst_test.go and
+// conformance_test.go, and the small-scope domain of smallscope_test.go,
+// enforce bit-identity against refsim.
 //
 // Scheduling: the lane carries a wake cycle. An active lane wakes at
 // cycle+1 (or, after a lone-candidate burst, at the cycle after the
 // burst's last); an all-stalled lane bulk-accounts its stall span (the
-// stall fast-forward) and sleeps until its next event.
+// stall fast-forward) and sleeps until its next event. A burst rides
+// out its own thread's stalls and fetch misses that end before its
+// horizon, booking each as the fast-forward span step would have
+// opened.
 //
 // Selection runs on a packed occupancy dictionary (see
 // merge.SelectPacked): the gather records dictionary IDs, and the merge
 // stage answers cluster disjointness and SMT slot capacity with a few
 // 64-bit SWAR operations instead of per-cluster loops over Occupancy
-// structs.
+// structs. Fetches and retires run in port order, since the caches see
+// their accesses in that order.
 
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"vliwmt/internal/cache"
@@ -29,9 +35,29 @@ import (
 	"vliwmt/internal/program"
 )
 
+// thread is one task's hot state, kept in one record so the gather,
+// the retire and a burst touch one line per thread instead of loads
+// from parallel per-task slices.
+type thread struct {
+	// readyAt is the first cycle the thread may issue again (its stall
+	// clock).
+	readyAt int64
+	// cur is the flat plan index of the current instruction, pi its
+	// planned record, and fetched reports whether its I-cache access is
+	// done.
+	cur     int32
+	fetched bool
+	pi      *program.PlannedInstr
+	// instrs is plan.Instrs: a PlannedInstr is one hop away.
+	instrs []program.PlannedInstr
+	plan   *program.Plan
+	walker *program.Walker
+	stats  ThreadStats
+}
+
 // lane is one run of the cycle loop: the job's full state (selector,
-// caches, task plans, walkers, OS scheduler, result accumulators) plus
-// the wake cycle the loop schedules it by.
+// caches, threads, OS scheduler, result accumulators) plus the wake
+// cycle the loop schedules it by.
 type lane struct {
 	cfg Config
 	m   isa.Machine
@@ -41,25 +67,24 @@ type lane struct {
 	// lone candidate whole); BMT must see every non-empty call.
 	lone   bool
 	ic, dc *cache.Cache
+	// icPen and dcPen are the caches' miss penalties.
+	icPen, dcPen int64
 
-	// plans[ti] is task ti's flattened program, and plis[ti] its
-	// Instrs, kept as one slice-header array so the gather loop reaches
-	// a PlannedInstr in a single hop.
-	plans []*program.Plan
-	plis  [][]program.PlannedInstr
-
-	// Per-task context state.
-	walkers []*program.Walker
-	cur     []int32 // flat plan index of the current instruction
-	readyAt []int64
-	fetched []bool
-	done    []bool
-	stats   []ThreadStats
+	threads []thread
+	// vacant is the record of a context that runs no task: its readyAt
+	// of math.MaxInt64 keeps it out of every gather and event.
+	vacant thread
 
 	// OS scheduling state: running maps hardware contexts to task
-	// indices (-1 = idle); pool holds descheduled tasks not yet done.
+	// indices (-1 = idle); pool holds descheduled tasks. A run ends in
+	// the cycle its first thread retires its budget, so no finished task
+	// is ever scheduled again and the loop keeps no per-task done flag.
 	running []int
 	pool    []int
+	// ctxs maps contexts to thread records, written twice over (ctxs[c]
+	// and ctxs[c+nCtx] are the same record), so the contexts in port
+	// order under rotation rot are the slice ctxs[rot:rot+nCtx].
+	ctxs    []*thread
 	osRng   OSRand
 	slicing bool
 	nCtx    int
@@ -73,13 +98,12 @@ type lane struct {
 	rotMask   int64
 	fixedPrio bool
 
-	// Per-cycle buffers, reused across every cycle of the run:
-	// candID[p] is the dictionary ID of the candidate at merge port p
-	// (meaningful only when bit p of the cycle's valid mask is set) and
-	// ports[p] is the context mapped to port p under the cycle's
-	// priority rotation. The merge stage never touches an Occupancy.
+	// Per-cycle buffers, reused across every cycle of the run: cand[p]
+	// is the thread at merge port p and candID[p] the dictionary ID of
+	// its instruction (both meaningful only when bit p of the cycle's
+	// valid mask is set). The merge stage never touches an Occupancy.
+	cand   []*thread
 	candID []int32
-	ports  []int
 
 	// Packed selection state: pd is the run's packed occupancy
 	// dictionary and plim holds the machine's SWAR limit constants.
@@ -87,7 +111,7 @@ type lane struct {
 	plim merge.PackedLimits
 
 	res *Result
-	// ffSpans/ffCycles count stall fast-forward jumps and the cycles
+	// ffSpans/ffCycles count stall fast-forward spans and the cycles
 	// they skipped, and burstCycles the cycles issued by bursts; all
 	// three are flushed to the telemetry counters once, in finalize.
 	ffSpans, ffCycles, burstCycles int64
@@ -114,23 +138,28 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	nt := len(tasks)
-	plans := make([]*program.Plan, nt)
-	plis := make([][]program.PlannedInstr, nt)
+	threads := make([]thread, nt)
 	totalOccs := 0
 	for i, t := range tasks {
-		plans[i] = program.NewPlan(t.Prog)
+		pl := program.NewPlan(t.Prog)
 		// Bake the per-task constants into the fresh plan's records: the
 		// fetch address gets the task's code-segment offset (matching
 		// the walker's own relocation) and the occupancy ID its
 		// run-wide dictionary base. That removes two lookups and two
 		// adds from every port of every simulated cycle.
-		instrs := plans[i].Instrs
+		instrs := pl.Instrs
 		for j := range instrs {
 			instrs[j].Addr += uint64(i+1) << 32
 			instrs[j].OccID += int32(totalOccs)
 		}
-		plis[i] = instrs
-		totalOccs += plans[i].NumOccs
+		totalOccs += pl.NumOccs
+		threads[i] = thread{
+			pi:     &instrs[0],
+			instrs: instrs,
+			plan:   pl,
+			walker: s.Walker(i),
+			stats:  ThreadStats{Name: t.Name},
+		}
 	}
 	ic, dc := s.Caches()
 	// Every valid machine packs; the error is a guard, not a path.
@@ -142,9 +171,9 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 	// task validated against the machine, and an occupancy that fits a
 	// valid machine always packs, so the error is a guard, not a path.
 	pd := make([]merge.PackedOcc, totalOccs)
-	for i := range plis {
-		for j := range plis[i] {
-			pi := &plis[i][j]
+	for i := range threads {
+		for j := range threads[i].instrs {
+			pi := &threads[i].instrs[j]
 			po, ok := merge.PackOcc(&pi.Occ)
 			if !ok {
 				return nil, fmt.Errorf("sim: task %s: occupancy %v exceeds the packed merge limits", tasks[i].Name, pi.Occ)
@@ -160,24 +189,19 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		lone:      !sel.Stateful(),
 		ic:        ic,
 		dc:        dc,
-		plans:     plans,
-		plis:      plis,
-		walkers:   make([]*program.Walker, nt),
-		cur:       make([]int32, nt),
-		readyAt:   make([]int64, nt),
-		fetched:   make([]bool, nt),
-		done:      make([]bool, nt),
-		stats:     make([]ThreadStats, nt),
+		threads:   threads,
+		vacant:    thread{readyAt: math.MaxInt64},
 		running:   make([]int, cfg.Contexts),
 		pool:      make([]int, 0, nt),
+		ctxs:      make([]*thread, 2*cfg.Contexts),
 		osRng:     s.OS,
 		slicing:   nt > cfg.Contexts,
 		nCtx:      cfg.Contexts,
 		nextSlice: cfg.TimesliceCycles,
 		rotMask:   -1,
 		fixedPrio: cfg.FixedPriority,
+		cand:      make([]*thread, cfg.Contexts),
 		candID:    make([]int32, cfg.Contexts),
-		ports:     make([]int, cfg.Contexts),
 		pd:        pd,
 		plim:      plim,
 		res: &Result{
@@ -185,12 +209,13 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 			IssueWidth: cfg.Machine.TotalIssueWidth(),
 		},
 	}
+	if ic != nil {
+		l.icPen, l.dcPen = int64(ic.MissPenalty()), int64(dc.MissPenalty())
+	}
 	if cfg.Contexts&(cfg.Contexts-1) == 0 {
 		l.rotMask = int64(cfg.Contexts - 1)
 	}
-	for i, t := range tasks {
-		l.walkers[i] = s.Walker(i)
-		l.stats[i].Name = t.Name
+	for i := range tasks {
 		l.pool = append(l.pool, i)
 	}
 	for i := range l.running {
@@ -239,7 +264,7 @@ func (l *lane) run() int64 {
 
 // schedule returns running tasks to the pool, then draws random
 // replacements (the paper picks replacement threads at random for
-// fairness).
+// fairness), and maps each context to its thread's record.
 //
 // The pool delete deliberately stays the order-preserving O(n)
 // copy-down, not an O(1) swap-remove: the drawn index k comes from the
@@ -253,74 +278,72 @@ func (l *lane) run() int64 {
 //vliw:hotpath
 func (l *lane) schedule() {
 	for ctx, ti := range l.running {
-		if ti >= 0 && !l.done[ti] {
+		if ti >= 0 {
 			l.pool = append(l.pool, ti)
 		}
 		l.running[ctx] = -1
 	}
-	for ctx := 0; ctx < l.cfg.Contexts && len(l.pool) > 0; ctx++ {
+	for ctx := 0; ctx < l.nCtx && len(l.pool) > 0; ctx++ {
 		k := l.osRng.Intn(len(l.pool))
 		l.running[ctx] = l.pool[k]
 		l.pool = append(l.pool[:k], l.pool[k+1:]...)
 	}
+	for ctx, ti := range l.running {
+		t := &l.vacant
+		if ti >= 0 {
+			t = &l.threads[ti]
+		}
+		l.ctxs[ctx], l.ctxs[ctx+l.nCtx] = t, t
+	}
 }
 
 // nextEvent returns the earliest cycle after now at which a candidate
-// can reappear among the running threads other than task skip (-1
-// skips none): the soonest readyAt (a thread whose stall already
-// elapsed counts as now+1), the next timeslice boundary when
-// descheduled tasks exist, or MaxCycles. With skip = -1, every context
-// stays candidate-free between now and that cycle, so the lane's state
-// cannot change — the fast-forward invariant DESIGN.md spells out. With
-// skip = ti it is the horizon of ti's lone-candidate burst.
+// can reappear among the running threads other than skip (nil skips
+// none): the soonest readyAt (a thread whose stall already elapsed
+// counts as now+1), the next timeslice boundary when descheduled tasks
+// exist, or MaxCycles. With skip = nil, every context stays
+// candidate-free between now and that cycle, so the lane's state cannot
+// change — the fast-forward invariant DESIGN.md spells out. With skip =
+// t it is the horizon of t's lone-candidate burst. Both bounds are
+// later than now (the loop never steps at or past MaxCycles, and step
+// moves nextSlice past a boundary it reaches), so the result is too.
 //
 //vliw:hotpath
-func (l *lane) nextEvent(now int64, skip int) int64 {
+func (l *lane) nextEvent(now int64, skip *thread) int64 {
 	next := l.cfg.MaxCycles
-	if l.slicing && l.nextSlice < next {
+	if l.slicing {
 		// nextSlice is maintained by step: when this runs it is always
 		// the first boundary after now, so no division is needed.
-		next = l.nextSlice
+		next = min(next, l.nextSlice)
 	}
-	for _, ti := range l.running {
-		if ti < 0 || ti == skip || l.done[ti] {
-			continue
+	for _, t := range l.ctxs[:l.nCtx] {
+		if t != skip {
+			next = min(next, max(t.readyAt, now+1))
 		}
-		e := l.readyAt[ti]
-		if e <= now {
-			e = now + 1
-		}
-		if e < next {
-			next = e
-		}
-	}
-	if next <= now {
-		next = now + 1
 	}
 	return next
 }
 
-// idle bulk-accounts a candidate-free cycle and every cycle up to the
-// lane's next event, then sleeps the lane until it: the stall
-// fast-forward. Selectors are pure on empty input (Selector contract),
-// so skipping their SelectPacked calls cannot change later selections.
+// empty bulk-accounts the candidate-free cycles [from, to) as one stall
+// fast-forward span. Selectors are pure on empty input (Selector
+// contract), so skipping their SelectPacked calls cannot change later
+// selections.
 //
 //vliw:hotpath
-func (l *lane) idle(cycle int64) {
-	next := l.nextEvent(cycle, -1)
-	span := next - cycle
+func (l *lane) empty(from, to int64) {
+	span := to - from
 	l.res.MergeHist[0] += span
 	l.res.EmptyCycles += span
 	l.ffSpans++
 	l.ffCycles += span
-	l.wakeAt = next
 }
 
-// step executes cycle `cycle`, one iteration of refsim's cycle loop: timeslice scheduling, priority
-// rotation, candidate gathering (plan-driven — the occupancy and fetch
-// address come from the flat PlannedInstr record), merge selection,
-// retirement. An all-stalled cycle opens a fast-forward span (idle); a
-// lone candidate under a stateless selector opens a burst.
+// step executes cycle `cycle`, one iteration of refsim's cycle loop:
+// timeslice scheduling, priority rotation, candidate gathering
+// (plan-driven — the occupancy and fetch address come from the flat
+// PlannedInstr record), merge selection, retirement. An all-stalled
+// cycle opens a fast-forward span that sleeps the lane until its next
+// event; a lone candidate under a stateless selector opens a burst.
 //
 //vliw:hotpath
 func (l *lane) step(cycle int64) {
@@ -328,46 +351,39 @@ func (l *lane) step(cycle int64) {
 		l.schedule()
 		l.nextSlice = cycle + l.cfg.TimesliceCycles
 	}
-	nCtx := l.nCtx
 	rot := 0
 	if !l.fixedPrio {
 		if l.rotMask >= 0 {
 			rot = int(cycle & l.rotMask)
 		} else {
-			rot = int(cycle % int64(nCtx))
+			rot = int(cycle % int64(l.nCtx))
 		}
 	}
 	var valid uint32
-	for p := 0; p < nCtx; p++ {
-		ctx := p + rot
-		if ctx >= nCtx {
-			ctx -= nCtx
-		}
-		l.ports[p] = ctx
-		ti := l.running[ctx]
-		if ti < 0 {
+	for p, t := range l.ctxs[rot : rot+l.nCtx] {
+		if t.readyAt > cycle {
 			continue
 		}
-		if l.done[ti] || l.readyAt[ti] > cycle {
+		pi := t.pi
+		if !t.fetched && !l.fetch(t, pi.Addr, cycle) {
 			continue
 		}
-		pi := &l.plis[ti][l.cur[ti]]
-		if !l.fetched[ti] && !l.fetch(pi.Addr, ti, cycle) {
-			continue
-		}
+		l.cand[p] = t
 		l.candID[p] = pi.OccID
 		valid |= 1 << uint(p)
 	}
 
 	if valid == 0 {
-		l.idle(cycle)
+		next := l.nextEvent(cycle, nil)
+		l.empty(cycle, next)
+		l.wakeAt = next
 		return
 	}
 	if l.lone && valid&(valid-1) == 0 {
 		// Every stateless kind selects a lone candidate whole (a tree
 		// node passes a single non-empty input through unmerged, and
 		// IMT issues it), so no evaluator call is needed.
-		l.burst(l.running[l.ports[bits.TrailingZeros32(valid)]], cycle)
+		l.burst(l.cand[bits.TrailingZeros32(valid)], cycle)
 		return
 	}
 
@@ -376,136 +392,137 @@ func (l *lane) step(cycle int64) {
 	if ops == 0 {
 		l.res.EmptyCycles++
 	}
-	for p := 0; p < nCtx; p++ {
-		if valid&(1<<uint(p)) == 0 {
-			continue
-		}
-		ti := l.running[l.ports[p]]
-		if mask&(1<<uint(p)) == 0 {
-			l.stats[ti].ConflictCycles++
-			continue
-		}
-		n, done := l.retire(l.walkers[ti], l.plans[ti], ti, cycle)
-		l.issued(ti, 1, n)
-		if done {
-			l.done[ti] = true
-			l.finished = true
-		}
+	for v := valid &^ mask; v != 0; v &= v - 1 {
+		l.cand[bits.TrailingZeros32(v)].stats.ConflictCycles++
+	}
+	// Retire in port order: the D-cache sees the accesses in the order
+	// refsim makes them.
+	for v := mask; v != 0; v &= v - 1 {
+		_, done := l.retire(l.cand[bits.TrailingZeros32(v)], cycle)
+		l.finished = l.finished || done
 	}
 	l.wakeAt = cycle + 1
 }
 
-// burst issues task ti, the lone candidate of `cycle`, then keeps
-// issuing it alone for as long as it stays ready and its fetches hit,
-// up to the horizon h = nextEvent(cycle, ti). Before h no other thread
-// can become a candidate and no timeslice boundary falls, so each of
-// those cycles is again a lone-candidate cycle whose selection is ti
-// whole (DESIGN.md, "Lone-candidate bursts"). Each burst cycle
-// retires, performs its data accesses and updates ti's stall clock
-// exactly as step would; the per-cycle counters are added once per
-// burst. The burst ends when ti finishes or reaches h (the lane wakes
-// at the next cycle), or when, before h, ti stalls or its fetch misses
-// the I-cache: that cycle has no candidate, so the burst opens the
-// fast-forward span step would open.
+// burst issues thread t, the lone candidate of `cycle`, then keeps
+// issuing it alone up to the horizon h = nextEvent(cycle, t). Before h
+// no other thread can become a candidate and no timeslice boundary
+// falls, so each of those cycles has t as its lone candidate (issued
+// whole) or no candidate at all (DESIGN.md, "Lone-candidate bursts").
+// Each burst cycle retires, performs its data accesses and updates t's
+// stall clock exactly as step would, and the per-cycle counters are
+// added once per burst.
+//
+// The burst rides out t's own stalls: when t stalls (a D-cache miss or a
+// taken-branch squash) or its fetch misses the I-cache, and it can issue
+// again before h, the empty cycles in between are booked as the
+// fast-forward span step would open, and the burst carries on at the
+// cycle t issues. A fetch miss empties its own cycle even at zero miss
+// penalty: the fetched instruction issues at max(readyAt, cycle+1). The
+// burst ends when t finishes, reaches h, or stalls until h or later
+// (the span up to h is booked); the lane wakes at the cycle after its
+// last.
 //
 //vliw:hotpath
-func (l *lane) burst(ti int, cycle int64) {
-	h := l.nextEvent(cycle, ti)
-	w, pl := l.walkers[ti], l.plans[ti]
-	start := cycle
-	var ops, empty int64
+func (l *lane) burst(t *thread, cycle int64) {
+	h := l.nextEvent(cycle, t)
+	var n, empty int64
+issue:
 	for {
-		if pl.Instrs[l.cur[ti]].Occ.Ops == 0 {
+		ops, done := l.retire(t, cycle)
+		n++
+		if ops == 0 {
 			empty++
 		}
-		n, done := l.retire(w, pl, ti, cycle)
-		ops += n
 		cycle++
 		if done {
-			l.done[ti] = true
 			l.finished = true
-		}
-		if done || cycle >= h {
-			l.wakeAt = cycle
 			break
 		}
-		if l.readyAt[ti] > cycle || !l.fetch(pl.Instrs[l.cur[ti]].Addr, ti, cycle) {
-			l.idle(cycle)
+		if cycle >= h {
 			break
+		}
+		// Ride out t's own stall or fetch miss: wait is the cycle t can
+		// issue next, and the cycles before it are empty.
+		for {
+			var wait int64
+			switch {
+			case t.readyAt > cycle:
+				wait = t.readyAt // a stall: t fetches when it ends
+			case t.fetched || l.fetch(t, t.pi.Addr, cycle):
+				continue issue
+			default:
+				// A fetch miss empties its own cycle, even at zero
+				// miss penalty.
+				wait = max(t.readyAt, cycle+1)
+			}
+			if wait >= h {
+				l.empty(cycle, h)
+				cycle = h
+				break issue
+			}
+			l.empty(cycle, wait)
+			cycle = wait
 		}
 	}
-	n := cycle - start
+	l.wakeAt = cycle
 	l.res.MergeHist[1] += n
 	l.res.EmptyCycles += empty
-	l.issued(ti, n, ops)
 	l.burstCycles += n
 }
 
-// fetch marks task ti's current instruction fetched at cycle and looks
-// its line up in the I-cache, reporting whether the instruction can
-// issue this cycle. A miss stalls the thread for the miss penalty; the
-// line arrives during the stall, so the retry needs no second access.
+// fetch marks thread t's current instruction fetched at cycle and
+// looks its line (at addr) up in the I-cache, reporting whether the
+// instruction can issue this cycle. A miss stalls the thread for the
+// miss penalty; the line arrives during the stall, so the retry needs
+// no second access.
 //
 //vliw:hotpath
-func (l *lane) fetch(addr uint64, ti int, cycle int64) bool {
-	l.fetched[ti] = true
-	if l.ic != nil && !l.ic.Access(addr, false) {
-		pen := int64(l.ic.MissPenalty())
-		l.readyAt[ti] = cycle + pen
-		l.stats[ti].StallFetch += pen
-		return false
+func (l *lane) fetch(t *thread, addr uint64, cycle int64) bool {
+	t.fetched = true
+	if l.ic == nil || l.ic.ReadMRU(addr) || l.ic.Access(addr, false) {
+		return true
 	}
-	return true
+	t.readyAt = cycle + l.icPen
+	t.stats.StallFetch += l.icPen
+	return false
 }
 
-// retire retires task ti's current instruction at cycle: it advances
-// the walker w over plan pl, performs the instruction's data accesses
-// and sets the thread's stall clock. It returns the instruction's
-// operation count and whether the thread hit its instruction budget
-// (ending the run); the caller accounts the retire through issued. It
-// is driven by the task's plan: the memory-op recipe comes precomputed
-// from the PlannedInstr, and the successor is a flat index instead of
-// walker block/idx bookkeeping.
+// retire retires thread t's current instruction at cycle: it draws each
+// memory operation's address and performs its D-cache access in one
+// pass, advances the walker over the plan and sets the thread's stall
+// clock, and counts the instruction and its operations to t. It returns
+// the operation count and whether the thread hit its instruction budget
+// (ending the run).
 //
 //vliw:hotpath
-func (l *lane) retire(w *program.Walker, pl *program.Plan, ti int, cycle int64) (ops int64, done bool) {
-	f := l.cur[ti]
-	next, mem, taken := w.RetirePlan(pl, f)
-	l.cur[ti] = next
-	l.fetched[ti] = false
-
+func (l *lane) retire(t *thread, cycle int64) (ops int64, done bool) {
+	w, pi := t.walker, t.pi
 	var memStall, brStall int64
-	for i := range mem {
-		if l.dc != nil && !l.dc.Access(mem[i].Addr, mem[i].Store) {
-			memStall += int64(l.dc.MissPenalty())
+	for i := range pi.Mem {
+		m := &pi.Mem[i]
+		addr := w.MemAddr(m)
+		if l.dc != nil && !l.dc.Access(addr, m.Store) {
+			memStall += l.dcPen
 		}
 	}
+	next, taken := w.RetirePlan(t.plan, t.cur)
+	t.cur, t.pi = next, &t.instrs[next]
+	t.fetched = false
 	if taken {
 		brStall = int64(l.m.BranchPenalty)
 	}
 	// Both a blocking miss and a squash stall the front end; they
 	// overlap, so the thread resumes after the longer of the two.
-	stall := memStall
-	if brStall > stall {
-		stall = brStall
+	if stall := max(memStall, brStall); stall > 0 {
+		t.readyAt = cycle + 1 + stall
+		t.stats.StallMem += memStall
+		t.stats.StallBranch += brStall
 	}
-	if stall > 0 {
-		l.readyAt[ti] = cycle + 1 + stall
-		l.stats[ti].StallMem += memStall
-		l.stats[ti].StallBranch += brStall
-	}
-	return int64(pl.Instrs[f].Ops), w.Retired >= l.cfg.InstrLimit
-}
-
-// issued accounts n retired instructions carrying ops operations to
-// task ti and to the run.
-//
-//vliw:hotpath
-func (l *lane) issued(ti int, n, ops int64) {
-	l.stats[ti].Instrs += n
-	l.stats[ti].Ops += ops
-	l.res.Instrs += n
-	l.res.Ops += ops
+	ops = int64(pi.Ops)
+	t.stats.Instrs++
+	t.stats.Ops += ops
+	return ops, w.Retired >= l.cfg.InstrLimit
 }
 
 // finalize closes the lane's run, which lasted the given cycles.
@@ -513,14 +530,18 @@ func (l *lane) finalize(cycles int64) *Result {
 	res := l.res
 	res.Cycles = cycles
 	res.TimedOut = !l.finished
+	for i := range l.threads {
+		st := l.threads[i].stats
+		// Every candidate cycle either issues one instruction or is a
+		// conflict, so the candidate cycles need no counter of their own,
+		// and the run's totals are the threads'.
+		st.ScheduledCycles = st.Instrs + st.ConflictCycles
+		res.Threads = append(res.Threads, st)
+		res.Instrs += st.Instrs
+		res.Ops += st.Ops
+	}
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Ops) / float64(res.Cycles)
-	}
-	for i := range l.stats {
-		// Every candidate cycle either issues one instruction or is a
-		// conflict, so the candidate cycles need no counter of their own.
-		l.stats[i].ScheduledCycles = l.stats[i].Instrs + l.stats[i].ConflictCycles
-		res.Threads = append(res.Threads, l.stats[i])
 	}
 	if l.ic != nil {
 		res.ICache = l.ic.Stats

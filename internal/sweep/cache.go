@@ -19,11 +19,13 @@ type compileKey struct {
 }
 
 // compileEntry memoizes one compilation. The sync.Once serialises the
-// compile itself while letting unrelated keys compile concurrently.
+// compile itself while letting unrelated keys compile concurrently; ok
+// is set once the compile has finished and succeeded.
 type compileEntry struct {
 	once sync.Once
 	prog *program.Program
 	err  error
+	ok   atomic.Bool
 }
 
 // CompileCache memoizes kernel compilation per (benchmark, machine), so a
@@ -79,8 +81,20 @@ func (c *CompileCache) Get(bench string, m isa.Machine) (*program.Program, error
 			return
 		}
 		e.prog, e.err = b.Compile(m)
+		e.ok.Store(e.err == nil)
 	})
 	return e.prog, e.err
+}
+
+// compiled reports whether the cache holds a finished, successful
+// compile of bench for machine m, which vouches that bench names a
+// benchmark. An entry still compiling or one that failed vouches for
+// nothing. It is a peek: it counts no lookup and compiles nothing.
+func (c *CompileCache) compiled(bench string, m isa.Machine) bool {
+	c.mu.Lock()
+	e := c.entries[compileKey{bench: bench, machine: m}]
+	c.mu.Unlock()
+	return e != nil && e.ok.Load()
 }
 
 // Tasks compiles the named benchmarks for machine m through the cache

@@ -148,12 +148,18 @@ func (j Job) Validate(cc *CompileCache) error {
 }
 
 // tasks applies the Validate rules and returns the job's compiled
-// tasks, compiling only once the config is valid.
+// tasks, compiling only once the config is valid. A name the cache has
+// already compiled for the job's machine is a known benchmark, so it
+// skips the name lookup (a full parse for a generated name); the error
+// order stays unknown benchmark, scheme, config, compile.
 func (j Job) tasks(cc *CompileCache) ([]sim.Task, error) {
 	if len(j.Benchmarks) == 0 {
 		return nil, fmt.Errorf("sweep: job %s has no benchmarks", j.Describe())
 	}
 	for _, name := range j.Benchmarks {
+		if cc.compiled(name, j.Machine) {
+			continue
+		}
 		if _, err := workload.ByName(name); err != nil {
 			return nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 		}

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -21,8 +23,10 @@ type Summary struct {
 	// P50 and P99 are percentiles of the per-job elapsed times (for
 	// cached jobs that is the replayed original simulation time).
 	P50, P99 time.Duration
-	// JobsPerSec is Jobs divided by Wall — the "sims/s" throughput
-	// headline (cache hits count: a served job is a completed job).
+	// JobsPerSec is the jobs that ran divided by Wall — the "sims/s"
+	// throughput headline. A job ran unless cancellation skipped it: a
+	// failed job counts (it was attempted), and so does a cache hit (a
+	// served job is a completed job).
 	JobsPerSec float64
 }
 
@@ -66,11 +70,16 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 func Summarize(results []Result, wall time.Duration) Summary {
 	s := Summary{Jobs: len(results), Wall: wall}
 	elapsed := make([]time.Duration, 0, len(results))
+	ran := 0
 	for _, r := range results {
 		if r.Err != nil {
 			s.Errors++
+			if !errors.Is(r.Err, context.Canceled) && !errors.Is(r.Err, context.DeadlineExceeded) {
+				ran++
+			}
 			continue
 		}
+		ran++
 		if r.Cached {
 			s.CacheHits++
 		}
@@ -80,7 +89,7 @@ func Summarize(results []Result, wall time.Duration) Summary {
 	s.P50 = percentile(elapsed, 0.50)
 	s.P99 = percentile(elapsed, 0.99)
 	if wall > 0 {
-		s.JobsPerSec = float64(s.Jobs) / wall.Seconds()
+		s.JobsPerSec = float64(ran) / wall.Seconds()
 	}
 	return s
 }

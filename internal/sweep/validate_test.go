@@ -9,6 +9,7 @@ import (
 	"vliwmt/internal/isa"
 	"vliwmt/internal/merge"
 	"vliwmt/internal/sim"
+	"vliwmt/internal/workload"
 )
 
 // TestJobValidateMatchesSim pins the one-validation-function contract:
@@ -125,6 +126,53 @@ func TestJobValidateCompiles(t *testing.T) {
 	}
 	if compiles, _ := cc.Stats(); compiles != int64(len(kernels)) {
 		t.Errorf("validate + run compiled %d times for %d kernels", compiles, len(kernels))
+	}
+}
+
+// TestJobValidateTrustsFinishedCompiles: a name the cache has finished
+// compiling for the job's machine needs no benchmark lookup, so on a warm
+// cache a job of generated kernels (whose lookup is a full name parse)
+// validates with no more allocations than a job of Table 1 kernels. A
+// failed entry vouches for nothing: an unknown name the cache has
+// already failed to compile is still the first error reported, ahead
+// of the job's bad scheme.
+func TestJobValidateTrustsFinishedCompiles(t *testing.T) {
+	jobs, err := testGrid().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := jobs[len(jobs)-1]
+	mix, err := workload.MixByName("genmix:LLHH:s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := table
+	gen.Benchmarks = mix.Members[:]
+	cc := NewCompileCache()
+	for _, j := range []Job{table, gen} {
+		if err := j.Validate(cc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(j Job) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if err := j.Validate(cc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if g, tb := allocs(gen), allocs(table); g > tb {
+		t.Errorf("warm Validate allocates %.0f times for generated kernels, %.0f for Table 1 kernels: compiled names are looked up again", g, tb)
+	}
+
+	bad := table
+	bad.Benchmarks = []string{"nosuch"}
+	bad.Scheme, bad.Contexts = "nosuch-scheme", 0
+	if _, err := cc.Get("nosuch", bad.Machine); err == nil {
+		t.Fatal("the cache compiled an unknown benchmark")
+	}
+	if err := bad.Validate(cc); err == nil || !strings.Contains(err.Error(), `unknown benchmark "nosuch"`) {
+		t.Errorf("Validate after a failed compile = %v, want the unknown-benchmark error first", err)
 	}
 }
 

@@ -3,17 +3,14 @@
 // set-associative with a flat 20-cycle miss penalty (400MHz core, 50ns
 // worst-case DRAM critical-word latency); hits never stall.
 //
-// MRU rule: a Cache remembers, for each set, the line of the set's most
-// recent access. A repeat access to that line is a hit that only counts
-// the access (and marks the line dirty on a write); it skips the LRU
-// clock tick and the stamp update, and a read skips the way search too.
-// This is exact. A set's most recently accessed line always holds the
-// newest stamp in that set, LRU only compares stamps within one set,
-// and skipping a tick keeps every stamp in the same order, so every
-// later victim choice is the one a ticking cache would make.
-// Remembering one line per set rather than one per cache keeps the
-// shortcut when threads fetching from different sets interleave. Flush
-// forgets the remembered lines.
+// MRU rule: a Cache remembers the line and way of its previous access. A
+// repeat access to that line is a hit that only counts the access (and
+// marks the line dirty on a write); it skips the LRU clock tick and the
+// stamp update. This is exact. The previous line always holds the newest
+// stamp in its set, LRU only compares stamps within one set, and skipping
+// a tick keeps every stamp in the same order, so every later victim
+// choice is the one a ticking cache would make. Flush forgets the
+// remembered line.
 package cache
 
 import "fmt"
@@ -38,8 +35,7 @@ type Config struct {
 const MaxMissPenalty = 1 << 20
 
 // MaxLines bounds the line count, since New allocates 17 bytes per line
-// and 8 per set up front: at most 25 MB at the bound, a 64 MB cache of
-// 64-byte lines.
+// up front: 17 MB at the bound, a 64 MB cache of 64-byte lines.
 const MaxLines = 1 << 20
 
 // DefaultConfig returns the paper's cache configuration: 64KB, 4-way,
@@ -102,10 +98,11 @@ type Cache struct {
 	setMask   uint64
 	lineShift uint
 	clock     uint64
-	// mru[s] is the encoded tag of set s's most recently accessed line
-	// (0: none): the package doc's MRU rule.
-	mru   []uint64
-	Stats Stats
+	// mruTag is the encoded tag of the previous access (0: none) and
+	// mruWay its flat way index: the package doc's MRU rule.
+	mruTag uint64
+	mruWay int
+	Stats  Stats
 }
 
 // New builds a cache from cfg.
@@ -124,7 +121,6 @@ func New(cfg Config) (*Cache, error) {
 		tags:      make([]uint64, n),
 		used:      make([]uint64, n),
 		dirty:     make([]bool, n),
-		mru:       make([]uint64, nsets),
 		ways:      cfg.Ways,
 		setMask:   uint64(nsets - 1),
 		lineShift: shift,
@@ -140,36 +136,29 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Access(addr uint64, write bool) bool {
 	c.Stats.Accesses++
 	tag := addr>>c.lineShift + 1
-	set := (tag - 1) & c.setMask
-	base := int(set) * c.ways
-	if c.mru[set] == tag {
+	if tag == c.mruTag {
 		if write {
-			// The MRU line is resident: mark its way dirty.
-			for w := base; ; w++ {
-				if c.tags[w] == tag {
-					c.dirty[w] = true
-					break
-				}
-			}
+			c.dirty[c.mruWay] = true
 		}
 		return true
 	}
 	c.clock++
-	ways := c.tags[base : base+c.ways]
-	for i, t := range ways {
+	base := int((tag-1)&c.setMask) * c.ways
+	set := c.tags[base : base+c.ways]
+	for i, t := range set {
 		if t == tag {
 			w := base + i
 			c.used[w] = c.clock
 			if write {
 				c.dirty[w] = true
 			}
-			c.mru[set] = tag
+			c.mruTag, c.mruWay = tag, w
 			return true
 		}
 	}
 	c.Stats.Misses++
 	w := -1
-	for i, t := range ways {
+	for i, t := range set {
 		if t == 0 {
 			w = base + i
 			break
@@ -187,23 +176,8 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		}
 	}
 	c.tags[w], c.used[w], c.dirty[w] = tag, c.clock, write
-	c.mru[set] = tag
+	c.mruTag, c.mruWay = tag, w
 	return false
-}
-
-// ReadMRU performs a read of addr when addr lies on its set's MRU line,
-// which is then a hit, and reports whether it did; otherwise it changes
-// nothing and the caller goes on to Access. It is small enough to inline
-// into the cycle loop, where most fetches repeat a recent line.
-//
-//vliw:hotpath
-func (c *Cache) ReadMRU(addr uint64) bool {
-	tag := addr>>c.lineShift + 1
-	if c.mru[(tag-1)&c.setMask] != tag {
-		return false
-	}
-	c.Stats.Accesses++
-	return true
 }
 
 // Contains reports whether addr's line is resident (no state change).
@@ -232,5 +206,5 @@ func (c *Cache) Flush() {
 	clear(c.tags)
 	clear(c.used)
 	clear(c.dirty)
-	clear(c.mru)
+	c.mruTag = 0
 }

@@ -67,8 +67,6 @@ type lane struct {
 	// lone candidate whole); BMT must see every non-empty call.
 	lone   bool
 	ic, dc *cache.Cache
-	// icPen and dcPen are the caches' miss penalties.
-	icPen, dcPen int64
 
 	threads []thread
 	// vacant is the record of a context that runs no task: its readyAt
@@ -208,9 +206,6 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 			MergeHist:  make([]int64, cfg.Contexts+1),
 			IssueWidth: cfg.Machine.TotalIssueWidth(),
 		},
-	}
-	if ic != nil {
-		l.icPen, l.dcPen = int64(ic.MissPenalty()), int64(dc.MissPenalty())
 	}
 	if cfg.Contexts&(cfg.Contexts-1) == 0 {
 		l.rotMask = int64(cfg.Contexts - 1)
@@ -480,11 +475,12 @@ issue:
 //vliw:hotpath
 func (l *lane) fetch(t *thread, addr uint64, cycle int64) bool {
 	t.fetched = true
-	if l.ic == nil || l.ic.ReadMRU(addr) || l.ic.Access(addr, false) {
+	if l.ic == nil || l.ic.Access(addr, false) {
 		return true
 	}
-	t.readyAt = cycle + l.icPen
-	t.stats.StallFetch += l.icPen
+	pen := int64(l.ic.MissPenalty())
+	t.readyAt = cycle + pen
+	t.stats.StallFetch += pen
 	return false
 }
 
@@ -503,7 +499,7 @@ func (l *lane) retire(t *thread, cycle int64) (ops int64, done bool) {
 		m := &pi.Mem[i]
 		addr := w.MemAddr(m)
 		if l.dc != nil && !l.dc.Access(addr, m.Store) {
-			memStall += l.dcPen
+			memStall += int64(l.dc.MissPenalty())
 		}
 	}
 	next, taken := w.RetirePlan(t.plan, t.cur)

@@ -46,14 +46,16 @@ check-allocs:
 	go test -run 'ZeroAllocs$$|AllocFree$$' ./internal/sim ./internal/merge ./internal/telemetry
 
 # golden blesses every golden file in the repo: the conformance corpora
-# (testdata/golden, TestGoldenCorpora) and the wire fixtures
-# (internal/api/testdata, TestGolden). Run it after an intentional
+# (testdata/golden, TestGoldenCorpora), the wire fixtures
+# (internal/api/testdata, TestGolden) and the commands' outputs
+# (cmd/<name>/testdata, TestGolden). Run it after an intentional
 # behaviour or format change and review the diff before committing:
 # every changed metric is a deliberate claim that the new numbers are
-# right. It names the two packages rather than ./... because a test
-# binary without an -update flag rejects the flag.
+# right. It names the packages whose tests define -update rather than
+# ./..., because a test binary without an -update flag rejects the flag.
 golden:
-	go test . ./internal/api -run '^TestGolden' -update -count=1
+	go test . ./internal/api ./cmd/paperfigs ./cmd/vliwsim ./cmd/vliwasm ./cmd/vliwdiff \
+		-run '^TestGolden' -update -count=1
 
 # bench-simcore runs the repository's micro-benchmarks (bench_test.go
 # defines exactly SIMCORE_BENCHES) at measurement quality and rewrites

@@ -11,9 +11,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"vliwmt"
 )
@@ -21,29 +24,39 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vliwasm: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compiles the benchmark args name and writes its code or its
+// statistics to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("vliwasm", flag.ExitOnError)
 	var (
-		bench = flag.String("bench", "", "benchmark to compile (see vliwsim -list)")
-		stats = flag.Bool("stats", false, "print static statistics only")
+		bench = fs.String("bench", "", "benchmark to compile (see vliwsim -list)")
+		stats = fs.Bool("stats", false, "print static statistics only")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag
 	if *bench == "" {
-		log.Fatal("specify -bench")
+		return errors.New("specify -bench")
 	}
 	m := vliwmt.DefaultMachine()
 	p, err := vliwmt.CompileBenchmark(*bench, m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *stats {
 		ni, no := p.NumInstructions(), p.NumOps()
-		fmt.Printf("program:       %s\n", p.Name)
-		fmt.Printf("blocks:        %d\n", len(p.Blocks))
-		fmt.Printf("instructions:  %d\n", ni)
-		fmt.Printf("operations:    %d\n", no)
-		fmt.Printf("ops/instr:     %.2f (static issue density)\n", p.StaticOpsPerInstr())
-		fmt.Printf("code size:     %d bytes\n", p.CodeSize)
-		fmt.Printf("branch sites:  %d\n", p.NumBranchSites)
-		return
+		fmt.Fprintf(w, "program:       %s\n", p.Name)
+		fmt.Fprintf(w, "blocks:        %d\n", len(p.Blocks))
+		fmt.Fprintf(w, "instructions:  %d\n", ni)
+		fmt.Fprintf(w, "operations:    %d\n", no)
+		fmt.Fprintf(w, "ops/instr:     %.2f (static issue density)\n", p.StaticOpsPerInstr())
+		fmt.Fprintf(w, "code size:     %d bytes\n", p.CodeSize)
+		fmt.Fprintf(w, "branch sites:  %d\n", p.NumBranchSites)
+		return nil
 	}
-	fmt.Print(p.Disassemble())
+	_, err = io.WriteString(w, p.Disassemble())
+	return err
 }

@@ -23,38 +23,61 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	"vliwmt"
 )
 
+// run's errors for a command line without two snapshots (exit status
+// 2, after this usage text) and for snapshots that differ (exit status
+// 1, after the report).
+var (
+	errUsage    = errors.New("usage: vliwdiff OLD NEW\n\nOLD and NEW are result-store directories or snapshot JSON files.")
+	errDiverged = errors.New("snapshots diverge")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vliwdiff: ")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: vliwdiff OLD NEW\n\nOLD and NEW are result-store directories or snapshot JSON files.\n")
-	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	case errors.Is(err, errDiverged):
+		os.Exit(1)
+	default:
+		log.Fatal(err)
 	}
-	oldName, newName := flag.Arg(0), flag.Arg(1)
+}
+
+// run compares the two snapshots args name and writes the per-job
+// report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("vliwdiff", flag.ExitOnError)
+	fs.Usage = func() { fmt.Fprintln(fs.Output(), errUsage) }
+	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag
+	if fs.NArg() != 2 {
+		return errUsage
+	}
+	oldName, newName := fs.Arg(0), fs.Arg(1)
 	oldSnap, err := vliwmt.LoadSnapshot(oldName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	newSnap, err := vliwmt.LoadSnapshot(newName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	d := vliwmt.DiffSnapshots(oldSnap, newSnap)
-	d.WriteText(os.Stdout, oldName, newName)
+	d.WriteText(w, oldName, newName)
 	if !d.Clean() {
-		os.Exit(1)
+		return errDiverged
 	}
+	return nil
 }

@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -28,23 +30,31 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vliwsim: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates the workload args name and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("vliwsim", flag.ExitOnError)
 	var (
-		mixName  = flag.String("mix", "", "Table 2 workload mix to run (LLLL .. HHHH)")
-		benches  = flag.String("bench", "", "comma-separated benchmark list (alternative to -mix)")
-		scheme   = flag.String("scheme", "2SC3", "merging scheme: a name (see -list), IMT/BMT, or a tree expression like 'C(S(T0,T1),T2,T3)'")
-		contexts = flag.Int("contexts", 4, "hardware thread contexts")
-		instrs   = flag.Int64("instrs", 1_000_000, "per-thread instruction budget")
-		slice    = flag.Int64("timeslice", 0, "OS timeslice in cycles (default instrs/100, at least 1000)")
-		perfect  = flag.Bool("perfect", false, "perfect memory (no caches)")
-		fixed    = flag.Bool("fixed-priority", false, "disable round-robin priority rotation")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		list     = flag.Bool("list", false, "list benchmarks, mixes and schemes, then exit")
+		mixName  = fs.String("mix", "", "Table 2 workload mix to run (LLLL .. HHHH)")
+		benches  = fs.String("bench", "", "comma-separated benchmark list (alternative to -mix)")
+		scheme   = fs.String("scheme", "2SC3", "merging scheme: a name (see -list), IMT/BMT, or a tree expression like 'C(S(T0,T1),T2,T3)'")
+		contexts = fs.Int("contexts", 4, "hardware thread contexts")
+		instrs   = fs.Int64("instrs", 1_000_000, "per-thread instruction budget")
+		slice    = fs.Int64("timeslice", 0, "OS timeslice in cycles (default instrs/100, at least 1000)")
+		perfect  = fs.Bool("perfect", false, "perfect memory (no caches)")
+		fixed    = fs.Bool("fixed-priority", false, "disable round-robin priority rotation")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		list     = fs.Bool("list", false, "list benchmarks, mixes and schemes, then exit")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag
 
 	if *list {
-		printLists()
-		return
+		printLists(w)
+		return nil
 	}
 
 	cfg := vliwmt.DefaultConfig()
@@ -53,9 +63,9 @@ func main() {
 	// An explicit -contexts wins; otherwise size the machine to the
 	// scheme, so e.g. -scheme 'C(S(T0,T1),T2)' runs on 3 contexts
 	// without further flags.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if !explicit["contexts"] {
+	explicit := false
+	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "contexts" })
+	if !explicit {
 		if sch, err := vliwmt.ParseScheme(*scheme); err == nil && sch.Ports() > 0 {
 			cfg.Contexts = sch.Ports()
 		}
@@ -73,7 +83,7 @@ func main() {
 	var err error
 	switch {
 	case *mixName != "" && *benches != "":
-		log.Fatal("use either -mix or -bench, not both")
+		return errors.New("use either -mix or -bench, not both")
 	case *mixName != "":
 		res, err = vliwmt.RunMix(cfg, *mixName)
 	case *benches != "":
@@ -83,54 +93,64 @@ func main() {
 		}
 		tasks, cerr := vliwmt.NewCompileCache().Tasks(names, cfg.Machine)
 		if cerr != nil {
-			log.Fatal(cerr)
+			return cerr
 		}
 		res, err = vliwmt.Run(cfg, tasks)
 	default:
-		log.Fatal("specify -mix or -bench (try -list)")
+		return errors.New("specify -mix or -bench (try -list)")
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	printResult(cfg, res)
+	return printResult(w, cfg, res)
 }
 
-func printLists() {
-	fmt.Println("Benchmarks (Table 1):")
+func printLists(w io.Writer) {
+	fmt.Fprintln(w, "Benchmarks (Table 1):")
 	for _, b := range vliwmt.Benchmarks() {
-		fmt.Printf("  %-11s %s  %s (paper IPCr %.2f, IPCp %.2f)\n", b.Name, b.Class, b.Description, b.PaperIPCr, b.PaperIPCp)
+		fmt.Fprintf(w, "  %-11s %s  %s (paper IPCr %.2f, IPCp %.2f)\n", b.Name, b.Class, b.Description, b.PaperIPCr, b.PaperIPCp)
 	}
-	fmt.Println("\nMixes (Table 2):")
+	fmt.Fprintln(w, "\nMixes (Table 2):")
 	for _, m := range vliwmt.Mixes() {
-		fmt.Printf("  %-5s %s\n", m.Name, strings.Join(m.Members[:], " "))
+		fmt.Fprintf(w, "  %-5s %s\n", m.Name, strings.Join(m.Members[:], " "))
 	}
-	fmt.Println("\nSchemes (Figure 9 order):")
-	printScheme := func(name string) {
-		sch, err := vliwmt.ParseScheme(name)
-		if err != nil {
-			fmt.Printf("  %-8s %v\n", name, err)
-			return
-		}
+	fmt.Fprintln(w, "\nSchemes (Figure 9 order):")
+	for _, name := range append(vliwmt.Schemes(), "IMT", "BMT") {
+		sch, _ := vliwmt.ParseScheme(name) // every listed name resolves
 		tree := ""
 		if t := sch.Tree(); t != nil {
 			tree = t.String()
 		}
-		fmt.Printf("  %-8s %-28s %s\n", name, tree, sch.Describe())
+		fmt.Fprintf(w, "  %-8s %-28s %s\n", name, tree, sch.Describe())
 	}
-	for _, s := range vliwmt.Schemes() {
-		printScheme(s)
-	}
-	printScheme("IMT")
-	printScheme("BMT")
-	fmt.Println("\nAny canonical tree expression also names a scheme, e.g. -scheme 'S(C(T0,T1,T2),T3)'.")
+	fmt.Fprintln(w, "\nAny canonical tree expression also names a scheme, e.g. -scheme 'S(C(T0,T1,T2),T3)'.")
 }
 
-func printResult(cfg vliwmt.Config, res *vliwmt.Result) {
-	fmt.Printf("machine: %s, scheme %s, %d contexts\n", cfg.Machine, cfg.Scheme, cfg.Contexts)
-	if res.TimedOut {
-		fmt.Println("WARNING: run hit the cycle bound before any thread finished")
+// printResult writes the run's report. The header names the merge
+// control that ran: none at one context, where the simulator ignores
+// the scheme, and for a merge tree also its structure and gate-level
+// cost (the baselines have no merge control to cost).
+func printResult(w io.Writer, cfg vliwmt.Config, res *vliwmt.Result) error {
+	if cfg.Contexts == 1 {
+		fmt.Fprintf(w, "machine: %s, no merging, 1 context\n", cfg.Machine)
+	} else {
+		sch, err := vliwmt.ParseScheme(cfg.Scheme)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "machine: %s, scheme %s, %d contexts\n", cfg.Machine, sch.Name(), cfg.Contexts)
+		if sch.Tree() != nil {
+			c, err := vliwmt.Cost(cfg.Machine, cfg.Scheme)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "merge control: %s, %d transistors, %d gate delays\n", sch, c.Transistors, c.GateDelays)
+		}
 	}
-	fmt.Printf("cycles %d   instructions %d   operations %d   IPC %.3f\n\n",
+	if res.TimedOut {
+		fmt.Fprintln(w, "WARNING: run hit the cycle bound before any thread finished")
+	}
+	fmt.Fprintf(w, "cycles %d   instructions %d   operations %d   IPC %.3f\n\n",
 		res.Cycles, res.Instrs, res.Ops, res.IPC)
 
 	var rows [][]string
@@ -145,20 +165,21 @@ func printResult(cfg vliwmt.Config, res *vliwmt.Result) {
 			fmt.Sprint(th.StallBranch),
 		})
 	}
-	report.Table(os.Stdout, []string{"thread", "instrs", "ops", "conflict", "stall-mem", "stall-fetch", "stall-br"}, rows)
+	report.Table(w, []string{"thread", "instrs", "ops", "conflict", "stall-mem", "stall-fetch", "stall-br"}, rows)
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	labels := make([]string, len(res.MergeHist))
 	values := make([]float64, len(res.MergeHist))
 	for k := range res.MergeHist {
 		labels[k] = fmt.Sprintf("%d threads/cycle", k)
 		values[k] = float64(res.MergeHist[k])
 	}
-	report.BarChart(os.Stdout, "merge distribution (cycles by threads issued together)", labels, values, 40)
+	report.BarChart(w, "merge distribution (cycles by threads issued together)", labels, values, 40)
 
 	if !cfg.PerfectMemory {
-		fmt.Printf("\nICache: %d accesses, %d misses (%.2f%%)   DCache: %d accesses, %d misses (%.2f%%)\n",
+		fmt.Fprintf(w, "\nICache: %d accesses, %d misses (%.2f%%)   DCache: %d accesses, %d misses (%.2f%%)\n",
 			res.ICache.Accesses, res.ICache.Misses, 100*res.ICache.MissRate(),
 			res.DCache.Accesses, res.DCache.Misses, 100*res.DCache.MissRate())
 	}
+	return nil
 }

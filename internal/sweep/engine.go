@@ -198,14 +198,14 @@ func (e *Engine) runJob(st *sweepState, i int) {
 			return
 		}
 	}
-	tasks, err := j.tasks(e.cache)
+	cfg, tasks, err := j.lower(e.cache)
 	if err != nil {
 		r.Err = err
 		return
 	}
 	//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
 	simStart := time.Now()
-	res, err := sim.Run(j.config(), tasks)
+	res, err := sim.Run(cfg, tasks)
 	//vliwvet:allow detpure Elapsed is a wall-clock column, excluded from the determinism contract
 	elapsed := time.Since(simStart)
 	if err != nil {

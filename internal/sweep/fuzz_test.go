@@ -86,11 +86,11 @@ func FuzzJobValidate(f *testing.F) {
 		if compiles, _ := cc.Stats(); compiles != int64(len(kernels)) {
 			t.Errorf("validate + run compiled %d times for %d kernels", compiles, len(kernels))
 		}
-		tasks, err := cc.Tasks(j.Benchmarks, j.Machine)
+		cfg, tasks, err := j.lower(cc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := refsim.Run(j.config(), tasks)
+		ref, err := refsim.Run(cfg, tasks)
 		if err != nil {
 			t.Fatalf("refsim rejected a job that validates: %v", err)
 		}

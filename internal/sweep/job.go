@@ -91,10 +91,7 @@ func (j Job) EffectiveContexts() int {
 	if err != nil {
 		return 0
 	}
-	if s.IsZero() {
-		return 1
-	}
-	return s.Ports()
+	return j.config(s).Contexts
 }
 
 // Describe returns the job's label, deriving "bench+.../scheme" from
@@ -117,16 +114,21 @@ func (j Job) Describe() string {
 	return w + "/" + s
 }
 
-// config lowers the job to a simulator configuration.
-func (j Job) config() sim.Config {
+// config lowers the job to a simulator configuration running sch, the
+// job's resolved merge scheme: Contexts, when unset, is sch's port
+// count, or 1 when the job does not merge.
+func (j Job) config(sch merge.Scheme) sim.Config {
+	contexts := j.Contexts
+	if contexts <= 0 {
+		contexts = max(sch.Ports(), 1)
+	}
 	return sim.Config{
 		Machine:         j.Machine,
 		ICache:          j.ICache,
 		DCache:          j.DCache,
 		PerfectMemory:   j.PerfectMemory,
-		Contexts:        j.EffectiveContexts(),
-		Scheme:          j.Scheme,
-		Merge:           j.Merge,
+		Contexts:        contexts,
+		Merge:           sch,
 		TimesliceCycles: j.TimesliceCycles,
 		InstrLimit:      j.InstrLimit,
 		Seed:            j.Seed,
@@ -143,38 +145,43 @@ func (j Job) config() sim.Config {
 // the cache the job runs on, so the engine's later lookups are hits.
 // A job that validates is never rejected by sim.Run.
 func (j Job) Validate(cc *CompileCache) error {
-	_, err := j.tasks(cc)
+	_, _, err := j.lower(cc)
 	return err
 }
 
-// tasks applies the Validate rules and returns the job's compiled
-// tasks, compiling only once the config is valid. A name the cache has
-// already compiled for the job's machine is a known benchmark, so it
-// skips the name lookup (a full parse for a generated name); the error
-// order stays unknown benchmark, scheme, config, compile.
-func (j Job) tasks(cc *CompileCache) ([]sim.Task, error) {
+// lower applies the Validate rules and returns the job's simulator
+// configuration and compiled tasks, compiling only once the config is
+// valid. It resolves the merge scheme once, into the config's Merge, so
+// neither Validate nor sim.Run resolves the name again. A name the
+// cache has already compiled for the job's machine is a known
+// benchmark, so it skips the name lookup (a full parse for a generated
+// name); the error order stays unknown benchmark, scheme, config,
+// compile.
+func (j Job) lower(cc *CompileCache) (sim.Config, []sim.Task, error) {
 	if len(j.Benchmarks) == 0 {
-		return nil, fmt.Errorf("sweep: job %s has no benchmarks", j.Describe())
+		return sim.Config{}, nil, fmt.Errorf("sweep: job %s has no benchmarks", j.Describe())
 	}
 	for _, name := range j.Benchmarks {
 		if cc.compiled(name, j.Machine) {
 			continue
 		}
 		if _, err := workload.ByName(name); err != nil {
-			return nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
+			return sim.Config{}, nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 		}
 	}
-	if _, err := j.MergeScheme(); err != nil {
-		return nil, fmt.Errorf("sweep: job %s: scheme %q: %w", j.Describe(), j.Scheme, err)
+	sch, err := j.MergeScheme()
+	if err != nil {
+		return sim.Config{}, nil, fmt.Errorf("sweep: job %s: scheme %q: %w", j.Describe(), j.Scheme, err)
 	}
-	if err := j.config().Validate(); err != nil {
-		return nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
+	cfg := j.config(sch)
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 	}
 	tasks, err := cc.Tasks(j.Benchmarks, j.Machine)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
+		return sim.Config{}, nil, fmt.Errorf("sweep: job %s: %w", j.Describe(), err)
 	}
-	return tasks, nil
+	return cfg, tasks, nil
 }
 
 // Result is one job's outcome, delivered at the job's submission index.

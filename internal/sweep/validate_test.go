@@ -57,7 +57,11 @@ func TestJobValidateMatchesSim(t *testing.T) {
 			if compiles, _ := cc.Stats(); compiles != 0 {
 				t.Errorf("Job.Validate compiled %d kernels before rejecting the config", compiles)
 			}
-			_, rerr := sim.Run(j.config(), tasks)
+			sch, err := j.MergeScheme()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rerr := sim.Run(j.config(sch), tasks)
 			if rerr == nil {
 				t.Fatal("sim.Run accepted the job's config")
 			}
@@ -135,13 +139,17 @@ func TestJobValidateCompiles(t *testing.T) {
 // validates with no more allocations than a job of Table 1 kernels. A
 // failed entry vouches for nothing: an unknown name the cache has
 // already failed to compile is still the first error reported, ahead
-// of the job's bad scheme.
+// of the job's bad scheme. A warm Validate resolves the job's scheme
+// once: it allocates at most one merge.Resolve's worth plus 2.
 func TestJobValidateTrustsFinishedCompiles(t *testing.T) {
 	jobs, err := testGrid().Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	table := jobs[len(jobs)-1]
+	if table.Label != "HHHH/3SSS" {
+		t.Fatalf("last test-grid job is %s, want HHHH/3SSS", table.Label)
+	}
 	mix, err := workload.MixByName("genmix:LLHH:s1")
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +169,17 @@ func TestJobValidateTrustsFinishedCompiles(t *testing.T) {
 			}
 		})
 	}
-	if g, tb := allocs(gen), allocs(table); g > tb {
+	g, tb := allocs(gen), allocs(table)
+	if g > tb {
 		t.Errorf("warm Validate allocates %.0f times for generated kernels, %.0f for Table 1 kernels: compiled names are looked up again", g, tb)
+	}
+	resolve := testing.AllocsPerRun(50, func() {
+		if _, err := merge.Resolve(table.Scheme); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if tb > resolve+2 {
+		t.Errorf("warm Validate of %s allocates %.0f times, one scheme resolution %.0f: the scheme is resolved more than once", table.Label, tb, resolve)
 	}
 
 	bad := table

@@ -7,9 +7,9 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectRef$$|BenchmarkCacheAccess$$|BenchmarkCompile$$|BenchmarkCircuitBuild$$
+SIMCORE_BENCHES = BenchmarkTable1$$|BenchmarkSimulator$$|BenchmarkStallHeavy$$|BenchmarkStallHeavyRef$$|BenchmarkMergeSelect$$|BenchmarkMergeSelectBalanced$$|BenchmarkMergeSelectRef$$|BenchmarkCacheAccess$$|BenchmarkCompile$$|BenchmarkCircuitBuild$$
 
-.PHONY: test lint check-allocs golden bench-simcore bench-simcore-ci
+.PHONY: test lint check-allocs golden bench-simcore bench-simcore-ci ab
 
 test:
 	go build ./... && go test ./...
@@ -77,3 +77,15 @@ bench-simcore-ci:
 	go test -run '^$$' -bench '$(SIMCORE_BENCHES)' -benchmem -benchtime 1x -count 1 . \
 		| go run ./cmd/benchjson > /tmp/bench_simcore_ci.json
 	cat /tmp/bench_simcore_ci.json
+
+# ab is the A/B pair driver (scripts/ab.sh): PAIRS alternating perfbench
+# runs of WORKLOAD at SEED, the committed tree of REV against this
+# checkout, each side with its own build directory; it prints each
+# end-to-end metric's medians, quartiles, wins and a verdict against
+# the metric's BENCHMARK.json bound. A perf claim quotes its output.
+REV ?= HEAD
+WORKLOAD ?= cold-grid
+SEED ?= 1
+PAIRS ?= 10
+ab:
+	bash scripts/ab.sh -r $(REV) -w $(WORKLOAD) -s $(SEED) -n $(PAIRS)

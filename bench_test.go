@@ -1,8 +1,9 @@
 // Micro-benchmarks of single layers: the cycle loop (Simulator,
-// StallHeavy and its naive refsim twin), merge selection (MergeSelect
-// and its reference tree walk), the cache model, the compiler, gate-level
-// circuit construction, and Table1 as the one figure-regeneration timing.
-// `make bench-simcore` records exactly these nine in BENCH_simcore.json.
+// StallHeavy and its naive refsim twin), merge selection (MergeSelect on
+// a cascade, MergeSelectBalanced on a balanced tree, and the reference
+// tree walk), the cache model, the compiler, gate-level circuit
+// construction, and Table1 as the one figure-regeneration timing.
+// `make bench-simcore` records exactly these ten in BENCH_simcore.json.
 //
 // They report rates (cycles/s) and ns/op, never a paper or ablation
 // result: cmd/paperfigs prints those from internal/experiments, and the
@@ -68,10 +69,18 @@ func mergeSelectSets() ([][]isa.Occupancy, []uint32) {
 // of the recommended scheme on the evaluator the simulator drives every
 // multi-candidate cycle: the compiled SelectPacked over a packed
 // occupancy dictionary, built outside the timed loop as sim.Run builds
-// it once per run.
-func BenchmarkMergeSelect(b *testing.B) {
+// it once per run. 2SC3 is a left-deep cascade, so this times the fold.
+func BenchmarkMergeSelect(b *testing.B) { benchMergeSelect(b, "2SC3") }
+
+// BenchmarkMergeSelectBalanced times the balanced 2SS tree, built the
+// same way, on the chain evaluator every balanced scheme runs on.
+func BenchmarkMergeSelectBalanced(b *testing.B) { benchMergeSelect(b, "2SS") }
+
+// benchMergeSelect times SelectPacked of the named 4-port scheme on the
+// mergeSelectSets candidates.
+func benchMergeSelect(b *testing.B, name string) {
 	m := isa.Default()
-	scheme, err := merge.Resolve("2SC3")
+	scheme, err := merge.Resolve(name)
 	if err != nil {
 		b.Fatal(err)
 	}

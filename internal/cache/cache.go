@@ -11,9 +11,27 @@
 // a tick keeps every stamp in the same order, so every later victim
 // choice is the one a ticking cache would make. Flush forgets the
 // remembered line.
+//
+// Pinned lines: when every address a cache will ever see is known in
+// advance (the simulator's fetch addresses are the planned
+// instructions'), a set holding at most Ways of the distinct lines can
+// never evict. Pin finds those sets before the first access, and Touch
+// then serves their lines with an access count and a per-line resident
+// bit: the first touch books the miss that fills the line, exactly as
+// Access would on the cold set, and every later touch hits. This is
+// exact, and the MRU rule keeps holding: a set is wholly pinned or
+// wholly served by Access; no pinned set ever chooses a victim, so its
+// lines need no LRU stamps and skipping their clock ticks keeps the
+// stamp order of every other set; and Touch leaves the remembered line,
+// which is still the newest of its own set, alone.
 package cache
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Config describes one cache. Its json tags are the wire and store form
 // of a cache configuration.
@@ -102,7 +120,15 @@ type Cache struct {
 	// mruWay its flat way index: the package doc's MRU rule.
 	mruTag uint64
 	mruWay int
-	Stats  Stats
+	// pinKeys holds the pinKey of every pinned line in ascending order
+	// (a pinned line's index is its position), setBits the set count's
+	// log2, resident whether each pinned line has been touched, and
+	// touches the Touch calls.
+	pinKeys  []uint64
+	setBits  int
+	resident []bool
+	touches  int64
+	Stats    Stats
 }
 
 // New builds a cache from cfg.
@@ -124,6 +150,7 @@ func New(cfg Config) (*Cache, error) {
 		ways:      cfg.Ways,
 		setMask:   uint64(nsets - 1),
 		lineShift: shift,
+		setBits:   bits.TrailingZeros(uint(nsets)),
 	}, nil
 }
 
@@ -182,6 +209,9 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 
 // Contains reports whether addr's line is resident (no state change).
 func (c *Cache) Contains(addr uint64) bool {
+	if i := c.PinnedLine(addr); i >= 0 {
+		return c.resident[i]
+	}
 	tag := addr>>c.lineShift + 1
 	base := int((tag-1)&c.setMask) * c.ways
 	for _, t := range c.tags[base : base+c.ways] {
@@ -191,6 +221,77 @@ func (c *Cache) Contains(addr uint64) bool {
 	}
 	return false
 }
+
+// pinKey is addr's line number rotated so that its set index leads:
+// the keys of one set's lines sort together, and key>>(64-setBits) is
+// the set.
+func (c *Cache) pinKey(addr uint64) uint64 {
+	return bits.RotateLeft64(addr>>c.lineShift, -c.setBits)
+}
+
+// Pin prepares a cold cache for a read-only address stream known in
+// advance: addrs must hold every address the cache will see, in any
+// order and with repeats. It pins the lines of every set that holds at
+// most Ways of the distinct lines, since such a set can never evict
+// (package doc). From then on each access to a pinned line must go
+// through Touch, with the index PinnedLine gives, and every other access
+// through Access. Pin overwrites addrs and keeps its backing array. It
+// fails on a cache that has seen an access.
+func (c *Cache) Pin(addrs []uint64) error {
+	if c.Stats != (Stats{}) {
+		return errors.New("cache: Pin on a cache that has seen accesses")
+	}
+	for i, a := range addrs {
+		addrs[i] = c.pinKey(a)
+	}
+	slices.Sort(addrs)
+	keys := slices.Compact(addrs)
+	n := 0
+	for i := 0; i < len(keys); {
+		set := keys[i] >> (64 - c.setBits)
+		j := i + 1
+		for j < len(keys) && keys[j]>>(64-c.setBits) == set {
+			j++
+		}
+		if j-i <= c.ways {
+			n += copy(keys[n:], keys[i:j])
+		}
+		i = j
+	}
+	c.pinKeys = keys[:n]
+	c.resident = make([]bool, n)
+	return nil
+}
+
+// PinnedLine returns the index Touch takes for addr's line, or -1 when
+// Pin did not pin it and the access goes through Access.
+func (c *Cache) PinnedLine(addr uint64) int32 {
+	i, ok := slices.BinarySearch(c.pinKeys, c.pinKey(addr))
+	if !ok {
+		return -1
+	}
+	return int32(i)
+}
+
+// Touch reads pinned line i (see PinnedLine) and reports whether it
+// hit. It counts the access, and on the line's first touch the miss
+// that fills it, exactly as Access would.
+//
+//vliw:hotpath
+func (c *Cache) Touch(i int32) bool {
+	c.Stats.Accesses++
+	c.touches++
+	if c.resident[i] {
+		return true
+	}
+	c.resident[i] = true
+	c.Stats.Misses++
+	return false
+}
+
+// Touches returns the number of Touch calls, the accesses served from
+// pinned lines.
+func (c *Cache) Touches() int64 { return c.touches }
 
 // MissPenalty returns the configured miss stall in cycles.
 func (c *Cache) MissPenalty() int { return c.cfg.MissPenalty }
@@ -206,5 +307,6 @@ func (c *Cache) Flush() {
 	clear(c.tags)
 	clear(c.used)
 	clear(c.dirty)
+	clear(c.resident)
 	c.mruTag = 0
 }

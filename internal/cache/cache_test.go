@@ -362,3 +362,123 @@ func TestCacheMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestPinBoundary pins the per-set classification at its boundary: on
+// a 2-set, 2-way cache, set 0 receives exactly Ways lines and is pinned
+// (each line with its own index), and set 1 receives Ways+1 lines and
+// is left to Access. Pin also refuses a cache that has seen an access.
+func TestPinBoundary(t *testing.T) {
+	cfg := Config{Size: 2 * 2 * 64, LineSize: 64, Ways: 2, MissPenalty: 20}
+	c := mustNew(t, cfg)
+	// Line l lies in set l&1: lines 0 and 2 fill set 0, lines 1, 3 and
+	// 5 overflow set 1. Repeats and offsets within a line count once.
+	set0 := []uint64{0, 2*64 + 8, 63, 2*64 + 63}
+	set1 := []uint64{64, 3*64 + 1, 5 * 64, 64 + 32}
+	if err := c.Pin(append(append([]uint64{}, set0...), set1...)); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int32]uint64{}
+	for _, a := range set0 {
+		i := c.PinnedLine(a)
+		if i < 0 {
+			t.Fatalf("address %#x in a set of exactly Ways lines is not pinned", a)
+		}
+		if l, ok := seen[i]; ok && l != a>>6 {
+			t.Fatalf("lines %d and %d share pinned index %d", l, a>>6, i)
+		}
+		seen[i] = a >> 6
+	}
+	if len(seen) != 2 {
+		t.Fatalf("set 0's two lines got %d pinned indices, want 2", len(seen))
+	}
+	for _, a := range set1 {
+		if i := c.PinnedLine(a); i != -1 {
+			t.Fatalf("address %#x in a set of Ways+1 lines is pinned at %d; it can be evicted", a, i)
+		}
+	}
+	if c.PinnedLine(4*64) != -1 {
+		t.Fatal("a line outside the pinned stream reports a pinned index")
+	}
+
+	warm := mustNew(t, cfg)
+	warm.Access(0, false)
+	if err := warm.Pin([]uint64{0}); err == nil {
+		t.Fatal("Pin accepted a cache that has seen an access")
+	}
+}
+
+// TestPinnedMatchesAccess drives a pinned cache (Touch for its pinned
+// lines, Access for the rest) and a plain one (Access only) with the
+// same seeded read stream over a fixed pool of lines, and requires the
+// same answer on every access, the same Contains for every pool line
+// and the same Stats, across a Flush. The pools give some sets at most
+// Ways lines and others more, so both paths interleave, and the MRU
+// line of the Access path survives Touches in between.
+func TestPinnedMatchesAccess(t *testing.T) {
+	geoms := []Config{
+		{Size: 1 << 10, LineSize: 64, Ways: 1, MissPenalty: 20},
+		{Size: 2 << 10, LineSize: 64, Ways: 2, MissPenalty: 200},
+		{Size: 4 << 10, LineSize: 64, Ways: 4, MissPenalty: 20},
+		{Size: 4 * 64, LineSize: 64, Ways: 4, MissPenalty: 20}, // one set
+	}
+	for _, cfg := range geoms {
+		var touches, accesses int64
+		for seed := int64(1); seed <= 4; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			nsets := cfg.Size / (cfg.LineSize * cfg.Ways)
+			// Each set draws 0..2*Ways distinct lines, so sets fit and
+			// overflow in about equal numbers.
+			var pool []uint64
+			for s := 0; s < nsets; s++ {
+				for _, k := range r.Perm(4 * cfg.Ways)[:r.Intn(2*cfg.Ways+1)] {
+					pool = append(pool, uint64((k*nsets+s)*cfg.LineSize))
+				}
+			}
+			if len(pool) == 0 {
+				continue
+			}
+			pinned, plain := mustNew(t, cfg), mustNew(t, cfg)
+			if err := pinned.Pin(append([]uint64{}, pool...)); err != nil {
+				t.Fatal(err)
+			}
+			var touched int64
+			const n = 5_000
+			for i := 0; i < n; i++ {
+				if i == n/2 {
+					pinned.Flush()
+					plain.Flush()
+				}
+				a := pool[r.Intn(len(pool))] + uint64(r.Intn(cfg.LineSize))
+				// Runs on one line exercise the MRU short-circuit.
+				for k := 1 + r.Intn(3); k > 0; k-- {
+					var got bool
+					if l := pinned.PinnedLine(a); l >= 0 {
+						got = pinned.Touch(l)
+						touched++
+					} else {
+						got = pinned.Access(a, false)
+					}
+					if want := plain.Access(a, false); got != want {
+						t.Fatalf("%+v seed %d access %d (%#x): hit=%v, Access-only %v", cfg, seed, i, a, got, want)
+					}
+				}
+			}
+			for _, a := range pool {
+				if got, want := pinned.Contains(a), plain.Contains(a); got != want {
+					t.Fatalf("%+v seed %d: Contains(%#x) = %v, Access-only %v", cfg, seed, a, got, want)
+				}
+			}
+			if pinned.Stats != plain.Stats {
+				t.Errorf("%+v seed %d: stats %+v, Access-only %+v", cfg, seed, pinned.Stats, plain.Stats)
+			}
+			if pinned.Touches() != touched {
+				t.Errorf("%+v seed %d: Touches() = %d, want %d", cfg, seed, pinned.Touches(), touched)
+			}
+			touches += touched
+			accesses += pinned.Stats.Accesses
+		}
+		if touches == 0 || touches == accesses {
+			t.Errorf("%+v: %d of %d accesses touched pinned lines; both paths must run", cfg, touches, accesses)
+		}
+	}
+}

@@ -2,21 +2,21 @@ package merge
 
 // This file is the merge compilation step of the simulator hot path
 // (DESIGN.md): a scheme is flattened once, at Selector build time, into
-// a linear fold over its leaves, a post-order instruction array or one
-// of the two baseline policies, and SelectPacked (packed.go) then
-// selects without recursion, per-cycle interface dispatch through child
-// nodes, or heap allocation.
+// its left-deep chains or one of the two baseline policies, and
+// SelectPacked (packed.go) then selects without recursion, per-cycle
+// interface dispatch through child nodes, or heap allocation.
 //
-// Shape detection is automatic. Left-deep trees — every input after a
-// node's first is a leaf, and the first input chains down to a leaf —
+// Shape detection is automatic. A chain starts at a node and follows
+// first inputs down to a leaf; the greedy all-or-nothing merge visits
+// its inputs in a fixed order with a fixed merge kind per input, so a
+// chain folds into a per-input (source, kind) step list. Left-deep trees
+// — every input after a node's first is a leaf — are one chain and
 // cover the paper's dominant shapes (all 3XYZ cascades, the flat
 // parallel C<n>/CSMT nodes, the hybrid parallel-CSMT cascades like 2SC3
-// and 4SC3C3C3) and fold into a per-leaf (port, kind) step list, because
-// the greedy all-or-nothing merge visits their leaves in a fixed order
-// with a fixed merge kind per leaf. Pure-CSMT folds get a specialized
-// loop that needs no slot counts. Everything else — the balanced 2XY
-// trees, custom trees with interior non-first subtrees — runs on a
-// small stack machine over a preallocated scratch buffer.
+// and 4SC3C3C3); pure-CSMT ones get a specialized loop that needs no
+// slot counts. Everything else — the balanced 2XY trees, custom trees
+// with interior non-first subtrees — runs one chain per non-first
+// subtree, each leaving its selection in a slot, before the root's.
 
 // evalKind identifies the specialized evaluator a compiled scheme uses.
 type evalKind uint8
@@ -24,36 +24,25 @@ type evalKind uint8
 const (
 	evalFold     evalKind = iota // left-deep tree, SMT or mixed levels
 	evalFoldCSMT                 // left-deep tree, every merge level CSMT
-	evalStack                    // general post-order stack program
+	evalChains                   // several chains, subtrees through slots
 	evalIMT                      // interleaved baseline: lowest valid port
 	evalBMT                      // block baseline: current port while valid
 )
 
-// foldStep is one leaf visit of a linear fold: join the candidate at
-// port into the accumulator under kind. The kind of the first
-// accumulated step is irrelevant (it becomes the base packet).
+// foldStep is one input visit of a chain: join the candidate at port,
+// or when slot is set the selection in slot port, into the accumulator
+// under kind. The kind of the first accumulated step is irrelevant (it
+// becomes the base packet).
 type foldStep struct {
 	port uint8
+	slot bool
 	kind Kind
-}
-
-// Stack-program opcodes. Leaves push the port's candidate (or the empty
-// selection); merge opcodes fold the top n entries in input order.
-const (
-	opLeaf uint8 = iota
-	opMergeSMT
-	opMergeCSMT
-)
-
-type cinstr struct {
-	op  uint8
-	arg uint8 // opLeaf: port; opMerge*: input count
 }
 
 // Compiled is a merge scheme flattened for fast selection on the packed
 // occupancy dictionary (SelectPacked). It selects bit-identically to the
 // scheme's reference Selector — the Tree's recursive walk, IMT or BMT —
-// which the differential tests enforce. The stack scratch and BMT's
+// which the differential tests enforce. The chain slots and BMT's
 // current port make an instance single-simulator state: build one per
 // run via Scheme.Selector.
 type Compiled struct {
@@ -61,28 +50,31 @@ type Compiled struct {
 	ports  int
 	tree   *Tree // nil for the baselines
 	kind   evalKind
-	steps  []foldStep // fold evaluators
-	prog   []cinstr   // evalStack program
-	pstack []pentry   // evalStack scratch, len = max program depth
-	cur    uint       // evalBMT: the port that keeps issuing while valid
+	steps  []foldStep   // fold evaluators: the one chain's steps
+	chains [][]foldStep // evalChains, in evaluation order, the root's last
+	slots  []chainSlot  // evalChains scratch: slot i holds chain i's result
+	cur    uint         // evalBMT: the port that keeps issuing while valid
 }
 
 // Compile flattens t into its fastest evaluator form. The result selects
 // exactly like t.Select.
 func Compile(t *Tree) *Compiled {
 	c := &Compiled{name: t.Name(), ports: t.Ports(), tree: t}
-	if steps, ok := flattenFold(t.root, nil); ok {
-		c.steps = steps
-		c.kind = evalFoldCSMT
-		for _, s := range steps[1:] {
-			if s.kind == SMT {
-				c.kind = evalFold
-			}
-		}
+	var subs [][]foldStep
+	steps := chainSteps(t.root, &subs)
+	if len(subs) > 0 {
+		c.kind = evalChains
+		c.chains = append(subs, steps)
+		c.slots = make([]chainSlot, len(subs))
 		return c
 	}
-	c.kind = evalStack
-	c.prog, c.pstack = compileStack(t.root)
+	c.steps = steps
+	c.kind = evalFoldCSMT
+	for _, s := range steps[1:] {
+		if s.kind == SMT {
+			c.kind = evalFold
+		}
+	}
 	return c
 }
 
@@ -96,64 +88,41 @@ func compileBaseline(name string, ports int) *Compiled {
 	return &Compiled{name: name, ports: ports, kind: kind}
 }
 
-// flattenFold linearizes a left-deep tree into fold steps: node n
-// qualifies when all inputs after the first are leaves and the first
-// input is a leaf or itself qualifies. Leaf j of a qualifying tree is
-// always joined under the kind of the node that owns it, so the greedy
-// recursive selection reduces to one ordered fold over the leaves.
-func flattenFold(n *Node, steps []foldStep) ([]foldStep, bool) {
-	for _, in := range n.Inputs[1:] {
-		if in.Node != nil {
-			return nil, false
-		}
+// chainSteps returns the steps of the left-deep chain that starts at
+// n. A chain runs from a node down its first inputs to a leaf; every
+// input of a node on it is joined under that node's kind, so the greedy
+// recursive selection of the chain is one ordered fold: the bottom
+// leaf, then each node's later inputs, bottom node first. A later input
+// that is a subtree becomes a chain of its own, appended to subs before
+// the chain that reads it (its step reads slot i, the result of
+// (*subs)[i]), so the root's chain can run last. Selection is pure, so
+// evaluating a subtree early cannot change what it selects.
+func chainSteps(n *Node, subs *[][]foldStep) []foldStep {
+	size := 1
+	for x := n; x != nil; x = x.Inputs[0].Node {
+		size += len(x.Inputs) - 1
 	}
-	first := n.Inputs[0]
-	if first.Node != nil {
-		var ok bool
-		if steps, ok = flattenFold(first.Node, steps); !ok {
-			return nil, false
-		}
+	return foldSteps(n, make([]foldStep, 0, size), subs)
+}
+
+// foldSteps appends the steps of the chain part from n down to its
+// bottom leaf.
+func foldSteps(n *Node, steps []foldStep, subs *[][]foldStep) []foldStep {
+	if first := n.Inputs[0]; first.Node != nil {
+		steps = foldSteps(first.Node, steps, subs)
 	} else {
 		steps = append(steps, foldStep{port: uint8(first.Port), kind: n.Kind})
 	}
 	for _, in := range n.Inputs[1:] {
-		steps = append(steps, foldStep{port: uint8(in.Port), kind: n.Kind})
-	}
-	return steps, true
-}
-
-// compileStack emits the post-order program for an arbitrary tree and
-// sizes its scratch stack to the program's maximum depth.
-func compileStack(root *Node) ([]cinstr, []pentry) {
-	var prog []cinstr
-	var emit func(n *Node)
-	emit = func(n *Node) {
-		for _, in := range n.Inputs {
-			if in.Node != nil {
-				emit(in.Node)
-			} else {
-				prog = append(prog, cinstr{op: opLeaf, arg: uint8(in.Port)})
-			}
+		if in.Node == nil {
+			steps = append(steps, foldStep{port: uint8(in.Port), kind: n.Kind})
+			continue
 		}
-		op := opMergeSMT
-		if n.Kind == CSMT {
-			op = opMergeCSMT
-		}
-		prog = append(prog, cinstr{op: op, arg: uint8(len(n.Inputs))})
+		sub := chainSteps(in.Node, subs)
+		*subs = append(*subs, sub)
+		steps = append(steps, foldStep{port: uint8(len(*subs) - 1), slot: true, kind: n.Kind})
 	}
-	emit(root)
-	depth, maxDepth := 0, 0
-	for _, ins := range prog {
-		if ins.op == opLeaf {
-			depth++
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-		} else {
-			depth -= int(ins.arg) - 1
-		}
-	}
-	return prog, make([]pentry, maxDepth)
+	return steps
 }
 
 // Name returns the scheme name the evaluator was built for.

@@ -9,7 +9,7 @@ import (
 
 // TestCompileShapeDetection pins the evaluator each paper shape compiles
 // to: cascades and flat parallel nodes fold, balanced trees need the
-// stack machine.
+// chain evaluator.
 func TestCompileShapeDetection(t *testing.T) {
 	cases := []struct {
 		scheme string
@@ -24,10 +24,10 @@ func TestCompileShapeDetection(t *testing.T) {
 		{"2SC3", 4, evalFold},
 		{"3SCC", 4, evalFold},
 		{"2C3S", 4, evalFold},
-		{"2SS", 4, evalStack},
-		{"2CC", 4, evalStack},
-		{"2CS", 4, evalStack},
-		{"2SC", 4, evalStack},
+		{"2SS", 4, evalChains},
+		{"2CC", 4, evalChains},
+		{"2CS", 4, evalChains},
+		{"2SC", 4, evalChains},
 	}
 	for _, tc := range cases {
 		tree := mustParse(t, tc.scheme, tc.ports)

@@ -118,12 +118,11 @@ func spread80(m uint8) uint64 {
 	return (x + packLow7) & packHigh
 }
 
-// pentry is one packed-stack scratch entry: an accumulated packet plus
-// the ports it covers.
-type pentry struct {
-	T, M, L, B uint64
-	cm, ops    uint8
-	mask       uint32
+// chainSlot holds the selection of a subtree chain for the chain that
+// consumes it: the merged packet and the ports it covers (0: empty).
+type chainSlot struct {
+	occ  PackedOcc
+	mask uint32
 }
 
 // SelectPacked runs the merge stage from the run-wide packed-occupancy
@@ -145,8 +144,8 @@ func (c *Compiled) SelectPacked(d []PackedOcc, lim *PackedLimits, ids []int32, v
 		return c.packedFold(d, lim, ids, valid)
 	case evalFoldCSMT:
 		return c.packedFoldCSMT(d, ids, valid)
-	case evalStack:
-		return c.packedStack(d, lim, ids, valid)
+	case evalChains:
+		return c.packedChains(d, lim, ids, valid)
 	}
 	return c.packedBaseline(d, ids, valid)
 }
@@ -242,59 +241,72 @@ func (c *Compiled) packedFold(d []PackedOcc, lim *PackedLimits, ids []int32, val
 	return mask, ops
 }
 
-// packedStack runs the general post-order program on packed entries,
-// with the reference walk's merge rules: incompatible inputs are
-// dropped whole, in input order (VLIW all-or-nothing sub-packets).
+// packedChains evaluates a tree that is not left-deep as its left-deep
+// chains (chainSteps) with the reference walk's merge rules: chain i of
+// all but the last leaves its selection in slot i, and the root's
+// chain, last, returns.
 //
 //vliw:hotpath
-func (c *Compiled) packedStack(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
-	st := c.pstack
-	sp := 0
-	for _, ins := range c.prog {
-		if ins.op == opLeaf {
-			p := ins.arg
-			if valid&(1<<p) != 0 {
-				s := &d[ids[p]]
-				st[sp] = pentry{T: s.T, M: s.M, L: s.L, B: s.B, cm: s.CM, ops: s.Ops, mask: 1 << p}
-			} else {
-				st[sp] = pentry{}
+func (c *Compiled) packedChains(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
+	last := len(c.chains) - 1
+	for i := range c.slots {
+		sl := &c.slots[i]
+		sl.occ, sl.mask = c.foldChain(c.chains[i], d, lim, ids, valid)
+	}
+	acc, mask := c.foldChain(c.chains[last], d, lim, ids, valid)
+	return mask, acc.Ops
+}
+
+// foldChain folds one chain in registers, as packedFold folds a whole
+// cascade: incompatible inputs are dropped whole, in input order (VLIW
+// all-or-nothing sub-packets). A leaf step reads the candidate's
+// dictionary entry in place and an invalid port contributes nothing; a
+// subtree step reads the slot its chain, evaluated earlier, left
+// behind. It returns the merged packet and the ports it covers.
+//
+//vliw:hotpath
+func (c *Compiled) foldChain(steps []foldStep, d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (PackedOcc, uint32) {
+	var a PackedOcc
+	var mask uint32
+	for i := range steps {
+		st := &steps[i]
+		var s *PackedOcc
+		var m uint32
+		if st.slot {
+			sl := &c.slots[st.port]
+			if sl.mask == 0 {
+				continue
 			}
-			sp++
+			s, m = &sl.occ, sl.mask
+		} else {
+			if valid&(1<<st.port) == 0 {
+				continue
+			}
+			s, m = &d[ids[st.port]], 1<<st.port
+		}
+		if mask == 0 {
+			a, mask = *s, m
 			continue
 		}
-		base := sp - int(ins.arg)
-		acc := st[base]
-		for i := base + 1; i < sp; i++ {
-			s := &st[i]
-			if s.mask == 0 {
+		if st.kind == CSMT {
+			if a.CM&s.CM != 0 {
 				continue
 			}
-			if acc.mask == 0 {
-				acc = *s
+		} else {
+			both := spread80(a.CM & s.CM)
+			ex := ((a.T + s.T + lim.KT) | (a.M + s.M + lim.KM) |
+				(a.L + s.L + lim.KL) | (a.B + s.B + lim.KB)) & packHigh & both
+			if ex != 0 {
 				continue
 			}
-			if ins.op == opMergeCSMT {
-				if acc.cm&s.cm != 0 {
-					continue
-				}
-			} else {
-				both := spread80(acc.cm & s.cm)
-				ex := ((acc.T + s.T + lim.KT) | (acc.M + s.M + lim.KM) |
-					(acc.L + s.L + lim.KL) | (acc.B + s.B + lim.KB)) & packHigh & both
-				if ex != 0 {
-					continue
-				}
-			}
-			acc.T += s.T
-			acc.M += s.M
-			acc.L += s.L
-			acc.B += s.B
-			acc.cm |= s.cm
-			acc.ops += s.ops
-			acc.mask |= s.mask
 		}
-		st[base] = acc
-		sp = base + 1
+		a.T += s.T
+		a.M += s.M
+		a.L += s.L
+		a.B += s.B
+		a.CM |= s.CM
+		a.Ops += s.Ops
+		mask |= m
 	}
-	return st[0].mask, st[0].ops
+	return a, mask
 }

@@ -132,8 +132,8 @@ func (s *Scheme) UnmarshalJSON(b []byte) error {
 // thread ports. Tree-backed schemes require ports to match the tree (0
 // accepts the tree's own count); the baselines adapt to any positive
 // width. Every call returns a fresh instance, safe to hand to one
-// simulator: BMT keeps cross-cycle state and tree stack programs own a
-// per-instance scratch buffer. The evaluator selects bit-identically to
+// simulator: BMT keeps cross-cycle state and trees that are not
+// left-deep own per-instance chain slots. The evaluator selects bit-identically to
 // the reference Selector; ReferenceSelector exposes the latter for
 // refsim and the differential tests.
 func (s Scheme) Selector(ports int) (*Compiled, error) {

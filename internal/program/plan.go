@@ -26,6 +26,10 @@ type PlannedInstr struct {
 	Addr uint64
 	// Ops is the instruction's operation count (RetireInfo.Ops).
 	Ops int32
+	// Line is the fetch line's index among the I-cache's pinned lines
+	// (cache.Cache.PinnedLine), or -1 when fetches go through Access;
+	// NewPlan sets -1 and the simulator fills it in after relocation.
+	Line int32
 	// Mem lists the memory operations in program order. It aliases the
 	// plan's shared backing array; do not append to it.
 	Mem []PlannedMem
@@ -92,6 +96,7 @@ func NewPlan(p *Program) *Plan {
 				OccID:  id,
 				Addr:   b.Addrs[ii],
 				Ops:    int32(len(in.Ops)),
+				Line:   -1,
 				Block:  int32(bi),
 				Next:   int32(len(pl.Instrs)) + 1,
 				Target: -1,

@@ -21,6 +21,13 @@
 // 64-bit SWAR operations instead of per-cluster loops over Occupancy
 // structs. Fetches and retires run in port order, since the caches see
 // their accesses in that order.
+//
+// Fetch: every fetch address is a planned instruction's, known at
+// set-up, so pinFetches pins the I-cache lines of the sets that hold no
+// more lines than ways (cache.Cache.Pin). Those sets can never evict: a
+// fetch from one is an access count and a resident bit (Touch), and
+// only lines of sets that can evict take Access's tag search and LRU
+// update.
 
 package sim
 
@@ -160,6 +167,11 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 		}
 	}
 	ic, dc := s.Caches()
+	if ic != nil {
+		if err := pinFetches(ic, threads); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
 	// Every valid machine packs; the error is a guard, not a path.
 	plim, ok := merge.PackLimits(&cfg.Machine)
 	if !ok {
@@ -218,6 +230,34 @@ func Run(cfg Config, tasks []Task) (*Result, error) {
 	}
 	l.schedule()
 	return l.finalize(l.run()), nil
+}
+
+// pinFetches pins the I-cache lines no run can evict: every fetch
+// address is a relocated planned instruction's, so the cache sees each
+// one before the first cycle (cache.Cache.Pin). Each planned record
+// then carries its line's pinned index, or -1 for a line whose set can
+// evict, and fetch picks Touch or Access by it.
+func pinFetches(ic *cache.Cache, threads []thread) error {
+	n := 0
+	for i := range threads {
+		n += len(threads[i].instrs)
+	}
+	addrs := make([]uint64, 0, n)
+	for i := range threads {
+		for j := range threads[i].instrs {
+			addrs = append(addrs, threads[i].instrs[j].Addr)
+		}
+	}
+	if err := ic.Pin(addrs); err != nil {
+		return err
+	}
+	for i := range threads {
+		for j := range threads[i].instrs {
+			pi := &threads[i].instrs[j]
+			pi.Line = ic.PinnedLine(pi.Addr)
+		}
+	}
+	return nil
 }
 
 // RunBatch runs each config through Run on the shared task list and
@@ -360,7 +400,7 @@ func (l *lane) step(cycle int64) {
 			continue
 		}
 		pi := t.pi
-		if !t.fetched && !l.fetch(t, pi.Addr, cycle) {
+		if !t.fetched && !l.fetch(t, pi, cycle) {
 			continue
 		}
 		l.cand[p] = t
@@ -444,7 +484,7 @@ issue:
 			switch {
 			case t.readyAt > cycle:
 				wait = t.readyAt // a stall: t fetches when it ends
-			case t.fetched || l.fetch(t, t.pi.Addr, cycle):
+			case t.fetched || l.fetch(t, t.pi, cycle):
 				continue issue
 			default:
 				// A fetch miss empties its own cycle, even at zero
@@ -466,16 +506,23 @@ issue:
 	l.burstCycles += n
 }
 
-// fetch marks thread t's current instruction fetched at cycle and
-// looks its line (at addr) up in the I-cache, reporting whether the
-// instruction can issue this cycle. A miss stalls the thread for the
-// miss penalty; the line arrives during the stall, so the retry needs
-// no second access.
+// fetch marks thread t's current instruction pi fetched at cycle and
+// looks its line up in the I-cache, reporting whether the instruction
+// can issue this cycle: a pinned line (pinFetches) by Touch, any other
+// by Access. A miss stalls the thread for the miss penalty; the line
+// arrives during the stall, so the retry needs no second access.
 //
 //vliw:hotpath
-func (l *lane) fetch(t *thread, addr uint64, cycle int64) bool {
+func (l *lane) fetch(t *thread, pi *program.PlannedInstr, cycle int64) bool {
 	t.fetched = true
-	if l.ic == nil || l.ic.Access(addr, false) {
+	switch {
+	case l.ic == nil:
+		return true
+	case pi.Line >= 0:
+		if l.ic.Touch(pi.Line) {
+			return true
+		}
+	case l.ic.Access(pi.Addr, false):
 		return true
 	}
 	pen := int64(l.ic.MissPenalty())
@@ -539,12 +586,14 @@ func (l *lane) finalize(cycles int64) *Result {
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Ops) / float64(res.Cycles)
 	}
+	var resident int64
 	if l.ic != nil {
 		res.ICache = l.ic.Stats
+		resident = l.ic.Touches()
 	}
 	if l.dc != nil {
 		res.DCache = l.dc.Stats
 	}
-	recordRunMetrics(res, l.ffSpans, l.ffCycles, l.burstCycles)
+	recordRunMetrics(res, l.ffSpans, l.ffCycles, l.burstCycles, resident)
 	return res
 }

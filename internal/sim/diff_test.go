@@ -20,6 +20,7 @@ import (
 	"vliwmt/internal/merge"
 	"vliwmt/internal/refsim"
 	"vliwmt/internal/sim"
+	"vliwmt/internal/telemetry"
 	"vliwmt/internal/workload"
 )
 
@@ -162,6 +163,51 @@ func TestDifferentialRandomConfigs(t *testing.T) {
 		t.Run(fmt.Sprintf("%02d_%s_c%d_n%d", i, scheme, contexts, nTasks), func(t *testing.T) {
 			runBoth(t, cfg, all[:nTasks])
 		})
+	}
+}
+
+// TestDifferentialPinnedFetch compares the two loops under I-cache
+// geometries on both sides of the pinned-fetch rule (cache.Cache.Pin):
+// the default 64 KB cache, where every set of four kernels' code fits
+// its ways and every fetch is a Touch; the 1 KB direct-mapped cache,
+// where some sets fit and others overflow; and a 128-byte direct-mapped
+// cache, where every set overflows and every fetch is an Access. The
+// resident-fetch counter shows which kind each geometry ran.
+func TestDifferentialPinnedFetch(t *testing.T) {
+	m := isa.Default()
+	tasks := diffTasks(t, m)[:4]
+	geoms := []struct {
+		name string
+		ic   cache.Config
+		// want reports whether the resident fetches fit the geometry's
+		// kind, given the run's I-cache accesses.
+		want func(resident, accesses int64) bool
+	}{
+		{"every-set-fits", cache.DefaultConfig(), func(r, a int64) bool { return r == a && a > 0 }},
+		{"some-sets-overflow", cache.Config{Size: 1 << 10, LineSize: 64, Ways: 1, MissPenalty: 30},
+			func(r, a int64) bool { return r > 0 && r < a }},
+		{"every-set-overflows", cache.Config{Size: 128, LineSize: 64, Ways: 1, MissPenalty: 7},
+			func(r, a int64) bool { return r == 0 && a > 0 }},
+	}
+	for _, g := range geoms {
+		for _, scheme := range []string{"2SC3", "2SS", "BMT"} {
+			t.Run(g.name+"/"+scheme, func(t *testing.T) {
+				cfg := sim.DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.InstrLimit = 3_000
+				cfg.ICache = g.ic
+				before := telemetry.Default().Snapshot().Counter("sim_icache_resident_fetches_total")
+				runBoth(t, cfg, tasks)
+				resident := telemetry.Default().Snapshot().Counter("sim_icache_resident_fetches_total") - before
+				res, err := sim.Run(cfg, tasks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !g.want(resident, res.ICache.Accesses) {
+					t.Errorf("%d of %d I-cache accesses were resident fetches; the geometry should give %s", resident, res.ICache.Accesses, g.name)
+				}
+			})
+		}
 	}
 }
 

@@ -23,6 +23,8 @@ var (
 		"Cycles skipped (bulk-accounted) by the stall fast-forward.")
 	metBurstCycles = telemetry.NewCounter("sim_issue_burst_cycles_total",
 		"Lone-candidate cycles issued inside issue bursts, each burst's opening cycle included.")
+	metResidentFetches = telemetry.NewCounter("sim_icache_resident_fetches_total",
+		"I-cache fetches of pinned lines, in sets that can never evict: served by a resident bit, with no tag search.")
 	metMerges = telemetry.NewCounter("sim_merges_total",
 		"Thread merges performed: sum over cycles of (threads issued together - 1).")
 )
@@ -30,7 +32,7 @@ var (
 // recordRunMetrics flushes one finished run into the process-wide
 // instruments. merges is derived from the merge histogram: a cycle in
 // which k threads issued together performed k-1 merges.
-func recordRunMetrics(res *Result, ffSpans, ffCycles, burstCycles int64) {
+func recordRunMetrics(res *Result, ffSpans, ffCycles, burstCycles, residentFetches int64) {
 	metRuns.Inc()
 	metCycles.Add(res.Cycles)
 	metInstrs.Add(res.Instrs)
@@ -38,6 +40,7 @@ func recordRunMetrics(res *Result, ffSpans, ffCycles, burstCycles int64) {
 	metFFSpans.Add(ffSpans)
 	metFFCycles.Add(ffCycles)
 	metBurstCycles.Add(burstCycles)
+	metResidentFetches.Add(residentFetches)
 	var merges int64
 	for k, n := range res.MergeHist {
 		if k >= 2 {

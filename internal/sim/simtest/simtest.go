@@ -143,6 +143,19 @@ func Memories() []Memory {
 	}
 }
 
+// TwoWayFetch returns the caches model with a 2-way instruction cache
+// of the same size. Every domain program's instructions lie in the
+// first 16-byte line of its code, and every task's first line falls in
+// set 0: two tasks' lines fit that set, so every fetch takes the pinned
+// path (cache.Cache.Pin), while under Memories' direct-mapped caches
+// the two lines overflow the set and every fetch goes through Access.
+func TwoWayFetch() Memory {
+	m := Memories()[1]
+	m.Name = "caches-2way-fetch"
+	m.ICache.Ways = 2
+	return m
+}
+
 // Schemes2 returns the merge controls of two contexts the domain runs
 // under: both tree nodes, both baselines and the paper's 1S.
 func Schemes2() []string {

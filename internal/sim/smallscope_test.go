@@ -27,6 +27,8 @@ type smallScope struct {
 	t    *testing.T
 	n    int
 	runs int
+	// icache sums the I-cache accesses of the cases run.
+	icache int64
 }
 
 // check compares the two loops on one case, named by desc.
@@ -48,24 +50,28 @@ func (s *smallScope) check(desc string, cfg sim.Config, tasks []sim.Task) {
 	if !reflect.DeepEqual(got, want) {
 		s.t.Fatalf("first divergence, case %d: %s\n sim:    %+v\n refsim: %+v", s.n, desc, got, want)
 	}
+	s.icache += got.ICache.Accesses
 }
 
-// counters reads the burst and fast-forward instruments, so an axis can
-// show that its runs reach both shortcuts.
-func counters() (burst, ff int64) {
+// counters reads the burst, fast-forward and resident-fetch
+// instruments, so an axis can show that its runs reach each shortcut.
+func counters() (burst, ff, resident int64) {
 	snap := telemetry.Default().Snapshot()
-	return snap.Counter("sim_issue_burst_cycles_total"), snap.Counter("sim_fastforward_cycles_total")
+	return snap.Counter("sim_issue_burst_cycles_total"), snap.Counter("sim_fastforward_cycles_total"),
+		snap.Counter("sim_icache_resident_fetches_total")
 }
 
 // TestSmallScopePairs: every ordered pair of domain programs on two
-// contexts, under each two-context scheme and each memory model.
+// contexts, under each two-context scheme and each memory model, plus
+// the 2-way I-cache of TwoWayFetch: its fetches all take the pinned
+// path, and those under the direct-mapped I-cache all go through Access.
 func TestSmallScopePairs(t *testing.T) {
 	s := &smallScope{t: t}
-	burst0, ff0 := counters()
+	burst0, ff0, resident0 := counters()
 	progs := simtest.Programs()
 	for _, a := range progs {
 		for _, b := range progs {
-			for _, mem := range simtest.Memories() {
+			for _, mem := range append(simtest.Memories(), simtest.TwoWayFetch()) {
 				for _, scheme := range simtest.Schemes2() {
 					s.check(fmt.Sprintf("%s + %s, %s, %s memory", a.Name, b.Name, scheme, mem.Name),
 						simtest.Config(scheme, mem), simtest.Tasks(a, b))
@@ -73,9 +79,12 @@ func TestSmallScopePairs(t *testing.T) {
 			}
 		}
 	}
-	burst, ff := counters()
+	burst, ff, resident := counters()
 	if burst == burst0 || ff == ff0 {
 		t.Errorf("the domain's runs issued %d burst cycles and fast-forwarded %d; both shortcuts must be reached", burst-burst0, ff-ff0)
+	}
+	if d := resident - resident0; d == 0 || d == s.icache {
+		t.Errorf("%d of the domain's %d I-cache accesses were resident fetches; both fetch paths must be reached", d, s.icache)
 	}
 	t.Logf("%d of %d cases run", s.runs, s.n)
 }

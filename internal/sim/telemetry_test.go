@@ -66,3 +66,26 @@ func TestRunTelemetry(t *testing.T) {
 		t.Errorf("sim_merges_total moved by %d, want %d per the merge histogram", d, merges)
 	}
 }
+
+// TestResidentFetchTelemetry checks the pinned-fetch counter: under the
+// default 64 KB I-cache every set of four kernels' code fits its ways,
+// so every fetch is a resident one, and a run without caches has none.
+func TestResidentFetchTelemetry(t *testing.T) {
+	m := isa.Default()
+	tasks := diffTasks(t, m)[:4]
+	for _, perfect := range []bool{false, true} {
+		cfg := sim.DefaultConfig()
+		cfg.Scheme = "2SC3"
+		cfg.InstrLimit = 2_000
+		cfg.PerfectMemory = perfect
+		before := telemetry.Default().Snapshot()
+		res, err := sim.Run(cfg, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := telemetry.Default().Snapshot().Counter("sim_icache_resident_fetches_total") - before.Counter("sim_icache_resident_fetches_total")
+		if want := res.ICache.Accesses; d != want || (!perfect && d == 0) {
+			t.Errorf("PerfectMemory=%v: sim_icache_resident_fetches_total moved by %d, want %d (every I-cache fetch)", perfect, d, want)
+		}
+	}
+}

@@ -24,7 +24,7 @@ type evalKind uint8
 const (
 	evalFold     evalKind = iota // left-deep tree, SMT or mixed levels
 	evalFoldCSMT                 // left-deep tree, every merge level CSMT
-	evalChains                   // several chains, subtrees through slots
+	evalChains                   // subtree chains through slots, then the root's
 	evalIMT                      // interleaved baseline: lowest valid port
 	evalBMT                      // block baseline: current port while valid
 )
@@ -50,8 +50,8 @@ type Compiled struct {
 	ports  int
 	tree   *Tree // nil for the baselines
 	kind   evalKind
-	steps  []foldStep   // fold evaluators: the one chain's steps
-	chains [][]foldStep // evalChains, in evaluation order, the root's last
+	steps  []foldStep   // the root's chain: the whole tree for a fold
+	chains [][]foldStep // evalChains: the subtree chains, in evaluation order
 	slots  []chainSlot  // evalChains scratch: slot i holds chain i's result
 	cur    uint         // evalBMT: the port that keeps issuing while valid
 }
@@ -60,20 +60,16 @@ type Compiled struct {
 // exactly like t.Select.
 func Compile(t *Tree) *Compiled {
 	c := &Compiled{name: t.Name(), ports: t.Ports(), tree: t}
-	var subs [][]foldStep
-	steps := chainSteps(t.root, &subs)
-	if len(subs) > 0 {
-		c.kind = evalChains
-		c.chains = append(subs, steps)
-		c.slots = make([]chainSlot, len(subs))
-		return c
-	}
-	c.steps = steps
+	c.steps = chainSteps(t.root, &c.chains)
+	c.slots = make([]chainSlot, len(c.chains))
 	c.kind = evalFoldCSMT
-	for _, s := range steps[1:] {
+	for _, s := range c.steps[1:] {
 		if s.kind == SMT {
 			c.kind = evalFold
 		}
+	}
+	if len(c.chains) > 0 {
+		c.kind = evalChains
 	}
 	return c
 }

@@ -198,7 +198,10 @@ func (c *Compiled) packedFoldCSMT(d []PackedOcc, ids []int32, valid uint32) (uin
 
 // packedFold is the left-deep fold for SMT and mixed cascades: the base
 // packet accumulates accepted candidates, CSMT levels testing cluster
-// disjointness and SMT levels the SWAR capacity check.
+// disjointness and SMT levels the SWAR capacity check. A cascade is the
+// root's chain alone, which foldChain folds too; this slot-free copy of
+// its loop selects faster on cascades (DESIGN.md, "Compiled merge
+// selectors"), so the two must keep the same merge rules.
 //
 //vliw:hotpath
 func (c *Compiled) packedFold(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
@@ -242,31 +245,34 @@ func (c *Compiled) packedFold(d []PackedOcc, lim *PackedLimits, ids []int32, val
 }
 
 // packedChains evaluates a tree that is not left-deep as its left-deep
-// chains (chainSteps) with the reference walk's merge rules: chain i of
-// all but the last leaves its selection in slot i, and the root's
-// chain, last, returns.
+// chains (chainSteps) with the reference walk's merge rules: subtree
+// chain i leaves its selection in slot i, and the root's chain, last,
+// returns.
 //
 //vliw:hotpath
 func (c *Compiled) packedChains(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
-	last := len(c.chains) - 1
 	for i := range c.slots {
-		sl := &c.slots[i]
-		sl.occ, sl.mask = c.foldChain(c.chains[i], d, lim, ids, valid)
+		c.foldChain(c.chains[i], &c.slots[i], d, lim, ids, valid)
 	}
-	acc, mask := c.foldChain(c.chains[last], d, lim, ids, valid)
-	return mask, acc.Ops
+	return c.foldChain(c.steps, nil, d, lim, ids, valid)
 }
 
-// foldChain folds one chain in registers, as packedFold folds a whole
-// cascade: incompatible inputs are dropped whole, in input order (VLIW
-// all-or-nothing sub-packets). A leaf step reads the candidate's
-// dictionary entry in place and an invalid port contributes nothing; a
-// subtree step reads the slot its chain, evaluated earlier, left
-// behind. It returns the merged packet and the ports it covers.
+// foldChain folds one chain: the base packet accumulates accepted
+// inputs in input order, CSMT steps testing cluster disjointness and
+// SMT steps the SWAR capacity check, and an incompatible input is
+// dropped whole (VLIW all-or-nothing sub-packets). A leaf step reads
+// the candidate's dictionary entry in place and an invalid port
+// contributes nothing; a subtree step reads the slot its chain,
+// evaluated earlier, left behind. It returns the ports the merged
+// packet covers and its operation count, and when out is not nil (a
+// subtree's chain) leaves the packet and ports there. The accumulator
+// is held in scalars, not a PackedOcc, which the compiler would keep in
+// memory, and only a subtree's chain stores it.
 //
 //vliw:hotpath
-func (c *Compiled) foldChain(steps []foldStep, d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (PackedOcc, uint32) {
-	var a PackedOcc
+func (c *Compiled) foldChain(steps []foldStep, out *chainSlot, d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
+	var aT, aM, aL, aB uint64
+	var cm, ops uint8
 	var mask uint32
 	for i := range steps {
 		st := &steps[i]
@@ -285,28 +291,33 @@ func (c *Compiled) foldChain(steps []foldStep, d []PackedOcc, lim *PackedLimits,
 			s, m = &d[ids[st.port]], 1<<st.port
 		}
 		if mask == 0 {
-			a, mask = *s, m
+			aT, aM, aL, aB = s.T, s.M, s.L, s.B
+			cm, ops, mask = s.CM, s.Ops, m
 			continue
 		}
 		if st.kind == CSMT {
-			if a.CM&s.CM != 0 {
+			if cm&s.CM != 0 {
 				continue
 			}
 		} else {
-			both := spread80(a.CM & s.CM)
-			ex := ((a.T + s.T + lim.KT) | (a.M + s.M + lim.KM) |
-				(a.L + s.L + lim.KL) | (a.B + s.B + lim.KB)) & packHigh & both
+			both := spread80(cm & s.CM)
+			ex := ((aT + s.T + lim.KT) | (aM + s.M + lim.KM) |
+				(aL + s.L + lim.KL) | (aB + s.B + lim.KB)) & packHigh & both
 			if ex != 0 {
 				continue
 			}
 		}
-		a.T += s.T
-		a.M += s.M
-		a.L += s.L
-		a.B += s.B
-		a.CM |= s.CM
-		a.Ops += s.Ops
+		aT += s.T
+		aM += s.M
+		aL += s.L
+		aB += s.B
+		cm |= s.CM
+		ops += s.Ops
 		mask |= m
 	}
-	return a, mask
+	if out != nil {
+		out.occ = PackedOcc{T: aT, M: aM, L: aL, B: aB, CM: cm, Ops: ops}
+		out.mask = mask
+	}
+	return mask, ops
 }

@@ -9,13 +9,17 @@
 # prints each side's median and quartiles, the change's wins out of the
 # pairs (ties count for neither) and a verdict:
 #
-#   gain        the change wins at least 9 pairs in 10 and its median
-#               beats the parent's by more than the parent's IQR
-#   worse       the change's median is worse than the parent's by more
-#               than the metric's bound
-#   unresolved  neither, and the parent's IQR exceeds the bound (unless
-#               every change run beats every parent run)
-#   within      neither, and the parent's spread is inside the bound
+#   unresolved  either side's IQR exceeds the metric's bound (as a
+#               fraction of that side's median), unless every change run
+#               beats every parent run or every parent run beats every
+#               change run
+#   gain        otherwise: the change wins at least 9 pairs in 10 and its
+#               median beats the parent's by more than the parent's IQR
+#   worse       otherwise: the change's median is worse than the
+#               parent's by more than the bound
+#   within      none of these
+#
+# Both sides run at perfbench's own run length.
 #
 # It refuses a verdict (exit 1) when any run fails or reports
 # `correct: false`, and says whether both sides' first-run fingerprints
@@ -23,26 +27,25 @@
 #
 # Usage, from the repository root:
 #
-#   bash scripts/ab.sh -r REV [-w WORKLOAD] [-s SEED] [-n PAIRS] [-t SECONDS] [-o DIR]
+#   bash scripts/ab.sh -r REV [-w WORKLOAD] [-s SEED] [-n PAIRS] [-o DIR]
 #
 # -o keeps every run's summary line (parent.jsonl, change.jsonl) and
 # perfbench's standard error (parent.log, change.log) in DIR.
 set -euo pipefail
 
-rev= workload=cold-grid seed=1 pairs=10 seconds=10 out=
-while getopts r:w:s:n:t:o: opt; do
+rev= workload=cold-grid seed=1 pairs=10 out=
+while getopts r:w:s:n:o: opt; do
 	case $opt in
 	r) rev=$OPTARG ;;
 	w) workload=$OPTARG ;;
 	s) seed=$OPTARG ;;
 	n) pairs=$OPTARG ;;
-	t) seconds=$OPTARG ;;
 	o) out=$OPTARG ;;
 	*) exit 2 ;;
 	esac
 done
 if [[ -z $rev ]]; then
-	echo "usage: bash scripts/ab.sh -r REV [-w WORKLOAD] [-s SEED] [-n PAIRS] [-t SECONDS] [-o DIR]" >&2
+	echo "usage: bash scripts/ab.sh -r REV [-w WORKLOAD] [-s SEED] [-n PAIRS] [-o DIR]" >&2
 	exit 2
 fi
 
@@ -58,7 +61,7 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
 run() {
 	local side=$1 dir=$2 line
 	line=$(cd "$dir" && CARGO_TARGET_DIR=$tmp/build-$side bash perfbench/run.sh \
-		--workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>>"$out/$side.log" | tail -n 1) || true
+		--workload "$workload" --seed "$seed" --trace 0 2>>"$out/$side.log" | tail -n 1) || true
 	if [[ $line != *'"correct":true'* ]]; then
 		echo "ab: no verdict: a $side run failed or reported correct: false: ${line:-no summary} (see $out/$side.log)" >&2
 		exit 1
@@ -117,15 +120,21 @@ grep -o '"name": *"[^"]*", *"unit": *"[^"]*", *"better": *"[^"]*", *"bound": *[0
 				sort(b, n); sort(c, n)
 				mb = q(b, n, .5); mc = q(c, n, .5)
 				iqr = q(b, n, .75) - q(b, n, .25)
-				wide = mb != 0 && iqr / mb > bound
-				gain = mb == 0 ? 0 : (better == "higher" ? mc - mb : mb - mc) / mb
+				iqrc = q(c, n, .75) - q(c, n, .25)
+				wideb = mb != 0 && iqr / mb > bound
+				widec = mc != 0 && iqrc / mc > bound
+				# apart: the worst change run beats the best parent run, or
+				# the reverse, so the two samples do not overlap.
+				hi = better == "higher"
+				apart = gt(c[hi ? 1 : n], b[hi ? n : 1]) || gt(b[hi ? 1 : n], c[hi ? n : 1])
+				gain = mb == 0 ? 0 : (hi ? mc - mb : mb - mc) / mb
 				d = mc > mb ? mc - mb : mb - mc
-				if (wins >= 0.9 * n && gain > 0 && d > iqr) v = "gain"
+				if ((wideb || widec) && !apart) v = "unresolved"
+				else if (wins >= 0.9 * n && gain > 0 && d > iqr) v = "gain"
 				else if (gain < -bound) v = "worse"
-				else if (wide && !gt(c[better == "higher" ? 1 : n], b[better == "higher" ? n : 1])) v = "unresolved"
 				else v = "within"
-				printf "%-15s %-9s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  %+.1f%%  wins %d/%d  parent IQR %s bound %g  %s\n",
+				printf "%-15s %-9s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  %+.1f%%  wins %d/%d  IQR parent %s change %s bound %g  %s\n",
 					name, unit, mb, q(b, n, .25), q(b, n, .75), mc, q(c, n, .25), q(c, n, .75),
-					100 * gain, wins, n, wide ? "exceeds" : "within", bound, v
+					100 * gain, wins, n, wideb ? "exceeds" : "within", widec ? "exceeds" : "within", bound, v
 			}'
 	done

@@ -5,7 +5,7 @@
 //
 //	vliwsim -mix LLHH -scheme 2SC3 -instrs 1000000
 //	vliwsim -mix LLHH -scheme 'S(C(T0,T1,T2),T3)'
-//	vliwsim -bench mcf,x264 -scheme 1S -contexts 2
+//	vliwsim -bench mcf,x264 -scheme 1S
 //	vliwsim -bench colorspace -contexts 1 -perfect
 //
 // Schemes are named by the paper's grammar ("3SSS", "2SC3", "C4"), the
@@ -42,7 +42,7 @@ func run(args []string, w io.Writer) error {
 		mixName  = fs.String("mix", "", "Table 2 workload mix to run (LLLL .. HHHH)")
 		benches  = fs.String("bench", "", "comma-separated benchmark list (alternative to -mix)")
 		scheme   = fs.String("scheme", "2SC3", "merging scheme: a name (see -list), IMT/BMT, or a tree expression like 'C(S(T0,T1),T2,T3)'")
-		contexts = fs.Int("contexts", 4, "hardware thread contexts")
+		contexts = fs.Int("contexts", 0, "hardware thread contexts (0: the scheme's port count)")
 		instrs   = fs.Int64("instrs", 1_000_000, "per-thread instruction budget")
 		slice    = fs.Int64("timeslice", 0, "OS timeslice in cycles (default instrs/100, at least 1000)")
 		perfect  = fs.Bool("perfect", false, "perfect memory (no caches)")
@@ -58,18 +58,10 @@ func run(args []string, w io.Writer) error {
 	}
 
 	cfg := vliwmt.DefaultConfig()
+	// An unset -contexts sizes the machine to the scheme, so e.g.
+	// -scheme 'C(S(T0,T1),T2)' runs on 3 contexts without further flags.
 	cfg.Contexts = *contexts
 	cfg.Scheme = *scheme
-	// An explicit -contexts wins; otherwise size the machine to the
-	// scheme, so e.g. -scheme 'C(S(T0,T1),T2)' runs on 3 contexts
-	// without further flags.
-	explicit := false
-	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "contexts" })
-	if !explicit {
-		if sch, err := vliwmt.ParseScheme(*scheme); err == nil && sch.Ports() > 0 {
-			cfg.Contexts = sch.Ports()
-		}
-	}
 	cfg.InstrLimit = *instrs
 	cfg.PerfectMemory = *perfect
 	cfg.FixedPriority = *fixed
@@ -131,14 +123,15 @@ func printLists(w io.Writer) {
 // the scheme, and for a merge tree also its structure and gate-level
 // cost (the baselines have no merge control to cost).
 func printResult(w io.Writer, cfg vliwmt.Config, res *vliwmt.Result) error {
-	if cfg.Contexts == 1 {
+	contexts := cfg.EffectiveContexts()
+	if contexts == 1 {
 		fmt.Fprintf(w, "machine: %s, no merging, 1 context\n", cfg.Machine)
 	} else {
 		sch, err := vliwmt.ParseScheme(cfg.Scheme)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "machine: %s, scheme %s, %d contexts\n", cfg.Machine, sch.Name(), cfg.Contexts)
+		fmt.Fprintf(w, "machine: %s, scheme %s, %d contexts\n", cfg.Machine, sch.Name(), contexts)
 		if sch.Tree() != nil {
 			c, err := vliwmt.Cost(cfg.Machine, cfg.Scheme)
 			if err != nil {

@@ -106,12 +106,7 @@ func ExampleNewKernel() {
 		tasks[i] = vliwmt.Task{Name: fmt.Sprintf("fir%d", i), Prog: prog}
 	}
 	for _, scheme := range []string{"3CCC", "2SC3", "3SSS"} {
-		sch, err := vliwmt.ParseScheme(scheme)
-		if err != nil {
-			panic(err)
-		}
-		// 1S merges two contexts, which then multitask the four jobs.
-		cfg.Contexts, cfg.Merge = sch.Ports(), sch
+		cfg.Scheme = scheme
 		res, err := vliwmt.Run(cfg, tasks)
 		if err != nil {
 			panic(err)
@@ -259,12 +254,9 @@ func ExampleRun() {
 		if err != nil {
 			panic(err)
 		}
-		sch, err := vliwmt.ParseScheme(scheme)
-		if err != nil {
-			panic(err)
-		}
-		// 1S merges two contexts, which then multitask the four jobs.
-		cfg.Contexts, cfg.Merge = sch.Ports(), sch
+		// Contexts is unset, so each scheme runs on as many contexts as
+		// it has ports: 1S merges two, which then multitask the four jobs.
+		cfg.Scheme = scheme
 		res, err := vliwmt.Run(cfg, tasks)
 		if err != nil {
 			panic(err)

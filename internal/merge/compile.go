@@ -6,27 +6,25 @@ package merge
 // SelectPacked (packed.go) then selects without recursion, per-cycle
 // interface dispatch through child nodes, or heap allocation.
 //
-// Shape detection is automatic. A chain starts at a node and follows
-// first inputs down to a leaf; the greedy all-or-nothing merge visits
-// its inputs in a fixed order with a fixed merge kind per input, so a
-// chain folds into a per-input (source, kind) step list. Left-deep trees
-// — every input after a node's first is a leaf — are one chain and
-// cover the paper's dominant shapes (all 3XYZ cascades, the flat
-// parallel C<n>/CSMT nodes, the hybrid parallel-CSMT cascades like 2SC3
-// and 4SC3C3C3); pure-CSMT ones get a specialized loop that needs no
-// slot counts. Everything else — the balanced 2XY trees, custom trees
-// with interior non-first subtrees — runs one chain per non-first
-// subtree, each leaving its selection in a slot, before the root's.
+// A chain starts at a node and follows first inputs down to a leaf; the
+// greedy all-or-nothing merge visits its inputs in a fixed order with a
+// fixed merge kind per input, so a chain folds into a per-input
+// (source, kind) step list. Left-deep trees — every input after a
+// node's first is a leaf — are one chain and cover the paper's dominant
+// shapes (all 3XYZ cascades, the flat parallel C<n>/CSMT nodes, the
+// hybrid parallel-CSMT cascades like 2SC3 and 4SC3C3C3). Everything
+// else — the balanced 2XY trees, custom trees with interior non-first
+// subtrees — runs one chain per non-first subtree, each leaving its
+// selection in a slot, before the root's. Every tree folds through the
+// one loop, foldChain.
 
-// evalKind identifies the specialized evaluator a compiled scheme uses.
+// evalKind identifies the evaluator a compiled scheme uses.
 type evalKind uint8
 
 const (
-	evalFold     evalKind = iota // left-deep tree, SMT or mixed levels
-	evalFoldCSMT                 // left-deep tree, every merge level CSMT
-	evalChains                   // subtree chains through slots, then the root's
-	evalIMT                      // interleaved baseline: lowest valid port
-	evalBMT                      // block baseline: current port while valid
+	evalTree evalKind = iota // merge tree: subtree chains through slots, then the root's
+	evalIMT                  // interleaved baseline: lowest valid port
+	evalBMT                  // block baseline: current port while valid
 )
 
 // foldStep is one input visit of a chain: join the candidate at port,
@@ -50,27 +48,18 @@ type Compiled struct {
 	ports  int
 	tree   *Tree // nil for the baselines
 	kind   evalKind
-	steps  []foldStep   // the root's chain: the whole tree for a fold
-	chains [][]foldStep // evalChains: the subtree chains, in evaluation order
-	slots  []chainSlot  // evalChains scratch: slot i holds chain i's result
+	chains [][]foldStep // evalTree: the subtree chains in evaluation order, then the root's
+	slots  []chainSlot  // evalTree scratch: slot i holds chain i's result
 	cur    uint         // evalBMT: the port that keeps issuing while valid
 }
 
-// Compile flattens t into its fastest evaluator form. The result selects
-// exactly like t.Select.
+// Compile flattens t into its chains. The result selects exactly like
+// t.Select.
 func Compile(t *Tree) *Compiled {
-	c := &Compiled{name: t.Name(), ports: t.Ports(), tree: t}
-	c.steps = chainSteps(t.root, &c.chains)
+	c := &Compiled{name: t.Name(), ports: t.Ports(), tree: t, kind: evalTree}
+	root := chainSteps(t.root, &c.chains)
 	c.slots = make([]chainSlot, len(c.chains))
-	c.kind = evalFoldCSMT
-	for _, s := range c.steps[1:] {
-		if s.kind == SMT {
-			c.kind = evalFold
-		}
-	}
-	if len(c.chains) > 0 {
-		c.kind = evalChains
-	}
+	c.chains = append(c.chains, root)
 	return c
 }
 

@@ -7,33 +7,34 @@ import (
 	"vliwmt/internal/isa"
 )
 
-// TestCompileShapeDetection pins the evaluator each paper shape compiles
-// to: cascades and flat parallel nodes fold, balanced trees need the
-// chain evaluator.
+// TestCompileShapeDetection pins the chains each paper shape compiles
+// to: cascades and flat parallel nodes are the root's chain alone, and a
+// balanced tree adds one chain for its second subtree.
 func TestCompileShapeDetection(t *testing.T) {
 	cases := []struct {
 		scheme string
 		ports  int
-		want   evalKind
+		chains int
 	}{
-		{"3SSS", 4, evalFold},
-		{"1S", 2, evalFold},
-		{"3CCC", 4, evalFoldCSMT},
-		{"C4", 4, evalFoldCSMT},
-		{"C8", 8, evalFoldCSMT},
-		{"2SC3", 4, evalFold},
-		{"3SCC", 4, evalFold},
-		{"2C3S", 4, evalFold},
-		{"2SS", 4, evalChains},
-		{"2CC", 4, evalChains},
-		{"2CS", 4, evalChains},
-		{"2SC", 4, evalChains},
+		{"3SSS", 4, 1},
+		{"1S", 2, 1},
+		{"3CCC", 4, 1},
+		{"C4", 4, 1},
+		{"C8", 8, 1},
+		{"2SC3", 4, 1},
+		{"3SCC", 4, 1},
+		{"2C3S", 4, 1},
+		{"2SS", 4, 2},
+		{"2CC", 4, 2},
+		{"2CS", 4, 2},
+		{"2SC", 4, 2},
 	}
 	for _, tc := range cases {
 		tree := mustParse(t, tc.scheme, tc.ports)
 		c := Compile(tree)
-		if c.kind != tc.want {
-			t.Errorf("%s: compiled to evaluator %d, want %d", tc.scheme, c.kind, tc.want)
+		if c.kind != evalTree || len(c.chains) != tc.chains || len(c.slots) != tc.chains-1 {
+			t.Errorf("%s: compiled to evaluator %d with %d chains and %d slots, want %d chains",
+				tc.scheme, c.kind, len(c.chains), len(c.slots), tc.chains)
 		}
 		if c.Name() != tree.Name() || c.Ports() != tree.Ports() || c.Tree() != tree {
 			t.Errorf("%s: compiled metadata does not match tree", tc.scheme)
@@ -50,14 +51,14 @@ func TestCompileFoldOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Compile(tree)
-	if c.kind != evalFold {
-		t.Fatalf("permuted cascade compiled to evaluator %d, want fold", c.kind)
+	if len(c.chains) != 1 {
+		t.Fatalf("permuted cascade compiled to %d chains, want 1", len(c.chains))
 	}
 	wantPorts := []uint8{2, 0, 3, 1}
 	wantKinds := []Kind{SMT, SMT, CSMT, CSMT}
-	for i, s := range c.steps {
-		if s.port != wantPorts[i] || (i > 0 && s.kind != wantKinds[i]) {
-			t.Fatalf("step %d = {port %d, %v}, want {port %d, %v}", i, s.port, s.kind, wantPorts[i], wantKinds[i])
+	for i, s := range c.chains[0] {
+		if s.slot || s.port != wantPorts[i] || (i > 0 && s.kind != wantKinds[i]) {
+			t.Fatalf("step %d = {port %d, slot %v, %v}, want {port %d, %v}", i, s.port, s.slot, s.kind, wantPorts[i], wantKinds[i])
 		}
 	}
 }

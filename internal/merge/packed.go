@@ -139,13 +139,8 @@ type chainSlot struct {
 //
 //vliw:hotpath
 func (c *Compiled) SelectPacked(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
-	switch c.kind {
-	case evalFold:
-		return c.packedFold(d, lim, ids, valid)
-	case evalFoldCSMT:
-		return c.packedFoldCSMT(d, ids, valid)
-	case evalChains:
-		return c.packedChains(d, lim, ids, valid)
+	if c.kind == evalTree {
+		return c.packedTree(d, lim, ids, valid)
 	}
 	return c.packedBaseline(d, ids, valid)
 }
@@ -172,89 +167,17 @@ func (c *Compiled) packedBaseline(d []PackedOcc, ids []int32, valid uint32) (uin
 	return 1 << p, d[ids[p]].Ops
 }
 
-// packedFoldCSMT is the pure-CSMT fold: disjointness is the cluster
-// masks alone, and since no later step needs slot counts the
-// accumulator is just (mask, clusters, ops).
+// packedTree evaluates a merge tree as its left-deep chains
+// (chainSteps) with the reference walk's merge rules: subtree chain i
+// leaves its selection in slot i, and the root's chain, last, returns.
+// A cascade or a flat parallel node is the root's chain alone.
 //
 //vliw:hotpath
-func (c *Compiled) packedFoldCSMT(d []PackedOcc, ids []int32, valid uint32) (uint32, uint8) {
-	var cm, ops uint8
-	var mask uint32
-	for i := range c.steps {
-		p := c.steps[i].port
-		if valid&(1<<p) == 0 {
-			continue
-		}
-		s := &d[ids[p]]
-		if cm&s.CM != 0 {
-			continue
-		}
-		cm |= s.CM
-		ops += s.Ops
-		mask |= 1 << p
-	}
-	return mask, ops
-}
-
-// packedFold is the left-deep fold for SMT and mixed cascades: the base
-// packet accumulates accepted candidates, CSMT levels testing cluster
-// disjointness and SMT levels the SWAR capacity check. A cascade is the
-// root's chain alone, which foldChain folds too; this slot-free copy of
-// its loop selects faster on cascades (DESIGN.md, "Compiled merge
-// selectors"), so the two must keep the same merge rules.
-//
-//vliw:hotpath
-func (c *Compiled) packedFold(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
-	var aT, aM, aL, aB uint64
-	var cm, ops uint8
-	var mask uint32
-	for i := range c.steps {
-		st := &c.steps[i]
-		p := st.port
-		if valid&(1<<p) == 0 {
-			continue
-		}
-		s := &d[ids[p]]
-		if mask == 0 {
-			aT, aM, aL, aB = s.T, s.M, s.L, s.B
-			cm, ops = s.CM, s.Ops
-			mask = 1 << p
-			continue
-		}
-		if st.kind == CSMT {
-			if cm&s.CM != 0 {
-				continue
-			}
-		} else {
-			both := spread80(cm & s.CM)
-			ex := ((aT + s.T + lim.KT) | (aM + s.M + lim.KM) |
-				(aL + s.L + lim.KL) | (aB + s.B + lim.KB)) & packHigh & both
-			if ex != 0 {
-				continue
-			}
-		}
-		aT += s.T
-		aM += s.M
-		aL += s.L
-		aB += s.B
-		cm |= s.CM
-		ops += s.Ops
-		mask |= 1 << p
-	}
-	return mask, ops
-}
-
-// packedChains evaluates a tree that is not left-deep as its left-deep
-// chains (chainSteps) with the reference walk's merge rules: subtree
-// chain i leaves its selection in slot i, and the root's chain, last,
-// returns.
-//
-//vliw:hotpath
-func (c *Compiled) packedChains(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
+func (c *Compiled) packedTree(d []PackedOcc, lim *PackedLimits, ids []int32, valid uint32) (uint32, uint8) {
 	for i := range c.slots {
 		c.foldChain(c.chains[i], &c.slots[i], d, lim, ids, valid)
 	}
-	return c.foldChain(c.steps, nil, d, lim, ids, valid)
+	return c.foldChain(c.chains[len(c.slots)], nil, d, lim, ids, valid)
 }
 
 // foldChain folds one chain: the base packet accumulates accepted

@@ -85,6 +85,41 @@ func TestPackLimitsRejectsWideMachines(t *testing.T) {
 	}
 }
 
+// TestSelectPackedSkipsOneSidedClusters pins the SMT capacity test to
+// CompatSMT's skip rule: a cluster only one packet uses is never
+// checked, so a packet over a cluster's limit still merges with one
+// that leaves that cluster free, as a leaf and as a subtree's slot. The
+// simulator never presents such a packet (every instruction fits the
+// machine alone), so only this test reaches the rule; the SelectPacked
+// contract covers every packable candidate.
+func TestSelectPackedSkipsOneSidedClusters(t *testing.T) {
+	m := isa.Default()
+	var over isa.Occupancy
+	over.Clusters[0] = isa.ClusterUse{Total: uint8(m.IssueWidth + 1)}
+	over.Ops = uint8(m.IssueWidth + 1)
+	free := occOn(1)
+	for _, tc := range []struct {
+		scheme string
+		ports  int
+	}{{"1S", 2}, {"3SSS", 4}, {"2SC3", 4}, {"2SS", 4}} {
+		tree := mustParse(t, tc.scheme, tc.ports)
+		c := Compile(tree)
+		for _, at := range [][2]int{{0, 1}, {tc.ports - 1, 0}} {
+			cands := make([]*isa.Occupancy, tc.ports)
+			cands[at[0]], cands[at[1]] = &over, free
+			vals, valid := pack(cands)
+			ref := tree.Select(&m, vals, valid)
+			if ref.Mask != valid {
+				t.Fatalf("%s, over-limit packet at port %d: reference selected %b, want both ports", tc.scheme, at[0], ref.Mask)
+			}
+			if mask, ops := selectPacked(t, c, &m, vals, valid); mask != ref.Mask || ops != ref.Occ.Ops {
+				t.Errorf("%s, over-limit packet at port %d: packed (mask %b, ops %d) != reference (mask %b, ops %d)",
+					tc.scheme, at[0], mask, ops, ref.Mask, ref.Occ.Ops)
+			}
+		}
+	}
+}
+
 // TestSelectPackedZeroAllocs: selection must never touch the heap — the
 // per-cycle contract the simulator's allocation-free core builds on.
 func TestSelectPackedZeroAllocs(t *testing.T) {

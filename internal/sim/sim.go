@@ -34,7 +34,9 @@ type Config struct {
 	// PerfectMemory disables both caches (every access hits), producing
 	// the paper's IPCp numbers.
 	PerfectMemory bool
-	// Contexts is the number of hardware thread contexts (virtual CPUs).
+	// Contexts is the number of hardware thread contexts (virtual
+	// CPUs); 0 runs the merge scheme's port count, or 1 context when
+	// the config names no scheme (EffectiveContexts).
 	Contexts int
 	// Scheme names the merge control: a paper name ("3SSS", "2SC3",
 	// "C4", ...), a baseline ("IMT", "BMT") or a canonical tree
@@ -62,13 +64,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's machine: 4 clusters x 4 issue,
-// 64KB/4-way/20-cycle I and D caches, 1M-cycle timeslices.
+// 64KB/4-way/20-cycle I and D caches, 1M-cycle timeslices, and 3SSS
+// merging on its 4 ports' worth of contexts (Contexts 0).
 func DefaultConfig() Config {
 	return Config{
 		Machine:         isa.Default(),
 		ICache:          cache.DefaultConfig(),
 		DCache:          cache.DefaultConfig(),
-		Contexts:        4,
 		Scheme:          "3SSS",
 		TimesliceCycles: defaultTimeslice,
 		InstrLimit:      1_000_000,
@@ -207,11 +209,41 @@ func (cfg Config) MergeScheme() (merge.Scheme, error) {
 	return merge.Resolve(cfg.Scheme)
 }
 
-// scheme applies the Validate rules and returns the merge control the
-// run builds its selector from.
+// EffectiveContexts returns the hardware context count cfg runs with:
+// Contexts when set, else the port count of the merge scheme it names,
+// or 1 when it names none. An unresolvable scheme yields 0; Validate
+// reports the error.
+func (cfg Config) EffectiveContexts() int {
+	if cfg.Contexts != 0 {
+		return cfg.Contexts
+	}
+	sch, err := cfg.MergeScheme()
+	if err != nil {
+		return 0
+	}
+	return schemeContexts(sch)
+}
+
+// schemeContexts is the context count of a run that leaves Contexts
+// unset: the port count of its merge scheme sch, or 1 without one.
+func schemeContexts(sch merge.Scheme) int { return max(sch.Ports(), 1) }
+
+// scheme applies the Validate rules, sets an unset Contexts (see
+// EffectiveContexts) and returns the merge control the run builds its
+// selector from.
 func (cfg *Config) scheme() (merge.Scheme, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return merge.Scheme{}, err
+	}
+	var sch merge.Scheme
+	if cfg.Contexts != 1 {
+		var err error
+		if sch, err = cfg.MergeScheme(); err != nil {
+			return merge.Scheme{}, fmt.Errorf("sim: %w", err)
+		}
+		if cfg.Contexts == 0 {
+			cfg.Contexts = schemeContexts(sch)
+		}
 	}
 	switch {
 	case cfg.Contexts < 1:
@@ -232,12 +264,8 @@ func (cfg *Config) scheme() (merge.Scheme, error) {
 	if cfg.Contexts == 1 {
 		return merge.Resolve("IMT") // trivial single-thread issue
 	}
-	sch, err := cfg.MergeScheme()
-	if err == nil {
-		// Checks the scheme's ports against the contexts, uncompiled.
-		_, err = sch.ReferenceSelector(cfg.Contexts)
-	}
-	if err != nil {
+	// Checks the scheme's ports against the contexts, uncompiled.
+	if _, err := sch.ReferenceSelector(cfg.Contexts); err != nil {
 		return merge.Scheme{}, fmt.Errorf("sim: %w", err)
 	}
 	return sch, nil
@@ -248,9 +276,9 @@ func (cfg *Config) scheme() (merge.Scheme, error) {
 // model's rules have one home; each loop keeps its own cycle loop,
 // selector (built from Scheme) and per-thread state.
 type Setup struct {
-	// Config is the run's config with its defaults applied: a
-	// TimesliceCycles of 1,000,000 and a MaxCycles of 400 × InstrLimit
-	// when unset.
+	// Config is the run's config with its defaults applied when unset:
+	// Contexts of EffectiveContexts, a TimesliceCycles of 1,000,000 and
+	// a MaxCycles of 400 × InstrLimit.
 	Config Config
 	// Scheme is the merge control: the config's resolved scheme, or IMT
 	// on one port for one context.

@@ -339,6 +339,40 @@ func TestFixedPriorityStarvesLowPriority(t *testing.T) {
 	}
 }
 
+// TestPrepareDerivesContexts pins the one context-count rule sim and
+// refsim share through Prepare: an unset Contexts is the scheme's port
+// count, or 1 without a scheme, and an explicit count is kept.
+func TestPrepareDerivesContexts(t *testing.T) {
+	good := serialTask(t)
+	for _, tc := range []struct {
+		contexts int
+		scheme   string
+		want     int
+	}{
+		{0, "1S", 2},
+		{0, "2SC3", 4},
+		{0, "C(S(T0,T1),T2)", 3},
+		{0, "", 1},
+		{1, "1S", 1},
+		{2, "1S", 2},
+	} {
+		cfg := testConfig(tc.contexts, tc.scheme)
+		if got := cfg.EffectiveContexts(); got != tc.want {
+			t.Errorf("Contexts %d, scheme %q: EffectiveContexts %d, want %d", tc.contexts, tc.scheme, got, tc.want)
+		}
+		s, err := Prepare(cfg, []Task{good})
+		if err != nil {
+			t.Fatalf("Contexts %d, scheme %q: %v", tc.contexts, tc.scheme, err)
+		}
+		if s.Config.Contexts != tc.want {
+			t.Errorf("Contexts %d, scheme %q: prepared %d contexts, want %d", tc.contexts, tc.scheme, s.Config.Contexts, tc.want)
+		}
+	}
+	if got := testConfig(0, "XYZ").EffectiveContexts(); got != 0 {
+		t.Errorf("unresolvable scheme: EffectiveContexts %d, want 0", got)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	good := serialTask(t)
 	cases := []struct {
@@ -347,7 +381,7 @@ func TestRunValidation(t *testing.T) {
 		ts   []Task
 	}{
 		{"no tasks", testConfig(1, ""), nil},
-		{"zero contexts", func() Config { c := testConfig(1, ""); c.Contexts = 0; return c }(), []Task{good}},
+		{"negative contexts", func() Config { c := testConfig(1, ""); c.Contexts = -1; return c }(), []Task{good}},
 		{"bad scheme", testConfig(4, "XYZ"), []Task{good, good, good, good}},
 		{"port mismatch", testConfig(4, "1S"), []Task{good, good, good, good}},
 		{"zero instr limit", func() Config { c := testConfig(1, ""); c.InstrLimit = 0; return c }(), []Task{good}},

@@ -143,16 +143,18 @@ func Memories() []Memory {
 	}
 }
 
-// TwoWayFetch returns the caches model with a 2-way instruction cache
-// of the same size. Every domain program's instructions lie in the
-// first 16-byte line of its code, and every task's first line falls in
-// set 0: two tasks' lines fit that set, so every fetch takes the pinned
-// path (cache.Cache.Pin), while under Memories' direct-mapped caches
-// the two lines overflow the set and every fetch goes through Access.
-func TwoWayFetch() Memory {
+// PinnedFetch returns the caches model with a fully associative
+// instruction cache of the same size (4 ways of 16-byte lines). Every
+// domain program's instructions lie in the first 16-byte line of its
+// code, and every task's first line falls in set 0: under this model
+// the lines of up to four tasks fit the one set, so every fetch takes
+// the pinned path (cache.Cache.Pin), while under Memories'
+// direct-mapped caches two or more tasks' lines overflow set 0 and
+// every fetch goes through Access.
+func PinnedFetch() Memory {
 	m := Memories()[1]
-	m.Name = "caches-2way-fetch"
-	m.ICache.Ways = 2
+	m.Name = "caches-pinned-fetch"
+	m.ICache.Ways = 4
 	return m
 }
 

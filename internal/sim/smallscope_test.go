@@ -6,7 +6,9 @@ package sim_test
 // loop's shortcuts and boundary rules live: the merge stage and the
 // memory models, timeslice deschedules, and MaxCycles cut-offs. Cases
 // run in enumeration order and the first divergence fails the test, so
-// the case reported is the smallest the domain holds. -short runs every
+// the case reported is the smallest the domain holds. Every axis runs
+// under each memory model, one of which fetches through the pinned path,
+// and checks that its runs reached both fetch paths. -short runs every
 // seventh case of each axis; CI runs the domain in full.
 
 import (
@@ -27,8 +29,15 @@ type smallScope struct {
 	t    *testing.T
 	n    int
 	runs int
-	// icache sums the I-cache accesses of the cases run.
-	icache int64
+	// icache sums the I-cache accesses of the cases run; resident0 is
+	// the resident-fetch counter before the first.
+	icache    int64
+	resident0 int64
+}
+
+func newSmallScope(t *testing.T) *smallScope {
+	_, _, resident := counters()
+	return &smallScope{t: t, resident0: resident}
 }
 
 // check compares the two loops on one case, named by desc.
@@ -53,6 +62,17 @@ func (s *smallScope) check(desc string, cfg sim.Config, tasks []sim.Task) {
 	s.icache += got.ICache.Accesses
 }
 
+// done fails the axis unless its runs reached both fetch paths: some,
+// but not all, of their I-cache accesses were resident fetches.
+func (s *smallScope) done() {
+	s.t.Helper()
+	_, _, resident := counters()
+	if d := resident - s.resident0; d == 0 || d == s.icache {
+		s.t.Errorf("%d of the axis's %d I-cache accesses were resident fetches; both fetch paths must be reached", d, s.icache)
+	}
+	s.t.Logf("%d of %d cases run", s.runs, s.n)
+}
+
 // counters reads the burst, fast-forward and resident-fetch
 // instruments, so an axis can show that its runs reach each shortcut.
 func counters() (burst, ff, resident int64) {
@@ -61,17 +81,20 @@ func counters() (burst, ff, resident int64) {
 		snap.Counter("sim_icache_resident_fetches_total")
 }
 
+// memories are the memory models every axis runs under: Memories, whose
+// fetches all go through Access, and PinnedFetch, whose fetches all take
+// the pinned path.
+func memories() []simtest.Memory { return append(simtest.Memories(), simtest.PinnedFetch()) }
+
 // TestSmallScopePairs: every ordered pair of domain programs on two
-// contexts, under each two-context scheme and each memory model, plus
-// the 2-way I-cache of TwoWayFetch: its fetches all take the pinned
-// path, and those under the direct-mapped I-cache all go through Access.
+// contexts, under each two-context scheme and each memory model.
 func TestSmallScopePairs(t *testing.T) {
-	s := &smallScope{t: t}
-	burst0, ff0, resident0 := counters()
+	s := newSmallScope(t)
+	burst0, ff0, _ := counters()
 	progs := simtest.Programs()
 	for _, a := range progs {
 		for _, b := range progs {
-			for _, mem := range append(simtest.Memories(), simtest.TwoWayFetch()) {
+			for _, mem := range memories() {
 				for _, scheme := range simtest.Schemes2() {
 					s.check(fmt.Sprintf("%s + %s, %s, %s memory", a.Name, b.Name, scheme, mem.Name),
 						simtest.Config(scheme, mem), simtest.Tasks(a, b))
@@ -79,14 +102,11 @@ func TestSmallScopePairs(t *testing.T) {
 			}
 		}
 	}
-	burst, ff, resident := counters()
+	burst, ff, _ := counters()
 	if burst == burst0 || ff == ff0 {
 		t.Errorf("the domain's runs issued %d burst cycles and fast-forwarded %d; both shortcuts must be reached", burst-burst0, ff-ff0)
 	}
-	if d := resident - resident0; d == 0 || d == s.icache {
-		t.Errorf("%d of the domain's %d I-cache accesses were resident fetches; both fetch paths must be reached", d, s.icache)
-	}
-	t.Logf("%d of %d cases run", s.runs, s.n)
+	s.done()
 }
 
 // TestSmallScopeTimeslices: three tasks on two contexts, every ordered
@@ -94,13 +114,13 @@ func TestSmallScopePairs(t *testing.T) {
 // timeslices of 1, 2, 3 and 7 cycles, so deschedules land inside
 // stalls, bursts and fast-forward spans.
 func TestSmallScopeTimeslices(t *testing.T) {
-	s := &smallScope{t: t}
+	s := newSmallScope(t)
 	progs := simtest.Programs()
 	for i, a := range progs {
 		for j, b := range progs {
 			c := progs[(i+2*j+1)%len(progs)]
 			for _, slice := range []int64{1, 2, 3, 7} {
-				for _, mem := range simtest.Memories() {
+				for _, mem := range memories() {
 					for _, scheme := range []string{"S(T0,T1)", "BMT"} {
 						cfg := simtest.Config(scheme, mem)
 						cfg.TimesliceCycles = slice
@@ -111,7 +131,7 @@ func TestSmallScopeTimeslices(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d cases run", s.runs, s.n)
+	s.done()
 }
 
 // TestSmallScopeMaxCycles: MaxCycles at every cycle of a run, so a cut
@@ -119,13 +139,13 @@ func TestSmallScopeTimeslices(t *testing.T) {
 // program runs with a partner that varies with it, on two contexts and
 // as three tasks at a 3-cycle timeslice.
 func TestSmallScopeMaxCycles(t *testing.T) {
-	s := &smallScope{t: t}
+	s := newSmallScope(t)
 	progs := simtest.Programs()
 	for i, a := range progs {
 		b := progs[(7*i+3)%len(progs)]
 		c := progs[(5*i+1)%len(progs)]
 		for _, set := range [][]*program.Program{{a, b}, {a, b, c}} {
-			for _, mem := range simtest.Memories() {
+			for _, mem := range memories() {
 				for _, scheme := range []string{"S(T0,T1)", "C(T0,T1)", "BMT"} {
 					cfg := simtest.Config(scheme, mem)
 					if len(set) > 2 {
@@ -144,7 +164,7 @@ func TestSmallScopeMaxCycles(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d cases run", s.runs, s.n)
+	s.done()
 }
 
 func names(progs []*program.Program) []string {

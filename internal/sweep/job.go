@@ -81,17 +81,11 @@ func (j Job) SchemeName() string {
 }
 
 // EffectiveContexts returns the hardware context count the job runs
-// with: Contexts when set, else derived from the merge scheme. An
-// unresolvable scheme yields 0; Validate reports the actual error.
+// with, by sim.Config's rule: Contexts when set, else derived from the
+// merge scheme. An unresolvable scheme yields 0; Validate reports the
+// actual error.
 func (j Job) EffectiveContexts() int {
-	if j.Contexts > 0 {
-		return j.Contexts
-	}
-	s, err := j.MergeScheme()
-	if err != nil {
-		return 0
-	}
-	return j.config(s).Contexts
+	return sim.Config{Contexts: j.Contexts, Scheme: j.Scheme, Merge: j.Merge}.EffectiveContexts()
 }
 
 // Describe returns the job's label, deriving "bench+.../scheme" from
@@ -115,19 +109,15 @@ func (j Job) Describe() string {
 }
 
 // config lowers the job to a simulator configuration running sch, the
-// job's resolved merge scheme: Contexts, when unset, is sch's port
-// count, or 1 when the job does not merge.
+// job's resolved merge scheme; an unset Contexts stays unset for the
+// simulator to derive.
 func (j Job) config(sch merge.Scheme) sim.Config {
-	contexts := j.Contexts
-	if contexts <= 0 {
-		contexts = max(sch.Ports(), 1)
-	}
 	return sim.Config{
 		Machine:         j.Machine,
 		ICache:          j.ICache,
 		DCache:          j.DCache,
 		PerfectMemory:   j.PerfectMemory,
-		Contexts:        contexts,
+		Contexts:        j.Contexts,
 		Merge:           sch,
 		TimesliceCycles: j.TimesliceCycles,
 		InstrLimit:      j.InstrLimit,

@@ -19,6 +19,11 @@
 #               parent's by more than the bound
 #   within      none of these
 #
+# Each line also prints, for information only, the median and quartiles
+# of the per-pair ratios change/parent: pairing cancels drift that moves
+# both runs of a pair, which the two sides' own spreads do not. The
+# verdict does not read them.
+#
 # Both sides run at perfbench's own run length.
 #
 # It refuses a verdict (exit 1) when any run fails or reports
@@ -114,10 +119,11 @@ grep -o '"name": *"[^"]*", *"unit": *"[^"]*", *"better": *"[^"]*", *"bound": *[0
 				n++
 				b[n] = $1; c[n] = $2
 				if (gt($2, $1)) wins++
+				if ($1 != 0) r[++m] = $2 / $1
 			}
 			END {
 				if (n == 0) { printf "%-15s not reported\n", name; exit }
-				sort(b, n); sort(c, n)
+				sort(b, n); sort(c, n); sort(r, m)
 				mb = q(b, n, .5); mc = q(c, n, .5)
 				iqr = q(b, n, .75) - q(b, n, .25)
 				iqrc = q(c, n, .75) - q(c, n, .25)
@@ -133,8 +139,9 @@ grep -o '"name": *"[^"]*", *"unit": *"[^"]*", *"better": *"[^"]*", *"bound": *[0
 				else if (wins >= 0.9 * n && gain > 0 && d > iqr) v = "gain"
 				else if (gain < -bound) v = "worse"
 				else v = "within"
-				printf "%-15s %-9s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  %+.1f%%  wins %d/%d  IQR parent %s change %s bound %g  %s\n",
+				ratio = m == 0 ? "n/a" : sprintf("%.3f [%.3f, %.3f]", q(r, m, .5), q(r, m, .25), q(r, m, .75))
+				printf "%-15s %-9s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  %+.1f%%  wins %d/%d  ratio %s  IQR parent %s change %s bound %g  %s\n",
 					name, unit, mb, q(b, n, .25), q(b, n, .75), mc, q(c, n, .25), q(c, n, .75),
-					100 * gain, wins, n, wideb ? "exceeds" : "within", widec ? "exceeds" : "within", bound, v
+					100 * gain, wins, n, ratio, wideb ? "exceeds" : "within", widec ? "exceeds" : "within", bound, v
 			}'
 	done

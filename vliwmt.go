@@ -123,8 +123,9 @@ func DefaultCache() CacheConfig { return cache.DefaultConfig() }
 type Config = sim.Config
 
 // DefaultConfig returns the paper's processor and OS configuration:
-// 4 hardware contexts, 4-thread SMT merging, 64KB caches, 1M-cycle
-// timeslices and a 1M-instruction budget.
+// 4-thread SMT merging (3SSS) on as many hardware contexts as the
+// scheme has ports (Contexts 0), 64KB caches, 1M-cycle timeslices and
+// a 1M-instruction budget.
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
 // Task is one software thread: a name and a compiled program.

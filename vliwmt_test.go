@@ -70,6 +70,28 @@ func TestRunMixEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunMixContextsFollowScheme pins the context-count rule: a default
+// config leaves Contexts unset, so a scheme runs on as many contexts as
+// it has ports, while an explicit count that disagrees is an error.
+func TestRunMixContextsFollowScheme(t *testing.T) {
+	cfg := vliwmt.DefaultConfig()
+	cfg.Scheme = "1S"
+	cfg.InstrLimit = 20_000
+	cfg.TimesliceCycles = 1_000
+	res, err := vliwmt.RunMix(cfg, "LLHH")
+	if err != nil {
+		t.Fatalf("1S on a default config: %v", err)
+	}
+	if got := len(res.MergeHist) - 1; got != 2 {
+		t.Errorf("1S on a default config ran on %d contexts, want 2", got)
+	}
+	cfg.Contexts = 4
+	const want = "sim: merge: scheme 1S merges 2 threads, machine has 4 ports"
+	if _, err := vliwmt.RunMix(cfg, "LLHH"); err == nil || err.Error() != want {
+		t.Errorf("1S on 4 explicit contexts: error %v, want %q", err, want)
+	}
+}
+
 func TestSchemesMetadata(t *testing.T) {
 	schemes := vliwmt.Schemes()
 	if len(schemes) != 16 {
